@@ -5,9 +5,13 @@ import pytest
 
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import integrate_pair, normalize_unit_wronskian, sample
-from oscpairs.phasekit import (amplitude_series, appell_residual, phase_unwrap,
-                               prufer_polar, wronskian)
+from oscpairs.phasekit import (_integrate_inv_v_local, _inv_v_derivatives,
+                               _phase_increments, amplitude_series,
+                               appell_residual, phase_unwrap, prufer_polar,
+                               wronskian)
+from oscpairs.principal import transform_pair
 from oscpairs.qfunc import catalog_get
+from oscpairs.verify import unimodular_scrambles
 
 
 def test_wronskian_operation():
@@ -177,3 +181,77 @@ def test_prufer_angle_equation(run_genairy):
 def test_prufer_invalid_selector(run_constant):
     with pytest.raises(ParameterError):
         prufer_polar(run_constant.traj, "y3")
+
+
+def _loop_increments(traj):
+    """Scalar reference for _phase_increments: the corrected trapezoid per
+    mesh interval, then one linspace refinement per fast interval.
+    Returns (unrefined, refined) increments."""
+    y1, d1, y2, d2 = traj.states.T
+    f, f1, f3 = _inv_v_derivatives(traj, y1, d1, y2, d2,
+                                   traj.q_nodes, traj.qp_nodes)
+    h = np.diff(traj.mesh)
+    coarse = (0.5 * h * (f[:-1] + f[1:])
+              - h * h / 12.0 * (f1[1:] - f1[:-1])
+              + h ** 4 / 720.0 * (f3[1:] - f3[:-1]))
+    inc = coarse.copy()
+    for idx in np.nonzero(np.abs(inc) > 0.05)[0]:
+        n = int(math.ceil(abs(inc[idx]) / 0.025))
+        edges = np.linspace(traj.mesh[idx], traj.mesh[idx + 1], n + 1)
+        inc[idx] = float(np.sum(_integrate_inv_v_local(traj, edges[:-1], edges[1:])))
+    return coarse, inc
+
+
+def _coarse_traj(name, params, xmax):
+    model = catalog_get(name, params)
+    return normalize_unit_wronskian(
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), xmax, rtol=1e-3))
+
+
+def _assert_matches_loop(traj):
+    coarse, ref = _loop_increments(traj)
+    inc, refined = _phase_increments(traj)
+    fast = int(np.count_nonzero(np.abs(coarse) > 0.05))
+    assert fast > 0 and refined == fast
+    # only the summation order of the sub-panels differs from the loop
+    assert np.all(np.abs(inc - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    return refined
+
+
+@pytest.mark.parametrize("name,params,xmax", [
+    ("constant", {"c": 1.0}, 50.0),
+    ("gen-airy", {"nu": 0.4}, 60.0),
+    ("cauchy-euler", {"gamma": 1.0}, 500.0),
+])
+def test_batched_refinement_matches_loop_coarse_tolerance(name, params, xmax):
+    traj = _coarse_traj(name, params, xmax)
+    refined = _assert_matches_loop(traj)
+    assert phase_unwrap(traj).refined_intervals == refined
+
+
+def test_batched_refinement_matches_loop_scrambled(run_inversex):
+    for matrix in unimodular_scrambles(7, n=3):
+        _assert_matches_loop(transform_pair(run_inversex.traj, matrix))
+
+
+def test_no_fast_intervals_returns_unrefined_increments():
+    model = catalog_get("gen-airy", {"nu": 0.4})
+    traj = normalize_unit_wronskian(
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 7.5))
+    coarse, _ = _loop_increments(traj)
+    inc, refined = _phase_increments(traj)
+    assert refined == 0
+    assert np.array_equal(inc, coarse)
+    assert phase_unwrap(traj).refined_intervals == 0
+
+
+def test_off_mesh_phase_is_refined_like_mesh_phase():
+    # a stretched pair at rtol=1e-3: most mesh intervals need refinement,
+    # and so do the partial panels from a mesh node to an off-mesh point
+    traj = transform_pair(_coarse_traj("constant", {"c": 1.0}, 50.0),
+                          (3.0, 0.0, 0.0, 1.0 / 3.0))
+    grid = 0.25 * traj.mesh[:-1] + 0.75 * traj.mesh[1:]
+    off_mesh = phase_unwrap(traj, grid=grid)
+    assert off_mesh.alpha_mismatch_max <= 1e-4
+    assert np.all(np.diff(off_mesh.alpha) > 0)
+    assert phase_unwrap(traj).refined_intervals > 0
