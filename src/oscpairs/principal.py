@@ -15,8 +15,12 @@ exactly.  Along any pair,
 
 and the distinguished combination is the one whose vbar' carries no
 oscillatory part (K1 = K2 = 0).  The finder minimizes the sample
-variance of vbar' over a tail window; the classifier then examines the
-limit behaviour of vbar and vbar' over dyadic windows.
+variance of vbar' over a tail window.  That variance is a quadratic form
+w^T Sigma w in w = (A, B, C) and the constraint is w^T J w = 1 with J the
+Gram matrix of AB - C^2, so the minimizer is the one eigenvector of
+Sigma w = lambda J w with w^T J w > 0; a Newton polish then removes the
+bias of the finite window.  The classifier examines the limit behaviour
+of vbar and vbar' over dyadic windows.
 """
 
 import math
@@ -28,7 +32,6 @@ from .errors import IllConditionedError, ParameterError, WindowError
 from .integrate import PairTrajectory
 from .phasekit import phase_unwrap
 
-_TIE_TOL = 1e-12
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 
 
@@ -61,12 +64,6 @@ class CombinationCoefficients:
 @dataclass(frozen=True)
 class OptimizerSettings:
     residual_tol: float = 1e-3      # |(k1, k2)| above this => undetermined
-    grid_p_exponents: tuple = tuple(range(-6, 7))
-    grid_m_max: float = 4.0
-    grid_m_step: float = 0.5
-    n_refine: int = 8               # best starts refined by simplex descent
-    simplex_rel_tol: float = 1e-10
-    max_iter: int = 400
 
 
 @dataclass(frozen=True)
@@ -185,41 +182,36 @@ def decompose_oscillation(traj, phase, coeffs, window, min_periods=3.0):
 # ---------------------------------------------------------------------------
 # finder
 
-def _nelder_mead(f, x0, step, max_iter, rel_tol):
-    """Plain simplex descent in 2-d; deterministic."""
-    pts = [np.array(x0, dtype=float),
-           np.array([x0[0] + step, x0[1]]),
-           np.array([x0[0], x0[1] + step])]
-    vals = [f(p) for p in pts]
-    for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        spread = abs(vals[2] - vals[0])
-        if spread <= rel_tol * (abs(vals[0]) + 1e-300) + 1e-300:
-            size = max(np.max(np.abs(pts[1] - pts[0])), np.max(np.abs(pts[2] - pts[0])))
-            if size <= 1e-9:
-                break
-        centroid = 0.5 * (pts[0] + pts[1])
-        xr = centroid + (centroid - pts[2])
-        fr = f(xr)
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[2])
-            fe = f(xe)
-            pts[2], vals[2] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < vals[1]:
-            pts[2], vals[2] = xr, fr
-        else:
-            xc = centroid + 0.5 * (pts[2] - centroid)
-            fc = f(xc)
-            if fc < vals[2]:
-                pts[2], vals[2] = xc, fc
-            else:
-                pts[1] = pts[0] + 0.5 * (pts[1] - pts[0])
-                pts[2] = pts[0] + 0.5 * (pts[2] - pts[0])
-                vals[1], vals[2] = f(pts[1]), f(pts[2])
-    order = np.argsort(vals, kind="stable")
-    return pts[order[0]], vals[order[0]]
+# Gram matrix of AB - C^2 in w = (A, B, C), and its inverse
+_J = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
+_J_INV = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def _sheet_minimizer(cov):
+    """Minimizer w = (A, B, C) of w^T cov w on the sheet AB - C^2 = 1, A > 0.
+
+    Stationary points on the sheet solve cov w = lambda J w, where the
+    objective equals lambda.  J has one positive and two negative
+    directions, so a positive definite cov has exactly one eigenvector
+    with w^T J w > 0; it is returned scaled to w^T J w = 1 and signed so
+    that A > 0.  A singular cov (e.g. rank one) can admit more than one;
+    the one of lowest objective is taken.  A non-finite cov, or one
+    without an admissible eigenvector (e.g. cov = 0), raises
+    IllConditionedError.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if not np.all(np.isfinite(cov)):
+        raise IllConditionedError("variance covariance of vbar' is not finite")
+    _, vecs = np.linalg.eig(_J_INV @ cov)
+    vecs = vecs.real
+    jnorm = np.einsum("ik,ij,jk->k", vecs, _J, vecs)
+    admissible = np.flatnonzero(jnorm > 0.0)
+    if admissible.size == 0:
+        raise IllConditionedError(
+            "no eigenvector of the variance pencil lies on AB - C^2 = 1")
+    w = vecs[:, admissible] / np.sqrt(jnorm[admissible])
+    w = w[:, np.argmin(np.einsum("ik,ij,jk->k", w, cov, w))]
+    return w if w[0] > 0 else -w
 
 
 def _residual_design(phase, window):
@@ -285,12 +277,17 @@ def _expand_window(phase, window, need_alpha):
 def find_principal(traj, window=None, opts=None):
     """Distinguished unit-determinant combination of an integrated pair.
 
-    Minimizes the sample variance of vbar' over the window, subject to
-    AB - C^2 = 1, A > 0, via the chart (p, m) -> (p, (1+m^2)/p, m); a
-    coarse multistart grid is refined by simplex descent.  The window
-    defaults to the last quarter of the span and grows leftward when it
-    holds fewer than 3 periods of 2*alpha (short-span runs still resolve
-    the combination when v' is close to constant).
+    Minimizes the sample variance w^T Sigma w of vbar' over the window,
+    subject to AB - C^2 = 1, A > 0, in closed form (``_sheet_minimizer``),
+    then polishes (A, B, C) by Newton steps that zero the fitted
+    sin/cos(2 alpha) amplitudes of vbar'; when the polish gives up, the
+    variance minimizer is kept.  The window defaults to the last quarter
+    of the span and grows leftward when it holds fewer than 3 periods of
+    2*alpha (short-span runs still resolve the combination when v' is
+    close to constant).  ``diagnostics`` records the Newton steps taken
+    (``polish_steps``), whether the polish was abandoned
+    (``polish_fallback``) and the refined phase intervals of the input
+    pair (``refined_intervals``).
     """
     if not traj.unit_wronskian:
         raise ParameterError("normalize the pair before searching (|w| != 1)")
@@ -314,41 +311,15 @@ def find_principal(traj, window=None, opts=None):
     g = np.vstack([2.0 * y1 * d1, 2.0 * y2 * d2, 2.0 * (d1 * y2 + y1 * d2)])
     mu = g.mean(axis=1)
     cov = (g @ g.T) / g.shape[1] - np.outer(mu, mu)
-
-    def objective(u, m):
-        p = math.exp(u)
-        A, B, C = p, (1.0 + m * m) / p, m
-        w = np.array([A, B, C])
-        return float(w @ cov @ w)
-
-    starts = []
-    ln2 = math.log(2.0)
-    msteps = np.arange(-opts.grid_m_max, opts.grid_m_max + 1e-9, opts.grid_m_step)
-    for k in opts.grid_p_exponents:
-        for m in msteps:
-            u = k * ln2
-            starts.append((objective(u, float(m)), u, float(m)))
-    starts.sort(key=lambda t: (t[0], abs(t[2]), abs(t[1])))
-
-    best = []
-    for j0, u0, m0 in starts[:opts.n_refine]:
-        xz, fz = _nelder_mead(lambda x: objective(x[0], x[1]), (u0, m0),
-                              0.25, opts.max_iter, opts.simplex_rel_tol)
-        best.append((fz, float(xz[0]), float(xz[1])))
-    fmin = min(b[0] for b in best)
-    ties = [b for b in best if b[0] <= fmin + _TIE_TOL * max(1.0, abs(fmin))]
-    # deterministic gauge: prefer small |C|, then small |A - B|
-    def tie_key(b):
-        p, m = math.exp(b[1]), b[2]
-        return (abs(m), abs(p - (1.0 + m * m) / p))
-    fbest, ubest, mbest = min(ties, key=tie_key)
+    w0 = _sheet_minimizer(cov)
 
     # The variance optimum is biased by the covariance of the smooth
     # trend of vbar' with the oscillatory basis over a finite window.
     # Polish by solving for the combination whose fitted sin/cos(2 alpha)
     # amplitudes vanish: with the phase basis frozen those amplitudes are
     # linear in (A, B, C), leaving a 2x2 Newton problem in (p, m).
-    p, m = math.exp(ubest), mbest
+    p, m = float(w0[0]), float(w0[2])
+    steps, ok = 0, True
     for _ in range(2):
         coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
         transformed = transform_pair(traj, coefficient_matrix(coeffs))
@@ -360,7 +331,6 @@ def find_principal(traj, window=None, opts=None):
                                  2.0 * (d1w * y2w + y1w * d2w)])
         amps, *_ = np.linalg.lstsq(X, gcols, rcond=None)
         u, vv, ww = amps[-2:, 0], amps[-2:, 1], amps[-2:, 2]
-        ok = True
         for _ in range(5):
             F = p * u + ((1.0 + m * m) / p) * vv + m * ww
             Jac = np.column_stack([u - ((1.0 + m * m) / (p * p)) * vv,
@@ -375,13 +345,14 @@ def find_principal(traj, window=None, opts=None):
                 ok = False
                 break
             p, m = p + float(delta[0]), m + float(delta[1])
+            steps += 1
             if p <= 0:
-                p, m, ok = math.exp(ubest), mbest, False
+                ok = False
                 break
             if step < 1e-14 * (1.0 + abs(p) + abs(m)):
                 break
         if not ok:
-            p, m = math.exp(ubest), mbest
+            p, m = float(w0[0]), float(w0[2])
             break
 
     coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
@@ -389,13 +360,16 @@ def find_principal(traj, window=None, opts=None):
     transformed = transform_pair(traj, matrix)
     phase_t = phase_unwrap(transformed)
     k1, k2 = _oscillation_residual(phase_t, window)
-    fbest = objective(math.log(p), m)
+    w = np.array([coeffs.A, coeffs.B, coeffs.C])
+    fbest = float(w @ cov @ w)
     tag, L, K, diag = _classify_series(phase_t, tol=1e-3)
     residual = math.hypot(k1, k2)
     if residual > opts.residual_tol:
         tag, L, K = "undetermined", None, None
         diag["residual_above_tol"] = residual
-    diag.update({"window_expanded": expanded, "alpha_span": alpha_span})
+    diag.update({"window_expanded": expanded, "alpha_span": alpha_span,
+                 "polish_steps": steps, "polish_fallback": not ok,
+                 "refined_intervals": phase.refined_intervals})
     return PrincipalReport(coeffs=coeffs, classification=tag, L=L, K=K,
                            k1_est=k1, k2_est=k2, objective=fbest,
                            window=(float(window[0]), float(window[1])),

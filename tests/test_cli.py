@@ -53,6 +53,16 @@ def test_json_determinism():
     assert a == b
 
 
+def test_analyze_reports_finder_diagnostics():
+    report = cmd_analyze(RunConfig(equation="constant", params={"c": 1.0},
+                                   xmax=50.0))
+    diag = report["diagnostics"]
+    assert {"polish_steps", "polish_fallback", "refined_intervals"} <= set(diag)
+    assert isinstance(diag["polish_steps"], int) and diag["polish_steps"] >= 0
+    assert diag["polish_fallback"] is False
+    assert isinstance(diag["refined_intervals"], int)
+
+
 def test_json_float_formatting():
     text = to_json({"a": 1.0, "b": 0.1, "c": None, "d": True, "e": [1, 2.5]})
     assert '"a": 1' in text

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oscpairs.errors import ParameterError, WindowError
+from oscpairs.errors import IllConditionedError, ParameterError, WindowError
 from oscpairs.phasekit import phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
                                 coefficient_matrix, decompose_oscillation,
                                 find_principal, sufficient_conditions,
-                                transform_pair, _oscillation_residual)
+                                transform_pair, _oscillation_residual,
+                                _sheet_minimizer)
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import unimodular_scrambles
 
@@ -137,6 +138,46 @@ def test_find_principal_matches_lattice_oracle(run_genairy):
                for k in range(-4, 5) for m in np.arange(-2.0, 2.01, 0.25))
     found = objective(rep.coeffs.A, rep.coeffs.C)
     assert found <= best * (1.0 + 1e-9) + 1e-18
+
+
+def _sheet_objective(w, cov):
+    return np.einsum("i...,ij,j...->...", w, cov, w)
+
+
+def test_sheet_minimizer_random_covariances():
+    # the closed form must not be beaten by a dense (p, m) chart lattice
+    # or by small moves along the sheet AB - C^2 = 1
+    rng = np.random.default_rng(4207)
+    P, Mc = np.meshgrid(np.exp(np.linspace(-5.0, 5.0, 201)),
+                        np.linspace(-5.0, 5.0, 201))
+    lattice = np.array([P, (1.0 + Mc * Mc) / P, Mc])
+    for _ in range(200):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        cov = (Q * np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 3))) @ Q.T
+        w = _sheet_minimizer(cov)
+        A, B, C = w
+        assert A > 0
+        assert abs(A * B - C * C - 1.0) <= 1e-12
+        f = _sheet_objective(w, cov)
+        assert f <= _sheet_objective(lattice, cov).min() * (1.0 + 1e-12)
+        p = A * np.exp(rng.uniform(-1e-3, 1e-3, 64))
+        m = C + rng.uniform(-1e-3, 1e-3, 64)
+        moved = np.array([p, (1.0 + m * m) / p, m])
+        assert f <= _sheet_objective(moved, cov).min() * (1.0 + 1e-12)
+
+
+def test_sheet_minimizer_rejects_nan_covariance():
+    cov = np.eye(3)
+    cov[1, 2] = cov[2, 1] = np.nan
+    with pytest.raises(IllConditionedError):
+        _sheet_minimizer(cov)
+
+
+def test_sheet_minimizer_rejects_zero_covariance():
+    # every vector is an eigenvector of the zero pencil; the ones numpy
+    # returns have w^T J w <= 0, so none lies on the sheet
+    with pytest.raises(IllConditionedError):
+        _sheet_minimizer(np.zeros((3, 3)))
 
 
 def test_classify_constant(run_constant):
