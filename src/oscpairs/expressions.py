@@ -16,6 +16,8 @@ rewriting the tree; they are never approximated by finite differences.
 
 import math
 
+import numpy as np
+
 from .errors import EvaluationError, ParseError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -284,10 +286,16 @@ def mul(a, b):
 
 
 def div(a, b):
-    if isinstance(b, Num) and b.value == 1.0:
-        return a
-    if isinstance(a, Num) and a.value == 0.0:
-        return Num(0.0)
+    if isinstance(b, Num):
+        if b.value == 0.0:
+            return Div(a, b)  # division by zero raises when evaluated
+        if b.value == 1.0:
+            return a
+    if isinstance(a, Num):
+        if a.value == 0.0:
+            return Num(0.0)
+        if isinstance(b, Num):
+            return Num(a.value / b.value)
     return Div(a, b)
 
 
@@ -297,6 +305,13 @@ def pow_(a, b):
             return a
         if b.value == 0.0:
             return Num(1.0)
+        if isinstance(a, Num):
+            # fold only what evaluation would compute; a domain fault
+            # (or an overflow) stays in the tree and raises when evaluated
+            try:
+                return Num(_checked_pow(a.value, b.value, None))
+            except (EvaluationError, ArithmeticError, ValueError):
+                pass
     return Pow(a, b)
 
 
@@ -437,3 +452,161 @@ class _Parser:
 def parse_expression(text, params=None):
     """Parse ``text`` into a tree; named parameters are substituted."""
     return _Parser(text, dict(params or {})).parse()
+
+
+# ---------------------------------------------------------------------------
+# compilation
+#
+# A tree compiles into one scalar function and one numpy array function.
+# The generated source is built from fixed tokens only (operators, t<k>
+# temporaries, c<k> constants and the library names below); constants are
+# bound as arguments of the enclosing factory, never written as literals,
+# so no text of the parsed expression reaches `exec`.
+
+_BINOPS = {Add: "+", Sub: "-", Mul: "*"}
+_CALLS = {"sin": "_sin", "cos": "_cos", "exp": "_exp", "log": "_log",
+          "sqrt": "_sqrt", "abs": "_abs"}
+_MAX_NESTING = 50  # deeper subexpressions go to a temporary
+
+
+def _fin(t, ok):
+    """Clear ok where t is not finite; those points go to the scalar form."""
+    ok &= np.isfinite(t)
+    return t
+
+
+def _pw(base, expo, ok):
+    # a zero base takes the scalar path too: its rules (0^-n raises,
+    # (-0)^n is +0) differ from numpy's
+    ok &= base != 0.0
+    ok &= np.isfinite(expo)
+    return _fin(np.power(base, expo), ok)
+
+
+class _Source:
+    def __init__(self):
+        self.consts = []
+        self.lines = []
+
+    def const(self, value):
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def temp(self, expr):
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def name(self, expr):
+        return expr if expr.isidentifier() else self.temp(expr)
+
+    def nest(self, expr):
+        """expr, moved to a temporary if its parentheses nest too deep."""
+        return self.temp(expr) if expr.count("(") > _MAX_NESTING else expr
+
+    def build(self, signature, body, library):
+        """Run the generated factory, which binds the library (a dict of
+        fixed names) and the constants; returns the compiled function."""
+        args = ", ".join([*library, *(f"c{k}" for k in range(len(self.consts)))])
+        lines = [f"def factory({args}):", f"    def f({signature}):"]
+        lines += [f"        {line}" for line in self.lines]
+        lines += [f"        return {body}", "    return f"]
+        namespace = {}
+        exec("\n".join(lines), namespace)  # noqa: S102 -- fixed tokens only
+        return namespace["factory"](*library.values(), *self.consts)
+
+
+def _scalar_expr(node, src):
+    """Source equal to node.eval(x), bit for bit.  Operations that can
+    raise become statements, emitted in the order Node.eval evaluates, so
+    the first fault is the one the tree walk meets; at a domain fault the
+    compiled code calls the tree walk (`_tree`), which raises it."""
+    if isinstance(node, Num):
+        return src.const(node.value)
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Neg):
+        return src.nest(f"(-{_scalar_expr(node.a, src)})")
+    if type(node) in _BINOPS:
+        a = _scalar_expr(node.a, src)
+        return src.nest(f"({a} {_BINOPS[type(node)]} {_scalar_expr(node.b, src)})")
+    if isinstance(node, Div):
+        den = src.name(_scalar_expr(node.b, src))  # Div.eval checks b first
+        if not (isinstance(node.b, Num) and node.b.value != 0.0):
+            src.lines.append(f"if {den} == 0.0: return _tree(x)")
+        return src.nest(f"({_scalar_expr(node.a, src)} / {den})")
+    if isinstance(node, Pow):
+        base = src.name(_scalar_expr(node.a, src))
+        expo = src.name(_scalar_expr(node.b, src))
+        return src.temp(f"{base} ** {expo} if {base} > 0.0 else _pow({base}, {expo}, x)")
+    if isinstance(node, Call) and node.fname in _CALLS:
+        u = src.name(_scalar_expr(node.a, src))
+        if node.fname == "log":
+            return src.temp(f"_tree(x) if {u} <= 0.0 else _log({u})")
+        if node.fname == "sqrt":
+            return src.temp(f"_tree(x) if {u} < 0.0 else _sqrt({u})")
+        return src.temp(f"{_CALLS[node.fname]}({u})")
+    raise EvaluationError(f"cannot compile {node!r}")
+
+
+def _array_expr(node, src):
+    """numpy source for node over a 1-d array x.  Every checked or library
+    result passes through `_fin`, which clears `ok` where it is not
+    finite: a domain fault, an overflow the scalar form raises for, or a
+    fault hidden by a later operation (1/(1/x) at 0 is finite in numpy)."""
+    if isinstance(node, Num):  # numpy scalar: 1/0 must not raise here
+        return src.const(np.float64(node.value))
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Neg):
+        return src.nest(f"(-{_array_expr(node.a, src)})")
+    if type(node) in _BINOPS:
+        a = _array_expr(node.a, src)
+        return src.nest(f"({a} {_BINOPS[type(node)]} {_array_expr(node.b, src)})")
+    if isinstance(node, Div):
+        a = _array_expr(node.a, src)
+        return src.nest(f"_fin({a} / {_array_expr(node.b, src)}, ok)")
+    if isinstance(node, Pow):
+        a = _array_expr(node.a, src)
+        return src.nest(f"_pw({a}, {_array_expr(node.b, src)}, ok)")
+    if isinstance(node, Call) and node.fname == "abs":
+        return src.nest(f"_abs({_array_expr(node.a, src)})")
+    if isinstance(node, Call) and node.fname in _CALLS:
+        return src.nest(f"_fin({_CALLS[node.fname]}({_array_expr(node.a, src)}), ok)")
+    raise EvaluationError(f"cannot compile {node!r}")
+
+
+def compile_tree(tree):
+    """Compile a tree into (scalar, array) functions of x.
+
+    scalar(x) returns exactly tree.eval(x) and raises the same
+    EvaluationError.  array(xs) evaluates with numpy (within 2 ulp of the
+    scalar form, as numpy's exp, log and pow may differ from libm by an
+    ulp) and re-evaluates every point where a checked intermediate is not
+    finite through the scalar form, which raises at a domain fault.
+    """
+    src = _Source()
+    body = _scalar_expr(tree, src)
+    scalar = src.build("x", body, {
+        "_tree": tree.eval, "_pow": _checked_pow, "_sin": math.sin, "_cos": math.cos,
+        "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt, "_abs": abs})
+    src = _Source()
+    body = _array_expr(tree, src)
+    vector = src.build("x, ok", body, {
+        "_fin": _fin, "_pw": _pw, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
+        "_log": np.log, "_sqrt": np.sqrt, "_abs": np.abs})
+
+    def array(xs):
+        xs = np.asarray(xs, dtype=float)
+        flat = xs.reshape(-1)
+        ok = np.ones(flat.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            out = vector(flat, ok)
+        if out is flat or np.ndim(out) == 0:  # q = x, or q free of x
+            out = np.array(np.broadcast_to(out, flat.shape))
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            out[bad] = [scalar(float(v)) for v in flat[bad]]
+        return out.reshape(xs.shape)
+
+    return scalar, array

@@ -40,6 +40,14 @@ MAX_STEPS = 10 ** 7
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# stall guard: every _STALL_WINDOW accepted steps, the run gives up if at
+# the pace of that window the whole step budget would cover less than
+# _STALL_SHARE of the span still ahead.  Near a pole the error estimate
+# reaches its roundoff floor, err/h stops falling with h, and the
+# controller settles on a fixed tiny step (2.6e-12 for 1/(x - 5) near
+# x = 5) that is always accepted and never grows.
+_STALL_WINDOW = 1000
+_STALL_SHARE = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +102,28 @@ class PairTrajectory:
 
     def __init__(self, model, mesh, states, w, rtol, atol):
         mesh = np.asarray(mesh, dtype=float)
-        states = np.asarray(states, dtype=float)
         if mesh.ndim != 1 or len(mesh) < 2:
             raise ParameterError("trajectory needs at least two mesh nodes")
+        self._fill(model, mesh, states, w, rtol, atol,
+                   model.q_array(mesh), model.q_prime_array(mesh))
+
+    def _restated(self, states, w):
+        """A trajectory of the same model on the same mesh with new node
+        states.  It shares mesh, q_nodes and qp_nodes (all read-only), so
+        q is not evaluated again."""
+        new = object.__new__(PairTrajectory)
+        new._fill(self.model, self.mesh, states, w, self.rtol, self.atol,
+                  self.q_nodes, self.qp_nodes)
+        return new
+
+    def _fill(self, model, mesh, states, w, rtol, atol, q, qp):
+        states = np.asarray(states, dtype=float)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "w", float(w))
         object.__setattr__(self, "rtol", float(rtol))
         object.__setattr__(self, "atol", float(atol))
-        q = model.q_array(mesh)
-        qp = model.q_prime_array(mesh)
         object.__setattr__(self, "q_nodes", q)
         object.__setattr__(self, "qp_nodes", qp)
         y1, d1, y2, d2 = states.T
@@ -256,6 +275,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
     q_here = qx
     nsteps = 0
+    x_window = x
     while x < xmax:
         if nsteps >= max_steps:
             raise IntegrationError(f"step limit {max_steps} reached", x=x)
@@ -340,6 +360,12 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             q_here = qx
             mesh.append(x)
             states.append((na, nb, nc, nd))
+            if len(mesh) % _STALL_WINDOW == 1:
+                if (x - x_window) * max_steps < _STALL_SHARE * _STALL_WINDOW * (xmax - x):
+                    raise IntegrationError(
+                        f"integration stalled: {_STALL_WINDOW} accepted steps "
+                        f"advanced x by {x - x_window:.3g} (q singular near x?)", x=x)
+                x_window = x
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * (h / err) ** 0.25)
             h *= max(1.0, factor)
@@ -361,5 +387,4 @@ def normalize_unit_wronskian(traj):
     scale = abs(w) ** -0.5
     if scale == 1.0:
         return traj
-    return PairTrajectory(traj.model, traj.mesh.copy(), traj.states * scale,
-                          w / abs(w), traj.rtol, traj.atol)
+    return traj._restated(traj.states * scale, w / abs(w))

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, WindowError
-from .integrate import PairTrajectory
 from .phasekit import phase_unwrap
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
@@ -83,7 +82,8 @@ class PrincipalReport:
 def transform_pair(traj, matrix):
     """New trajectory with states combined node-by-node by ((a, b), (c, d)).
 
-    The Wronskian scales by (ad - bc); a singular matrix is rejected.
+    The Wronskian scales by (ad - bc); a singular matrix is rejected.  The
+    result shares the mesh and the node values of q with traj.
     """
     a, b, c, d = (float(t) for t in matrix)
     det = a * d - b * c
@@ -92,8 +92,7 @@ def transform_pair(traj, matrix):
     y1, p1, y2, p2 = traj.states.T
     states = np.column_stack([a * y1 + b * y2, a * p1 + b * p2,
                               c * y1 + d * y2, c * p1 + d * p2])
-    return PairTrajectory(traj.model, traj.mesh.copy(), states,
-                          det * traj.w, traj.rtol, traj.atol)
+    return traj._restated(states, det * traj.w)
 
 
 def coefficient_matrix(coeffs):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .expressions import parse_expression
+from .expressions import compile_tree, parse_expression
 
 CATALOG_NAMES = ("constant", "gen-airy", "inverse-x", "cauchy-euler")
 
@@ -20,10 +20,12 @@ class EquationModel:
     """Coefficient q of y'' + q(x) y = 0 on [x0, oo).
 
     Instances are immutable and evaluation is pure, so a model can be
-    shared freely across threads.
+    shared freely across threads.  `q`, `q_prime` and `q_second` are the
+    scalar functions themselves, not methods around them: the integrator
+    calls q five times per step.
     """
 
-    __slots__ = ("source", "x0", "params", "_q", "_qp", "_qpp",
+    __slots__ = ("source", "x0", "params", "q", "q_prime", "q_second",
                  "_q_arr", "_qp_arr", "_qpp_arr")
 
     def __init__(self, source, x0, params, q, qp, qpp,
@@ -31,9 +33,9 @@ class EquationModel:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "x0", float(x0))
         object.__setattr__(self, "params", dict(params))
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_qp", qp)
-        object.__setattr__(self, "_qpp", qpp)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q_prime", qp)
+        object.__setattr__(self, "q_second", qpp)
         object.__setattr__(self, "_q_arr", q_arr)
         object.__setattr__(self, "_qp_arr", qp_arr)
         object.__setattr__(self, "_qpp_arr", qpp_arr)
@@ -41,39 +43,30 @@ class EquationModel:
     def __setattr__(self, name, value):
         raise AttributeError("EquationModel is immutable")
 
-    def q(self, x):
-        return self._q(x)
-
-    def q_prime(self, x):
-        return self._qp(x)
-
-    def q_second(self, x):
-        return self._qpp(x)
-
     def evaluate(self, x):
         """(q, q', q'') at a single point."""
-        return self._q(x), self._qp(x), self._qpp(x)
+        return self.q(x), self.q_prime(x), self.q_second(x)
 
     def q_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self._q_arr is not None:
-            return np.asarray(self._q_arr(xs), dtype=float)
-        return np.array([self._q(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        return _on_array(xs, self._q_arr, self.q)
 
     def q_prime_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self._qp_arr is not None:
-            return np.asarray(self._qp_arr(xs), dtype=float)
-        return np.array([self._qp(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        return _on_array(xs, self._qp_arr, self.q_prime)
 
     def q_second_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self._qpp_arr is not None:
-            return np.asarray(self._qpp_arr(xs), dtype=float)
-        return np.array([self._qpp(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        return _on_array(xs, self._qpp_arr, self.q_second)
 
     def __repr__(self):
         return f"EquationModel({self.source!r}, x0={self.x0!r}, params={self.params!r})"
+
+
+def _on_array(xs, array_form, scalar_form):
+    """Evaluate through the array form, or point by point for a model
+    built without one."""
+    xs = np.asarray(xs, dtype=float)
+    if array_form is not None:
+        return np.asarray(array_form(xs), dtype=float)
+    return np.array([scalar_form(float(x)) for x in xs.ravel()]).reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +167,17 @@ def catalog_get(name, params=None, x0=None):
 def parse_q(expr, params=None, x0=1.0):
     """Build a model from an arithmetic expression in x.
 
-    q' and q'' come from symbolic differentiation of the parsed tree.
-    Domain problems (division by zero, log of a non-positive value,
-    negative base under a fractional power) surface as EvaluationError
-    when a point is evaluated, not at parse time.
+    q' and q'' come from symbolic differentiation of the parsed tree, and
+    each of the three trees is compiled once into a scalar and a numpy
+    array function (`expressions.compile_tree`).  Domain problems
+    (division by zero, log of a non-positive value, negative base under a
+    fractional power) surface as EvaluationError when a point is
+    evaluated, not at parse time.
     """
     params = dict(params or {})
     tree = parse_expression(expr, params)
     d1 = tree.deriv()
-    d2 = d1.deriv()
-    return EquationModel(f"expr:{expr}", x0, params,
-                         q=tree.eval, qp=d1.eval, qpp=d2.eval)
+    (q, q_arr), (qp, qp_arr), (qpp, qpp_arr) = (
+        compile_tree(t) for t in (tree, d1, d1.deriv()))
+    return EquationModel(f"expr:{expr}", x0, params, q=q, qp=qp, qpp=qpp,
+                         q_arr=q_arr, qp_arr=qp_arr, qpp_arr=qpp_arr)

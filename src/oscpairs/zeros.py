@@ -79,6 +79,7 @@ def zeros_of(traj, target, span=None):
             b = np.where(left, b, xm)
             xm = 0.5 * (a + b)
         xc = xm
+        width = b - a
         # the safeguarded loop converges in a handful of iterations once
         # Newton engages; wide brackets (sparse meshes at slow phase)
         # may need a few dozen bisection halvings first
@@ -91,11 +92,17 @@ def zeros_of(traj, target, span=None):
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = fc / dc
             newton = xc - step
+            tol = 1e-14 * (1.0 + np.abs(xc))
             # non-strict bounds: a converged iterate sits on the bracket
             # boundary it just updated and must be allowed to stay
             inside = np.isfinite(newton) & (newton >= a) & (newton <= b)
-            xnew = np.where(inside, newton, 0.5 * (a + b))
-            if np.all(np.abs(xnew - xc) <= 1e-14 * (1.0 + np.abs(xc))):
+            # a bracket that did not shrink means xc was already one of its
+            # ends: Newton is cycling between points further apart than
+            # tol (f and f' disagree in their last bits there), so bisect
+            stalled = (b - a == width) & (np.abs(newton - xc) > tol)
+            width = b - a
+            xnew = np.where(inside & ~stalled, newton, 0.5 * (a + b))
+            if np.all(np.abs(xnew - xc) <= tol):
                 xc = xnew
                 break
             xc = np.where(done, xc, xnew)

@@ -121,11 +121,11 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_byte_identical_cli_output(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["analyze", "--eq", "constant", "--param", "c=1", "--xmax", "50",
-            "--seed", "7"]
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for eq in (["constant", "--param", "c=1"], ["g^2/x^2", "--param", "g=1"]):
+        argv = ["analyze", "--eq", *eq, "--xmax", "50", "--seed", "7"]
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_verify_fast_passes():

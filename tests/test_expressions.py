@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import EvaluationError, ParseError
-from oscpairs.expressions import parse_expression
+from oscpairs.expressions import Num, compile_tree, parse_expression
 
 
 def val(expr, x, params=None):
@@ -122,3 +122,96 @@ def test_log_domain():
     with pytest.raises(EvaluationError):
         val("log(x)", 0.0)
     assert val("log(x)", math.e) == pytest.approx(1.0)
+
+
+def test_constant_quotients_and_powers_fold():
+    assert isinstance(parse_expression("1/v - 2", {"v": 0.4}), Num)
+    assert isinstance(parse_expression("(2*v)^2", {"v": 0.4}), Num)
+    assert val("1/v - 2", 0.0, {"v": 0.4}) == 1 / 0.4 - 2
+    assert val("(2*v)^2", 0.0, {"v": 0.4}) == (2 * 0.4) ** 2
+    # faults are not folded: they still raise at evaluation
+    for expr in ("1/0", "x + 1/(2 - 2)", "(0 - 2)^0.5", "0^-1"):
+        tree = parse_expression(expr)
+        assert not isinstance(tree, Num)
+        with pytest.raises(EvaluationError):
+            tree.eval(1.0)
+
+
+# every node type and every function; the grid crosses the faults
+# (x = 0, x = 2, x < 0) of most of them
+COMPILE_CASES = [
+    "x", "3", "sin(2)", "-x^2", "2^3^2", "x^-2", "x^0.5", "(x - 2)^3",
+    "x^x", "2^x", "x^(1/v - 2)/(2*v)^2", "g^2/x^2", "1/(x - 2)",
+    "sin(x)^2 + 2 + exp(-x/10)", "log(x)*sqrt(x) - abs(x - 2)/cos(x)",
+    "x*sin(x)/(1 + x^2)", "exp(-1/x)", "1/(1/(x - 2))", "sqrt(abs(x)) - log(x^2)",
+]
+GRID = np.concatenate([np.linspace(-3.0, 8.0, 881), [0.0, -0.0, 2.0, 1e300]])
+
+
+def _outcome(f, x):
+    try:
+        return float(f(x)).hex()
+    except (EvaluationError, ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _trees(expr):
+    tree = parse_expression(expr, {"v": 0.4, "g": 1.3})
+    return [tree, tree.deriv(), tree.deriv().deriv()]
+
+
+@pytest.mark.parametrize("expr", COMPILE_CASES)
+def test_compiled_scalar_matches_tree_walk(expr):
+    for tree in _trees(expr):
+        scalar, _ = compile_tree(tree)
+        for x in GRID:
+            assert _outcome(scalar, float(x)) == _outcome(tree.eval, float(x)), x
+
+
+@pytest.mark.parametrize("expr", COMPILE_CASES)
+def test_compiled_array_matches_scalar(expr):
+    tree = _trees(expr)[0]
+    scalar, array = compile_tree(tree)
+    ok = np.array([not isinstance(_outcome(scalar, float(x)), tuple) for x in GRID])
+    xs = GRID[ok]
+    want = np.array([scalar(float(x)) for x in xs])
+    got = array(xs)
+    assert got.shape == xs.shape
+    fin = np.isfinite(want)
+    assert np.array_equal(got[~fin], want[~fin], equal_nan=True)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 2.0 * np.spacing(np.abs(want[fin])))
+    assert array(xs.reshape(-1, 1)).shape == (len(xs), 1)
+
+
+@pytest.mark.parametrize("expr,x", [
+    ("1/(x - 5)", 5.0), ("x^-2", 0.0), ("x^0.5", -1.0), ("(x - 6)^1.5", 5.0),
+    ("log(x)", 0.0), ("log(x)", -1.0), ("sqrt(x)", -1.0), ("abs(x)", None),
+    ("1/(1/(x - 5))", 5.0), ("exp(-1/x)", 0.0), ("x + 1/0", 3.0),
+])
+def test_compiled_forms_raise_the_tree_error(expr, x):
+    tree = parse_expression(expr)
+    if x is None:  # d|x|/dx = x/|x| is undefined at 0
+        tree, x = tree.deriv(), 0.0
+    with pytest.raises(EvaluationError) as expected:
+        tree.eval(x)
+    scalar, array = compile_tree(tree)
+    with pytest.raises(EvaluationError) as got:
+        scalar(x)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(EvaluationError) as got:
+        array(np.array([x, x]))
+    assert str(got.value) == str(expected.value)
+
+
+def test_compiled_constants_are_bound_not_printed():
+    # 1e999 parses to inf, whose repr is not a Python literal
+    scalar, array = compile_tree(parse_expression("x + 1e999"))
+    assert scalar(1.0) == math.inf
+    assert np.all(array(np.array([1.0, 2.0])) == math.inf)
+
+
+def test_compiled_deep_expression():
+    tree = parse_expression(" + ".join(["x"] * 300) + " - x^2")
+    scalar, array = compile_tree(tree)
+    assert scalar(0.5) == tree.eval(0.5)
+    assert array(np.array([0.5]))[0] == tree.eval(0.5)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import IntegrationError, ParameterError
-from oscpairs.integrate import integrate_pair, normalize_unit_wronskian, sample
-from oscpairs.qfunc import catalog_get
+from oscpairs.integrate import (PairTrajectory, integrate_pair,
+                                normalize_unit_wronskian, sample)
+from oscpairs.principal import transform_pair
+from oscpairs.qfunc import EquationModel, catalog_get, parse_q
 
 
 def test_constant_q_closed_form(run_constant):
@@ -129,3 +131,53 @@ def test_error_conditions():
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 5.0)
     with pytest.raises(ParameterError):
         sample(traj, 6.0)  # outside span
+
+
+def _counting(model, counts):
+    def scalar(f):
+        def g(x):
+            counts["scalar"] += 1
+            return f(x)
+        return g
+
+    def array(f):
+        def g(xs):
+            counts["points"] += np.size(xs)
+            return f(xs)
+        return g
+
+    return EquationModel(model.source, model.x0, model.params,
+                         q=scalar(model.q), qp=scalar(model.q_prime),
+                         qpp=scalar(model.q_second), q_arr=array(model.q_array),
+                         qp_arr=array(model.q_prime_array),
+                         qpp_arr=array(model.q_second_array))
+
+
+def test_restated_pairs_reuse_node_values_of_q():
+    counts = {"scalar": 0, "points": 0}
+    model = _counting(catalog_get("gen-airy", {"nu": 0.4}), counts)
+    traj = integrate_pair(model, (0.0, 2.0), (1.0, 0.0), 20.0)
+    assert counts["points"] == 2 * len(traj.mesh)  # q and q' at the nodes
+    counts.update(scalar=0, points=0)
+    norm = normalize_unit_wronskian(traj)
+    moved = transform_pair(norm, (1.3, 0.4, -0.2, 0.92 / 1.3))
+    assert counts == {"scalar": 0, "points": 0}
+    for new in (norm, moved):
+        assert new.mesh is traj.mesh
+        assert new.q_nodes is traj.q_nodes and new.qp_nodes is traj.qp_nodes
+    # the same trajectory as one built through the public constructor
+    rebuilt = PairTrajectory(model, traj.mesh, moved.states, moved.w,
+                             traj.rtol, traj.atol)
+    xs = np.linspace(traj.x0, traj.xmax, 301)
+    for key, vals in moved.evaluate(xs, nder=2).items():
+        assert np.array_equal(vals, rebuilt.evaluate(xs, nder=2)[key])
+
+
+def test_stalled_integration_raises_near_the_pole():
+    # the step settles at ~1e-12 short of the regular singular point x = 5
+    # and is accepted forever; the guard stops it long before MAX_STEPS
+    model = parse_q("1/(x - 5)", x0=1.0)
+    with pytest.raises(IntegrationError) as err:
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 20.0)
+    assert "stalled" in str(err.value)
+    assert 4.999 < err.value.x < 5.0

@@ -125,3 +125,22 @@ def test_array_evaluation_matches_scalar():
     assert np.allclose(m.q_array(xs), [m.q(x) for x in xs], rtol=0, atol=0)
     assert np.allclose(m.q_prime_array(xs), [m.q_prime(x) for x in xs],
                        rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("expr,params", [
+    ("x^(1/v - 2)/(2*v)^2", {"v": 0.4}),
+    ("g^2/x^2", {"g": 1.0}),
+    ("1/x", {}),
+    ("c", {"c": 0.85}),
+    ("sin(x)^2 + 2 + exp(-x/10)", {}),
+])
+def test_parsed_array_evaluation_matches_scalar(expr, params):
+    # numpy's pow and exp differ from libm by an ulp on some points
+    m = parse_q(expr, params)
+    xs = np.geomspace(1.0, 50.0, 17)
+    for arr, scalar in ((m.q_array, m.q), (m.q_prime_array, m.q_prime),
+                        (m.q_second_array, m.q_second)):
+        want = np.array([scalar(x) for x in xs])
+        got = arr(xs)
+        assert got.shape == xs.shape
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oscpairs import zeros
 from oscpairs.errors import ParameterError, WindowError
+from oscpairs.integrate import integrate_pair, normalize_unit_wronskian
+from oscpairs.principal import find_principal, transform_pair
+from oscpairs.qfunc import catalog_get
 from oscpairs.zeros import critical_point_residual, gap_table, zeros_of
 
 
@@ -121,3 +125,42 @@ def test_csv_serialization(run_constant):
     assert float(first[1]) == pytest.approx(math.pi / 2, abs=1e-9)
     # 17 significant digits survive the round trip
     assert float(first[1]) == table.x_crit[0]
+
+
+def test_newton_two_cycle_stops_early(monkeypatch):
+    # A scrambled and recovered principal pair of q = 0.8504 whose first
+    # critical point drew Newton into a 2-cycle between two points
+    # 1.26e-13 apart, which ran the loop to its 60-iteration cap.
+    c = 0.8504
+    model = catalog_get("constant", {"c": c})
+    base = normalize_unit_wronskian(
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 50.0 / math.sqrt(c)))
+    base = transform_pair(base, find_principal(base).matrix)
+    scrambled = transform_pair(base, (0.7060476993524358, 0.5679392598307327,
+                                      -1.2033851519276002, 0.44834127752738895))
+    pair = transform_pair(scrambled, find_principal(scrambled).matrix)
+
+    calls = []
+    target_eval = zeros._target_eval
+
+    def counting(traj, target):
+        fval = target_eval(traj, target)
+
+        def f(xs):
+            calls.append(len(xs))
+            return fval(xs)
+        return f
+
+    monkeypatch.setattr(zeros, "_target_eval", counting)
+    got = zeros_of(pair, "y1p", (pair.x0, pair.xmax))
+    # 5 bisection warm-up steps plus at most 60 iterations before
+    assert len(calls) <= 20
+    before = np.array([  # the roots the capped loop returned
+        0.38673473457649354, 3.7934689074618175, 7.20020308034802,
+        10.606937253233166, 14.013671426118181, 17.420405599003523,
+        20.827139771890508, 24.233873944774444, 27.64060811765973,
+        31.04734229054703, 34.45407646343138, 37.860810636315904,
+        41.267544809201326, 44.674278982087415, 48.081013154972,
+        51.487747327857875])
+    assert got.shape == before.shape
+    assert np.max(np.abs(got - before) / before) <= 1e-12
