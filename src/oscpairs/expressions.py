@@ -457,11 +457,13 @@ def parse_expression(text, params=None):
 # ---------------------------------------------------------------------------
 # compilation
 #
-# A tree compiles into one scalar function and one numpy array function.
-# The generated source is built from fixed tokens only (operators, t<k>
-# temporaries, c<k> constants and the library names below); constants are
-# bound as arguments of the enclosing factory, never written as literals,
-# so no text of the parsed expression reaches `exec`.
+# A tree compiles into one scalar function, generated as Python source
+# because the integrator calls it a few times per step, and one numpy
+# array function, a walk of the tree whose cost is dominated by numpy on
+# whole meshes.  The generated source is built from fixed tokens only
+# (operators, t<k> temporaries, c<k> constants and the library names
+# below); constants are bound as arguments of the enclosing factory, never
+# written as literals, so no text of the parsed expression reaches `exec`.
 
 _BINOPS = {Add: "+", Sub: "-", Mul: "*"}
 _CALLS = {"sin": "_sin", "cos": "_cos", "exp": "_exp", "log": "_log",
@@ -504,11 +506,11 @@ class _Source:
         """expr, moved to a temporary if its parentheses nest too deep."""
         return self.temp(expr) if expr.count("(") > _MAX_NESTING else expr
 
-    def build(self, signature, body, library):
+    def build(self, body, library):
         """Run the generated factory, which binds the library (a dict of
         fixed names) and the constants; returns the compiled function."""
         args = ", ".join([*library, *(f"c{k}" for k in range(len(self.consts)))])
-        lines = [f"def factory({args}):", f"    def f({signature}):"]
+        lines = [f"def factory({args}):", "    def f(x):"]
         lines += [f"        {line}" for line in self.lines]
         lines += [f"        return {body}", "    return f"]
         namespace = {}
@@ -549,31 +551,36 @@ def _scalar_expr(node, src):
     raise EvaluationError(f"cannot compile {node!r}")
 
 
-def _array_expr(node, src):
-    """numpy source for node over a 1-d array x.  Every checked or library
+_NP_BINOPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+_NP_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+             "sqrt": np.sqrt}
+
+
+def _array_eval(node, x, ok):
+    """node over a 1-d array x with numpy.  Every checked or library
     result passes through `_fin`, which clears `ok` where it is not
     finite: a domain fault, an overflow the scalar form raises for, or a
     fault hidden by a later operation (1/(1/x) at 0 is finite in numpy)."""
     if isinstance(node, Num):  # numpy scalar: 1/0 must not raise here
-        return src.const(np.float64(node.value))
+        return np.float64(node.value)
     if isinstance(node, Var):
-        return "x"
+        return x
     if isinstance(node, Neg):
-        return src.nest(f"(-{_array_expr(node.a, src)})")
-    if type(node) in _BINOPS:
-        a = _array_expr(node.a, src)
-        return src.nest(f"({a} {_BINOPS[type(node)]} {_array_expr(node.b, src)})")
+        return -_array_eval(node.a, x, ok)
+    if isinstance(node, Call):
+        u = _array_eval(node.a, x, ok)
+        if node.fname == "abs":
+            return np.abs(u)
+        if node.fname in _NP_CALLS:
+            return _fin(_NP_CALLS[node.fname](u), ok)
+        raise EvaluationError(f"unknown function {node.fname!r}")
+    a = _array_eval(node.a, x, ok)
+    b = _array_eval(node.b, x, ok)
     if isinstance(node, Div):
-        a = _array_expr(node.a, src)
-        return src.nest(f"_fin({a} / {_array_expr(node.b, src)}, ok)")
+        return _fin(a / b, ok)
     if isinstance(node, Pow):
-        a = _array_expr(node.a, src)
-        return src.nest(f"_pw({a}, {_array_expr(node.b, src)}, ok)")
-    if isinstance(node, Call) and node.fname == "abs":
-        return src.nest(f"_abs({_array_expr(node.a, src)})")
-    if isinstance(node, Call) and node.fname in _CALLS:
-        return src.nest(f"_fin({_CALLS[node.fname]}({_array_expr(node.a, src)}), ok)")
-    raise EvaluationError(f"cannot compile {node!r}")
+        return _pw(a, b, ok)
+    return _NP_BINOPS[type(node)](a, b)
 
 
 def compile_tree(tree):
@@ -587,21 +594,16 @@ def compile_tree(tree):
     """
     src = _Source()
     body = _scalar_expr(tree, src)
-    scalar = src.build("x", body, {
+    scalar = src.build(body, {
         "_tree": tree.eval, "_pow": _checked_pow, "_sin": math.sin, "_cos": math.cos,
         "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt, "_abs": abs})
-    src = _Source()
-    body = _array_expr(tree, src)
-    vector = src.build("x, ok", body, {
-        "_fin": _fin, "_pw": _pw, "_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
-        "_log": np.log, "_sqrt": np.sqrt, "_abs": np.abs})
 
     def array(xs):
         xs = np.asarray(xs, dtype=float)
         flat = xs.reshape(-1)
         ok = np.ones(flat.shape, dtype=bool)
         with np.errstate(all="ignore"):
-            out = vector(flat, ok)
+            out = _array_eval(tree, flat, ok)
         if out is flat or np.ndim(out) == 0:  # q = x, or q free of x
             out = np.array(np.broadcast_to(out, flat.shape))
         if not ok.all():

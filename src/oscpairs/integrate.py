@@ -40,12 +40,14 @@ MAX_STEPS = 10 ** 7
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# stall guard: every _STALL_WINDOW accepted steps, the run gives up if at
-# the pace of that window the whole step budget would cover less than
+# stall guard: at the end of every window of _STALL_WINDOW accepted steps
+# the run gives up if the window advanced x no further than the window
+# before it, and at that pace the whole step budget would cover less than
 # _STALL_SHARE of the span still ahead.  Near a pole the error estimate
 # reaches its roundoff floor, err/h stops falling with h, and the
 # controller settles on a fixed tiny step (2.6e-12 for 1/(x - 5) near
-# x = 5) that is always accepted and never grows.
+# x = 5) that is always accepted and never grows.  A step that keeps
+# growing, however small it starts, never trips the guard.
 _STALL_WINDOW = 1000
 _STALL_SHARE = 1e-3
 
@@ -276,6 +278,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     q_here = qx
     nsteps = 0
     x_window = x
+    last_advance = 0.0  # the first window has none before it
     while x < xmax:
         if nsteps >= max_steps:
             raise IntegrationError(f"step limit {max_steps} reached", x=x)
@@ -361,11 +364,13 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             mesh.append(x)
             states.append((na, nb, nc, nd))
             if len(mesh) % _STALL_WINDOW == 1:
-                if (x - x_window) * max_steps < _STALL_SHARE * _STALL_WINDOW * (xmax - x):
+                advance = x - x_window
+                if (advance <= last_advance and advance * max_steps
+                        < _STALL_SHARE * _STALL_WINDOW * (xmax - x)):
                     raise IntegrationError(
                         f"integration stalled: {_STALL_WINDOW} accepted steps "
-                        f"advanced x by {x - x_window:.3g} (q singular near x?)", x=x)
-                x_window = x
+                        f"advanced x by {advance:.3g} (q singular near x?)", x=x)
+                x_window, last_advance = x, advance
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * (h / err) ** 0.25)
             h *= max(1.0, factor)

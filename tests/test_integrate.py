@@ -181,3 +181,11 @@ def test_stalled_integration_raises_near_the_pole():
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 20.0)
     assert "stalled" in str(err.value)
     assert 4.999 < err.value.x < 5.0
+
+
+def test_stall_guard_lets_a_growing_step_through():
+    # q = gamma^2/x^2 caps the step at 0.0015 x: 1000 steps from x0 = 1
+    # cover less than 1/1000 of the span, at a pace that grows every window
+    model = catalog_get("cauchy-euler", {"gamma": 100.0})
+    traj = integrate_pair(model, (1.0, 0.0), (0.0, 1.0), 5e7)
+    assert traj.mesh[-1] == 5e7

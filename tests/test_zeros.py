@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,21 +128,9 @@ def test_csv_serialization(run_constant):
     assert float(first[1]) == table.x_crit[0]
 
 
-def test_newton_two_cycle_stops_early(monkeypatch):
-    # A scrambled and recovered principal pair of q = 0.8504 whose first
-    # critical point drew Newton into a 2-cycle between two points
-    # 1.26e-13 apart, which ran the loop to its 60-iteration cap.
-    c = 0.8504
-    model = catalog_get("constant", {"c": c})
-    base = normalize_unit_wronskian(
-        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 50.0 / math.sqrt(c)))
-    base = transform_pair(base, find_principal(base).matrix)
-    scrambled = transform_pair(base, (0.7060476993524358, 0.5679392598307327,
-                                      -1.2033851519276002, 0.44834127752738895))
-    pair = transform_pair(scrambled, find_principal(scrambled).matrix)
-
+def _counting_target_eval(monkeypatch, target_eval):
+    """Route zeros_of through target_eval and count its calls."""
     calls = []
-    target_eval = zeros._target_eval
 
     def counting(traj, target):
         fval = target_eval(traj, target)
@@ -152,8 +141,57 @@ def test_newton_two_cycle_stops_early(monkeypatch):
         return f
 
     monkeypatch.setattr(zeros, "_target_eval", counting)
+    return calls
+
+
+def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
+    # f = x - r with a derivative that sends Newton from any point further
+    # than 1.5 e from r to r + e, and from within 1.5 e of r across r, so
+    # the iterates alternate between r + e and r - e, 2 e = 1.26e-13 apart
+    # against a stop tolerance of 1.39e-14, inside a bracket that no
+    # longer shrinks.
+    r, e = 0.38673473457649354, 6.3e-14
+
+    def synthetic(traj, target):
+        def fval(xs):
+            f = xs - r
+            far = np.abs(f) > 1.5 * e
+            return f, np.where(far, f / np.where(far, f - e, 1.0), 0.5)
+        return fval
+
+    calls = _counting_target_eval(monkeypatch, synthetic)
+    mesh = np.linspace(0.0, 1.0, 11)
+    states = np.zeros((len(mesh), 4))
+    states[:, 0] = mesh - r
+    traj = SimpleNamespace(x0=0.0, xmax=1.0, mesh=mesh, states=states)
+    got = zeros_of(traj, "y1")
+    # 5 bisection warm-up calls, then one call per loop iteration; a loop
+    # that keeps following the cycle runs to its 60-iteration cap (65)
+    assert len(calls) <= 12
+    assert got.shape == (1,)
+    assert abs(got[0] - r) <= 1e-12 * r
+
+
+def test_newton_two_cycle_stops_early(monkeypatch):
+    # A scrambled and recovered principal pair of q = 0.8504 whose first
+    # critical point drew Newton into a 2-cycle between two points
+    # 1.26e-13 apart, which ran the loop to its 60-iteration cap.  Whether
+    # the cycle appears depends on the last bits of the pair, so the
+    # synthetic test above is the one that pins the mechanism; this one
+    # keeps the roots of the capped loop as a reference.
+    c = 0.8504
+    model = catalog_get("constant", {"c": c})
+    base = normalize_unit_wronskian(
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 50.0 / math.sqrt(c)))
+    base = transform_pair(base, find_principal(base).matrix)
+    scrambled = transform_pair(base, (0.7060476993524358, 0.5679392598307327,
+                                      -1.2033851519276002, 0.44834127752738895))
+    pair = transform_pair(scrambled, find_principal(scrambled).matrix)
+
+    calls = _counting_target_eval(monkeypatch, zeros._target_eval)
     got = zeros_of(pair, "y1p", (pair.x0, pair.xmax))
-    # 5 bisection warm-up steps plus at most 60 iterations before
+    # 5 bisection warm-up calls, then one call per loop iteration: the
+    # capped loop made 65 calls here, the bisecting one makes 14
     assert len(calls) <= 20
     before = np.array([  # the roots the capped loop returned
         0.38673473457649354, 3.7934689074618175, 7.20020308034802,
