@@ -21,7 +21,7 @@ report = find_principal(traj)
 print("classification:", report.classification, " K =", report.K)
 print("coefficients:", (report.coeffs.A, report.coeffs.B, report.coeffs.C))
 
-sc = sufficient_conditions(model, (1.0, 120.0), 64)
+sc = sufficient_conditions(model, (1.0, 120.0))
 print("growth hypotheses (q' >= 0, q'' <= 0, q -> inf):",
       sc.corollary1.status)
 
@@ -33,7 +33,7 @@ print("companion-equation residual of the recovered amplitude: %.2e"
 # a decaying coefficient with parameters
 model = parse_q("g^2/x^2 + a/x^3", {"g": 1.5, "a": 0.2}, x0=1.0)
 print("\nq(x) = g^2/x^2 + a/x^3 with g=1.5, a=0.2")
-sc = sufficient_conditions(model, (1.0, 300.0), 64)
+sc = sufficient_conditions(model, (1.0, 300.0))
 print("curvature hypothesis (q q'' - 3 q'^2 >= 0):", sc.corollary2.status,
       "-", sc.corollary2.note or "holds everywhere")
 traj = normalize_unit_wronskian(

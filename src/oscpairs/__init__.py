@@ -8,10 +8,10 @@ from .integrate import (PairTrajectory, integrate_pair,
                         normalize_unit_wronskian, sample)
 from .phasekit import (PhaseData, PruferPolar, ResidualStats, amplitude_series,
                        appell_residual, phase_unwrap, prufer_polar, wronskian)
-from .principal import (CombinationCoefficients, OptimizerSettings,
-                        PredicateReport, PredicateResult, PrincipalReport,
-                        classify, coefficient_matrix, decompose_oscillation,
-                        find_principal, sufficient_conditions, transform_pair)
+from .principal import (CombinationCoefficients, PredicateReport,
+                        PredicateResult, PrincipalReport, classify,
+                        coefficient_matrix, find_principal,
+                        sufficient_conditions, transform_pair)
 from .qfunc import CATALOG_NAMES, EquationModel, catalog_get, parse_q
 from .specfun import BesselValue, bessel_jy, example1_v, gamma, modulus
 from .zeros import ZeroGapTable, critical_point_residual, gap_table, zeros_of
@@ -21,12 +21,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BesselValue", "CATALOG_NAMES", "CombinationCoefficients", "EquationModel",
     "EvaluationError", "GridError", "IllConditionedError", "IntegrationError",
-    "OptimizerSettings", "OscpairsError", "PairTrajectory", "ParameterError",
+    "OscpairsError", "PairTrajectory", "ParameterError",
     "ParseError", "PhaseConsistencyError", "PhaseData", "PredicateReport",
     "PredicateResult", "PrincipalReport", "PruferPolar", "ResidualStats",
     "WindowError", "ZeroGapTable", "amplitude_series", "appell_residual",
     "bessel_jy", "catalog_get", "classify", "coefficient_matrix",
-    "critical_point_residual", "decompose_oscillation", "example1_v",
+    "critical_point_residual", "example1_v",
     "find_principal", "gamma", "gap_table", "integrate_pair", "modulus",
     "normalize_unit_wronskian", "parse_q", "phase_unwrap", "prufer_polar",
     "sample", "sufficient_conditions", "transform_pair", "wronskian",

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify
-from .errors import (EvaluationError, IllConditionedError, IntegrationError,
-                     OscpairsError, ParameterError, ParseError,
-                     PhaseConsistencyError, WindowError)
+from .errors import OscpairsError, ParameterError, ParseError
 from .integrate import integrate_pair, normalize_unit_wronskian
 from .phasekit import appell_residual, phase_unwrap
 from .principal import find_principal, sufficient_conditions, transform_pair
@@ -33,8 +31,6 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 _CONFIG_ERRORS = (ParameterError, ParseError)
-_NUMERIC_ERRORS = (IntegrationError, EvaluationError, WindowError,
-                   PhaseConsistencyError, IllConditionedError)
 
 
 @dataclass
@@ -87,7 +83,7 @@ def cmd_analyze(config):
     config.validate()
     model, traj = _integrated_pair(config)
     report = find_principal(traj, window=_window(config, traj))
-    sc = sufficient_conditions(model, (model.x0, config.xmax), 64)
+    sc = sufficient_conditions(model, (model.x0, config.xmax))
     wlo, whi = report.window
     grid = np.linspace(wlo, whi, 64)
     appell = appell_residual(traj, report.coeffs, grid)
@@ -278,9 +274,6 @@ def main(argv=None):
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(_error_json(exc, EXIT_CONFIG))
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write(_error_json(exc, EXIT_NUMERIC))
-        return EXIT_NUMERIC
     except OscpairsError as exc:
         sys.stderr.write(_error_json(exc, EXIT_NUMERIC))
         return EXIT_NUMERIC

@@ -42,8 +42,7 @@ class PhaseData:
 
     alpha fields are None when only the amplitude series was computed.
     ``swapped`` records that the pair order was flipped internally so the
-    effective Wronskian is -1 and alpha increases; eps_sign is the sign
-    in the sqrt(v)*sin/cos representation (always +1 here).
+    effective Wronskian is -1 and alpha increases.
     ``refined_intervals`` counts the mesh intervals whose phase quadrature
     went through sub-panel refinement.
     """
@@ -53,7 +52,6 @@ class PhaseData:
     v_prime: np.ndarray
     v_second: np.ndarray
     w: float
-    eps_sign: int = 1
     swapped: bool = False
     alpha: np.ndarray | None = None
     alpha_prime: np.ndarray | None = None
@@ -257,7 +255,7 @@ def phase_unwrap(traj, grid=None):
             "refine the trajectory (tighter rtol) or the grid")
 
     return PhaseData(grid=grid, v=amp.v, v_prime=amp.v_prime, v_second=amp.v_second,
-                     w=traj.w, eps_sign=1, swapped=swapped,
+                     w=traj.w, swapped=swapped,
                      alpha=alpha, alpha_prime=1.0 / v,
                      alpha_mismatch_max=mismatch, refined_intervals=refined,
                      _traj=traj, _mesh_alpha=mesh_alpha)

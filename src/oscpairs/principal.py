@@ -32,6 +32,9 @@ from .errors import IllConditionedError, ParameterError, WindowError
 from .phasekit import phase_unwrap
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
+_RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
+_CLASSIFY_TOL = 1e-3    # level below which window means count as zero
+_PREDICATE_GRID_N = 64  # log-grid points of the hypothesis predicates
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,6 @@ class CombinationCoefficients:
                 f"not a unit-determinant combination: A={A}, B={B}, C={C} "
                 f"(AB - C^2 = {coeffs.determinant})")
         return coeffs
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    residual_tol: float = 1e-3      # |(k1, k2)| above this => undetermined
 
 
 @dataclass(frozen=True)
@@ -117,65 +115,6 @@ def _window_indices(grid, window):
     if i1 - i0 < 8:
         raise WindowError(f"window {window} contains too few samples ({i1 - i0})")
     return slice(i0, i1)
-
-
-def decompose_oscillation(traj, phase, coeffs, window, min_periods=3.0):
-    """Split vbar' into its v'-proportional and oscillatory parts.
-
-    Least squares of the exact vbar' samples onto {v', sin 2a, cos 2a}
-    over the window; the oscillatory 2x2 block is inverted with v'
-    replaced by its window mean.  Returns (mean_coeff, k1, k2) where
-    mean_coeff estimates (A + B)/2 and (k1, k2) vanish exactly at the
-    distinguished combination.  Requires the window to contain at least
-    ``min_periods`` full periods of 2*alpha.
-    """
-    if phase.alpha is None:
-        raise ParameterError("phase data lacks alpha; use phase_unwrap")
-    A, B, C = (coeffs.A, coeffs.B, coeffs.C) if hasattr(coeffs, "A") else map(float, coeffs)
-    sl = _window_indices(phase.grid, window)
-    alpha = phase.alpha[sl]
-    if abs(alpha[-1] - alpha[0]) < min_periods * math.pi:
-        raise WindowError(
-            f"window spans {abs(alpha[-1] - alpha[0]) / math.pi:.2f} pi of phase; "
-            f"need >= {min_periods} periods of 2*alpha")
-
-    grid = phase.grid[sl]
-    vals = traj.evaluate(grid, nder=1) if grid is not traj.mesh else None
-    if vals is None:
-        y1, d1 = traj.states[sl, 0], traj.states[sl, 1]
-        y2, d2 = traj.states[sl, 2], traj.states[sl, 3]
-    else:
-        y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
-    vbp = 2.0 * A * y1 * d1 + 2.0 * B * y2 * d2 + 2.0 * C * (d1 * y2 + y1 * d2)
-    vp = phase.v_prime[sl]
-
-    sin2, cos2 = np.sin(2.0 * alpha), np.cos(2.0 * alpha)
-    m = float(np.mean(vp))
-    scale_vp = float(np.sqrt(np.mean(vp * vp)))
-    scale_osc = max(float(np.sqrt(np.mean(vbp * vbp))), 1e-300)
-    use_vp = scale_vp > 1e-12 * scale_osc
-
-    cols = [vp, sin2, cos2] if use_vp else [sin2, cos2]
-    X = np.column_stack(cols)
-    gram = X.T @ X
-    cond = np.linalg.cond(gram)
-    if cond > 1e8:
-        raise IllConditionedError(
-            f"normal equations condition {cond:.2e} exceeds 1e8")
-    sol = np.linalg.solve(gram, X.T @ vbp)
-    if use_vp:
-        c0, c1, c2 = (float(s) for s in sol)
-        mean_coeff = c0
-    else:
-        c1, c2 = (float(s) for s in sol)
-        mean_coeff = None
-    # vbar' = v' (A+B)/2 + sin(2a) [K1 + v' K2 / 2] + cos(2a) [K2 - v' K1 / 2]
-    # (the pure-oscillation part enters with full weight since v alpha' = 1)
-    half_m = 0.5 * m
-    den = 1.0 + half_m * half_m
-    k1 = (c1 - half_m * c2) / den
-    k2 = (half_m * c1 + c2) / den
-    return mean_coeff, k1, k2
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +212,7 @@ def _expand_window(phase, window, need_alpha):
     return (float(grid[i0]), hi), True
 
 
-def find_principal(traj, window=None, opts=None):
+def find_principal(traj, window=None):
     """Distinguished unit-determinant combination of an integrated pair.
 
     Minimizes the sample variance w^T Sigma w of vbar' over the window,
@@ -290,7 +229,6 @@ def find_principal(traj, window=None, opts=None):
     """
     if not traj.unit_wronskian:
         raise ParameterError("normalize the pair before searching (|w| != 1)")
-    opts = opts or OptimizerSettings()
     phase = phase_unwrap(traj)
     x0, xmax = traj.x0, traj.xmax
     if window is None:
@@ -361,9 +299,9 @@ def find_principal(traj, window=None, opts=None):
     k1, k2 = _oscillation_residual(phase_t, window)
     w = np.array([coeffs.A, coeffs.B, coeffs.C])
     fbest = float(w @ cov @ w)
-    tag, L, K, diag = _classify_series(phase_t, tol=1e-3)
+    tag, L, K, diag = classify(phase_t)
     residual = math.hypot(k1, k2)
-    if residual > opts.residual_tol:
+    if residual > _RESIDUAL_TOL:
         tag, L, K = "undetermined", None, None
         diag["residual_above_tol"] = residual
     diag.update({"window_expanded": expanded, "alpha_span": alpha_span,
@@ -419,21 +357,27 @@ def _aitken(seq, floor):
 
 def _osc_amplitude(phase, sl):
     """Amplitude of the 2*alpha oscillation in v and v' over a slice."""
-    vp = phase.v_prime[sl]
-    v = phase.v[sl]
-    if phase.alpha is not None:
-        s2, c2 = np.sin(2.0 * phase.alpha[sl]), np.cos(2.0 * phase.alpha[sl])
-        X = np.column_stack([np.ones_like(s2), s2, c2])
-        beta_p, *_ = np.linalg.lstsq(X, vp, rcond=None)
-        beta_v, *_ = np.linalg.lstsq(X, v, rcond=None)
-        return math.hypot(beta_p[1], beta_p[2]), math.hypot(beta_v[1], beta_v[2])
-    det_p = vp - np.polyval(np.polyfit(phase.grid[sl], vp, 1), phase.grid[sl])
-    det_v = v - np.polyval(np.polyfit(phase.grid[sl], v, 1), phase.grid[sl])
-    return (float(np.sqrt(2.0 * np.mean(det_p ** 2))),
-            float(np.sqrt(2.0 * np.mean(det_v ** 2))))
+    s2, c2 = np.sin(2.0 * phase.alpha[sl]), np.cos(2.0 * phase.alpha[sl])
+    X = np.column_stack([np.ones_like(s2), s2, c2])
+    beta_p, *_ = np.linalg.lstsq(X, phase.v_prime[sl], rcond=None)
+    beta_v, *_ = np.linalg.lstsq(X, phase.v[sl], rcond=None)
+    return math.hypot(beta_p[1], beta_p[2]), math.hypot(beta_v[1], beta_v[2])
 
 
-def _classify_series(phase, tol):
+def classify(phase):
+    """Limit classification of an amplitude series over dyadic windows.
+
+    Returns (tag, L, K, diagnostics) with tag one of 'L-finite',
+    'L-zero', 'L-infinite', 'undetermined'.  Window means of v decide the
+    trend; the limit of v' is estimated by extrapolating the window-mean
+    sequence (exact when the means decay geometrically, as they do for
+    power-law v').  'undetermined' is a first-class outcome, reported
+    whenever the indicators conflict.  The phase must come from
+    ``phase_unwrap``, since the oscillation test fits sin/cos(2 alpha).
+    """
+    if phase.alpha is None:
+        raise ParameterError("phase data lacks alpha; use phase_unwrap")
+    tol = _CLASSIFY_TOL
     grid = phase.grid
     t0, T = float(grid[0]), float(grid[-1])
     M, bounds = _windowed_means(grid, phase.v, T, t0)
@@ -482,26 +426,6 @@ def _classify_series(phase, tol):
     return "undetermined", None, None, diag
 
 
-def classify(phase, window=None, tol=1e-3):
-    """Limit classification of an amplitude series over dyadic windows.
-
-    Returns (tag, L, K, diagnostics) with tag one of 'L-finite',
-    'L-zero', 'L-infinite', 'undetermined'.  Window means of v decide the
-    trend; the limit of v' is estimated by extrapolating the window-mean
-    sequence (exact when the means decay geometrically, as they do for
-    power-law v').  'undetermined' is a first-class outcome, reported
-    whenever the indicators conflict.
-    """
-    grid = phase.grid
-    span = float(grid[-1] - grid[0])
-    if window is not None:
-        wlen = float(window[1]) - float(window[0])
-        if span < 3.99 * wlen:
-            raise WindowError(
-                f"classification span {span} is less than 4x the window {wlen}")
-    return _classify_series(phase, tol)
-
-
 # ---------------------------------------------------------------------------
 # hypothesis predicates
 
@@ -532,7 +456,7 @@ def _sign_check(values, sign, slack):
     return n, first
 
 
-def sufficient_conditions(model, span, grid_n=64):
+def sufficient_conditions(model, span):
     """Evaluate the two sufficient-condition hypothesis sets on a log grid.
 
     corollary1:  q' >= 0, q'' <= 0 and q -> infinity
@@ -543,13 +467,11 @@ def sufficient_conditions(model, span, grid_n=64):
     / not-decidable, plus the estimated trend of q from the last dyadic
     windows.
     """
-    if grid_n < 16:
-        raise ParameterError("need grid_n >= 16")
     lo, hi = float(span[0]), float(span[1])
     if not hi > lo:
         raise ParameterError(f"empty span {span}")
     lo_eff = lo if lo > 0 else max(1e-4 * (hi - lo), 1e-12)
-    xs = np.geomspace(lo_eff, hi, grid_n)
+    xs = np.geomspace(lo_eff, hi, _PREDICATE_GRID_N)
     q = model.q_array(xs)
     qp = model.q_prime_array(xs)
     qpp = model.q_second_array(xs)
@@ -561,7 +483,7 @@ def sufficient_conditions(model, span, grid_n=64):
     slack_22 = 1e-12 * (np.abs(q * qpp) + 3.0 * qp * qp + 1e-300)
 
     # trend of q from the last two index-quartile blocks of the log grid
-    quarter = grid_n // 4
+    quarter = _PREDICATE_GRID_N // 4
     m_last = float(np.mean(q[-quarter:]))
     m_prev = float(np.mean(q[-2 * quarter:-quarter]))
     if m_last > 0 and m_prev > 0:
@@ -580,34 +502,34 @@ def sufficient_conditions(model, span, grid_n=64):
     n1 = n1p + n1pp
     if n1 > 0:
         first = xs[i1p] if n1p else xs[i1pp]
-        c1 = PredicateResult("fails", float(first), n1, grid_n,
+        c1 = PredicateResult("fails", float(first), n1, _PREDICATE_GRID_N,
                              "sign hypotheses fail")
     elif trend == "divergent":
-        c1 = PredicateResult("holds", None, 0, grid_n, "")
+        c1 = PredicateResult("holds", None, 0, _PREDICATE_GRID_N, "")
     else:
-        c1 = PredicateResult("not-decidable", None, 0, grid_n,
+        c1 = PredicateResult("not-decidable", None, 0, _PREDICATE_GRID_N,
                              f"signs hold but q trend is {trend}")
 
     n2p, i2p = _sign_check(-qp, 1.0, slack_p)    # q' <= 0
     n2h, i2h = _sign_check(h22, 1.0, slack_22)   # q q'' - 3 q'^2 >= 0
     if n2p > 0:
-        c2 = PredicateResult("fails", float(xs[i2p]), n2p, grid_n,
+        c2 = PredicateResult("fails", float(xs[i2p]), n2p, _PREDICATE_GRID_N,
                              "q' changes sign")
     elif n2h > 0:
-        c2 = PredicateResult("fails", float(xs[i2h]), n2h, grid_n,
+        c2 = PredicateResult("fails", float(xs[i2h]), n2h, _PREDICATE_GRID_N,
                              "curvature inequality q q'' - 3 q'^2 >= 0 fails")
     else:
-        c2 = PredicateResult("holds", None, 0, grid_n, "")
+        c2 = PredicateResult("holds", None, 0, _PREDICATE_GRID_N, "")
 
     if n1 > 0:
         first = xs[i1p] if n1p else xs[i1pp]
-        rm = PredicateResult("fails", float(first), n1, grid_n,
+        rm = PredicateResult("fails", float(first), n1, _PREDICATE_GRID_N,
                              "sign hypotheses fail")
     elif trend == "finite-positive":
-        rm = PredicateResult("holds", None, 0, grid_n,
+        rm = PredicateResult("holds", None, 0, _PREDICATE_GRID_N,
                              f"q levels off near {q_lim:.6g}")
     else:
-        rm = PredicateResult("not-decidable", None, 0, grid_n,
+        rm = PredicateResult("not-decidable", None, 0, _PREDICATE_GRID_N,
                              f"signs hold but q trend is {trend}")
 
     return PredicateReport(corollary1=c1, corollary2=c2, remark_finite_q=rm,

@@ -194,19 +194,7 @@ def fast_suite(rtol=None):
                       np.max(res / (10.0 * g.traj.rtol * scale + 1e-300)), 1.0,
                       "|y1'' + q y1| <= 10 rtol scale"))
 
-    for case in ("constant", "gen-airy", "inverse-x", "cauchy-euler"):
-        run = catalog_run(case, rtol)
-        ph = run.phase
-        checks.append(_le(f"phase identity v*alpha'=-w ({case})",
-                          np.max(np.abs(ph.v * ph.alpha_prime + run.traj.w)), 1e-9))
-        y1 = run.traj.states[:, 0] if not ph.swapped else run.traj.states[:, 2]
-        rec = np.abs(y1 - ph.eps_sign * np.sqrt(ph.v) * np.sin(ph.alpha))
-        checks.append(_le(f"representation residual ({case})",
-                          np.max(rec / np.sqrt(ph.v)), 1e-7))
-        checks.append(_true(f"alpha strictly monotone ({case})",
-                            bool(np.all(np.diff(ph.alpha) > 0))))
-        checks.append(_le(f"quadrature vs arctangent ({case})",
-                          ph.alpha_mismatch_max, 1e-7))
+    checks += criterion_8(rtol)
 
     grid = np.linspace(5.0, 195.0, 64)
     worst = max(appell_residual(g.traj, combo, grid).max
@@ -424,7 +412,7 @@ def criterion_7(seed=0, rtol=None):
 
 
 def criterion_8(rtol=None):
-    """Phase identities on all catalog runs."""
+    """Phase identities on all catalog runs; the fast suite runs them too."""
     checks = []
     for case in ("constant", "gen-airy", "inverse-x", "cauchy-euler"):
         run = catalog_run(case, rtol)
@@ -439,6 +427,8 @@ def criterion_8(rtol=None):
                           max(np.max(r1), np.max(r2)), 1e-7))
         checks.append(_true(f"C8 alpha monotone ({case})",
                             bool(np.all(np.diff(ph.alpha) > 0))))
+        checks.append(_le(f"C8 quadrature vs arctangent ({case})",
+                          ph.alpha_mismatch_max, 1e-7))
     return checks
 
 
@@ -446,7 +436,7 @@ def criterion_9(rtol=None):
     """Hypothesis predicates and their conclusions on the catalog."""
     checks = []
     g = catalog_run("gen-airy", rtol)
-    sc = sufficient_conditions(g.model, (1.0, 200.0), 64)
+    sc = sufficient_conditions(g.model, (1.0, 200.0))
     checks.append(_true("C9 gen-airy corollary-1 hypotheses hold",
                         sc.corollary1.status == "holds",
                         sc.corollary1.status))
@@ -457,7 +447,7 @@ def criterion_9(rtol=None):
     checks.append(_le("C9 gen-airy v' -> 0 (K)", abs(g.report.K), 1e-4))
 
     c = catalog_run("constant", rtol)
-    sc = sufficient_conditions(c.model, (0.0, 50.0), 64)
+    sc = sufficient_conditions(c.model, (0.0, 50.0))
     checks.append(_true("C9 constant corollary-2 hypotheses hold",
                         sc.corollary2.status == "holds", sc.corollary2.status))
     checks.append(_true("C9 constant v approaches a finite limit",
@@ -465,7 +455,7 @@ def criterion_9(rtol=None):
                         and abs(c.report.L - 1.0) <= 1e-6))
 
     ce = catalog_run("cauchy-euler", rtol)
-    sc = sufficient_conditions(ce.model, (1.0, 500.0), 64)
+    sc = sufficient_conditions(ce.model, (1.0, 500.0))
     checks.append(_true("C9 cauchy-euler curvature inequality fails everywhere",
                         sc.corollary2.status == "fails"
                         and sc.corollary2.n_fail == sc.corollary2.n_checked,
@@ -507,7 +497,6 @@ def full_suite(seed=0, rtol=None):
     checks += criterion_5(rtol=rtol)
     checks += criterion_6(rtol=rtol)
     checks += criterion_7(seed=seed, rtol=rtol)
-    checks += criterion_8(rtol=rtol)
     checks += criterion_9(rtol=rtol)
     checks += criterion_10(rtol=rtol)
     return checks

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from oscpairs.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY, RunConfig,
                           cmd_analyze, cmd_verify, cmd_zeros, main, to_json)
+from oscpairs.verify import catalog_run
 
 SCHEMA_KEYS = {"equation", "params", "span", "tolerances", "wronskian",
                "coefficients", "classification", "L", "K", "k1", "k2",
@@ -132,6 +134,22 @@ def test_verify_fast_passes():
     lines, ok = cmd_verify("fast")
     assert ok, "\n".join(line for line in lines if line.startswith("FAIL"))
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
+
+
+def test_verify_fast_reports_y2_representation_residual():
+    # the fast suite runs criterion 8, whose representation residual
+    # covers y2 = sqrt(v) cos(alpha) as well as y1
+    lines, _ = cmd_verify("fast")
+    for case in ("constant", "gen-airy", "inverse-x", "cauchy-euler"):
+        run = catalog_run(case)
+        ph = run.phase
+        y2 = run.traj.states[:, 0 if ph.swapped else 2]
+        r2 = np.max(np.abs(y2 - np.sqrt(ph.v) * np.cos(ph.alpha)) / np.sqrt(ph.v))
+        found = [line for line in lines
+                 if f"C8 representation residual ({case})" in line]
+        assert len(found) == 1
+        measured = float(found[0].split("measured ")[1].split()[0])
+        assert measured >= r2 * (1.0 - 1e-5)
 
 
 def test_verify_detects_corrupted_tolerance():

@@ -73,7 +73,7 @@ def test_phase_constant_is_linear(run_constant):
     ph = phase_unwrap(run_constant.traj)
     assert np.max(np.abs(ph.alpha - ph.grid)) <= 1e-9
     assert ph.alpha_mismatch_max <= 1e-7
-    assert ph.eps_sign == 1 and not ph.swapped
+    assert not ph.swapped
 
 
 def test_phase_cauchy_euler_is_logarithmic(run_ce):

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oscpairs.errors import IllConditionedError, ParameterError, WindowError
-from oscpairs.phasekit import phase_unwrap
+from oscpairs.errors import IllConditionedError, ParameterError
+from oscpairs.phasekit import amplitude_series, phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
-                                coefficient_matrix, decompose_oscillation,
-                                find_principal, sufficient_conditions,
-                                transform_pair, _oscillation_residual,
-                                _sheet_minimizer)
+                                coefficient_matrix, find_principal,
+                                sufficient_conditions, transform_pair,
+                                _oscillation_residual, _sheet_minimizer)
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import unimodular_scrambles
 
@@ -62,30 +61,20 @@ def test_coefficient_matrix_realizes_form():
 
 
 def test_decompose_principal_combination(run_constant):
-    ph = phase_unwrap(run_constant.traj)
-    _, k1, k2 = decompose_oscillation(run_constant.traj, ph, (1.0, 1.0, 0.0),
-                                      (37.5, 50.0))
+    # k1 and k2 vanish at the distinguished combination
+    k1, k2 = _oscillation_residual(run_constant.principal_phase,
+                                   run_constant.report.window)
     assert abs(k1) <= 1e-8 and abs(k2) <= 1e-8
 
 
-def test_decompose_known_combinations(run_constant):
-    # vbar = 2 sin^2 + cos^2/2 = 5/4 - (3/4) cos 2x  =>  vbar' = (3/2) sin 2x
-    ph = phase_unwrap(run_constant.traj)
-    _, k1, k2 = decompose_oscillation(run_constant.traj, ph, (2.0, 0.5, 0.0),
-                                      (37.5, 50.0))
-    assert k1 == pytest.approx(1.5, abs=1e-7)
-    assert k2 == pytest.approx(0.0, abs=1e-7)
-    _, k1, k2 = decompose_oscillation(run_constant.traj, ph, (1.0, 2.0, 1.0),
-                                      (37.5, 50.0))
-    assert k1 == pytest.approx(-1.0, abs=1e-6)
-    assert k2 == pytest.approx(2.0, abs=1e-6)
-
-
-def test_decompose_window_guard(run_constant):
-    ph = phase_unwrap(run_constant.traj)
-    with pytest.raises(WindowError):
-        decompose_oscillation(run_constant.traj, ph, (1.0, 1.0, 0.0),
-                              (49.0, 50.0))
+def test_oscillation_residual_of_other_combinations(run_constant):
+    # vbar = 2 sin^2 + cos^2/2 and (sin + cos)^2 + cos^2 keep an O(1)
+    # oscillating vbar'
+    for A, B, C in ((2.0, 0.5, 0.0), (1.0, 2.0, 1.0)):
+        coeffs = CombinationCoefficients.unit(A, B, C)
+        combo = transform_pair(run_constant.traj, coefficient_matrix(coeffs))
+        k = _oscillation_residual(phase_unwrap(combo), run_constant.report.window)
+        assert math.hypot(*k) > 0.5
 
 
 def test_find_principal_identity(run_constant):
@@ -199,9 +188,9 @@ def test_classify_cauchy_euler(run_ce):
     assert K == pytest.approx(1.0 / s, abs=1e-4)
 
 
-def test_classify_window_precondition(run_constant):
-    with pytest.raises(WindowError):
-        classify(run_constant.principal_phase, window=(10.0, 40.0))
+def test_classify_requires_phase(run_constant):
+    with pytest.raises(ParameterError, match="lacks alpha"):
+        classify(amplitude_series(run_constant.principal))
 
 
 def test_classify_scrambled_constant_is_undetermined(run_constant):
@@ -303,8 +292,3 @@ def test_sufficient_conditions_constant():
     assert rep.remark_finite_q.status == "holds"
     assert rep.q_trend == "finite-positive"
 
-
-def test_sufficient_conditions_grid_guard():
-    model = catalog_get("constant", {"c": 1.0})
-    with pytest.raises(ParameterError):
-        sufficient_conditions(model, (0.0, 50.0), grid_n=8)
