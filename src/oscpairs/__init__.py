@@ -2,8 +2,9 @@
 oscillatory equations y'' + q(x) y = 0."""
 
 from .errors import (EvaluationError, GridError, IllConditionedError,
-                     IntegrationError, OscpairsError, ParameterError,
-                     ParseError, PhaseConsistencyError, WindowError)
+                     IntegrationError, NonOscillatoryError, OscpairsError,
+                     ParameterError, ParseError, PhaseConsistencyError,
+                     WindowError)
 from .integrate import (PairTrajectory, integrate_pair,
                         normalize_unit_wronskian, sample)
 from .phasekit import (PhaseData, PruferPolar, ResidualStats, amplitude_series,
@@ -21,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BesselValue", "CATALOG_NAMES", "CombinationCoefficients", "EquationModel",
     "EvaluationError", "GridError", "IllConditionedError", "IntegrationError",
-    "OscpairsError", "PairTrajectory", "ParameterError",
+    "NonOscillatoryError", "OscpairsError", "PairTrajectory", "ParameterError",
     "ParseError", "PhaseConsistencyError", "PhaseData", "PredicateReport",
     "PredicateResult", "PrincipalReport", "PruferPolar", "ResidualStats",
     "WindowError", "ZeroGapTable", "amplitude_series", "appell_residual",

@@ -2,8 +2,8 @@
 
 Reports are JSON (17 significant digits, fixed key order, so identical
 configurations produce byte-identical output) or CSV for the gap table.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure
+(including q <= 0 in the span), 4 verification failure.
 """
 
 import argparse
@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verify
-from .errors import OscpairsError, ParameterError, ParseError
+from .errors import NonOscillatoryError, OscpairsError, ParameterError, ParseError
 from .integrate import integrate_pair, normalize_unit_wronskian
 from .phasekit import appell_residual, phase_unwrap
-from .principal import find_principal, sufficient_conditions, transform_pair
+from .principal import (find_principal, predicate_grid, sufficient_conditions,
+                        transform_pair)
 from .qfunc import CATALOG_NAMES, catalog_get, parse_q
 from .zeros import gap_table
 
@@ -42,16 +43,12 @@ class RunConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     window_fraction: float = 0.25
-    fmt: str = "json"
-    seed: int = 0
     out: str | None = None
 
     def validate(self):
         if not 0.0 < self.window_fraction <= 0.5:
             raise ParameterError(
                 f"window fraction must lie in (0, 0.5], got {self.window_fraction}")
-        if self.fmt not in ("json", "csv"):
-            raise ParameterError(f"format must be json or csv, got {self.fmt!r}")
 
 
 def build_model(config):
@@ -61,11 +58,26 @@ def build_model(config):
                    x0=1.0 if config.x0 is None else config.x0)
 
 
+def _require_oscillatory(model, xmax):
+    """Refuse a span where q <= 0 at a point of the predicate grid, before
+    any integration: there the pair need not oscillate, and the phase
+    work downstream would fail only after the whole run."""
+    xs = predicate_grid((model.x0, xmax))
+    bad = np.concatenate([[False], model.q_array(xs) <= 0.0, [False]])
+    if bad.any():
+        ends = np.flatnonzero(bad[1:] != bad[:-1]).reshape(-1, 2)
+        runs = ", ".join(f"[{xs[i]:.6g}, {xs[j - 1]:.6g}]" for i, j in ends)
+        raise NonOscillatoryError(
+            f"q <= 0 on {runs} (sampled at {len(xs)} log-spaced points); "
+            "y'' + q y = 0 need not oscillate there")
+
+
 def _integrated_pair(config):
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
             f"xmax = {config.xmax} must exceed x0 = {model.x0}")
+    _require_oscillatory(model, config.xmax)
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), config.xmax,
                           rtol=config.rtol, atol=config.atol)
     return model, normalize_unit_wronskian(traj)
@@ -119,8 +131,7 @@ def cmd_analyze(config):
         "diagnostics": diagnostics,
         "config": {"equation": config.equation, "params": dict(config.params),
                    "x0": config.x0, "xmax": config.xmax, "rtol": config.rtol,
-                   "atol": config.atol, "window_fraction": config.window_fraction,
-                   "format": config.fmt, "seed": config.seed},
+                   "atol": config.atol, "window_fraction": config.window_fraction},
     }
 
 
@@ -217,8 +228,6 @@ def _build_parser():
         p.add_argument("--atol", type=float, default=1e-12)
         p.add_argument("--window", type=float, default=0.25,
                        help="tail window fraction in (0, 0.5]")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     common(sub.add_parser("analyze", help="classification report"))
@@ -262,9 +271,7 @@ def main(argv=None):
         config = RunConfig(
             equation=args.eq, params=_parse_params(args.param),
             x0=args.x0, xmax=args.xmax, rtol=args.rtol, atol=args.atol,
-            window_fraction=args.window,
-            fmt=args.format or ("csv" if args.command == "zeros" else "json"),
-            seed=args.seed, out=args.out)
+            window_fraction=args.window, out=args.out)
         if args.command == "analyze":
             report = cmd_analyze(config)
             _emit(to_json(report) + "\n", config.out)

@@ -30,6 +30,10 @@ class IntegrationError(OscpairsError):
         self.x = x
 
 
+class NonOscillatoryError(OscpairsError):
+    """q <= 0 somewhere in the span, so solutions need not oscillate there."""
+
+
 class WindowError(OscpairsError):
     """Analysis window too short or without enough oscillation."""
 

@@ -210,40 +210,24 @@ def _integrate_inv_v_local(traj, a, b):
             + h ** 4 / 720.0 * (f3b - f3a))
 
 
-def phase_unwrap(traj, grid=None):
-    """Continuous, strictly monotone phase from quadrature of alpha' = -w/v.
+def phase_unwrap(traj):
+    """Continuous, strictly monotone phase on the mesh from quadrature of
+    alpha' = -w/v.
 
     alpha(x0) is fixed in (-pi, pi] by atan2(y1, y2).  If w = +1 the pair
     order is flipped internally so the stored phase increases (the result
     notes this via ``swapped``).  Raises PhaseConsistencyError when the
     quadrature disagrees with the pointwise arctangent beyond 1e-4, which
-    signals a grid too coarse for the oscillation.
+    signals a mesh too coarse for the oscillation.  PhaseData.alpha_at
+    gives the phase at arbitrary points.
     """
     _require_unit(traj)
     swapped = traj.w > 0
-    mesh = traj.mesh
-    y1m, y2m = traj.states[:, 0], traj.states[:, 2]
-    a1m, a2m = (y2m, y1m) if swapped else (y1m, y2m)
-    v_mesh = y1m * y1m + y2m * y2m
+    y1, y2 = traj.states[:, 0], traj.states[:, 2]
+    a1, a2 = (y2, y1) if swapped else (y1, y2)
 
     inc, refined = _phase_increments(traj)
-    mesh_alpha = np.concatenate([[math.atan2(a1m[0], a2m[0])], inc]).cumsum()
-
-    if grid is None or grid is traj.mesh:
-        grid = mesh
-        alpha = mesh_alpha
-        v, a1, a2 = v_mesh, a1m, a2m
-        amp = amplitude_series(traj)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        vals = traj.evaluate(grid, nder=0)
-        a1, a2 = (vals["y2"], vals["y1"]) if swapped else (vals["y1"], vals["y2"])
-        v = vals["y1"] ** 2 + vals["y2"] ** 2
-        idx = np.clip(np.searchsorted(mesh, grid, side="right") - 1, 0, len(mesh) - 2)
-        left = mesh[idx]
-        part, _ = _refine_fast(traj, left, grid, _integrate_inv_v_local(traj, left, grid))
-        alpha = mesh_alpha[idx] + part
-        amp = amplitude_series(traj, grid)
+    alpha = np.concatenate([[math.atan2(a1[0], a2[0])], inc]).cumsum()
 
     raw = np.arctan2(a1, a2)
     mism = alpha - raw
@@ -252,13 +236,14 @@ def phase_unwrap(traj, grid=None):
     if mismatch > _ATAN2_CHECK_BOUND:
         raise PhaseConsistencyError(
             f"phase quadrature deviates from arctangent by {mismatch:.3e}; "
-            "refine the trajectory (tighter rtol) or the grid")
+            "refine the trajectory (tighter rtol)")
 
-    return PhaseData(grid=grid, v=amp.v, v_prime=amp.v_prime, v_second=amp.v_second,
-                     w=traj.w, swapped=swapped,
-                     alpha=alpha, alpha_prime=1.0 / v,
+    amp = amplitude_series(traj)
+    return PhaseData(grid=traj.mesh, v=amp.v, v_prime=amp.v_prime,
+                     v_second=amp.v_second, w=traj.w, swapped=swapped,
+                     alpha=alpha, alpha_prime=1.0 / amp.v,
                      alpha_mismatch_max=mismatch, refined_intervals=refined,
-                     _traj=traj, _mesh_alpha=mesh_alpha)
+                     _traj=traj, _mesh_alpha=alpha)
 
 
 def _coeff_triple(coeffs):

@@ -456,6 +456,16 @@ def _sign_check(values, sign, slack):
     return n, first
 
 
+def predicate_grid(span):
+    """The log grid of span on which the hypothesis predicates sample q
+    (a span starting at or below 0 starts just right of it)."""
+    lo, hi = float(span[0]), float(span[1])
+    if not hi > lo:
+        raise ParameterError(f"empty span {span}")
+    lo_eff = lo if lo > 0 else max(1e-4 * (hi - lo), 1e-12)
+    return np.geomspace(lo_eff, hi, _PREDICATE_GRID_N)
+
+
 def sufficient_conditions(model, span):
     """Evaluate the two sufficient-condition hypothesis sets on a log grid.
 
@@ -467,11 +477,7 @@ def sufficient_conditions(model, span):
     / not-decidable, plus the estimated trend of q from the last dyadic
     windows.
     """
-    lo, hi = float(span[0]), float(span[1])
-    if not hi > lo:
-        raise ParameterError(f"empty span {span}")
-    lo_eff = lo if lo > 0 else max(1e-4 * (hi - lo), 1e-12)
-    xs = np.geomspace(lo_eff, hi, _PREDICATE_GRID_N)
+    xs = predicate_grid(span)
     q = model.q_array(xs)
     qp = model.q_prime_array(xs)
     qpp = model.q_second_array(xs)

@@ -17,6 +17,7 @@ from .errors import ParameterError, WindowError
 from .phasekit import ResidualStats
 
 _TARGETS = ("y1", "y2", "y1p", "y2p")
+_NEWTON_ITERS = 12  # the catalog pairs need 2-7 from the secant start
 
 
 def _target_eval(traj, target):
@@ -42,9 +43,12 @@ def zeros_of(traj, target, span=None):
     ~1e-12 relative accuracy.
 
     Sign changes are located on the stored mesh (which resolves the
-    oscillation by construction), then refined by bisection plus a
-    bracket-safeguarded Newton iteration using the exact derivative.
-    An empty array is a valid result.
+    oscillation by construction).  Each root starts at the secant point
+    of its two bracketing node values and is polished by Newton steps
+    with the exact derivative, clipped to the bracket.  A root retires
+    once its step falls below 1e-14 (1 + |x|), or when the step stops
+    shrinking: that is the roundoff floor of the dense output, and such a
+    step is not taken.  An empty array is a valid result.
     """
     if target not in _TARGETS:
         raise ParameterError(f"target must be one of {_TARGETS}")
@@ -65,50 +69,27 @@ def zeros_of(traj, target, span=None):
     exact = x[f == 0.0]
     s = np.sign(f)
     change = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    a = x[change].copy()
-    b = x[change + 1].copy()
-    sa = s[change]
+    a, b = x[change], x[change + 1]
+    fa, fb = f[change], f[change + 1]
+    roots = a - fa * (b - a) / (fb - fa)  # fa, fb differ in sign: inside [a, b]
 
     fval = _target_eval(traj, target)
-    if len(a):
-        xm = 0.5 * (a + b)
-        for _ in range(5):  # bisection warm-up
-            fm, _d = fval(xm)
-            left = np.sign(fm) == sa
-            a = np.where(left, xm, a)
-            b = np.where(left, b, xm)
-            xm = 0.5 * (a + b)
-        xc = xm
-        width = b - a
-        # the safeguarded loop converges in a handful of iterations once
-        # Newton engages; wide brackets (sparse meshes at slow phase)
-        # may need a few dozen bisection halvings first
-        for _ in range(60):
-            fc, dc = fval(xc)
-            left = np.sign(fc) == sa
-            done = fc == 0.0
-            a = np.where(left & ~done, xc, a)
-            b = np.where(~left & ~done, xc, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = fc / dc
-            newton = xc - step
-            tol = 1e-14 * (1.0 + np.abs(xc))
-            # non-strict bounds: a converged iterate sits on the bracket
-            # boundary it just updated and must be allowed to stay
-            inside = np.isfinite(newton) & (newton >= a) & (newton <= b)
-            # a bracket that did not shrink means xc was already one of its
-            # ends: Newton is cycling between points further apart than
-            # tol (f and f' disagree in their last bits there), so bisect
-            stalled = (b - a == width) & (np.abs(newton - xc) > tol)
-            width = b - a
-            xnew = np.where(inside & ~stalled, newton, 0.5 * (a + b))
-            if np.all(np.abs(xnew - xc) <= tol):
-                xc = xnew
-                break
-            xc = np.where(done, xc, xnew)
-        roots = xc
-    else:
-        roots = np.array([])
+    last = np.full(roots.shape, np.inf)
+    live = np.arange(roots.size)
+    for _ in range(_NEWTON_ITERS):
+        if live.size == 0:
+            break
+        xc = roots[live]
+        fc, dc = fval(xc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = np.clip(xc - fc / dc, a[live], b[live])
+        step = np.abs(xn - xc)
+        # a step that does not shrink means f and f' disagree in their
+        # last bits there (Newton would cycle): keep xc and retire
+        shrinks = step < last[live]
+        roots[live[shrinks]] = xn[shrinks]
+        last[live] = step
+        live = live[shrinks & (step > 1e-14 * (1.0 + np.abs(xc)))]
 
     out = np.sort(np.concatenate([exact, roots]))
     if len(out) > 1:  # dedupe node-exact hits that also bracket

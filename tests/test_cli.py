@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscpairs import cli
 from oscpairs.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY, RunConfig,
                           cmd_analyze, cmd_verify, cmd_zeros, main, to_json)
 from oscpairs.verify import catalog_run
@@ -49,7 +50,7 @@ def test_analyze_parsed_equation():
 
 
 def test_json_determinism():
-    cfg = dict(equation="constant", params={"c": 1.0}, xmax=50.0, seed=3)
+    cfg = dict(equation="constant", params={"c": 1.0}, xmax=50.0)
     a = to_json(cmd_analyze(RunConfig(**cfg)))
     b = to_json(cmd_analyze(RunConfig(**cfg)))
     assert a == b
@@ -75,7 +76,7 @@ def test_json_float_formatting():
 
 def test_zeros_csv():
     text = cmd_zeros(RunConfig(equation="constant", params={"c": 1.0},
-                               xmax=50.0, fmt="csv"))
+                               xmax=50.0))
     lines = text.strip().split("\n")
     assert lines[0] == "j,x_crit,x_zero,gap,phase_gap"
     assert lines[-1].startswith("# summary:")
@@ -112,8 +113,7 @@ def test_main_exit_codes(tmp_path, capsys):
     code = main(["analyze", "--eq", "constant", "--param", "c"])
     assert code == EXIT_CONFIG
 
-    # numeric failure: parsed q singular inside the span (surfaces either
-    # as a domain error or as step-size underflow at the pole)
+    # numeric failure: parsed q < 0 on [1, 5), refused before integrating
     code = main(["analyze", "--eq", "1/(x - 5)", "--x0", "1",
                  "--xmax", "20"])
     assert code == EXIT_NUMERIC
@@ -121,10 +121,28 @@ def test_main_exit_codes(tmp_path, capsys):
     assert '"error"' in err
 
 
+@pytest.mark.parametrize("eq, xmax, last_bad", [
+    ("x^2 - 100", "50", 9.94965),
+    ("1/(x - 5)", "20", 4.80277),
+])
+def test_nonpositive_q_fails_before_integrating(monkeypatch, capsys, eq, xmax,
+                                                last_bad):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate_pair called")
+
+    monkeypatch.setattr(cli, "integrate_pair", no_integration)
+    for command in ("analyze", "zeros"):
+        code = main([command, "--eq", eq, "--x0", "1", "--xmax", xmax])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "NonOscillatoryError" in err
+        assert f"q <= 0 on [1, {last_bad}]" in err
+
+
 def test_byte_identical_cli_output(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for eq in (["constant", "--param", "c=1"], ["g^2/x^2", "--param", "g=1"]):
-        argv = ["analyze", "--eq", *eq, "--xmax", "50", "--seed", "7"]
+        argv = ["analyze", "--eq", *eq, "--xmax", "50"]
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

@@ -244,14 +244,3 @@ def test_no_fast_intervals_returns_unrefined_increments():
     assert np.array_equal(inc, coarse)
     assert phase_unwrap(traj).refined_intervals == 0
 
-
-def test_off_mesh_phase_is_refined_like_mesh_phase():
-    # a stretched pair at rtol=1e-3: most mesh intervals need refinement,
-    # and so do the partial panels from a mesh node to an off-mesh point
-    traj = transform_pair(_coarse_traj("constant", {"c": 1.0}, 50.0),
-                          (3.0, 0.0, 0.0, 1.0 / 3.0))
-    grid = 0.25 * traj.mesh[:-1] + 0.75 * traj.mesh[1:]
-    off_mesh = phase_unwrap(traj, grid=grid)
-    assert off_mesh.alpha_mismatch_max <= 1e-4
-    assert np.all(np.diff(off_mesh.alpha) > 0)
-    assert phase_unwrap(traj).refined_intervals > 0

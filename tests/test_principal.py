@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,24 @@ def test_oscillation_residual_of_other_combinations(run_constant):
         combo = transform_pair(run_constant.traj, coefficient_matrix(coeffs))
         k = _oscillation_residual(phase_unwrap(combo), run_constant.report.window)
         assert math.hypot(*k) > 0.5
+
+
+@pytest.mark.parametrize("fixture", ["run_ce", "run_genairy", "run_inversex"])
+def test_oscillation_residual_recovers_planted_amplitudes(request, fixture):
+    # The finder zeroes this same estimate at the principal pair, so the
+    # pair alone cannot show a broken estimator; the planted linear trend
+    # is one the finder never saw, and the estimator must separate it from
+    # the planted sin/cos(2 alpha) content.
+    run = request.getfixturevalue(fixture)
+    ph = run.principal_phase
+    lo, hi = run.report.window
+    trend = 0.1 * (ph.grid - 0.5 * (lo + hi)) / (hi - lo)
+    k1, k2 = 3e-3, -2e-3
+    planted = dataclasses.replace(
+        ph, v_prime=ph.v_prime + trend + k1 * np.sin(2.0 * ph.alpha)
+        + k2 * np.cos(2.0 * ph.alpha))
+    got = _oscillation_residual(planted, run.report.window)
+    assert abs(got[0] - k1) <= 1e-9 and abs(got[1] - k2) <= 1e-9
 
 
 def test_find_principal_identity(run_constant):

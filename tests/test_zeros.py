@@ -144,12 +144,48 @@ def _counting_target_eval(monkeypatch, target_eval):
     return calls
 
 
+def _bisected_roots(traj, target, fval, steps=90):
+    """Roots of the dense output in every sign-change bracket of the node
+    values, by plain bisection."""
+    col = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}[target]
+    s = np.sign(traj.states[:, col])
+    change = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    a, b, sa = traj.mesh[change], traj.mesh[change + 1], s[change]
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        left = np.sign(fval(m)[0]) == sa
+        a, b = np.where(left, m, a), np.where(left, b, m)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("fixture, scramble", [
+    ("run_constant", False), ("run_inversex", False), ("run_genairy", False),
+    ("run_inversex", True)])
+def test_zeros_of_matches_bisection_of_dense_output(monkeypatch, request,
+                                                   fixture, scramble):
+    pair = request.getfixturevalue(fixture).principal
+    if scramble:
+        pair = transform_pair(pair, (0.7060476993524358, 0.5679392598307327,
+                                     -1.2033851519276002, 0.44834127752738895))
+    target_eval = zeros._target_eval
+    calls = _counting_target_eval(monkeypatch, target_eval)
+    for target, rel in (("y1", 1e-14), ("y2", 1e-14),
+                        ("y1p", 2e-12), ("y2p", 2e-12)):
+        calls.clear()
+        got = zeros_of(pair, target)
+        assert 1 <= len(calls) <= 8
+        got = got[~np.isin(got, pair.mesh)]  # node-exact zeros need no polish
+        ref = _bisected_roots(pair, target, target_eval(pair, target))
+        assert got.shape == ref.shape and len(ref) >= 10
+        assert np.all(np.abs(got - ref) <= rel * (1.0 + np.abs(ref)))
+
+
 def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
     # f = x - r with a derivative that sends Newton from any point further
     # than 1.5 e from r to r + e, and from within 1.5 e of r across r, so
     # the iterates alternate between r + e and r - e, 2 e = 1.26e-13 apart
-    # against a stop tolerance of 1.39e-14, inside a bracket that no
-    # longer shrinks.
+    # against a stop tolerance of 1.39e-14.  The node values carry a
+    # positive non-constant factor, so the secant start is not r.
     r, e = 0.38673473457649354, 6.3e-14
 
     def synthetic(traj, target):
@@ -162,12 +198,12 @@ def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
     calls = _counting_target_eval(monkeypatch, synthetic)
     mesh = np.linspace(0.0, 1.0, 11)
     states = np.zeros((len(mesh), 4))
-    states[:, 0] = mesh - r
+    states[:, 0] = (mesh - r) * (1.0 + mesh)
     traj = SimpleNamespace(x0=0.0, xmax=1.0, mesh=mesh, states=states)
     got = zeros_of(traj, "y1")
-    # 5 bisection warm-up calls, then one call per loop iteration; a loop
-    # that keeps following the cycle runs to its 60-iteration cap (65)
-    assert len(calls) <= 12
+    # one call per Newton iteration; a loop that keeps following the cycle
+    # runs to its cap of 12
+    assert len(calls) < zeros._NEWTON_ITERS
     assert got.shape == (1,)
     assert abs(got[0] - r) <= 1e-12 * r
 
@@ -190,8 +226,8 @@ def test_newton_two_cycle_stops_early(monkeypatch):
 
     calls = _counting_target_eval(monkeypatch, zeros._target_eval)
     got = zeros_of(pair, "y1p", (pair.x0, pair.xmax))
-    # 5 bisection warm-up calls, then one call per loop iteration: the
-    # capped loop made 65 calls here, the bisecting one makes 14
+    # one call per Newton iteration, 5 here; a loop that followed the
+    # cycle would run to its iteration cap
     assert len(calls) <= 20
     before = np.array([  # the roots the capped loop returned
         0.38673473457649354, 3.7934689074618175, 7.20020308034802,
