@@ -3,7 +3,8 @@
 Reports are JSON (17 significant digits, fixed key order, so identical
 configurations produce byte-identical output) or CSV for the gap table.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(including q <= 0 in the span), 4 verification failure.
+(including q <= 0 in the span, a q too large for the node budget and a
+stalled integration), 4 verification failure.
 """
 
 import argparse
@@ -58,28 +59,31 @@ def build_model(config):
                    x0=1.0 if config.x0 is None else config.x0)
 
 
-def _require_oscillatory(model, xmax):
-    """Refuse a span where q <= 0 at a point of the predicate grid, before
-    any integration: there the pair need not oscillate, and the phase
-    work downstream would fail only after the whole run."""
-    xs = predicate_grid((model.x0, xmax))
-    bad = np.concatenate([[False], model.q_array(xs) <= 0.0, [False]])
+def _refuse_nonpositive(xs, q, where):
+    """NonOscillatoryError naming the stretches of xs where q <= 0."""
+    bad = np.concatenate([[False], q <= 0.0, [False]])
     if bad.any():
         ends = np.flatnonzero(bad[1:] != bad[:-1]).reshape(-1, 2)
         runs = ", ".join(f"[{xs[i]:.6g}, {xs[j - 1]:.6g}]" for i, j in ends)
         raise NonOscillatoryError(
-            f"q <= 0 on {runs} (sampled at {len(xs)} log-spaced points); "
-            "y'' + q y = 0 need not oscillate there")
+            f"q <= 0 on {runs} ({where}); y'' + q y = 0 need not oscillate there")
 
 
 def _integrated_pair(config):
+    """The normalized default pair.  q <= 0 is refused twice: on the
+    predicate grid before any integration, so that the phase work
+    downstream does not fail only after the whole run, and at the mesh
+    nodes after it, which catches a dip between two grid points."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
             f"xmax = {config.xmax} must exceed x0 = {model.x0}")
-    _require_oscillatory(model, config.xmax)
+    xs = predicate_grid((model.x0, config.xmax))
+    _refuse_nonpositive(xs, model.q_array(xs), f"sampled at {len(xs)} log-spaced points")
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), config.xmax,
                           rtol=config.rtol, atol=config.atol)
+    bad = int(np.count_nonzero(traj.q_nodes <= 0.0))
+    _refuse_nonpositive(traj.mesh, traj.q_nodes, f"at {bad} of {len(traj.mesh)} mesh nodes")
     return model, normalize_unit_wronskian(traj)
 
 
@@ -106,6 +110,8 @@ def cmd_analyze(config):
 
     diagnostics = {k: v for k, v in report.diagnostics.items()
                    if k not in ("windows",)}
+    diagnostics.update(mesh_nodes=len(traj.mesh), integration_passes=traj.passes,
+                       q_points=traj.q_points)
     return {
         "equation": model.source,
         "params": dict(model.params),

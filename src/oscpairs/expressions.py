@@ -587,16 +587,24 @@ def compile_tree(tree):
     """Compile a tree into (scalar, array) functions of x.
 
     scalar(x) returns exactly tree.eval(x) and raises the same
-    EvaluationError.  array(xs) evaluates with numpy (within 2 ulp of the
-    scalar form, as numpy's exp, log and pow may differ from libm by an
-    ulp) and re-evaluates every point where a checked intermediate is not
-    finite through the scalar form, which raises at a domain fault.
+    EvaluationError.  Its code is generated and compiled on its first
+    call, so a model whose scalar form nothing calls runs no `exec`.
+    array(xs) evaluates with numpy (within 2 ulp of the scalar form, as
+    numpy's exp, log and pow may differ from libm by an ulp) and
+    re-evaluates every point where a checked intermediate is not finite
+    through the scalar form, which raises at a domain fault.
     """
-    src = _Source()
-    body = _scalar_expr(tree, src)
-    scalar = src.build(body, {
-        "_tree": tree.eval, "_pow": _checked_pow, "_sin": math.sin, "_cos": math.cos,
-        "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt, "_abs": abs})
+    compiled = []
+
+    def scalar(x):
+        if not compiled:
+            src = _Source()
+            body = _scalar_expr(tree, src)
+            compiled.append(src.build(body, {
+                "_tree": tree.eval, "_pow": _checked_pow, "_sin": math.sin,
+                "_cos": math.cos, "_exp": math.exp, "_log": math.log,
+                "_sqrt": math.sqrt, "_abs": abs}))
+        return compiled[0](x)
 
     def array(xs):
         xs = np.asarray(xs, dtype=float)

@@ -1,9 +1,21 @@
-"""Adaptive integration of the two-solution system for y'' + q(x) y = 0.
+"""Integration of the two-solution system for y'' + q(x) y = 0.
 
 A Dormand-Prince 5(4) pair advances the joint 4-dimensional state
-(y1, y1', y2, y2') with one shared step sequence, which keeps the
-Wronskian identity tight and makes every derived quantity (amplitude,
-phase, zeros) consistent between the two solutions.
+(y1, y1', y2, y2') on one shared mesh, which keeps the Wronskian
+identity tight and makes every derived quantity (amplitude, phase,
+zeros) consistent between the two solutions.
+
+The equation is linear, so one step maps (y, y') by a 2x2 transfer
+matrix T that depends only on h and on q at the stage nodes, and its
+embedded error estimate is E (y, y') for a matrix E of the same kind;
+both solutions share them.  A pass over a fixed mesh builds T and E for
+every step in numpy and chains the T by a log-depth prefix product, in
+blocks of steps that carry the state from one block to the next.  The
+first mesh equidistributes the Liouville-Green density sqrt(q)/0.15,
+the cap of 0.15 rad of phase per step.  Where a step fails its error
+test, the run of steps around it is re-meshed from the usual
+controller's target step, smoothed, and the pass repeats; every other
+node keeps its place.
 
 Error control is per unit step, so the accumulated error scales about
 linearly with rtol.  Dense output is a two-point Hermite interpolant of
@@ -13,7 +25,7 @@ equation-supplied y'' = -q y and y''' = -q' y - q y'.
 References
 ----------
 Dormand & Prince (1980), J. Comp. Appl. Math. 6, 19-26.
-Hairer, Norsett & Wanner, "Solving ODEs I", sect. II.4 (starting step).
+Blelloch (1990), "Prefix sums and their applications", CMU-CS-90-190.
 """
 
 import math
@@ -22,34 +34,36 @@ import numpy as np
 
 from .errors import IntegrationError, ParameterError
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau: interior stage nodes (stages 1 and 6 sit
+# at x and x + h), stage rows, fifth-order weights and the weights of the
+# embedded error estimate (stage 7 is the FSAL stage at x + h)
+_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9])
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DC = np.diff(np.concatenate([[0.0], _C, [1.0]]))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E_ABS = sum(abs(e) for e in _E)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-MAX_STEPS = 10 ** 7
+MAX_STEPS = 10 ** 7  # node budget
 
+# a step advances the phase by at most about _PHASE_STEP rad, so that
+# downstream quadrature of 1/v over mesh intervals stays accurate
+_PHASE_STEP = 0.15
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-# stall guard: at the end of every window of _STALL_WINDOW accepted steps
-# the run gives up if the window advanced x no further than the window
-# before it, and at that pace the whole step budget would cover less than
-# _STALL_SHARE of the span still ahead.  Near a pole the error estimate
-# reaches its roundoff floor, err/h stops falling with h, and the
-# controller settles on a fixed tiny step (2.6e-12 for 1/(x - 5) near
-# x = 5) that is always accepted and never grows.  A step that keeps
-# growing, however small it starts, never trips the guard.
-_STALL_WINDOW = 1000
-_STALL_SHARE = 1e-3
+_START_CELLS = 128  # cells of the grid that samples the starting density
+_BLOCK = 8192  # steps per block of a pass: bounds the temporaries
+# near a singular point the failing steps shrink by at least _MIN_FACTOR
+# per pass until they reach the roundoff floor; far fewer passes than
+# this settle any regular q
+_MAX_PASSES = 40
+_EPS = 2.220446049250313e-16
 
 
 # ---------------------------------------------------------------------------
@@ -97,29 +111,41 @@ class PairTrajectory:
     states  (N, 4) array of (y1, y1', y2, y2') at the nodes
     w       Wronskian y1 y2' - y1' y2 at the first node
     rtol, atol   tolerances the run used
+    q_nodes, qp_nodes   q and q' at the nodes
+    passes, q_points    integration passes and points at which q was
+                        evaluated (0 for a trajectory not built by
+                        integrate_pair)
+
+    q_nodes may be passed in when the caller has them (integrate_pair
+    hands over the values of its final pass); otherwise q is evaluated.
     """
 
     __slots__ = ("model", "mesh", "states", "w", "rtol", "atol",
-                 "q_nodes", "qp_nodes", "_fdata1", "_fdata2")
+                 "q_nodes", "qp_nodes", "passes", "q_points",
+                 "_fdata1", "_fdata2")
 
-    def __init__(self, model, mesh, states, w, rtol, atol):
+    def __init__(self, model, mesh, states, w, rtol, atol, q_nodes=None,
+                 passes=0, q_points=0):
         mesh = np.asarray(mesh, dtype=float)
         if mesh.ndim != 1 or len(mesh) < 2:
             raise ParameterError("trajectory needs at least two mesh nodes")
+        q = model.q_array(mesh) if q_nodes is None else np.asarray(q_nodes, dtype=float)
         self._fill(model, mesh, states, w, rtol, atol,
-                   model.q_array(mesh), model.q_prime_array(mesh))
+                   q, model.q_prime_array(mesh), passes, q_points)
 
     def _restated(self, states, w):
         """A trajectory of the same model on the same mesh with new node
         states.  It shares mesh, q_nodes and qp_nodes (all read-only), so
-        q is not evaluated again."""
+        q is not evaluated again, and keeps the integration counters."""
         new = object.__new__(PairTrajectory)
         new._fill(self.model, self.mesh, states, w, self.rtol, self.atol,
-                  self.q_nodes, self.qp_nodes)
+                  self.q_nodes, self.qp_nodes, self.passes, self.q_points)
         return new
 
-    def _fill(self, model, mesh, states, w, rtol, atol, q, qp):
+    def _fill(self, model, mesh, states, w, rtol, atol, q, qp, passes, q_points):
         states = np.asarray(states, dtype=float)
+        object.__setattr__(self, "passes", int(passes))
+        object.__setattr__(self, "q_points", int(q_points))
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "states", states)
@@ -185,8 +211,11 @@ class PairTrajectory:
         bt, bs = _polyval_many(_H, tau), _polyval_many(_H, sig)
         out.append((w0 * bt).sum(axis=0) + (w1 * bs).sum(axis=0))
         if nder >= 1:
+            # H_0' is symmetric, so the value terms give (y0 - y1) H_0'(tau):
+            # the roundoff of the basis then scales with y', not with y/h
             dt, ds = _polyval_many(_HD, tau), _polyval_many(_HD, sig)
-            out.append(((w0 * dt).sum(axis=0) - (w1 * ds).sum(axis=0)) / h)
+            out.append(((f0[:, 0] - f1[:, 0]) * dt[0] + (w0[1:] * dt[1:]).sum(axis=0)
+                        - (w1[1:] * ds[1:]).sum(axis=0)) / h)
         if nder >= 2:
             b2t, b2s = _polyval_many(_H2, tau), _polyval_many(_H2, sig)
             out.append(f0[:, 2] * b2t[0] + h * f0[:, 3] * b2t[1]
@@ -238,11 +267,219 @@ def sample(traj, x):
     return np.column_stack([vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]])
 
 
+def _combine(coef, terms):
+    """sum_j coef_j terms_j over the non-zero weights."""
+    acc = None
+    for c, term in zip(coef, terms):
+        if c:
+            if acc is None:
+                acc = c * term
+            else:
+                acc += c * term
+    return acc
+
+
+def _stage_terms(h, q):
+    """Transfer matrix T and scaled stage matrices h K_j of one DP5(4)
+    step for every step at once.
+
+    For y'' = -q y, stage j maps the state u at the step start to
+    h k_j = h K_j u, with K_j = A(q_j) M_j, A(q) = [[0, 1], [-q, 0]] and
+    M_j = I + sum_i a_ji h K_i, so the step is u -> T u and its error
+    estimate is sum_j e_j h K_j u.  h holds the step sizes and the rows of
+    q the values of q at the six stage nodes x, x + c_2 h, ..., x + h.
+    Matrices are (4, n) arrays of the entries (00, 01, 10, 11), one
+    column per step; returns T (4, n) and h K (7, 4, n).
+    """
+    nhq = -h * q
+    hk = np.empty((7, 4, len(h)))
+    hk[0, ::3] = 0.0  # h A(q_1), as M_1 = I
+    hk[0, 1] = h
+    hk[0, 2] = nhq[0]
+    for j, row in enumerate(_A + (_B,), start=1):
+        m = _combine(row, hk)
+        m[::3] += 1.0
+        # h A(q_j) m; the FSAL stage 7 sits at x + h, as stage 6 does
+        np.multiply(h, m[2:], out=hk[j, :2])
+        np.multiply(nhq[min(j, 5)], m[:2], out=hk[j, 2:])
+    return m, hk  # the last m, from the weights _B, is T
+
+
+def _norm(scaled):
+    """Root mean square over the four scaled error components of a
+    (2, 2, n) array."""
+    return np.sqrt(0.25 * (scaled * scaled).sum(axis=(0, 1)))
+
+
+def _times(a, b):
+    """Entrywise 2x2 products a b of (2, 2, n) arrays."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _prefix_states(t, s):
+    """States s_k = T_k ... T_1 s after each step, by a Hillis-Steele scan:
+    round r multiplies every partial product by the one 2^r steps before
+    it, so log2(n) whole-array rounds replace n sequential steps."""
+    p = t.reshape(2, 2, -1).copy()
+    p[:, :, :1] = _times(p[:, :, :1], s[:, :, None])
+    d = 1
+    while d < p.shape[2]:
+        p[:, :, d:] = _times(p[:, :, d:], p[:, :, :-d])
+        d *= 2
+    return p
+
+
+def _estimate_noise(x, h, q, hk, before):
+    """Bound on the roundoff in the error estimates E s of a block: eps
+    times the magnitudes of their terms, plus the error that rounding x
+    to a double brings into q at the stage nodes, eps |x q'|, with q'
+    from the differences of the stage values.  Near a singular point of
+    q the second term grows like 1/(x - x_s)^2."""
+    noise = _times(_combine(np.abs(_E), np.abs(hk)).reshape(2, 2, -1), np.abs(before))
+    dq = np.abs(np.diff(q, axis=0)) / (_DC[:, None] * h)
+    dq = dq.max(axis=0) * np.maximum(np.abs(x), np.abs(x + h))
+    noise[1] += _E_ABS * h * dq * np.abs(before[0])
+    return _EPS * noise
+
+
+def _integration_pass(model, mesh, start, rtol, atol):
+    """Integrate on a fixed mesh in blocks of _BLOCK steps, carrying the
+    state matrix from block to block.
+
+    start is the 2x2 matrix [[y1, y2], [y1', y2']] at mesh[0].  Returns
+    the node states (N, 4) as (y1, y1', y2, y2'), the error norm of every
+    step, the roundoff level of that norm (filled in only in blocks with
+    a failing step), the largest q at each step's stage nodes and q at
+    the nodes.
+    """
+    n = len(mesh) - 1
+    q_nodes = model.q_array(mesh)
+    states = np.empty((n + 1, 4))
+    err = np.empty(n)
+    noise = np.zeros(n)
+    qmax = np.empty(n)
+    s = start
+    states[0] = s.T.ravel()
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        x, h = mesh[i:j], mesh[i + 1:j + 1] - mesh[i:j]
+        q = np.concatenate([q_nodes[None, i:j], model.q_array(x + _C[:, None] * h),
+                            q_nodes[None, i + 1:j + 1]])
+        if not np.isfinite(q).all():
+            bad = np.flatnonzero(~np.isfinite(q).all(axis=0))[0]
+            raise IntegrationError(
+                f"q is not finite on the step from x = {x[bad]:.17g} "
+                "(q singular there?)", x=float(x[bad]))
+        t, hk = _stage_terms(h, q)
+        after = _prefix_states(t, s)
+        before = np.concatenate([s[:, :, None], after[:, :, :-1]], axis=2)
+        scale = atol + rtol * np.maximum(np.abs(before), np.abs(after))
+        err[i:j] = _norm(_times(_combine(_E, hk).reshape(2, 2, -1), before) / scale)
+        if not (err[i:j] <= h).all():
+            noise[i:j] = _norm(_estimate_noise(x, h, q, hk, before) / scale)
+        qmax[i:j] = q.max(axis=0)
+        states[i + 1:j + 1] = after.transpose(2, 1, 0).reshape(-1, 4)
+        s = after[:, :, -1].copy()
+    return states, err, noise, qmax, q_nodes
+
+
+def _equidistribute(xs, cum, max_steps, what):
+    """Nodes at which the cumulative node count cum (given at xs) passes
+    whole multiples of its total over the number of steps; refuses a
+    mesh over the node budget."""
+    total = cum[-1]
+    if not total <= max_steps:
+        x_out = float(np.interp(max_steps, cum, xs)) if np.isfinite(total) else xs[0]
+        raise IntegrationError(
+            f"{what} needs about {total:.2g} nodes, above the node budget of "
+            f"{max_steps}; the budget runs out at x = {x_out:.6g}", x=x_out)
+    n = max(1, math.ceil(total))
+    mesh = np.interp(np.arange(n + 1) * (total / n), cum, xs)
+    mesh[0], mesh[-1] = xs[0], xs[-1]
+    return mesh
+
+
+def _refined_mesh(mesh, counts, fails, max_steps, what):
+    """Refine each run of consecutive steps with counts > 1 that holds a
+    failing step: the run gets a whole number of nodes, placed by the
+    counts.  Every other node stays where it is, so that a step that
+    passed keeps its place in the oscillation and passes again."""
+    grow = counts > 1.0
+    edge = np.diff(np.concatenate([[0], grow.view(np.int8), [0]]))
+    first, end = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    nfail = np.concatenate([[0], np.cumsum(fails)])
+    run = np.cumsum(edge[:-1] == 1) - 1
+    active = grow & (nfail[end] > nfail[first])[run]
+    c = np.where(active, counts, 1.0)
+    cum = np.concatenate([[0.0], np.cumsum(c)])
+    total = cum[end] - cum[first]
+    c[active] *= (np.ceil(total) / total)[run[active]]
+    cum = np.concatenate([[0.0], np.cumsum(c)])
+    fixed = np.concatenate([[True], ~(active[:-1] & active[1:]), [True]])
+    cum[fixed] = np.round(cum[fixed])
+    return _equidistribute(mesh, cum, max_steps, what)
+
+
+def _stalled(mesh, fails, passes):
+    k = np.flatnonzero(fails)[0]
+    raise IntegrationError(
+        f"integration stalled: after {passes} passes the step from "
+        f"x = {mesh[k]:.17g} (h = {mesh[k + 1] - mesh[k]:.3g}) still fails "
+        "its error test (q singular near x?)", x=float(mesh[k]))
+
+
+def _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps, what):
+    """The mesh for the next pass.
+
+    Each step's target size is the usual controller's, min(hcap,
+    _SAFETY h (h/err)^(1/4)), shrinking by at most _MIN_FACTOR; as a
+    density of nodes it is smoothed by the maximum over each step and its
+    two neighbours.  A failing step whose error estimate is down to its
+    roundoff level, or whose target falls below the spacing of doubles,
+    cannot be resolved (near a singular point of q): the run stalls.
+    """
+    h = np.diff(mesh)
+    factor = _SAFETY * (h / err) ** 0.25
+    factor = np.maximum(np.where(np.isnan(factor), 0.0, factor), _MIN_FACTOR)
+    floor = 16.0 * _EPS * np.maximum(np.abs(mesh[:-1]), np.abs(mesh[1:]))
+    stuck = fails & ((err <= noise) | (h * factor <= floor))
+    if stuck.any():
+        _stalled(mesh, stuck, passes)
+    rho = np.maximum(1.0 / (h * factor), np.sqrt(np.maximum(qmax, 0.0)) / _PHASE_STEP)
+    smooth = rho.copy()
+    smooth[1:] = np.maximum(smooth[1:], rho[:-1])
+    smooth[:-1] = np.maximum(smooth[:-1], rho[1:])
+    return _refined_mesh(mesh, smooth * h, fails, max_steps, what)
+
+
+def _starting_mesh(model, x0, xmax, max_steps):
+    """Equidistribute the Liouville-Green density sqrt(q)/_PHASE_STEP (a
+    step of at most _PHASE_STEP rad of phase), sampled on a grid that is
+    geometric in x - x0 + d (d = x0 for x0 > 0, so geometric in x);
+    returns (mesh, q points evaluated)."""
+    span = xmax - x0
+    d = x0 if x0 > 0.0 else span / _START_CELLS
+    grid = (x0 - d) + d * np.exp(np.linspace(0.0, math.log1p(span / d), _START_CELLS + 1))
+    grid[0], grid[-1] = x0, xmax
+    q = model.q_array(grid)
+    if not np.isfinite(q).all():
+        bad = float(grid[np.flatnonzero(~np.isfinite(q))[0]])
+        raise IntegrationError(f"q is not finite at x = {bad:.17g}", x=bad)
+    rho = np.sqrt(np.maximum(q, 0.0))
+    cum = np.concatenate([[0.0], np.cumsum((0.5 / _PHASE_STEP) * (rho[1:] + rho[:-1])
+                                           * np.diff(grid))])
+    mesh = _equidistribute(
+        grid, cum, max_steps,
+        f"q is too large: its phase on [{x0:.6g}, {xmax:.6g}] at {_PHASE_STEP} rad per step")
+    return mesh, len(grid)
+
+
 def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                    max_steps=MAX_STEPS):
     """Advance both solutions jointly from model.x0 to xmax.
 
     ic1 and ic2 are (y, y') at x0 and must be linearly independent.
+    max_steps is a node budget, checked before every pass is built.
     """
     if not 1e-13 <= rtol <= 1e-3:
         raise ParameterError(f"rtol must lie in [1e-13, 1e-3], got {rtol}")
@@ -258,126 +495,25 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     scale0 = max(abs(y1), abs(p1), abs(y2), abs(p2))
     if scale0 == 0.0 or abs(w0) <= 1e-14 * scale0 * scale0:
         raise ParameterError("initial conditions have zero Wronskian")
+    start = np.array([[y1, y2], [p1, p2]])
 
-    q = model.q
-
-    mesh = [x0]
-    states = [(y1, p1, y2, p2)]
-
-    x = x0
-    span = xmax - x0
-    qx = q(x)
-    k1 = (p1, -qx * y1, p2, -qx * y2)
-
-    # starting step from the local derivative scale
-    d0 = max(abs(y1), abs(p1), abs(y2), abs(p2), atol)
-    d1 = max(abs(k1[0]), abs(k1[1]), abs(k1[2]), abs(k1[3]), atol)
-    h = min(span, 0.01 * d0 / d1 if d1 > 0 else 0.01 * span)
-    h = max(h, 1e-10 * span)
-
-    q_here = qx
-    nsteps = 0
-    x_window = x
-    last_advance = 0.0  # the first window has none before it
-    while x < xmax:
-        if nsteps >= max_steps:
-            raise IntegrationError(f"step limit {max_steps} reached", x=x)
-        nsteps += 1
-        # keep the phase advance per step modest so that downstream
-        # quadrature of 1/v over mesh intervals stays accurate
-        if q_here > 0.0:
-            hcap = 0.15 / math.sqrt(q_here)
-            if h > hcap:
-                h = hcap
-        if h > xmax - x:
-            h = xmax - x
-        if h <= 16.0 * math.fabs(x) * 2.220446049250313e-16 + 1e-300:
-            raise IntegrationError("step size underflow (q nearly singular?)", x=x)
-
-        a, b, c, d = y1, p1, y2, p2
-        k1a, k1b, k1c, k1d = k1
-
-        xs = x + _C2 * h
-        qx = q(xs)
-        ya = a + h * _A21 * k1a
-        yb = b + h * _A21 * k1b
-        yc = c + h * _A21 * k1c
-        yd = d + h * _A21 * k1d
-        k2a, k2b, k2c, k2d = yb, -qx * ya, yd, -qx * yc
-
-        xs = x + _C3 * h
-        qx = q(xs)
-        ya = a + h * (_A31 * k1a + _A32 * k2a)
-        yb = b + h * (_A31 * k1b + _A32 * k2b)
-        yc = c + h * (_A31 * k1c + _A32 * k2c)
-        yd = d + h * (_A31 * k1d + _A32 * k2d)
-        k3a, k3b, k3c, k3d = yb, -qx * ya, yd, -qx * yc
-
-        xs = x + _C4 * h
-        qx = q(xs)
-        ya = a + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a)
-        yb = b + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b)
-        yc = c + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c)
-        yd = d + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-        k4a, k4b, k4c, k4d = yb, -qx * ya, yd, -qx * yc
-
-        xs = x + _C5 * h
-        qx = q(xs)
-        ya = a + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-        yb = b + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-        yc = c + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
-        yd = d + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-        k5a, k5b, k5c, k5d = yb, -qx * ya, yd, -qx * yc
-
-        xs = x + h
-        qx = q(xs)
-        ya = a + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a)
-        yb = b + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b)
-        yc = c + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c)
-        yd = d + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
-        k6a, k6b, k6c, k6d = yb, -qx * ya, yd, -qx * yc
-
-        na = a + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
-        nb = b + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-        nc = c + h * (_B1 * k1c + _B3 * k3c + _B4 * k4c + _B5 * k5c + _B6 * k6c)
-        nd = d + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
-
-        k7a, k7b, k7c, k7d = nb, -qx * na, nd, -qx * nc  # FSAL stage
-
-        ea = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-        eb = h * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
-        ec = h * (_E1 * k1c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c + _E7 * k7c)
-        ed = h * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * k7d)
-
-        ra = ea / (atol + rtol * max(abs(a), abs(na)))
-        rb = eb / (atol + rtol * max(abs(b), abs(nb)))
-        rc = ec / (atol + rtol * max(abs(c), abs(nc)))
-        rd = ed / (atol + rtol * max(abs(d), abs(nd)))
-        err = math.sqrt(0.25 * (ra * ra + rb * rb + rc * rc + rd * rd))
-
-        # error per unit step: global error then scales ~linearly in rtol
-        if err <= h:
-            x = x + h
-            y1, p1, y2, p2 = na, nb, nc, nd
-            k1 = (k7a, k7b, k7c, k7d)
-            q_here = qx
-            mesh.append(x)
-            states.append((na, nb, nc, nd))
-            if len(mesh) % _STALL_WINDOW == 1:
-                advance = x - x_window
-                if (advance <= last_advance and advance * max_steps
-                        < _STALL_SHARE * _STALL_WINDOW * (xmax - x)):
-                    raise IntegrationError(
-                        f"integration stalled: {_STALL_WINDOW} accepted steps "
-                        f"advanced x by {advance:.3g} (q singular near x?)", x=x)
-                x_window, last_advance = x, advance
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * (h / err) ** 0.25)
-            h *= max(1.0, factor)
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * (h / err) ** 0.25)
-
-    return PairTrajectory(model, np.array(mesh), np.array(states), w0, rtol, atol)
+    mesh, q_points = _starting_mesh(model, x0, float(xmax), max_steps)
+    # overflow and 0/0 in a step that fails anyway become inf or NaN, and
+    # NaN fails the error test
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for passes in range(1, _MAX_PASSES + 1):
+            states, err, noise, qmax, q_nodes = _integration_pass(
+                model, mesh, start, rtol, atol)
+            q_points += 5 * len(mesh) - 4
+            fails = ~(err <= np.diff(mesh))  # error per unit step
+            if not fails.any():
+                break
+            if passes == _MAX_PASSES:
+                _stalled(mesh, fails, passes)
+            mesh = _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps,
+                              f"rtol = {rtol:g}")
+    return PairTrajectory(model, mesh, states, w0, rtol, atol, q_nodes=q_nodes,
+                          passes=passes, q_points=q_points)
 
 
 def normalize_unit_wronskian(traj):

@@ -21,8 +21,8 @@ class EquationModel:
 
     Instances are immutable and evaluation is pure, so a model can be
     shared freely across threads.  `q`, `q_prime` and `q_second` are the
-    scalar functions themselves, not methods around them: the integrator
-    calls q five times per step.
+    scalar functions themselves; the `*_array` methods evaluate on numpy
+    arrays, through the array forms when the model has them.
     """
 
     __slots__ = ("source", "x0", "params", "q", "q_prime", "q_second",
@@ -168,8 +168,9 @@ def parse_q(expr, params=None, x0=1.0):
     """Build a model from an arithmetic expression in x.
 
     q' and q'' come from symbolic differentiation of the parsed tree, and
-    each of the three trees is compiled once into a scalar and a numpy
-    array function (`expressions.compile_tree`).  Domain problems
+    each of the three trees becomes a scalar and a numpy array function
+    (`expressions.compile_tree`); a scalar form is compiled on its first
+    call, and the integrator calls only the array forms.  Domain problems
     (division by zero, log of a non-positive value, negative base under a
     fractional power) surface as EvaluationError when a point is
     evaluated, not at parse time.

@@ -58,9 +58,7 @@ def zeros_of(traj, target, span=None):
     mesh = traj.mesh
     col = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}[target]
     fmesh = traj.states[:, col]
-    i0, i1 = np.searchsorted(mesh, [lo, hi])
-    i0 = max(i0, 0)
-    i1 = min(i1, len(mesh))
+    i0, i1 = np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right")
     if i1 - i0 < 2:
         return np.array([])
     f = fmesh[i0:i1]

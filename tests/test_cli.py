@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +138,47 @@ def test_nonpositive_q_fails_before_integrating(monkeypatch, capsys, eq, xmax,
         err = capsys.readouterr().err
         assert "NonOscillatoryError" in err
         assert f"q <= 0 on [1, {last_bad}]" in err
+
+
+@pytest.mark.parametrize("eq, stretch", [
+    ("(x - 20)^2 - 0.01", "q <= 0 on [19.9"),
+    ("(x - 10)^2 - 0.0001", "q <= 0 on [9.99"),
+])
+def test_narrow_nonpositive_dip_is_caught_at_the_mesh_nodes(capsys, eq, stretch):
+    # both dips fall between two points of the predicate grid
+    start = time.perf_counter()
+    code = main(["analyze", "--eq", eq, "--x0", "1", "--xmax", "50"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "NonOscillatoryError" in err and stretch in err and "mesh nodes" in err
+
+
+def test_q_too_large_for_the_node_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    code = main(["analyze", "--eq", "exp(x)", "--xmax", "50"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "IntegrationError" in err and "q is too large" in err
+    assert "node budget" in err and "singular" not in err
+
+
+def test_coarse_cauchy_euler_near_the_threshold_is_l_infinite():
+    report = cmd_analyze(RunConfig(equation="cauchy-euler", params={"gamma": 1.026},
+                                   xmax=265.295, rtol=1e-3))
+    assert report["classification"] == "L-infinite"
+
+
+def test_analyze_reports_integration_counters():
+    cfg = dict(equation="inverse-x", xmax=100.0)
+    diag = cmd_analyze(RunConfig(**cfg))["diagnostics"]
+    assert {"mesh_nodes", "integration_passes", "q_points"} <= set(diag)
+    assert diag["integration_passes"] >= 2
+    assert diag["q_points"] > 5 * diag["mesh_nodes"]
+    again = cmd_analyze(RunConfig(**cfg))["diagnostics"]
+    for key in ("mesh_nodes", "integration_passes", "q_points"):
+        assert isinstance(diag[key], int) and again[key] == diag[key]
 
 
 def test_byte_identical_cli_output(tmp_path):

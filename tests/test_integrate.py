@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def test_interpolant_midpoint_residual(run_genairy):
     res = np.abs(vals["y1pp"] + q * vals["y1"])
     scale = np.maximum(np.abs(vals["y1"]), np.abs(vals["y1p"]))
     assert np.all(res <= 10.0 * traj.rtol * scale)
+
+
+def test_interpolated_derivative_is_smooth_at_roundoff_level(run_constant):
+    # steps of 1e-9 resolve y' to about 1e-6 only if its roundoff stays
+    # near 1e-15: basis roundoff times y/h would give about 5e-12
+    traj = run_constant.traj
+    xs = np.linspace(0.5, 49.5, 997)
+    lo, hi = traj.evaluate(xs, nder=2), traj.evaluate(xs + 1e-9, nder=1)
+    slope = (hi["y1p"] - lo["y1p"]) / ((xs + 1e-9) - xs)
+    assert np.max(np.abs(slope - lo["y1pp"])) <= 1e-4
 
 
 def test_wronskian_constant_on_refined_mesh(run_genairy):
@@ -134,37 +145,53 @@ def test_error_conditions():
 
 
 def _counting(model, counts):
+    """The model with every scalar call counted and every array call of
+    q and q' recorded as (points, values)."""
     def scalar(f):
         def g(x):
             counts["scalar"] += 1
             return f(x)
         return g
 
-    def array(f):
+    def array(f, key):
         def g(xs):
-            counts["points"] += np.size(xs)
-            return f(xs)
+            out = f(xs)
+            counts[key].append((np.array(xs), out))
+            return out
         return g
 
     return EquationModel(model.source, model.x0, model.params,
                          q=scalar(model.q), qp=scalar(model.q_prime),
-                         qpp=scalar(model.q_second), q_arr=array(model.q_array),
-                         qp_arr=array(model.q_prime_array),
-                         qpp_arr=array(model.q_second_array))
+                         qpp=scalar(model.q_second), q_arr=array(model.q_array, "q"),
+                         qp_arr=array(model.q_prime_array, "qp"),
+                         qpp_arr=array(model.q_second_array, "qpp"))
 
 
 def test_restated_pairs_reuse_node_values_of_q():
-    counts = {"scalar": 0, "points": 0}
+    counts = {"scalar": 0, "q": [], "qp": [], "qpp": []}
     model = _counting(catalog_get("gen-airy", {"nu": 0.4}), counts)
     traj = integrate_pair(model, (0.0, 2.0), (1.0, 0.0), 20.0)
-    assert counts["points"] == 2 * len(traj.mesh)  # q and q' at the nodes
-    counts.update(scalar=0, points=0)
+    assert counts["scalar"] == 0 and not counts["qpp"]
+    assert traj.q_points == sum(xs.size for xs, _ in counts["q"])
+    # q_nodes are the node values of the final pass; after them that pass
+    # evaluates q only at the interior stage nodes, and q' once at the nodes
+    last = max(k for k, (xs, _) in enumerate(counts["q"])
+               if np.array_equal(xs, traj.mesh))
+    assert np.array_equal(counts["q"][last][1], traj.q_nodes)
+    after = counts["q"][last + 1:]
+    assert sum(xs.size for xs, _ in after) == 4 * (len(traj.mesh) - 1)
+    assert not any(np.isin(xs, traj.mesh).any() for xs, _ in after)
+    assert [xs.size for xs, _ in counts["qp"]] == [len(traj.mesh)]
+
+    for key in ("q", "qp"):
+        counts[key].clear()
     norm = normalize_unit_wronskian(traj)
     moved = transform_pair(norm, (1.3, 0.4, -0.2, 0.92 / 1.3))
-    assert counts == {"scalar": 0, "points": 0}
+    assert counts == {"scalar": 0, "q": [], "qp": [], "qpp": []}
     for new in (norm, moved):
         assert new.mesh is traj.mesh
         assert new.q_nodes is traj.q_nodes and new.qp_nodes is traj.qp_nodes
+        assert (new.passes, new.q_points) == (traj.passes, traj.q_points)
     # the same trajectory as one built through the public constructor
     rebuilt = PairTrajectory(model, traj.mesh, moved.states, moved.w,
                              traj.rtol, traj.atol)
@@ -173,9 +200,67 @@ def test_restated_pairs_reuse_node_values_of_q():
         assert np.array_equal(vals, rebuilt.evaluate(xs, nder=2)[key])
 
 
+def _sequential_states(traj):
+    """Oracle: one plain Dormand-Prince 5(4) step after another on the
+    trajectory's own mesh, each stage from the state vectors."""
+    a = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+    b = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+    c = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+    q = traj.model.q
+
+    def rhs(x, u):
+        qx = q(x)
+        return np.array([u[1], -qx * u[0], u[3], -qx * u[2]])
+
+    out = [traj.states[0]]
+    for x, h in zip(traj.mesh[:-1], np.diff(traj.mesh)):
+        u, ks = out[-1], []
+        for aj, cj in zip(a, c):
+            ks.append(rhs(x + cj * h, u + h * sum(w * k for w, k in zip(aj, ks))))
+        out.append(u + h * sum(w * k for w, k in zip(b, ks)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, params, xmax", [
+    ("constant", {"c": 1.0}, 20.0), ("gen-airy", {"nu": 0.4}, 20.0),
+    ("cauchy-euler", {"gamma": 1.0}, 500.0)])
+def test_transfer_products_match_sequential_steps(name, params, xmax):
+    traj = integrate_pair(catalog_get(name, params), (0.3, 1.2), (0.9, -0.4), xmax)
+    ref = _sequential_states(traj)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.max(np.abs(traj.states - ref) / scale) <= 1e-13
+
+
+def test_integration_counters_repeat():
+    model = catalog_get("inverse-x")
+    runs = [integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 100.0) for _ in range(2)]
+    assert runs[0].passes >= 2 and runs[0].q_points > 5 * len(runs[0].mesh)
+    assert (runs[0].passes, runs[0].q_points) == (runs[1].passes, runs[1].q_points)
+    assert np.array_equal(runs[0].states, runs[1].states)
+
+
+def test_node_budget_refuses_a_large_q_before_any_pass():
+    # sqrt(exp(x)) gives a phase of ~1.4e11 rad on [1, 50]
+    counts = {"scalar": 0, "q": [], "qp": [], "qpp": []}
+    model = _counting(parse_q("exp(x)"), counts)
+    with pytest.raises(IntegrationError) as err:
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 50.0)
+    message = str(err.value)
+    assert "q is too large" in message and "node budget" in message
+    assert 5e11 < float(re.search(r"about (\S+) nodes", message).group(1)) < 2e12
+    assert "singular" not in message
+    assert 1.0 < err.value.x < 50.0
+    assert len(counts["q"]) == 1  # the starting grid only
+    with pytest.raises(IntegrationError, match="node budget of 100;"):
+        integrate_pair(catalog_get("constant"), (0.0, 1.0), (1.0, 0.0), 50.0,
+                       max_steps=100)
+
+
 def test_stalled_integration_raises_near_the_pole():
-    # the step settles at ~1e-12 short of the regular singular point x = 5
-    # and is accepted forever; the guard stops it long before MAX_STEPS
+    # near the regular singular point x = 5 the error estimates reach
+    # their roundoff floor, where a smaller step cannot pass either
     model = parse_q("1/(x - 5)", x0=1.0)
     with pytest.raises(IntegrationError) as err:
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 20.0)
@@ -184,8 +269,8 @@ def test_stalled_integration_raises_near_the_pole():
 
 
 def test_stall_guard_lets_a_growing_step_through():
-    # q = gamma^2/x^2 caps the step at 0.0015 x: 1000 steps from x0 = 1
-    # cover less than 1/1000 of the span, at a pace that grows every window
+    # q = gamma^2/x^2 caps the step at 0.0015 x, so the steps grow by a
+    # factor 5e7 over the span
     model = catalog_get("cauchy-euler", {"gamma": 100.0})
     traj = integrate_pair(model, (1.0, 0.0), (0.0, 1.0), 5e7)
     assert traj.mesh[-1] == 5e7

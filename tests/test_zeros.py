@@ -6,7 +6,7 @@ import pytest
 
 from oscpairs import zeros
 from oscpairs.errors import ParameterError, WindowError
-from oscpairs.integrate import integrate_pair, normalize_unit_wronskian
+from oscpairs.integrate import PairTrajectory, integrate_pair, normalize_unit_wronskian
 from oscpairs.principal import find_principal, transform_pair
 from oscpairs.qfunc import catalog_get
 from oscpairs.zeros import critical_point_residual, gap_table, zeros_of
@@ -238,3 +238,16 @@ def test_newton_two_cycle_stops_early(monkeypatch):
         51.487747327857875])
     assert got.shape == before.shape
     assert np.max(np.abs(got - before) / before) <= 1e-12
+
+
+def test_zeros_of_scans_the_last_mesh_interval(run_constant):
+    # cut the sin/cos run at the first node past pi, so that the zero of
+    # sin x lies between the last two nodes
+    full = run_constant.traj
+    k = int(np.searchsorted(full.mesh, math.pi))
+    traj = PairTrajectory(full.model, full.mesh[:k + 1], full.states[:k + 1],
+                          full.w, full.rtol, full.atol)
+    for span in (None, (traj.x0, traj.xmax)):
+        got = zeros_of(traj, "y1", span)
+        assert got[0] == 0.0 and len(got) == 2  # x0 = 0 is a node-exact zero
+        assert got[1] == pytest.approx(math.pi, abs=1e-10)
