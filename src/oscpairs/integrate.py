@@ -428,6 +428,21 @@ def _stalled(mesh, fails, passes):
         "its error test (q singular near x?)", x=float(mesh[k]))
 
 
+def _skip_overflow(mesh, states, err, fails):
+    """Steps past the first node where the states overflow cannot be
+    judged: leave them out of the refinement (in place).  If every step
+    before that node passes, the overflow is the solutions' own growth
+    and the run ends."""
+    inf = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if inf.size and inf[0] > 1:
+        k = inf[0]
+        if not fails[:k - 1].any():
+            raise IntegrationError(
+                f"the solutions overflow at x = {mesh[k]:.6g} (they grow "
+                "without bound where q < 0?)", x=float(mesh[k]))
+        err[k - 1:], fails[k - 1:] = 0.0, False
+
+
 def _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps, what):
     """The mesh for the next pass.
 
@@ -508,6 +523,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             fails = ~(err <= np.diff(mesh))  # error per unit step
             if not fails.any():
                 break
+            _skip_overflow(mesh, states, err, fails)
             if passes == _MAX_PASSES:
                 _stalled(mesh, fails, passes)
             mesh = _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps,

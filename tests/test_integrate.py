@@ -268,6 +268,16 @@ def test_stalled_integration_raises_near_the_pole():
     assert 4.999 < err.value.x < 5.0
 
 
+def test_overflowing_solutions_end_the_run():
+    # with q = -1 the solutions grow like e^x / 2, past 1.8e308 near x = 710
+    model = parse_q("-1")
+    with pytest.raises(IntegrationError, match="overflow") as err:
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 800.0)
+    assert 709.0 < err.value.x < 715.0
+    traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 600.0)
+    assert traj.states[-1, 0] == pytest.approx(math.sinh(599.0), rel=1e-6)
+
+
 def test_stall_guard_lets_a_growing_step_through():
     # q = gamma^2/x^2 caps the step at 0.0015 x, so the steps grow by a
     # factor 5e7 over the span
