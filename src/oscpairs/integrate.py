@@ -38,12 +38,12 @@ from .errors import IntegrationError, ParameterError
 # at x and x + h), stage rows, fifth-order weights and the weights of the
 # embedded error estimate (stage 7 is the FSAL stage at x + h)
 _C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9])
+_DC = np.diff(np.concatenate([[0.0], _C, [1.0]]))
 _A = ((1 / 5,),
       (3 / 40, 9 / 40),
       (44 / 45, -56 / 15, 32 / 9),
       (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DC = np.diff(np.concatenate([[0.0], _C, [1.0]]))
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 _E_ABS = sum(abs(e) for e in _E)
@@ -59,9 +59,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _START_CELLS = 128  # cells of the grid that samples the starting density
 _BLOCK = 8192  # steps per block of a pass: bounds the temporaries
-# near a singular point the failing steps shrink by at least _MIN_FACTOR
-# per pass until they reach the roundoff floor; far fewer passes than
-# this settle any regular q
+# the catalog settles in 4-6 passes; a failing step shrinks to no less
+# than _MIN_FACTOR of its size per pass
 _MAX_PASSES = 40
 _EPS = 2.220446049250313e-16
 
