@@ -457,98 +457,22 @@ def parse_expression(text, params=None):
 # ---------------------------------------------------------------------------
 # compilation
 #
-# A tree compiles into one scalar function, generated as Python source
-# because the integrator calls it a few times per step, and one numpy
-# array function, a walk of the tree whose cost is dominated by numpy on
-# whole meshes.  The generated source is built from fixed tokens only
-# (operators, t<k> temporaries, c<k> constants and the library names
-# below); constants are bound as arguments of the enclosing factory, never
-# written as literals, so no text of the parsed expression reaches `exec`.
-
-_BINOPS = {Add: "+", Sub: "-", Mul: "*"}
-_CALLS = {"sin": "_sin", "cos": "_cos", "exp": "_exp", "log": "_log",
-          "sqrt": "_sqrt", "abs": "_abs"}
-_MAX_NESTING = 50  # deeper subexpressions go to a temporary
+# A tree compiles into its scalar tree walk and one numpy array function,
+# a walk of the tree whose cost is dominated by numpy on whole meshes.
 
 
 def _fin(t, ok):
-    """Clear ok where t is not finite; those points go to the scalar form."""
+    """Clear ok where t is not finite; those points go to the tree walk."""
     ok &= np.isfinite(t)
     return t
 
 
 def _pw(base, expo, ok):
-    # a zero base takes the scalar path too: its rules (0^-n raises,
+    # a zero base takes the tree walk too: its rules (0^-n raises,
     # (-0)^n is +0) differ from numpy's
     ok &= base != 0.0
     ok &= np.isfinite(expo)
     return _fin(np.power(base, expo), ok)
-
-
-class _Source:
-    def __init__(self):
-        self.consts = []
-        self.lines = []
-
-    def const(self, value):
-        self.consts.append(value)
-        return f"c{len(self.consts) - 1}"
-
-    def temp(self, expr):
-        name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
-        return name
-
-    def name(self, expr):
-        return expr if expr.isidentifier() else self.temp(expr)
-
-    def nest(self, expr):
-        """expr, moved to a temporary if its parentheses nest too deep."""
-        return self.temp(expr) if expr.count("(") > _MAX_NESTING else expr
-
-    def build(self, body, library):
-        """Run the generated factory, which binds the library (a dict of
-        fixed names) and the constants; returns the compiled function."""
-        args = ", ".join([*library, *(f"c{k}" for k in range(len(self.consts)))])
-        lines = [f"def factory({args}):", "    def f(x):"]
-        lines += [f"        {line}" for line in self.lines]
-        lines += [f"        return {body}", "    return f"]
-        namespace = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 -- fixed tokens only
-        return namespace["factory"](*library.values(), *self.consts)
-
-
-def _scalar_expr(node, src):
-    """Source equal to node.eval(x), bit for bit.  Operations that can
-    raise become statements, emitted in the order Node.eval evaluates, so
-    the first fault is the one the tree walk meets; at a domain fault the
-    compiled code calls the tree walk (`_tree`), which raises it."""
-    if isinstance(node, Num):
-        return src.const(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        return src.nest(f"(-{_scalar_expr(node.a, src)})")
-    if type(node) in _BINOPS:
-        a = _scalar_expr(node.a, src)
-        return src.nest(f"({a} {_BINOPS[type(node)]} {_scalar_expr(node.b, src)})")
-    if isinstance(node, Div):
-        den = src.name(_scalar_expr(node.b, src))  # Div.eval checks b first
-        if not (isinstance(node.b, Num) and node.b.value != 0.0):
-            src.lines.append(f"if {den} == 0.0: return _tree(x)")
-        return src.nest(f"({_scalar_expr(node.a, src)} / {den})")
-    if isinstance(node, Pow):
-        base = src.name(_scalar_expr(node.a, src))
-        expo = src.name(_scalar_expr(node.b, src))
-        return src.temp(f"{base} ** {expo} if {base} > 0.0 else _pow({base}, {expo}, x)")
-    if isinstance(node, Call) and node.fname in _CALLS:
-        u = src.name(_scalar_expr(node.a, src))
-        if node.fname == "log":
-            return src.temp(f"_tree(x) if {u} <= 0.0 else _log({u})")
-        if node.fname == "sqrt":
-            return src.temp(f"_tree(x) if {u} < 0.0 else _sqrt({u})")
-        return src.temp(f"{_CALLS[node.fname]}({u})")
-    raise EvaluationError(f"cannot compile {node!r}")
 
 
 _NP_BINOPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
@@ -559,7 +483,7 @@ _NP_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
 def _array_eval(node, x, ok):
     """node over a 1-d array x with numpy.  Every checked or library
     result passes through `_fin`, which clears `ok` where it is not
-    finite: a domain fault, an overflow the scalar form raises for, or a
+    finite: a domain fault, an overflow the tree walk raises for, or a
     fault hidden by a later operation (1/(1/x) at 0 is finite in numpy)."""
     if isinstance(node, Num):  # numpy scalar: 1/0 must not raise here
         return np.float64(node.value)
@@ -586,26 +510,11 @@ def _array_eval(node, x, ok):
 def compile_tree(tree):
     """Compile a tree into (scalar, array) functions of x.
 
-    scalar(x) returns exactly tree.eval(x) and raises the same
-    EvaluationError.  Its code is generated and compiled on its first
-    call, so a model whose scalar form nothing calls runs no `exec`.
-    array(xs) evaluates with numpy (within 2 ulp of the scalar form, as
-    numpy's exp, log and pow may differ from libm by an ulp) and
-    re-evaluates every point where a checked intermediate is not finite
-    through the scalar form, which raises at a domain fault.
+    scalar is tree.eval.  array(xs) evaluates with numpy (within 2 ulp of
+    the tree walk, as numpy's exp, log and pow may differ from libm by an
+    ulp) and re-evaluates every point where a checked intermediate is not
+    finite through the tree walk, which raises at a domain fault.
     """
-    compiled = []
-
-    def scalar(x):
-        if not compiled:
-            src = _Source()
-            body = _scalar_expr(tree, src)
-            compiled.append(src.build(body, {
-                "_tree": tree.eval, "_pow": _checked_pow, "_sin": math.sin,
-                "_cos": math.cos, "_exp": math.exp, "_log": math.log,
-                "_sqrt": math.sqrt, "_abs": abs}))
-        return compiled[0](x)
-
     def array(xs):
         xs = np.asarray(xs, dtype=float)
         flat = xs.reshape(-1)
@@ -616,7 +525,7 @@ def compile_tree(tree):
             out = np.array(np.broadcast_to(out, flat.shape))
         if not ok.all():
             bad = np.flatnonzero(~ok)
-            out[bad] = [scalar(float(v)) for v in flat[bad]]
+            out[bad] = [tree.eval(float(v)) for v in flat[bad]]
         return out.reshape(xs.shape)
 
-    return scalar, array
+    return tree.eval, array

@@ -246,6 +246,30 @@ def phase_unwrap(traj):
                      _traj=traj, _mesh_alpha=alpha)
 
 
+def _combined_phase(traj, phase, matrix):
+    """PhaseData of the pair M (y1, y2), M = ((a, b), (c, d)) with
+    ad - bc = 1, on the mesh of traj, from its node states and its
+    unwrapped phase; no quadrature.
+
+    tan(alpha_bar) is a Moebius map of tan(alpha), so alpha_bar - alpha is
+    a pi-periodic function of alpha whose range is shorter than pi.  The
+    arctangent of the combined pair, unwrapped against alpha shifted by
+    that difference at the first node, is therefore the continuous phase.
+    """
+    a, b, c, d = matrix
+    y1, d1, y2, d2 = traj.states.T
+    z1, p1 = a * y1 + b * y2, a * d1 + b * d2
+    z2, p2 = c * y1 + d * y2, c * d1 + d * d2
+    v = z1 * z1 + z2 * z2
+    raw = np.arctan2(z2, z1) if phase.swapped else np.arctan2(z1, z2)
+    near = phase.alpha + (raw[0] - phase.alpha[0])
+    alpha = raw + 2.0 * math.pi * np.round((near - raw) / (2.0 * math.pi))
+    return PhaseData(grid=traj.mesh, v=v, v_prime=2.0 * (z1 * p1 + z2 * p2),
+                     v_second=2.0 * (p1 * p1 + p2 * p2) - 2.0 * traj.q_nodes * v,
+                     w=traj.w, swapped=phase.swapped, alpha=alpha,
+                     alpha_prime=1.0 / v)
+
+
 def _coeff_triple(coeffs):
     if hasattr(coeffs, "A"):
         return float(coeffs.A), float(coeffs.B), float(coeffs.C)

@@ -18,9 +18,11 @@ oscillatory part (K1 = K2 = 0).  The finder minimizes the sample
 variance of vbar' over a tail window.  That variance is a quadratic form
 w^T Sigma w in w = (A, B, C) and the constraint is w^T J w = 1 with J the
 Gram matrix of AB - C^2, so the minimizer is the one eigenvector of
-Sigma w = lambda J w with w^T J w > 0; a Newton polish then removes the
-bias of the finite window.  The classifier examines the limit behaviour
-of vbar and vbar' over dyadic windows.
+Sigma w = lambda J w with w^T J w > 0.  The finite window biases that
+minimizer; once the sin/cos(2 alpha) basis is fixed, the condition that
+the fitted oscillatory amplitudes of vbar' vanish is linear in w, and its
+root on the sheet, also in closed form, removes the bias.  The classifier
+examines the limit behaviour of vbar and vbar' over dyadic windows.
 """
 
 import math
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, WindowError
-from .phasekit import phase_unwrap
+from .phasekit import _combined_phase, phase_unwrap
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 _RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
@@ -158,8 +160,8 @@ def _residual_design(phase, window):
 
     The slice is trimmed to a whole number of 2*alpha periods (so smooth
     trends do not leak into the oscillatory amplitudes through boundary
-    terms) and the trend is absorbed by a polynomial whose degree grows
-    with the number of periods available.
+    terms) and the trend is absorbed by a Chebyshev series whose degree
+    grows with the number of periods available.
     """
     sl = _window_indices(phase.grid, window)
     alpha = phase.alpha[sl]
@@ -175,9 +177,8 @@ def _residual_design(phase, window):
     t = 2.0 * (x - x[0]) / (x[-1] - x[0]) - 1.0
     periods = abs(alpha[-1] - alpha[0]) / math.pi
     degree = 7 if periods >= 2.0 else (3 if periods >= 1.0 else 1)
-    cols = [t ** k for k in range(degree + 1)]
-    cols += [np.sin(2.0 * alpha), np.cos(2.0 * alpha)]
-    return sl, np.column_stack(cols)
+    trend = np.polynomial.chebyshev.chebvander(t, degree)
+    return sl, np.column_stack([trend, np.sin(2.0 * alpha), np.cos(2.0 * alpha)])
 
 
 def _oscillation_residual(phase, window):
@@ -217,15 +218,18 @@ def find_principal(traj, window=None):
 
     Minimizes the sample variance w^T Sigma w of vbar' over the window,
     subject to AB - C^2 = 1, A > 0, in closed form (``_sheet_minimizer``),
-    then polishes (A, B, C) by Newton steps that zero the fitted
-    sin/cos(2 alpha) amplitudes of vbar'; when the polish gives up, the
-    variance minimizer is kept.  The window defaults to the last quarter
-    of the span and grows leftward when it holds fewer than 3 periods of
-    2*alpha (short-span runs still resolve the combination when v' is
-    close to constant).  ``diagnostics`` records the Newton steps taken
-    (``polish_steps``), whether the polish was abandoned
-    (``polish_fallback``) and the refined phase intervals of the input
-    pair (``refined_intervals``).
+    then polishes (A, B, C) to the point of the sheet where the fitted
+    sin/cos(2 alpha) amplitudes of vbar' vanish, also in closed form; a
+    polish that would leave the neighbourhood of the variance minimizer
+    keeps the minimizer.  The phase is unwrapped once, for the input pair;
+    the phase of every combination follows from it (``_combined_phase``).
+    The window defaults to the last quarter of the span and grows leftward
+    when it holds fewer than 3 periods of 2*alpha (short-span runs still
+    resolve the combination when v' is close to constant).
+    ``diagnostics`` records the polish passes applied (``polish_steps``),
+    whether the polish was abandoned (``polish_fallback``) and, for the
+    input pair's phase, the refined intervals (``refined_intervals``) and
+    the largest quadrature-vs-arctangent mismatch (``alpha_mismatch_max``).
     """
     if not traj.unit_wronskian:
         raise ParameterError("normalize the pair before searching (|w| != 1)")
@@ -243,8 +247,7 @@ def find_principal(traj, window=None):
     sl = _window_indices(phase.grid, window)
     alpha_span = abs(phase.alpha[sl][-1] - phase.alpha[sl][0])
 
-    y1, d1 = traj.states[sl, 0], traj.states[sl, 1]
-    y2, d2 = traj.states[sl, 2], traj.states[sl, 3]
+    y1, d1, y2, d2 = traj.states[sl].T
     g = np.vstack([2.0 * y1 * d1, 2.0 * y2 * d2, 2.0 * (d1 * y2 + y1 * d2)])
     mu = g.mean(axis=1)
     cov = (g @ g.T) / g.shape[1] - np.outer(mu, mu)
@@ -252,50 +255,32 @@ def find_principal(traj, window=None):
 
     # The variance optimum is biased by the covariance of the smooth
     # trend of vbar' with the oscillatory basis over a finite window.
-    # Polish by solving for the combination whose fitted sin/cos(2 alpha)
-    # amplitudes vanish: with the phase basis frozen those amplitudes are
-    # linear in (A, B, C), leaving a 2x2 Newton problem in (p, m).
+    # With the phase basis frozen, the fitted sin/cos(2 alpha) amplitudes
+    # of vbar' are linear in w, F = amps w, so they vanish on the sheet
+    # at the cross product of the two rows of amps, scaled to w^T J w = 1.
     p, m = float(w0[0]), float(w0[2])
     steps, ok = 0, True
     for _ in range(2):
         coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
-        transformed = transform_pair(traj, coefficient_matrix(coeffs))
-        phase_t = phase_unwrap(transformed)
-        sl2, X = _residual_design(phase_t, window)
-        y1w, d1w = traj.states[sl2, 0], traj.states[sl2, 1]
-        y2w, d2w = traj.states[sl2, 2], traj.states[sl2, 3]
-        gcols = np.column_stack([2.0 * y1w * d1w, 2.0 * y2w * d2w,
-                                 2.0 * (d1w * y2w + y1w * d2w)])
-        amps, *_ = np.linalg.lstsq(X, gcols, rcond=None)
-        u, vv, ww = amps[-2:, 0], amps[-2:, 1], amps[-2:, 2]
-        for _ in range(5):
-            F = p * u + ((1.0 + m * m) / p) * vv + m * ww
-            Jac = np.column_stack([u - ((1.0 + m * m) / (p * p)) * vv,
-                                   ww + (2.0 * m / p) * vv])
-            try:
-                delta = np.linalg.solve(Jac, -F)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            step = float(np.max(np.abs(delta)))
-            if not math.isfinite(step) or step > 0.25 * max(p, 1.0):
-                ok = False
-                break
-            p, m = p + float(delta[0]), m + float(delta[1])
-            steps += 1
-            if p <= 0:
-                ok = False
-                break
-            if step < 1e-14 * (1.0 + abs(p) + abs(m)):
-                break
+        phase_t = _combined_phase(traj, phase, coefficient_matrix(coeffs))
+        sl2, X = _residual_design(phase_t, window)  # sl trimmed on the left
+        amps, *_ = np.linalg.lstsq(X, g[:, sl2.start - sl.start:].T, rcond=None)
+        n = np.cross(amps[-2], amps[-1])
+        jnorm = float(n @ _J @ n)
+        ok = 0.0 < jnorm < math.inf
+        if ok:
+            n /= math.copysign(math.sqrt(jnorm), n[0])
+            ok = max(abs(n[0] - p), abs(n[2] - m)) <= 0.25 * max(p, 1.0)
         if not ok:
-            p, m = float(w0[0]), float(w0[2])
             break
+        p, m = float(n[0]), float(n[2])
+        steps += 1
+    if not ok:
+        p, m = float(w0[0]), float(w0[2])
 
     coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
     matrix = coefficient_matrix(coeffs)
-    transformed = transform_pair(traj, matrix)
-    phase_t = phase_unwrap(transformed)
+    phase_t = _combined_phase(traj, phase, matrix)
     k1, k2 = _oscillation_residual(phase_t, window)
     w = np.array([coeffs.A, coeffs.B, coeffs.C])
     fbest = float(w @ cov @ w)
@@ -306,7 +291,8 @@ def find_principal(traj, window=None):
         diag["residual_above_tol"] = residual
     diag.update({"window_expanded": expanded, "alpha_span": alpha_span,
                  "polish_steps": steps, "polish_fallback": not ok,
-                 "refined_intervals": phase.refined_intervals})
+                 "refined_intervals": phase.refined_intervals,
+                 "alpha_mismatch_max": phase.alpha_mismatch_max})
     return PrincipalReport(coeffs=coeffs, classification=tag, L=L, K=K,
                            k1_est=k1, k2_est=k2, objective=fbest,
                            window=(float(window[0]), float(window[1])),

@@ -168,9 +168,9 @@ def parse_q(expr, params=None, x0=1.0):
     """Build a model from an arithmetic expression in x.
 
     q' and q'' come from symbolic differentiation of the parsed tree, and
-    each of the three trees becomes a scalar and a numpy array function
-    (`expressions.compile_tree`); a scalar form is compiled on its first
-    call, and the integrator calls only the array forms.  Domain problems
+    each of the three trees becomes a scalar function, its tree walk, and
+    a numpy array function (`expressions.compile_tree`); the integrator
+    calls only the array forms.  Domain problems
     (division by zero, log of a non-positive value, negative base under a
     fractional power) surface as EvaluationError when a point is
     evaluated, not at parse time.

@@ -61,10 +61,14 @@ def test_analyze_reports_finder_diagnostics():
     report = cmd_analyze(RunConfig(equation="constant", params={"c": 1.0},
                                    xmax=50.0))
     diag = report["diagnostics"]
-    assert {"polish_steps", "polish_fallback", "refined_intervals"} <= set(diag)
+    assert {"polish_steps", "polish_fallback", "refined_intervals",
+            "alpha_mismatch_max"} <= set(diag)
     assert isinstance(diag["polish_steps"], int) and diag["polish_steps"] >= 0
     assert diag["polish_fallback"] is False
     assert isinstance(diag["refined_intervals"], int)
+    # the input pair's quadrature-vs-arctangent check, below its 1e-4 bound
+    assert 0.0 <= diag["alpha_mismatch_max"] <= 1e-4
+    assert '"alpha_mismatch_max": ' in to_json(report)
 
 
 def test_json_float_formatting():

@@ -5,10 +5,10 @@ import pytest
 
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import integrate_pair, normalize_unit_wronskian, sample
-from oscpairs.phasekit import (_integrate_inv_v_local, _inv_v_derivatives,
-                               _phase_increments, amplitude_series,
-                               appell_residual, phase_unwrap, prufer_polar,
-                               wronskian)
+from oscpairs.phasekit import (_combined_phase, _integrate_inv_v_local,
+                               _inv_v_derivatives, _phase_increments,
+                               amplitude_series, appell_residual,
+                               phase_unwrap, prufer_polar, wronskian)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import unimodular_scrambles
@@ -116,6 +116,26 @@ def test_alpha_at_matches_arctangent(run_genairy):
     raw = np.arctan2(st[:, 0], st[:, 2])
     delta = alpha - raw
     assert np.max(np.abs(delta - 2 * math.pi * np.round(delta / (2 * math.pi)))) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["run_constant", "run_genairy",
+                                     "run_inversex", "run_ce"])
+def test_combined_phase_matches_quadrature(request, fixture):
+    # the phase of M (y1, y2) from the input's phase, against the
+    # quadrature of the combined pair, within the C8 bound; the flipped
+    # input (w = +1) unwraps in swapped order
+    traj = request.getfixturevalue(fixture).traj
+    scrambles = [M for M in unimodular_scrambles(1)
+                 if M[0] * M[3] - M[1] * M[2] > 0][:2]
+    for pair in (traj, transform_pair(traj, (0.0, 1.0, 1.0, 0.0))):
+        phase = phase_unwrap(pair)
+        for M in scrambles:
+            got = _combined_phase(pair, phase, M)
+            want = phase_unwrap(transform_pair(pair, M))
+            assert got.swapped == want.swapped == (pair.w > 0)
+            assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-7
+            for name in ("v", "v_prime", "v_second", "alpha_prime"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_appell_identity_constant(run_constant):

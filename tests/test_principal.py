@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oscpairs import principal
 from oscpairs.errors import IllConditionedError, ParameterError
 from oscpairs.phasekit import amplitude_series, phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
@@ -276,6 +277,28 @@ def test_scramble_recovery_matches_unscrambled(run_inversex):
         rep = find_principal(scr)
         ph = phase_unwrap(transform_pair(scr, rep.matrix))
         assert np.max(np.abs(ph.v[tail] - vref) / vref) <= 1e-5
+
+
+def test_find_principal_unwraps_only_its_input(run_inversex, monkeypatch):
+    # the phase of every combination follows from the input's phase, so
+    # the finder runs one quadrature and builds no transformed trajectory
+    calls = {"phase_unwrap": 0, "transform_pair": 0}
+
+    def counted(name):
+        inner = getattr(principal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    scr = transform_pair(run_inversex.traj, unimodular_scrambles(7, n=1)[0])
+    for name in calls:
+        monkeypatch.setattr(principal, name, counted(name))
+    rep = principal.find_principal(scr)
+    assert calls == {"phase_unwrap": 1, "transform_pair": 0}
+    assert rep.diagnostics["polish_steps"] == 2
+    assert not rep.diagnostics["polish_fallback"]
 
 
 def test_find_principal_deterministic(run_ce):

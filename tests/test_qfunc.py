@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from oscpairs import expressions
 from oscpairs.errors import ParameterError
-from oscpairs.integrate import integrate_pair, normalize_unit_wronskian
-from oscpairs.phasekit import phase_unwrap
 from oscpairs.qfunc import CATALOG_NAMES, catalog_get, parse_q
 
 FD_TOL = 1e-6
@@ -147,23 +144,3 @@ def test_parsed_array_evaluation_matches_scalar(expr, params):
         got = arr(xs)
         assert got.shape == xs.shape
         assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
-
-
-def test_parsed_scalar_forms_compile_on_first_use(monkeypatch):
-    builds = []
-    build = expressions._Source.build
-
-    def counted(self, body, library):
-        builds.append(body)
-        return build(self, body, library)
-
-    monkeypatch.setattr(expressions._Source, "build", counted)
-    m = parse_q("g^2/x^2", {"g": 1.0})
-    traj = integrate_pair(m, (0.0, 1.0), (1.0, 0.0), 50.0)
-    phase_unwrap(normalize_unit_wronskian(traj))
-    assert builds == []  # the pipeline runs on the array forms
-    assert m.q(2.0) == 0.25
-    assert len(builds) == 1
-    m.evaluate(2.0)
-    m.evaluate(3.0)
-    assert len(builds) == 3  # q' and q'' once each
