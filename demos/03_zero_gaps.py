@@ -10,16 +10,14 @@ import math
 
 import numpy as np
 
-from oscpairs import (catalog_get, find_principal, gap_table, integrate_pair,
-                      phase_unwrap, transform_pair)
+from oscpairs import catalog_get, find_principal, gap_table, integrate_pair
 
 
 def principal_pair(name, params, xmax):
     model = catalog_get(name, params)
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), xmax)
     report = find_principal(traj)
-    pair = transform_pair(traj, report.matrix)
-    return pair, phase_unwrap(pair)
+    return report.pair, report.phase
 
 
 # --- decaying v': gaps shrink like x^-2

@@ -8,6 +8,7 @@ stalled integration), 4 verification failure.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -16,9 +17,13 @@ import numpy as np
 from . import verify
 from .errors import NonOscillatoryError, OscpairsError, ParameterError, ParseError
 from .integrate import integrate_pair, normalize_unit_wronskian
-from .phasekit import appell_residual, phase_unwrap
-from .principal import (find_principal, predicate_grid, sufficient_conditions,
-                        transform_pair)
+from .phasekit import appell_residual
+from .principal import find_principal, predicate_grid, sufficient_conditions
+# not called here since the finder hands back the principal pair and its
+# phase; the traced benchmark run (perfbench/tracing.py) still rebinds
+# both names in this module
+from .phasekit import phase_unwrap  # noqa: F401
+from .principal import transform_pair  # noqa: F401
 from .qfunc import CATALOG_NAMES, catalog_get, parse_q
 from .zeros import gap_table
 
@@ -59,31 +64,38 @@ def build_model(config):
                    x0=1.0 if config.x0 is None else config.x0)
 
 
-def _refuse_nonpositive(xs, q, where):
-    """NonOscillatoryError naming the stretches of xs where q <= 0."""
+def _refuse_nonpositive(lo, hi, q, where):
+    """NonOscillatoryError naming the stretches where q <= 0; q[i] is the
+    least q seen on [lo[i], hi[i]] (lo = hi for sample points)."""
     bad = np.concatenate([[False], q <= 0.0, [False]])
     if bad.any():
         ends = np.flatnonzero(bad[1:] != bad[:-1]).reshape(-1, 2)
-        runs = ", ".join(f"[{xs[i]:.6g}, {xs[j - 1]:.6g}]" for i, j in ends)
+        runs = ", ".join(f"[{lo[i]:.6g}, {hi[j - 1]:.6g}]" for i, j in ends)
         raise NonOscillatoryError(
             f"q <= 0 on {runs} ({where}); y'' + q y = 0 need not oscillate there")
 
 
 def _integrated_pair(config):
-    """The normalized default pair.  q <= 0 is refused twice: on the
-    predicate grid before any integration, so that the phase work
-    downstream does not fail only after the whole run, and at the mesh
-    nodes after it, which catches a dip between two grid points."""
+    """The normalized default pair.  q <= 0 is refused on the predicate
+    grid before any integration, so that the phase work downstream does
+    not fail only after the whole run, and after it at the mesh nodes and
+    then at the stage points of every step, which catch a dip between two
+    grid points and one between two mesh nodes."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
             f"xmax = {config.xmax} must exceed x0 = {model.x0}")
     xs = predicate_grid((model.x0, config.xmax))
-    _refuse_nonpositive(xs, model.q_array(xs), f"sampled at {len(xs)} log-spaced points")
+    _refuse_nonpositive(xs, xs, model.q_array(xs),
+                        f"sampled at {len(xs)} log-spaced points")
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), config.xmax,
                           rtol=config.rtol, atol=config.atol)
+    mesh = traj.mesh
     bad = int(np.count_nonzero(traj.q_nodes <= 0.0))
-    _refuse_nonpositive(traj.mesh, traj.q_nodes, f"at {bad} of {len(traj.mesh)} mesh nodes")
+    _refuse_nonpositive(mesh, mesh, traj.q_nodes, f"at {bad} of {len(mesh)} mesh nodes")
+    bad = int(np.count_nonzero(traj.q_step_min <= 0.0))
+    _refuse_nonpositive(mesh[:-1], mesh[1:], traj.q_step_min,
+                        f"at the stage points of {bad} of {len(mesh) - 1} steps")
     return model, normalize_unit_wronskian(traj)
 
 
@@ -146,9 +158,7 @@ def cmd_zeros(config):
     config.validate()
     model, traj = _integrated_pair(config)
     report = find_principal(traj, window=_window(config, traj))
-    principal_pair = transform_pair(traj, report.matrix)
-    phase = phase_unwrap(principal_pair)
-    table = gap_table(principal_pair, phase, (model.x0, config.xmax))
+    table = gap_table(report.pair, report.phase, (model.x0, config.xmax))
     return table.to_csv(include_summary=True)
 
 
@@ -214,7 +224,10 @@ def _parse_params(pairs):
     return params
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every main()
+    call in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oscpairs",
         description="Analyze oscillatory equations y'' + q(x) y = 0: phase "
@@ -261,9 +274,8 @@ def _error_json(exc, code):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 

@@ -20,7 +20,10 @@ node keeps its place.
 Error control is per unit step, so the accumulated error scales about
 linearly with rtol.  Dense output is a two-point Hermite interpolant of
 order 7 per solution, built from the stored (y, y') node values plus the
-equation-supplied y'' = -q y and y''' = -q' y - q y'.
+equation-supplied y'' = -q y and y''' = -q' y - q y'.  The solutions
+share the mesh and so the basis, which one evaluation computes once for
+both.  The final pass also keeps the least q at the stage points of each
+step, so that a dip to q <= 0 between two nodes can be refused.
 
 References
 ----------
@@ -89,6 +92,7 @@ _HD = _H[:, 1:] * np.arange(1, 8)
 # (y'' = -q y, y''' = -q' y - q y'); differentiating the order-7 y
 # interpolant twice instead would amplify roundoff by 1/h^2
 _H2 = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0]])
+_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]  # right-end (-1)^k
 
 
 def _polyval_many(coef, t):
@@ -111,6 +115,8 @@ class PairTrajectory:
     w       Wronskian y1 y2' - y1' y2 at the first node
     rtol, atol   tolerances the run used
     q_nodes, qp_nodes   q and q' at the nodes
+    q_step_min  smallest q at the stage points of each step, (N - 1,)
+                (None for a trajectory not built by integrate_pair)
     passes, q_points    integration passes and points at which q was
                         evaluated (0 for a trajectory not built by
                         integrate_pair)
@@ -120,28 +126,40 @@ class PairTrajectory:
     """
 
     __slots__ = ("model", "mesh", "states", "w", "rtol", "atol",
-                 "q_nodes", "qp_nodes", "passes", "q_points",
-                 "_fdata1", "_fdata2")
+                 "q_nodes", "qp_nodes", "q_step_min", "passes", "q_points",
+                 "_nodes")
 
     def __init__(self, model, mesh, states, w, rtol, atol, q_nodes=None,
-                 passes=0, q_points=0):
+                 passes=0, q_points=0, q_step_min=None):
         mesh = np.asarray(mesh, dtype=float)
         if mesh.ndim != 1 or len(mesh) < 2:
             raise ParameterError("trajectory needs at least two mesh nodes")
         q = model.q_array(mesh) if q_nodes is None else np.asarray(q_nodes, dtype=float)
         self._fill(model, mesh, states, w, rtol, atol,
-                   q, model.q_prime_array(mesh), passes, q_points)
+                   q, model.q_prime_array(mesh), q_step_min, passes, q_points)
 
     def _restated(self, states, w):
         """A trajectory of the same model on the same mesh with new node
-        states.  It shares mesh, q_nodes and qp_nodes (all read-only), so
-        q is not evaluated again, and keeps the integration counters."""
+        states.  It shares mesh, q_nodes, qp_nodes and q_step_min (all
+        read-only), so q is not evaluated again, and keeps the
+        integration counters."""
         new = object.__new__(PairTrajectory)
         new._fill(self.model, self.mesh, states, w, self.rtol, self.atol,
-                  self.q_nodes, self.qp_nodes, self.passes, self.q_points)
+                  self.q_nodes, self.qp_nodes, self.q_step_min, self.passes,
+                  self.q_points)
         return new
 
-    def _fill(self, model, mesh, states, w, rtol, atol, q, qp, passes, q_points):
+    def _combined(self, matrix, w):
+        """_restated with the node states combined by ((a, b), (c, d));
+        w is the Wronskian of the result."""
+        a, b, c, d = matrix
+        y1, p1, y2, p2 = self.states.T
+        # stored column by column, so that each column is contiguous
+        return self._restated(np.array([a * y1 + b * y2, a * p1 + b * p2,
+                                        c * y1 + d * y2, c * p1 + d * p2]).T, w)
+
+    def _fill(self, model, mesh, states, w, rtol, atol, q, qp, q_step_min,
+              passes, q_points):
         states = np.asarray(states, dtype=float)
         object.__setattr__(self, "passes", int(passes))
         object.__setattr__(self, "q_points", int(q_points))
@@ -153,14 +171,11 @@ class PairTrajectory:
         object.__setattr__(self, "atol", float(atol))
         object.__setattr__(self, "q_nodes", q)
         object.__setattr__(self, "qp_nodes", qp)
-        y1, d1, y2, d2 = states.T
-        object.__setattr__(self, "_fdata1",
-                           np.column_stack([y1, d1, -q * y1, -qp * y1 - q * d1]))
-        object.__setattr__(self, "_fdata2",
-                           np.column_stack([y2, d2, -q * y2, -qp * y2 - q * d2]))
-        for arr in (self.mesh, self.states, self.q_nodes, self.qp_nodes,
-                    self._fdata1, self._fdata2):
-            arr.setflags(write=False)
+        object.__setattr__(self, "q_step_min", q_step_min)
+        object.__setattr__(self, "_nodes", None)
+        for arr in (mesh, states, q, qp, q_step_min):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("PairTrajectory is immutable")
@@ -193,33 +208,20 @@ class PairTrajectory:
                       0, len(self.mesh) - 2)
         return xs, idx
 
-    def _component(self, fdata, xs, idx, nder):
-        """Evaluate the order-7 interpolant of one solution (and
-        derivatives up to nder) at xs with located interval ids."""
-        x0 = self.mesh[idx]
-        h = self.mesh[idx + 1] - x0
-        tau = (xs - x0) / h
-        sig = 1.0 - tau
-        f0 = fdata[idx]
-        f1 = fdata[idx + 1]
-        hk = np.stack([np.ones_like(h), h, h * h, h * h * h])  # (4, n)
-        sgn = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-        w0 = f0.T * hk                     # (4, n) left data scaled by h^k
-        w1 = f1.T * hk * sgn               # right data with (-1)^k
-        out = []
-        bt, bs = _polyval_many(_H, tau), _polyval_many(_H, sig)
-        out.append((w0 * bt).sum(axis=0) + (w1 * bs).sum(axis=0))
-        if nder >= 1:
-            # H_0' is symmetric, so the value terms give (y0 - y1) H_0'(tau):
-            # the roundoff of the basis then scales with y', not with y/h
-            dt, ds = _polyval_many(_HD, tau), _polyval_many(_HD, sig)
-            out.append(((f0[:, 0] - f1[:, 0]) * dt[0] + (w0[1:] * dt[1:]).sum(axis=0)
-                        - (w1[1:] * ds[1:]).sum(axis=0)) / h)
-        if nder >= 2:
-            b2t, b2s = _polyval_many(_H2, tau), _polyval_many(_H2, sig)
-            out.append(f0[:, 2] * b2t[0] + h * f0[:, 3] * b2t[1]
-                       + f1[:, 2] * b2s[0] - h * f1[:, 3] * b2s[1])
-        return out
+    def _node_table(self):
+        """(4, 2, N) table of y, y', y'' = -q y and y''' = -q' y - q y' of
+        both solutions at the nodes, derivative-major.  Built on first
+        use, so a trajectory that is never evaluated does not pay for it."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = np.empty((4, 2, len(self.mesh)))
+            nodes[:2] = self.states.T.reshape(2, 2, -1).transpose(1, 0, 2)
+            np.multiply(-self.q_nodes, nodes[0], out=nodes[2])
+            np.multiply(-self.qp_nodes, nodes[0], out=nodes[3])
+            nodes[3] -= self.q_nodes * nodes[1]
+            nodes.setflags(write=False)
+            object.__setattr__(self, "_nodes", nodes)
+        return nodes
 
     def evaluate(self, xs, nder=1):
         """Interpolated (y, y', ...) for both solutions at xs.
@@ -227,30 +229,50 @@ class PairTrajectory:
         Returns a dict with keys 'y1', 'y2' (and 'y1p', 'y2p' for
         nder >= 1, 'y1pp', 'y2pp' for nder == 2).  Node hits reproduce the
         stored states exactly.
+
+        The two solutions share each interval's tau = (x - x_i)/h and so
+        the Hermite basis: every basis table is run once, on tau and
+        1 - tau side by side, and meets the (4, 2, n) node data of both
+        solutions in one broadcast.
         """
         scalar = np.isscalar(xs)
         xs, idx = self._locate(np.atleast_1d(xs))
-        r1 = self._component(self._fdata1, xs, idx, nder)
-        r2 = self._component(self._fdata2, xs, idx, nder)
+        n = xs.size
+        nodes = self._node_table()
+        x0 = self.mesh[idx]
+        h = self.mesh[idx + 1] - x0
+        tau = (xs - x0) / h
+        both = np.concatenate([tau, 1.0 - tau])
+        # left node data in the first n columns, right node data after them
+        f = nodes.take(np.concatenate([idx, idx + 1]), axis=2)  # (4, 2, 2n)
+        h2 = np.concatenate([h, h])
+        w = f * np.stack([np.ones_like(h2), h2, h2 * h2, h2 * h2 * h2])[:, None]
+        # the right-end signs (-1)^k go on the basis, which is exact
+        b = _polyval_many(_H, both)
+        b[:, n:] *= _SIGNS
+        s = (w * b[:, None]).sum(axis=0)
+        out = [s[:, :n] + s[:, n:]]
+        if nder >= 1:
+            # H_0' is symmetric, so the value terms give (y0 - y1) H_0'(tau):
+            # the roundoff of the basis then scales with y', not with y/h
+            d = _polyval_many(_HD, both)
+            d[:, n:] *= -_SIGNS
+            s = (w[1:] * d[1:, None]).sum(axis=0)
+            out.append(((f[0, :, :n] - f[0, :, n:]) * d[0, :n] + s[:, :n] + s[:, n:]) / h)
+        if nder >= 2:
+            b2 = _polyval_many(_H2, both)
+            out.append(f[2, :, :n] * b2[0, :n] + h * f[3, :, :n] * b2[1, :n]
+                       + f[2, :, n:] * b2[0, n:] - h * f[3, :, n:] * b2[1, n:])
         # exact node hits: return stored data bit-for-bit
-        for node_idx, take in ((idx, xs == self.mesh[idx]),
-                               (idx + 1, xs == self.mesh[idx + 1])):
+        for node_idx, take in ((idx, xs == x0), (idx + 1, xs == self.mesh[idx + 1])):
             if take.any():
-                for d in range(min(nder, 1) + 1):
-                    r1[d][take] = self._fdata1[node_idx[take], d]
-                    r2[d][take] = self._fdata2[node_idx[take], d]
-                if nder >= 2:
-                    r1[2][take] = self._fdata1[node_idx[take], 2]
-                    r2[2][take] = self._fdata2[node_idx[take], 2]
+                for k, arr in enumerate(out):
+                    arr[:, take] = nodes[k][:, node_idx[take]]
         keys = (("y1", "y2"), ("y1p", "y2p"), ("y1pp", "y2pp"))
-        out = {}
-        for d in range(nder + 1):
-            a, b = r1[d], r2[d]
-            if scalar:
-                a, b = float(a[0]), float(b[0])
-            out[keys[d][0]] = a
-            out[keys[d][1]] = b
-        return out
+        res = {}
+        for (k1, k2), (a, b) in zip(keys, out):
+            res[k1], res[k2] = (float(a[0]), float(b[0])) if scalar else (a, b)
+        return res
 
 
 def sample(traj, x):
@@ -348,8 +370,8 @@ def _integration_pass(model, mesh, start, rtol, atol):
     start is the 2x2 matrix [[y1, y2], [y1', y2']] at mesh[0].  Returns
     the node states (N, 4) as (y1, y1', y2, y2'), the error norm of every
     step, the roundoff level of that norm (filled in only in blocks with
-    a failing step), the largest q at each step's stage nodes and q at
-    the nodes.
+    a failing step), the largest and the smallest q at each step's stage
+    nodes and q at the nodes.
     """
     n = len(mesh) - 1
     q_nodes = model.q_array(mesh)
@@ -357,6 +379,7 @@ def _integration_pass(model, mesh, start, rtol, atol):
     err = np.empty(n)
     noise = np.zeros(n)
     qmax = np.empty(n)
+    qmin = np.empty(n)
     s = start
     states[0] = s.T.ravel()
     for i in range(0, n, _BLOCK):
@@ -377,9 +400,10 @@ def _integration_pass(model, mesh, start, rtol, atol):
         if not (err[i:j] <= h).all():
             noise[i:j] = _norm(_estimate_noise(x, h, q, hk, before) / scale)
         qmax[i:j] = q.max(axis=0)
+        qmin[i:j] = q.min(axis=0)
         states[i + 1:j + 1] = after.transpose(2, 1, 0).reshape(-1, 4)
         s = after[:, :, -1].copy()
-    return states, err, noise, qmax, q_nodes
+    return states, err, noise, qmax, qmin, q_nodes
 
 
 def _equidistribute(xs, cum, max_steps, what):
@@ -516,7 +540,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     # NaN fails the error test
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for passes in range(1, _MAX_PASSES + 1):
-            states, err, noise, qmax, q_nodes = _integration_pass(
+            states, err, noise, qmax, qmin, q_nodes = _integration_pass(
                 model, mesh, start, rtol, atol)
             q_points += 5 * len(mesh) - 4
             fails = ~(err <= np.diff(mesh))  # error per unit step
@@ -527,8 +551,11 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                 _stalled(mesh, fails, passes)
             mesh = _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps,
                               f"rtol = {rtol:g}")
+            # only the mesh carries over: free this pass's arrays before
+            # the next pass allocates its own
+            del states, err, noise, qmax, qmin, q_nodes, fails
     return PairTrajectory(model, mesh, states, w0, rtol, atol, q_nodes=q_nodes,
-                          passes=passes, q_points=q_points)
+                          passes=passes, q_points=q_points, q_step_min=qmin)
 
 
 def normalize_unit_wronskian(traj):

@@ -127,25 +127,28 @@ def amplitude_series(traj, grid=None):
     return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp, w=traj.w)
 
 
-def _inv_v_derivatives(traj, y1, d1, y2, d2, q, qp):
+def _inv_v_derivatives(y1, d1, y2, d2, q, qp):
     """(f, f', f''') for the phase speed f = |w|/v from exact states.
 
     v'  = 2(y1 y1' + y2 y2'),  v'' = 2(y1'^2 + y2'^2) - 2 q v, and
     v''' = -4 q v' - 2 q' v along solutions, so all derivatives of the
-    quadrature integrand come out in closed form.  The local Wronskian
-    is used rather than its nominal constant: the pointwise arctangent
-    slope is exactly -w(x)/v, so this keeps the quadrature consistent
-    with the arctangent even across the integrator's tiny w drift.
+    quadrature integrand come out in closed form.  With r = 1/v and
+    g = v' r they are f = w r, f' = -f g and
+    f''' = f r (6 g (v'' - v' g) - v'''): one division and no powers.
+    The local Wronskian is used rather than its nominal constant: the
+    pointwise arctangent slope is exactly -w(x)/v, so this keeps the
+    quadrature consistent with the arctangent even across the
+    integrator's tiny w drift.
     """
     v = y1 * y1 + y2 * y2
     w = np.abs(y1 * d2 - d1 * y2)
     vp = 2.0 * (y1 * d1 + y2 * d2)
     vpp = 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
     vppp = -4.0 * q * vp - 2.0 * qp * v
-    f = w / v
-    f1 = -w * vp / v ** 2
-    f3 = w * (-vppp / v ** 2 + 6.0 * vp * vpp / v ** 3 - 6.0 * vp ** 3 / v ** 4)
-    return f, f1, f3
+    r = 1.0 / v
+    g = vp * r
+    f = w * r
+    return f, -f * g, f * r * (6.0 * g * (vpp - vp * g) - vppp)
 
 
 def _phase_increments(traj):
@@ -161,13 +164,26 @@ def _phase_increments(traj):
     (_refine_fast).
     """
     y1, d1, y2, d2 = traj.states.T
-    f, f1, f3 = _inv_v_derivatives(traj, y1, d1, y2, d2,
-                                   traj.q_nodes, traj.qp_nodes)
-    h = np.diff(traj.mesh)
-    inc = (0.5 * h * (f[:-1] + f[1:])
-           - h * h / 12.0 * (f1[1:] - f1[:-1])
-           + h ** 4 / 720.0 * (f3[1:] - f3[:-1]))
+    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, traj.q_nodes, traj.qp_nodes)
+    inc = _corrected_trapezoid(np.diff(traj.mesh), (f[:-1], f1[:-1], f3[:-1]),
+                               (f[1:], f1[1:], f3[1:]))
     return _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], inc)
+
+
+def _corrected_trapezoid(h, left, right):
+    """Euler-Maclaurin corrected trapezoid of f over panels of width h
+    from (f, f', f''') at their left and right ends."""
+    (fa, f1a, f3a), (fb, f1b, f3b) = left, right
+    return (0.5 * h * (fa + fb) - h * h / 12.0 * (f1b - f1a)
+            + h ** 4 / 720.0 * (f3b - f3a))
+
+
+def _inv_v_at(traj, xs):
+    """(f, f', f''') of the phase speed at points xs, from the dense
+    output and q there."""
+    vals = traj.evaluate(xs, nder=1)
+    return _inv_v_derivatives(vals["y1"], vals["y1p"], vals["y2"], vals["y2p"],
+                              traj.model.q_array(xs), traj.model.q_prime_array(xs))
 
 
 def _refine_fast(traj, lo, hi, inc):
@@ -175,39 +191,36 @@ def _refine_fast(traj, lo, hi, inc):
     the phase by more than _FAST_PANEL.
 
     Panel i is split into n_i = ceil(|inc_i| / _SUB_PANEL) equal
-    sub-panels with linspace edges (the last edge is exactly hi_i).  The
-    sub-panels of all fast panels go through one _integrate_inv_v_local
-    call and are summed back per panel.  Returns the updated increments
-    and the number of panels refined.
+    sub-panels with the n_i + 1 edges lo_i + k (hi_i - lo_i)/n_i, the
+    last one exactly hi_i.  Neighbouring sub-panels share an edge, so the
+    edges of all fast panels, laid end to end, are evaluated once, in one
+    batch; the sub-panels' corrected trapezoids are summed back per
+    panel.  Returns the updated increments and the number of panels
+    refined.
     """
     fast = np.nonzero(np.abs(inc) > _FAST_PANEL)[0]
     if fast.size == 0:
         return inc, 0
     n = np.ceil(np.abs(inc[fast]) / _SUB_PANEL).astype(np.intp)
-    owner = np.repeat(np.arange(fast.size), n)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    owner = np.repeat(np.arange(fast.size), n + 1)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
     lo_k, hi_k, n_k = lo[fast][owner], hi[fast][owner], n[owner]
     step = (hi_k - lo_k) / n_k
-    a = lo_k + k * step
-    b = np.where(k + 1 == n_k, hi_k, lo_k + (k + 1) * step)
-    sub = _integrate_inv_v_local(traj, a, b)
+    edges = np.where(k == n_k, hi_k, lo_k + k * step)
+    f, f1, f3 = _inv_v_at(traj, edges)
+    a = np.flatnonzero(k < n_k)  # left edge of every sub-panel
+    b = a + 1
+    sub = _corrected_trapezoid(edges[b] - edges[a], (f[a], f1[a], f3[a]),
+                               (f[b], f1[b], f3[b]))
     inc = inc.copy()
-    inc[fast] = np.bincount(owner, weights=sub)
+    inc[fast] = np.bincount(owner[a], weights=sub)
     return inc, int(fast.size)
 
 
 def _integrate_inv_v_local(traj, a, b):
     """Integral of 1/v over short sub-intervals [a, b] (corrected
     trapezoid with exact endpoint derivatives)."""
-    va = traj.evaluate(a, nder=1)
-    vb = traj.evaluate(b, nder=1)
-    qa, qpa = traj.model.q_array(a), traj.model.q_prime_array(a)
-    qb, qpb = traj.model.q_array(b), traj.model.q_prime_array(b)
-    fa, f1a, f3a = _inv_v_derivatives(traj, va["y1"], va["y1p"], va["y2"], va["y2p"], qa, qpa)
-    fb, f1b, f3b = _inv_v_derivatives(traj, vb["y1"], vb["y1p"], vb["y2"], vb["y2p"], qb, qpb)
-    h = b - a
-    return (0.5 * h * (fa + fb) - h * h / 12.0 * (f1b - f1a)
-            + h ** 4 / 720.0 * (f3b - f3a))
+    return _corrected_trapezoid(b - a, _inv_v_at(traj, a), _inv_v_at(traj, b))
 
 
 def phase_unwrap(traj):
@@ -246,28 +259,25 @@ def phase_unwrap(traj):
                      _traj=traj, _mesh_alpha=alpha)
 
 
-def _combined_phase(traj, phase, matrix):
-    """PhaseData of the pair M (y1, y2), M = ((a, b), (c, d)) with
-    ad - bc = 1, on the mesh of traj, from its node states and its
-    unwrapped phase; no quadrature.
+def _combined_phase(pair, phase):
+    """PhaseData of pair = M (y1, y2), a combination with det M = 1 of the
+    pair whose unwrapped phase is ``phase``, on the same mesh; no
+    quadrature.  Its alpha_at works on pair.
 
     tan(alpha_bar) is a Moebius map of tan(alpha), so alpha_bar - alpha is
     a pi-periodic function of alpha whose range is shorter than pi.  The
     arctangent of the combined pair, unwrapped against alpha shifted by
     that difference at the first node, is therefore the continuous phase.
     """
-    a, b, c, d = matrix
-    y1, d1, y2, d2 = traj.states.T
-    z1, p1 = a * y1 + b * y2, a * d1 + b * d2
-    z2, p2 = c * y1 + d * y2, c * d1 + d * d2
+    z1, p1, z2, p2 = pair.states.T
     v = z1 * z1 + z2 * z2
     raw = np.arctan2(z2, z1) if phase.swapped else np.arctan2(z1, z2)
     near = phase.alpha + (raw[0] - phase.alpha[0])
     alpha = raw + 2.0 * math.pi * np.round((near - raw) / (2.0 * math.pi))
-    return PhaseData(grid=traj.mesh, v=v, v_prime=2.0 * (z1 * p1 + z2 * p2),
-                     v_second=2.0 * (p1 * p1 + p2 * p2) - 2.0 * traj.q_nodes * v,
-                     w=traj.w, swapped=phase.swapped, alpha=alpha,
-                     alpha_prime=1.0 / v)
+    return PhaseData(grid=pair.mesh, v=v, v_prime=2.0 * (z1 * p1 + z2 * p2),
+                     v_second=2.0 * (p1 * p1 + p2 * p2) - 2.0 * pair.q_nodes * v,
+                     w=pair.w, swapped=phase.swapped, alpha=alpha,
+                     alpha_prime=1.0 / v, _traj=pair, _mesh_alpha=alpha)
 
 
 def _coeff_triple(coeffs):

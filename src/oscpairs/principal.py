@@ -77,6 +77,9 @@ class PrincipalReport:
     window: tuple
     matrix: tuple                   # (a, b, c, d) realizing the coefficients
     diagnostics: dict = field(default_factory=dict)
+    # the principal pair matrix (y1, y2) on the input's mesh, and its phase
+    pair: object = field(default=None, repr=False, compare=False)
+    phase: object = field(default=None, repr=False, compare=False)
 
 
 def transform_pair(traj, matrix):
@@ -89,10 +92,7 @@ def transform_pair(traj, matrix):
     det = a * d - b * c
     if det == 0.0 or abs(det) < 1e-14 * max(abs(a * d), abs(b * c), 1e-300):
         raise ParameterError(f"singular transformation matrix {matrix}")
-    y1, p1, y2, p2 = traj.states.T
-    states = np.column_stack([a * y1 + b * y2, a * p1 + b * p2,
-                              c * y1 + d * y2, c * p1 + d * p2])
-    return traj._restated(states, det * traj.w)
+    return traj._combined((a, b, c, d), det * traj.w)
 
 
 def coefficient_matrix(coeffs):
@@ -230,6 +230,8 @@ def find_principal(traj, window=None):
     whether the polish was abandoned (``polish_fallback``) and, for the
     input pair's phase, the refined intervals (``refined_intervals``) and
     the largest quadrature-vs-arctangent mismatch (``alpha_mismatch_max``).
+    The report carries the principal pair itself (``pair``, on the input's
+    mesh) and its phase (``phase``, whose alpha_at works on ``pair``).
     """
     if not traj.unit_wronskian:
         raise ParameterError("normalize the pair before searching (|w| != 1)")
@@ -262,7 +264,8 @@ def find_principal(traj, window=None):
     steps, ok = 0, True
     for _ in range(2):
         coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
-        phase_t = _combined_phase(traj, phase, coefficient_matrix(coeffs))
+        pair = traj._combined(coefficient_matrix(coeffs), traj.w)
+        phase_t = _combined_phase(pair, phase)
         sl2, X = _residual_design(phase_t, window)  # sl trimmed on the left
         amps, *_ = np.linalg.lstsq(X, g[:, sl2.start - sl.start:].T, rcond=None)
         n = np.cross(amps[-2], amps[-1])
@@ -280,7 +283,8 @@ def find_principal(traj, window=None):
 
     coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
     matrix = coefficient_matrix(coeffs)
-    phase_t = _combined_phase(traj, phase, matrix)
+    pair = traj._combined(matrix, traj.w)
+    phase_t = _combined_phase(pair, phase)
     k1, k2 = _oscillation_residual(phase_t, window)
     w = np.array([coeffs.A, coeffs.B, coeffs.C])
     fbest = float(w @ cov @ w)
@@ -296,7 +300,8 @@ def find_principal(traj, window=None):
     return PrincipalReport(coeffs=coeffs, classification=tag, L=L, K=K,
                            k1_est=k1, k2_est=k2, objective=fbest,
                            window=(float(window[0]), float(window[1])),
-                           matrix=matrix, diagnostics=diag)
+                           matrix=matrix, diagnostics=diag, pair=pair,
+                           phase=phase_t)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +347,12 @@ def _aitken(seq, floor):
 
 
 def _osc_amplitude(phase, sl):
-    """Amplitude of the 2*alpha oscillation in v and v' over a slice."""
+    """Amplitude of the 2*alpha oscillation in v' and v over a slice."""
     s2, c2 = np.sin(2.0 * phase.alpha[sl]), np.cos(2.0 * phase.alpha[sl])
     X = np.column_stack([np.ones_like(s2), s2, c2])
-    beta_p, *_ = np.linalg.lstsq(X, phase.v_prime[sl], rcond=None)
-    beta_v, *_ = np.linalg.lstsq(X, phase.v[sl], rcond=None)
-    return math.hypot(beta_p[1], beta_p[2]), math.hypot(beta_v[1], beta_v[2])
+    beta, *_ = np.linalg.lstsq(X, np.column_stack([phase.v_prime[sl], phase.v[sl]]),
+                               rcond=None)
+    return math.hypot(beta[1, 0], beta[2, 0]), math.hypot(beta[1, 1], beta[2, 1])
 
 
 def classify(phase):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,25 @@ def test_zeros_csv():
     assert max(gaps) <= 1e-9
 
 
+def test_zeros_runs_one_phase_quadrature(monkeypatch):
+    # the gap table reads the principal pair and phase the finder built;
+    # the CSV is the one of the principal pair's own quadrature
+    from oscpairs import phasekit, principal, zeros
+
+    config = RunConfig(equation="inverse-x", xmax=100.0)
+    model, traj = cli._integrated_pair(config)
+    report = principal.find_principal(traj, window=cli._window(config, traj))
+    pair = principal.transform_pair(traj, report.matrix)
+    want = zeros.gap_table(pair, phasekit.phase_unwrap(pair), (model.x0, 100.0))
+
+    calls = []
+    for module in (cli, principal):
+        monkeypatch.setattr(module, "phase_unwrap",
+                            lambda t: calls.append(t) or phasekit.phase_unwrap(t))
+    assert cmd_zeros(config) == want.to_csv(include_summary=True)
+    assert len(calls) == 1
+
+
 def test_config_validation():
     with pytest.raises(Exception):
         cmd_analyze(RunConfig(equation="constant", params={"c": 1.0},
@@ -156,6 +179,18 @@ def test_narrow_nonpositive_dip_is_caught_at_the_mesh_nodes(capsys, eq, stretch)
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "NonOscillatoryError" in err and stretch in err and "mesh nodes" in err
+
+
+def test_dip_between_mesh_nodes_is_caught_at_the_stage_points(capsys):
+    # q < 0 on (9.999, 10.001): no mesh node falls inside, the stage
+    # points of one step do
+    code = main(["analyze", "--eq", "(x - 10)^2 - 0.000001", "--x0", "1",
+                 "--xmax", "50"])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "NonOscillatoryError" in err and "stage points of 1 of" in err
+    lo, hi = (float(t) for t in err.split("q <= 0 on [")[1].split("]")[0].split(", "))
+    assert lo < 9.999 and hi > 10.001 and hi - lo < 0.1
 
 
 def test_q_too_large_for_the_node_budget_fails_fast(capsys):
@@ -227,3 +262,23 @@ def test_verify_detects_corrupted_tolerance():
 def test_verify_cli_exit_code():
     assert main(["verify", "--suite", "fast", "--rtol", "1e-3",
                  "--out", "/dev/null"]) == EXIT_VERIFY
+
+
+def test_main_called_twice_matches_fresh_processes(capsys):
+    # the parser is built once per process; reusing it for another
+    # subcommand must not change what main prints or returns
+    runs = (["analyze", "--eq", "constant", "--param", "c=1", "--xmax", "20"],
+            ["zeros", "--eq", "inverse-x", "--xmax", "100"],
+            ["analyze", "--eq", "nosuch(", "--xmax", "50"],
+            ["zeros", "--eq", "constant", "--param", "c"],
+            ["analyze", "--xmax", "50"])
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "oscpairs.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._parser() is cli._parser()

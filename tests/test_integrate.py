@@ -191,6 +191,7 @@ def test_restated_pairs_reuse_node_values_of_q():
     for new in (norm, moved):
         assert new.mesh is traj.mesh
         assert new.q_nodes is traj.q_nodes and new.qp_nodes is traj.qp_nodes
+        assert new.q_step_min is traj.q_step_min
         assert (new.passes, new.q_points) == (traj.passes, traj.q_points)
     # the same trajectory as one built through the public constructor
     rebuilt = PairTrajectory(model, traj.mesh, moved.states, moved.w,
@@ -284,3 +285,84 @@ def test_stall_guard_lets_a_growing_step_through():
     model = catalog_get("cauchy-euler", {"gamma": 100.0})
     traj = integrate_pair(model, (1.0, 0.0), (0.0, 1.0), 5e7)
     assert traj.mesh[-1] == 5e7
+
+
+def _per_solution_evaluate(traj, xs, nder):
+    """Oracle: the order-7 Hermite dense output evaluated one solution at
+    a time, each with its own (N, 4) table of node data and its own basis
+    tables in tau and 1 - tau."""
+    scalar = np.isscalar(xs)
+    xs, idx = traj._locate(np.atleast_1d(xs))
+    q, qp = traj.q_nodes, traj.qp_nodes
+    y1, d1, y2, d2 = traj.states.T
+    tables = (np.column_stack([y1, d1, -q * y1, -qp * y1 - q * d1]),
+              np.column_stack([y2, d2, -q * y2, -qp * y2 - q * d2]))
+
+    def horner(coef, t):
+        out = np.zeros((coef.shape[0], t.size))
+        for j in range(coef.shape[1] - 1, -1, -1):
+            out *= t
+            out += coef[:, j:j + 1]
+        return out
+
+    basis = np.array([[1, 0, 0, 0, -35, 84, -70, 20],
+                      [0, 1, 0, 0, -20, 45, -36, 10],
+                      [0, 0, 0.5, 0, -5, 10, -7.5, 2],
+                      [0, 0, 0, 1 / 6, -2 / 3, 1, -2 / 3, 1 / 6]])
+    dbasis = basis[:, 1:] * np.arange(1, 8)
+    cubic = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0]])
+    results = []
+    for fdata in tables:
+        x0 = traj.mesh[idx]
+        h = traj.mesh[idx + 1] - x0
+        tau = (xs - x0) / h
+        sig = 1.0 - tau
+        f0, f1 = fdata[idx], fdata[idx + 1]
+        hk = np.stack([np.ones_like(h), h, h * h, h * h * h])
+        sgn = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+        w0 = f0.T * hk
+        w1 = f1.T * hk * sgn
+        bt, bs = horner(basis, tau), horner(basis, sig)
+        out = [(w0 * bt).sum(axis=0) + (w1 * bs).sum(axis=0)]
+        if nder >= 1:
+            dt, ds = horner(dbasis, tau), horner(dbasis, sig)
+            out.append(((f0[:, 0] - f1[:, 0]) * dt[0] + (w0[1:] * dt[1:]).sum(axis=0)
+                        - (w1[1:] * ds[1:]).sum(axis=0)) / h)
+        if nder >= 2:
+            b2t, b2s = horner(cubic, tau), horner(cubic, sig)
+            out.append(f0[:, 2] * b2t[0] + h * f0[:, 3] * b2t[1]
+                       + f1[:, 2] * b2s[0] - h * f1[:, 3] * b2s[1])
+        for node_idx, take in ((idx, xs == traj.mesh[idx]),
+                               (idx + 1, xs == traj.mesh[idx + 1])):
+            for d in range(nder + 1):
+                out[d][take] = fdata[node_idx[take], d]
+        results.append(out)
+    keys = (("y1", "y2"), ("y1p", "y2p"), ("y1pp", "y2pp"))
+    vals = {}
+    for d in range(nder + 1):
+        for key, res in zip(keys[d], results):
+            vals[key] = float(res[d][0]) if scalar else res[d]
+    return vals
+
+
+@pytest.mark.parametrize("fixture", ["run_constant", "run_genairy", "run_ce_long"])
+def test_evaluate_matches_per_solution_kernel(request, fixture):
+    traj = request.getfixturevalue(fixture).traj
+    moved = transform_pair(traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
+    mesh = traj.mesh
+    rng = np.random.default_rng(3)
+    inside = np.sort(rng.uniform(mesh[0], mesh[-1], 500))
+    nodes = mesh[rng.integers(0, len(mesh), 40)]
+    xs = np.concatenate([[mesh[0], mesh[-1]], inside, nodes,
+                         0.5 * (mesh[:40] + mesh[1:41])])
+    for pair in (traj, moved):
+        for nder in (0, 1, 2):
+            want = _per_solution_evaluate(pair, xs, nder)
+            got = pair.evaluate(xs, nder=nder)
+            assert list(got) == list(want)
+            for key in want:
+                assert np.array_equal(got[key], want[key]), (nder, key)
+            for x in (mesh[0], mesh[-1], inside[7], nodes[3]):
+                one = pair.evaluate(float(x), nder=nder)
+                ref = _per_solution_evaluate(pair, float(x), nder)
+                assert all(type(one[k]) is float and one[k] == ref[k] for k in ref)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import GridError, ParameterError
-from oscpairs.integrate import integrate_pair, normalize_unit_wronskian, sample
+from oscpairs.integrate import (PairTrajectory, integrate_pair,
+                                normalize_unit_wronskian, sample)
 from oscpairs.phasekit import (_combined_phase, _integrate_inv_v_local,
                                _inv_v_derivatives, _phase_increments,
-                               amplitude_series, appell_residual,
+                               _refine_fast, amplitude_series, appell_residual,
                                phase_unwrap, prufer_polar, wronskian)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import catalog_get
@@ -130,7 +131,7 @@ def test_combined_phase_matches_quadrature(request, fixture):
     for pair in (traj, transform_pair(traj, (0.0, 1.0, 1.0, 0.0))):
         phase = phase_unwrap(pair)
         for M in scrambles:
-            got = _combined_phase(pair, phase, M)
+            got = _combined_phase(pair._combined(M, pair.w), phase)
             want = phase_unwrap(transform_pair(pair, M))
             assert got.swapped == want.swapped == (pair.w > 0)
             assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-7
@@ -208,8 +209,7 @@ def _loop_increments(traj):
     mesh interval, then one linspace refinement per fast interval.
     Returns (unrefined, refined) increments."""
     y1, d1, y2, d2 = traj.states.T
-    f, f1, f3 = _inv_v_derivatives(traj, y1, d1, y2, d2,
-                                   traj.q_nodes, traj.qp_nodes)
+    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, traj.q_nodes, traj.qp_nodes)
     h = np.diff(traj.mesh)
     coarse = (0.5 * h * (f[:-1] + f[1:])
               - h * h / 12.0 * (f1[1:] - f1[:-1])
@@ -269,3 +269,54 @@ def test_no_fast_intervals_returns_unrefined_increments():
     assert np.array_equal(inc, coarse)
     assert phase_unwrap(traj).refined_intervals == 0
 
+
+
+def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
+    traj = _coarse_traj("gen-airy", {"nu": 0.4}, 60.0)
+    coarse, _ = _loop_increments(traj)
+    fast = np.flatnonzero(np.abs(coarse) > 0.05)
+    n = np.ceil(np.abs(coarse[fast]) / 0.025).astype(int)
+    assert fast.size > 0
+
+    # the sub-panels [a, b] as the per-panel linspace edges give them
+    step = (traj.mesh[fast + 1] - traj.mesh[fast]) / n
+    owner = np.repeat(np.arange(fast.size), n)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    lo, hi = traj.mesh[fast][owner], traj.mesh[fast + 1][owner]
+    a = lo + k * step[owner]
+    b = np.where(k + 1 == n[owner], hi, lo + (k + 1) * step[owner])
+    want = coarse.copy()
+    want[fast] = np.bincount(owner, weights=_integrate_inv_v_local(traj, a, b))
+
+    points = []
+    evaluate = PairTrajectory.evaluate
+
+    def counting(self, xs, nder=1):
+        points.append(np.size(xs))
+        return evaluate(self, xs, nder)
+
+    monkeypatch.setattr(PairTrajectory, "evaluate", counting)
+    inc, refined = _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], coarse)
+    assert refined == fast.size
+    assert points == [int(np.sum(n + 1))]
+    assert np.array_equal(inc, want)
+
+
+def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_long):
+    for run in (run_constant, run_genairy, run_ce_long):
+        traj = transform_pair(run.traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
+        y1, d1, y2, d2 = traj.states.T
+        q, qp = traj.q_nodes, traj.qp_nodes
+        f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, q, qp)
+        # the quotient form with powers of v, term by term
+        v = y1 * y1 + y2 * y2
+        w = np.abs(y1 * d2 - d1 * y2)
+        vp = 2.0 * (y1 * d1 + y2 * d2)
+        vpp = 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
+        vppp = -4.0 * q * vp - 2.0 * qp * v
+        terms = (-w * vppp / v ** 2, 6.0 * w * vp * vpp / v ** 3,
+                 -6.0 * w * vp ** 3 / v ** 4)
+        assert np.all(np.abs(f - w / v) <= 1e-14 * (w / v))
+        assert np.all(np.abs(f1 + w * vp / v ** 2) <= 1e-14 * np.abs(w * vp / v ** 2))
+        scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+        assert np.all(np.abs(f3 - (terms[0] + terms[1] + terms[2])) <= 1e-14 * scale)

@@ -281,7 +281,7 @@ def test_scramble_recovery_matches_unscrambled(run_inversex):
 
 def test_find_principal_unwraps_only_its_input(run_inversex, monkeypatch):
     # the phase of every combination follows from the input's phase, so
-    # the finder runs one quadrature and builds no transformed trajectory
+    # the finder runs one quadrature and calls transform_pair never
     calls = {"phase_unwrap": 0, "transform_pair": 0}
 
     def counted(name):
