@@ -75,12 +75,33 @@ def _refuse_nonpositive(lo, hi, q, where):
             f"q <= 0 on {runs} ({where}); y'' + q y = 0 need not oscillate there")
 
 
+def _hermite_min(mesh, q, qp):
+    """Least value on each step of the cubic Hermite interpolant of q and
+    q' at the step's two ends: a bound on the step's minimum of q that
+    does not depend on where q was sampled inside the step."""
+    h = np.diff(mesh)
+    q0, q1, d0, d1 = q[:-1], q[1:], h * qp[:-1], h * qp[1:]
+    # p(t) = q0 + d0 t + c2 t^2 + c3 t^3 on t in [0, 1]
+    c2 = 3.0 * (q1 - q0) - 2.0 * d0 - d1
+    c3 = 2.0 * (q0 - q1) + d0 + d1
+    # the roots of p'(t) = d0 + 2 c2 t + 3 c3 t^2, in the cancellation-free
+    # form; without real roots the points tried lie inside [0, 1] anyway
+    s = -(c2 + np.copysign(np.sqrt(np.maximum(c2 * c2 - 3.0 * c3 * d0, 0.0)), c2))
+    low = np.minimum(q0, q1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in (s / (3.0 * c3), d0 / s):
+            t = np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+            low = np.minimum(low, q0 + t * (d0 + t * (c2 + t * c3)))
+    return low
+
+
 def _integrated_pair(config):
     """The normalized default pair.  q <= 0 is refused on the predicate
     grid before any integration, so that the phase work downstream does
-    not fail only after the whole run, and after it at the mesh nodes and
-    then at the stage points of every step, which catch a dip between two
-    grid points and one between two mesh nodes."""
+    not fail only after the whole run, and after it at the mesh nodes,
+    then at the stage points of every step and last by the cubic Hermite
+    of q and q' on every step, which catch a dip between two grid points,
+    one between two mesh nodes and one between two stage points."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
@@ -96,6 +117,11 @@ def _integrated_pair(config):
     bad = int(np.count_nonzero(traj.q_step_min <= 0.0))
     _refuse_nonpositive(mesh[:-1], mesh[1:], traj.q_step_min,
                         f"at the stage points of {bad} of {len(mesh) - 1} steps")
+    low = _hermite_min(mesh, traj.q_nodes, traj.qp_nodes)
+    bad = int(np.count_nonzero(low <= 0.0))
+    _refuse_nonpositive(mesh[:-1], mesh[1:], low,
+                        f"by the cubic Hermite of q and q' on {bad} of "
+                        f"{len(mesh) - 1} steps")
     return model, normalize_unit_wronskian(traj)
 
 

@@ -151,9 +151,10 @@ def _inv_v_derivatives(y1, d1, y2, d2, q, qp):
     return f, -f * g, f * r * (6.0 * g * (vpp - vp * g) - vppp)
 
 
-def _phase_increments(traj):
+def _phase_increments(traj, turn):
     """Integral of 1/v over every mesh interval, and the number of
-    intervals refined.
+    intervals refined; turn is the arctangent's increment of the phase
+    over each interval, up to a whole turn (see _refine_fast).
 
     Each interval first gets the Euler-Maclaurin corrected trapezoid
     (endpoint f' and f''' corrections) from exact node data, so no
@@ -167,7 +168,7 @@ def _phase_increments(traj):
     f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, traj.q_nodes, traj.qp_nodes)
     inc = _corrected_trapezoid(np.diff(traj.mesh), (f[:-1], f1[:-1], f3[:-1]),
                                (f[1:], f1[1:], f3[1:]))
-    return _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], inc)
+    return _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], inc, turn)
 
 
 def _corrected_trapezoid(h, left, right):
@@ -186,22 +187,31 @@ def _inv_v_at(traj, xs):
                               traj.model.q_array(xs), traj.model.q_prime_array(xs))
 
 
-def _refine_fast(traj, lo, hi, inc):
-    """Re-integrate 1/v on the panels [lo, hi] whose estimate inc moves
-    the phase by more than _FAST_PANEL.
+def _refine_fast(traj, lo, hi, inc, turn):
+    """Re-integrate 1/v on the panels [lo, hi] where the phase moves by
+    more than _FAST_PANEL.
 
-    Panel i is split into n_i = ceil(|inc_i| / _SUB_PANEL) equal
-    sub-panels with the n_i + 1 edges lo_i + k (hi_i - lo_i)/n_i, the
-    last one exactly hi_i.  Neighbouring sub-panels share an edge, so the
-    edges of all fast panels, laid end to end, are evaluated once, in one
-    batch; the sub-panels' corrected trapezoids are summed back per
-    panel.  Returns the updated increments and the number of panels
-    refined.
+    A panel's move is the larger of its estimate |inc| and the size of
+    turn, the arctangent's increment over it wrapped into [0, pi]: the
+    corrected trapezoid misjudges a panel it does not resolve (even in
+    sign), the arctangent does not while the panel moves less than pi.
+    Only the fast panels' moves are formed.  Panel i is split into
+    n_i = ceil(move_i / _SUB_PANEL) equal sub-panels with the n_i + 1
+    edges lo_i + k (hi_i - lo_i)/n_i, the last one exactly hi_i.
+    Neighbouring sub-panels share an edge, so the edges of all fast
+    panels, laid end to end, are evaluated once, in one batch; the
+    sub-panels' corrected trapezoids are summed back per panel.  Returns
+    the updated increments and the number of panels refined.
     """
-    fast = np.nonzero(np.abs(inc) > _FAST_PANEL)[0]
+    size = np.abs(turn)
+    # min(size, 2 pi - size) > _FAST_PANEL, without forming it everywhere
+    seen = (size > _FAST_PANEL) & (size < 2.0 * math.pi - _FAST_PANEL)
+    fast = np.flatnonzero(seen | (inc > _FAST_PANEL) | (inc < -_FAST_PANEL))
     if fast.size == 0:
         return inc, 0
-    n = np.ceil(np.abs(inc[fast]) / _SUB_PANEL).astype(np.intp)
+    size = size[fast]
+    move = np.maximum(np.abs(inc[fast]), np.minimum(size, 2.0 * math.pi - size))
+    n = np.ceil(move / _SUB_PANEL).astype(np.intp)
     owner = np.repeat(np.arange(fast.size), n + 1)
     k = np.arange(owner.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
     lo_k, hi_k, n_k = lo[fast][owner], hi[fast][owner], n[owner]
@@ -239,10 +249,10 @@ def phase_unwrap(traj):
     y1, y2 = traj.states[:, 0], traj.states[:, 2]
     a1, a2 = (y2, y1) if swapped else (y1, y2)
 
-    inc, refined = _phase_increments(traj)
+    raw = np.arctan2(a1, a2)
+    inc, refined = _phase_increments(traj, np.diff(raw))
     alpha = np.concatenate([[math.atan2(a1[0], a2[0])], inc]).cumsum()
 
-    raw = np.arctan2(a1, a2)
     mism = alpha - raw
     mism -= 2.0 * math.pi * np.round(mism / (2.0 * math.pi))
     mismatch = float(np.max(np.abs(mism))) if len(mism) else 0.0
@@ -259,21 +269,28 @@ def phase_unwrap(traj):
                      _traj=traj, _mesh_alpha=alpha)
 
 
-def _combined_phase(pair, phase):
-    """PhaseData of pair = M (y1, y2), a combination with det M = 1 of the
-    pair whose unwrapped phase is ``phase``, on the same mesh; no
-    quadrature.  Its alpha_at works on pair.
+def _combined_alpha(z1, z2, alpha, swapped):
+    """Continuous phase of a combination (z1, z2) = M (y1, y2) with
+    det M = 1, at nodes where the input pair's phase is alpha; the branch
+    is anchored at the first of them.
 
     tan(alpha_bar) is a Moebius map of tan(alpha), so alpha_bar - alpha is
     a pi-periodic function of alpha whose range is shorter than pi.  The
     arctangent of the combined pair, unwrapped against alpha shifted by
     that difference at the first node, is therefore the continuous phase.
     """
+    raw = np.arctan2(z2, z1) if swapped else np.arctan2(z1, z2)
+    near = alpha + (raw[0] - alpha[0])
+    return raw + 2.0 * math.pi * np.round((near - raw) / (2.0 * math.pi))
+
+
+def _combined_phase(pair, phase):
+    """PhaseData of pair = M (y1, y2), a combination with det M = 1 of the
+    pair whose unwrapped phase is ``phase``, on the same mesh; no
+    quadrature (see _combined_alpha).  Its alpha_at works on pair."""
     z1, p1, z2, p2 = pair.states.T
     v = z1 * z1 + z2 * z2
-    raw = np.arctan2(z2, z1) if phase.swapped else np.arctan2(z1, z2)
-    near = phase.alpha + (raw[0] - phase.alpha[0])
-    alpha = raw + 2.0 * math.pi * np.round((near - raw) / (2.0 * math.pi))
+    alpha = _combined_alpha(z1, z2, phase.alpha, phase.swapped)
     return PhaseData(grid=pair.mesh, v=v, v_prime=2.0 * (z1 * p1 + z2 * p2),
                      v_second=2.0 * (p1 * p1 + p2 * p2) - 2.0 * pair.q_nodes * v,
                      w=pair.w, swapped=phase.swapped, alpha=alpha,
@@ -294,21 +311,38 @@ class ResidualStats:
     count: int
 
 
-def _third_derivative_stencil(traj, A, B, C, centers, hc):
-    """Five-point third derivative of A y1^2 + B y2^2 + 2C y1 y2 around
-    each center.  Weights are built for the offsets actually realized in
-    floating point, so node rounding costs no accuracy."""
-    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    pts = centers[:, None] + hc[:, None] * offs[None, :]
+# The h stencil (-2, -1, 0, 1, 2) h and the h/2 stencil (-1, -1/2, 0, 1/2, 1) h
+# share the points at -h, 0 and +h: seven offsets in units of h, and the
+# columns of each stencil among them
+_STENCIL = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_CENTER = 3
+_SIDES = [0, 1, 2, 4, 5, 6]
+_FULL = [0, 1, 3, 5, 6]
+_HALF = [1, 2, 3, 4, 5]
+
+
+def _third_derivative_stencils(traj, A, B, C, centers, hc, v_center):
+    """Five-point third derivatives of v = A y1^2 + B y2^2 + 2C y1 y2
+    around each center at spacings hc and hc/2, from one evaluation of the
+    six off-center points; v_center is v at the centers.  Weights are
+    built for the offsets actually realized in floating point, so node
+    rounding costs no accuracy; both weight sets come from one batched
+    solve."""
+    n = len(hc)
+    pts = centers[:, None] + hc[:, None] * _STENCIL
+    pv = traj.evaluate(pts[:, _SIDES].ravel(), nder=0)
+    py1, py2 = pv["y1"].reshape(n, -1), pv["y2"].reshape(n, -1)
+    vv = np.empty(pts.shape)
+    vv[:, _SIDES] = A * py1 ** 2 + B * py2 ** 2 + 2.0 * C * py1 * py2
+    vv[:, _CENTER] = v_center
     z = (pts - centers[:, None]) / hc[:, None]
-    V = z[:, None, :] ** np.arange(5)[None, :, None]     # (n, 5, 5) moments
-    rhs = np.zeros((len(hc), 5, 1))
+    z = np.concatenate([z[:, _FULL], 2.0 * z[:, _HALF]])  # in units of each spacing
+    V = z[:, None, :] ** np.arange(5)[None, :, None]     # (2n, 5, 5) moments
+    rhs = np.zeros((2 * n, 5, 1))
     rhs[:, 3, 0] = 6.0
-    wts = np.linalg.solve(V, rhs)[:, :, 0] / hc[:, None] ** 3
-    pv = traj.evaluate(pts.ravel(), nder=0)
-    py1, py2 = pv["y1"].reshape(pts.shape), pv["y2"].reshape(pts.shape)
-    vv = A * py1 ** 2 + B * py2 ** 2 + 2.0 * C * py1 * py2
-    return (vv * wts).sum(axis=1)
+    spacing = np.concatenate([hc, 0.5 * hc])
+    wts = np.linalg.solve(V, rhs)[:, :, 0] / spacing[:, None] ** 3
+    return (vv[:, _FULL] * wts[:n]).sum(axis=1), (vv[:, _HALF] * wts[n:]).sum(axis=1)
 
 
 def appell_residual(traj, coeffs, grid):
@@ -357,8 +391,8 @@ def appell_residual(traj, coeffs, grid):
     centers = grid[keep]
     hc = h[keep]
 
-    num_full = _third_derivative_stencil(traj, A, B, C, centers, hc)
-    num_half = _third_derivative_stencil(traj, A, B, C, centers, 0.5 * hc)
+    num_full, num_half = _third_derivative_stencils(traj, A, B, C, centers, hc,
+                                                    v[keep])
     num = (4.0 * num_half - num_full) / 3.0
 
     scale = max(np.max(np.abs(ana[keep])),

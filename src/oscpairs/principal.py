@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, WindowError
-from .phasekit import _combined_phase, phase_unwrap
+from .phasekit import _combined_alpha, _combined_phase, phase_unwrap
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 _RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
@@ -154,31 +154,45 @@ def _sheet_minimizer(cov):
     return w if w[0] > 0 else -w
 
 
-def _residual_design(phase, window):
-    """Slice and design matrix for fitting the sin/cos(2 alpha) content
-    of a derivative series over the window.
+def _fit(X, Y):
+    """Least-squares coefficients of Y (a column or several) on the columns
+    of X, from the normal equations (X^T X) beta = X^T Y.
 
-    The slice is trimmed to a whole number of 2*alpha periods (so smooth
-    trends do not leak into the oscillatory amplitudes through boundary
-    terms) and the trend is absorbed by a Chebyshev series whose degree
-    grows with the number of periods available.
+    The designs have 3 or 10 columns of order one (a Chebyshev trend and
+    sin/cos(2 alpha)), so the Gram matrix is well conditioned and one
+    small solve replaces a factorization of the whole design.  A singular
+    Gram matrix falls back to the minimum-norm least-squares solution.
     """
-    sl = _window_indices(phase.grid, window)
-    alpha = phase.alpha[sl]
+    try:
+        return np.linalg.solve(X.T @ X, X.T @ Y)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(X, Y, rcond=None)[0]
+
+
+def _residual_design(x, alpha):
+    """Left trim and design matrix for fitting the sin/cos(2 alpha) content
+    of a derivative series sampled at the window nodes x, where the phase
+    is alpha.
+
+    The returned offset trims the window on the left to a whole number of
+    2*alpha periods (so smooth trends do not leak into the oscillatory
+    amplitudes through boundary terms), and the trend is absorbed by a
+    Chebyshev series whose degree grows with the number of periods
+    available.
+    """
+    i0 = 0
     span = abs(alpha[-1] - alpha[0])
     whole = math.pi * math.floor(span / math.pi)
     if whole >= math.pi:
         sgn = 1.0 if alpha[-1] >= alpha[0] else -1.0
         i0 = np.searchsorted(sgn * alpha, sgn * (alpha[-1] - sgn * whole))
         i0 = min(int(i0), len(alpha) - 8)
-        alpha = alpha[i0:]
-        sl = slice(sl.start + i0, sl.stop)
-    x = phase.grid[sl]
+        x, alpha = x[i0:], alpha[i0:]
     t = 2.0 * (x - x[0]) / (x[-1] - x[0]) - 1.0
     periods = abs(alpha[-1] - alpha[0]) / math.pi
     degree = 7 if periods >= 2.0 else (3 if periods >= 1.0 else 1)
     trend = np.polynomial.chebyshev.chebvander(t, degree)
-    return sl, np.column_stack([trend, np.sin(2.0 * alpha), np.cos(2.0 * alpha)])
+    return i0, np.column_stack([trend, np.sin(2.0 * alpha), np.cos(2.0 * alpha)])
 
 
 def _oscillation_residual(phase, window):
@@ -189,8 +203,9 @@ def _oscillation_residual(phase, window):
     both amplitudes vanish; any other unit-determinant combination keeps
     an O(1) oscillating part, so this is the discriminating residual.
     """
-    sl, X = _residual_design(phase, window)
-    beta, *_ = np.linalg.lstsq(X, phase.v_prime[sl], rcond=None)
+    sl = _window_indices(phase.grid, window)
+    i0, X = _residual_design(phase.grid[sl], phase.alpha[sl])
+    beta = _fit(X, phase.v_prime[sl][i0:])
     return float(beta[-2]), float(beta[-1])
 
 
@@ -222,14 +237,18 @@ def find_principal(traj, window=None):
     sin/cos(2 alpha) amplitudes of vbar' vanish, also in closed form; a
     polish that would leave the neighbourhood of the variance minimizer
     keeps the minimizer.  The phase is unwrapped once, for the input pair;
-    the phase of every combination follows from it (``_combined_phase``).
+    the phase of every combination follows from it (``_combined_alpha``).
+    The polish builds its candidates on the window slice only, and all
+    fits solve the normal equations (``_fit``).
     The window defaults to the last quarter of the span and grows leftward
     when it holds fewer than 3 periods of 2*alpha (short-span runs still
     resolve the combination when v' is close to constant).
     ``diagnostics`` records the polish passes applied (``polish_steps``),
-    whether the polish was abandoned (``polish_fallback``) and, for the
-    input pair's phase, the refined intervals (``refined_intervals``) and
-    the largest quadrature-vs-arctangent mismatch (``alpha_mismatch_max``).
+    whether the polish was abandoned (``polish_fallback``), the full-mesh
+    combinations built (``full_mesh_combinations``, only the result) and,
+    for the input pair's phase, the refined intervals
+    (``refined_intervals``) and the largest quadrature-vs-arctangent
+    mismatch (``alpha_mismatch_max``).
     The report carries the principal pair itself (``pair``, on the input's
     mesh) and its phase (``phase``, whose alpha_at works on ``pair``).
     """
@@ -260,14 +279,19 @@ def find_principal(traj, window=None):
     # With the phase basis frozen, the fitted sin/cos(2 alpha) amplitudes
     # of vbar' are linear in w, F = amps w, so they vanish on the sheet
     # at the cross product of the two rows of amps, scaled to w^T J w = 1.
+    # The candidates of the polish are built on the window slice only:
+    # their node states there, and their phase unwrapped against the
+    # input's from the slice start.
     p, m = float(w0[0]), float(w0[2])
+    x_win, alpha_win = phase.grid[sl], phase.alpha[sl]
     steps, ok = 0, True
     for _ in range(2):
         coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
-        pair = traj._combined(coefficient_matrix(coeffs), traj.w)
-        phase_t = _combined_phase(pair, phase)
-        sl2, X = _residual_design(phase_t, window)  # sl trimmed on the left
-        amps, *_ = np.linalg.lstsq(X, g[:, sl2.start - sl.start:].T, rcond=None)
+        a, b, c, d = coefficient_matrix(coeffs)
+        alpha = _combined_alpha(a * y1 + b * y2, c * y1 + d * y2, alpha_win,
+                                phase.swapped)
+        i0, X = _residual_design(x_win, alpha)
+        amps = _fit(X, g[:, i0:].T)
         n = np.cross(amps[-2], amps[-1])
         jnorm = float(n @ _J @ n)
         ok = 0.0 < jnorm < math.inf
@@ -283,6 +307,7 @@ def find_principal(traj, window=None):
 
     coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
     matrix = coefficient_matrix(coeffs)
+    # the one full-mesh combination: classify and the gap table read it
     pair = traj._combined(matrix, traj.w)
     phase_t = _combined_phase(pair, phase)
     k1, k2 = _oscillation_residual(phase_t, window)
@@ -295,6 +320,7 @@ def find_principal(traj, window=None):
         diag["residual_above_tol"] = residual
     diag.update({"window_expanded": expanded, "alpha_span": alpha_span,
                  "polish_steps": steps, "polish_fallback": not ok,
+                 "full_mesh_combinations": 1,
                  "refined_intervals": phase.refined_intervals,
                  "alpha_mismatch_max": phase.alpha_mismatch_max})
     return PrincipalReport(coeffs=coeffs, classification=tag, L=L, K=K,
@@ -350,8 +376,7 @@ def _osc_amplitude(phase, sl):
     """Amplitude of the 2*alpha oscillation in v' and v over a slice."""
     s2, c2 = np.sin(2.0 * phase.alpha[sl]), np.cos(2.0 * phase.alpha[sl])
     X = np.column_stack([np.ones_like(s2), s2, c2])
-    beta, *_ = np.linalg.lstsq(X, np.column_stack([phase.v_prime[sl], phase.v[sl]]),
-                               rcond=None)
+    beta = _fit(X, np.column_stack([phase.v_prime[sl], phase.v[sl]]))
     return math.hypot(beta[1, 0], beta[2, 0]), math.hypot(beta[1, 1], beta[2, 1])
 
 

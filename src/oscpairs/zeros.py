@@ -16,26 +16,88 @@ import numpy as np
 from .errors import ParameterError, WindowError
 from .phasekit import ResidualStats
 
-_TARGETS = ("y1", "y2", "y1p", "y2p")
+_COLUMNS = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}  # state columns of the targets
+_TARGETS = tuple(_COLUMNS)
 _NEWTON_ITERS = 12  # the catalog pairs need 2-7 from the secant start
 
 
-def _target_eval(traj, target):
-    """(f, f') evaluators; derivatives of y' come from y'' = -q y."""
-    col = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}[target]
-    if target in ("y1", "y2"):
-        def fval(xs):
-            vals = traj.evaluate(xs, nder=1)
-            key = "y1" if col == 0 else "y2"
-            return vals[key], vals[key + "p"]
-    else:
-        base = "y1" if col == 1 else "y2"
+def _eval_targets(traj, xs, cols):
+    """(f, f') at xs[i] of the state component in column cols[i], from one
+    dense-output evaluation; the derivative of y' comes from y'' = -q y,
+    with q evaluated at those points only."""
+    vals = traj.evaluate(xs, nder=1)
+    first = cols < 2
+    y = np.where(first, vals["y1"], vals["y2"])
+    d = np.where(first, vals["y1p"], vals["y2p"])
+    slope = cols % 2 == 1
+    f = np.where(slope, d, y)
+    if slope.any():
+        d[slope] = -traj.model.q_array(xs[slope]) * y[slope]
+    return f, d
 
-        def fval(xs):
-            vals = traj.evaluate(xs, nder=1)
-            q = traj.model.q_array(xs)
-            return vals[base + "p"], -q * vals[base]
-    return fval
+
+def _brackets(traj, col, lo, hi):
+    """Node-exact zeros of state column col on the mesh nodes in [lo, hi],
+    and the sign-change brackets (a, b) of the node values with the
+    secant point of each."""
+    mesh = traj.mesh
+    i0, i1 = np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right")
+    f = traj.states[i0:i1, col]
+    x = mesh[i0:i1]
+    s = np.sign(f)
+    change = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    a, b = x[change], x[change + 1]
+    fa, fb = f[change], f[change + 1]
+    return x[f == 0.0], a, b, a - fa * (b - a) / (fb - fa)  # secant inside [a, b]
+
+
+def _newton(traj, cols, a, b, roots):
+    """Polish the roots of every bracket at once, one evaluation per round.
+
+    Newton steps with the exact derivative, clipped to the bracket.  A
+    root retires once its step falls below 1e-14 (1 + |x|), or when the
+    step stops shrinking: that is the roundoff floor of the dense output
+    (f and f' disagree in their last bits, so Newton would cycle), and
+    such a step is not taken."""
+    last = np.full(roots.shape, np.inf)
+    live = np.arange(roots.size)
+    for _ in range(_NEWTON_ITERS):
+        if live.size == 0:
+            break
+        xc = roots[live]
+        fc, dc = _eval_targets(traj, xc, cols[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = np.clip(xc - fc / dc, a[live], b[live])
+        step = np.abs(xn - xc)
+        shrinks = step < last[live]
+        roots[live[shrinks]] = xn[shrinks]
+        last[live] = step
+        live = live[shrinks & (step > 1e-14 * (1.0 + np.abs(xc)))]
+    return roots
+
+
+def _zeros(traj, targets, span=None):
+    """The zeros of several state components inside span, polished in one
+    Newton loop; one sorted array per target."""
+    for target in targets:
+        if target not in _TARGETS:
+            raise ParameterError(f"target must be one of {_TARGETS}")
+    lo, hi = (traj.x0, traj.xmax) if span is None else (float(span[0]), float(span[1]))
+    if lo < traj.x0 - 1e-12 or hi > traj.xmax * (1 + 1e-12) + 1e-12:
+        raise ParameterError(f"span {span} outside trajectory range")
+    found = [_brackets(traj, _COLUMNS[t], lo, hi) for t in targets]
+    cols = np.concatenate([np.full(len(br[1]), _COLUMNS[t], dtype=np.intp)
+                           for t, br in zip(targets, found)])
+    a, b, roots = (np.concatenate([br[k] for br in found]) for k in (1, 2, 3))
+    roots = _newton(traj, cols, a, b, roots)
+    ends = np.cumsum([len(br[1]) for br in found])[:-1]
+    out = []
+    for (exact, *_), polished in zip(found, np.split(roots, ends)):
+        z = np.sort(np.concatenate([exact, polished]))
+        if len(z) > 1:  # dedupe node-exact hits that also bracket
+            z = z[np.concatenate([[True], np.diff(z) > 1e-10 * (1.0 + np.abs(z[1:]))])]
+        out.append(z)
+    return out
 
 
 def zeros_of(traj, target, span=None):
@@ -45,55 +107,9 @@ def zeros_of(traj, target, span=None):
     Sign changes are located on the stored mesh (which resolves the
     oscillation by construction).  Each root starts at the secant point
     of its two bracketing node values and is polished by Newton steps
-    with the exact derivative, clipped to the bracket.  A root retires
-    once its step falls below 1e-14 (1 + |x|), or when the step stops
-    shrinking: that is the roundoff floor of the dense output, and such a
-    step is not taken.  An empty array is a valid result.
+    (see _newton).  An empty array is a valid result.
     """
-    if target not in _TARGETS:
-        raise ParameterError(f"target must be one of {_TARGETS}")
-    lo, hi = (traj.x0, traj.xmax) if span is None else (float(span[0]), float(span[1]))
-    if lo < traj.x0 - 1e-12 or hi > traj.xmax * (1 + 1e-12) + 1e-12:
-        raise ParameterError(f"span {span} outside trajectory range")
-    mesh = traj.mesh
-    col = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}[target]
-    fmesh = traj.states[:, col]
-    i0, i1 = np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right")
-    if i1 - i0 < 2:
-        return np.array([])
-    f = fmesh[i0:i1]
-    x = mesh[i0:i1]
-
-    exact = x[f == 0.0]
-    s = np.sign(f)
-    change = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    a, b = x[change], x[change + 1]
-    fa, fb = f[change], f[change + 1]
-    roots = a - fa * (b - a) / (fb - fa)  # fa, fb differ in sign: inside [a, b]
-
-    fval = _target_eval(traj, target)
-    last = np.full(roots.shape, np.inf)
-    live = np.arange(roots.size)
-    for _ in range(_NEWTON_ITERS):
-        if live.size == 0:
-            break
-        xc = roots[live]
-        fc, dc = fval(xc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = np.clip(xc - fc / dc, a[live], b[live])
-        step = np.abs(xn - xc)
-        # a step that does not shrink means f and f' disagree in their
-        # last bits there (Newton would cycle): keep xc and retire
-        shrinks = step < last[live]
-        roots[live[shrinks]] = xn[shrinks]
-        last[live] = step
-        live = live[shrinks & (step > 1e-14 * (1.0 + np.abs(xc)))]
-
-    out = np.sort(np.concatenate([exact, roots]))
-    if len(out) > 1:  # dedupe node-exact hits that also bracket
-        keep = np.concatenate([[True], np.diff(out) > 1e-10 * (1.0 + np.abs(out[1:]))])
-        out = out[keep]
-    return out
+    return _zeros(traj, (target,), span)[0]
 
 
 @dataclass(frozen=True)
@@ -137,12 +153,13 @@ def gap_table(traj, phase, span=None, min_zeros=5):
     the second member.
 
     The pair order follows the phase data (flipped when the Wronskian is
-    +1).  Critical points outside the range covered by zeros of the
-    companion are dropped; ties in the nearest-zero match go left.
+    +1).  The critical points and the zeros are polished in one Newton
+    loop, and their phases come from one evaluation.  Critical points
+    outside the range covered by zeros of the companion are dropped; ties
+    in the nearest-zero match go left.
     """
     first, second = ("y2", "y1") if phase.swapped else ("y1", "y2")
-    x_crit = zeros_of(traj, first + "p", span)
-    x_zero = zeros_of(traj, second, span)
+    x_crit, x_zero = _zeros(traj, (first + "p", second), span)
     if len(x_crit) < min_zeros or len(x_zero) < min_zeros:
         raise WindowError(
             f"need at least {min_zeros} zeros of each target in span; found "
@@ -156,9 +173,8 @@ def gap_table(traj, phase, span=None, min_zeros=5):
     dist_left = np.abs(x_crit - x_zero[idx - 1])
     nearest = np.where(dist_left <= dist_right, x_zero[idx - 1], x_zero[idx])
 
-    a_crit = phase.alpha_at(x_crit)
-    a_zero = phase.alpha_at(nearest)
-    r = np.abs(a_crit - a_zero) % math.pi
+    alpha = phase.alpha_at(np.concatenate([x_crit, nearest]))
+    r = np.abs(alpha[:len(x_crit)] - alpha[len(x_crit):]) % math.pi
     delta = np.minimum(r, math.pi - r)
     return ZeroGapTable(j=np.arange(1, len(x_crit) + 1),
                         x_crit=x_crit, x_zero=nearest,

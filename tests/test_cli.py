@@ -66,8 +66,11 @@ def test_analyze_reports_finder_diagnostics():
                                    xmax=50.0))
     diag = report["diagnostics"]
     assert {"polish_steps", "polish_fallback", "refined_intervals",
-            "alpha_mismatch_max"} <= set(diag)
+            "alpha_mismatch_max", "full_mesh_combinations"} <= set(diag)
     assert isinstance(diag["polish_steps"], int) and diag["polish_steps"] >= 0
+    # the polish works on the window slice; only the result is built on
+    # the whole mesh
+    assert diag["full_mesh_combinations"] == 1
     assert diag["polish_fallback"] is False
     assert isinstance(diag["refined_intervals"], int)
     # the input pair's quadrature-vs-arctangent check, below its 1e-4 bound
@@ -191,6 +194,33 @@ def test_dip_between_mesh_nodes_is_caught_at_the_stage_points(capsys):
     assert "NonOscillatoryError" in err and "stage points of 1 of" in err
     lo, hi = (float(t) for t in err.split("q <= 0 on [")[1].split("]")[0].split(", "))
     assert lo < 9.999 and hi > 10.001 and hi - lo < 0.1
+
+
+def test_dip_between_stage_points_is_caught_by_the_hermite_bound(capsys):
+    # q < 0 on (10 - 1e-4, 10 + 1e-4): no node or stage point of the step
+    # from 9.997 to 10.010 falls inside, the cubic Hermite of q and q' at
+    # its ends (exact for this quadratic) dips to -1e-8
+    start = time.perf_counter()
+    code = main(["analyze", "--eq", "(x - 10)^2 - 0.00000001", "--x0", "1",
+                 "--xmax", "50"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "NonOscillatoryError" in err and "cubic Hermite of q and q' on 1 of" in err
+    lo, hi = (float(t) for t in err.split("q <= 0 on [")[1].split("]")[0].split(", "))
+    assert lo < 10.0 - 1e-4 and hi > 10.0 + 1e-4 and hi - lo < 0.1
+
+
+def test_hermite_bound_is_the_least_value_of_a_cubic():
+    # the cubic Hermite reproduces a cubic q, so the bound is its minimum
+    # on each step, interior or at an end
+    mesh = np.linspace(0.0, 3.0, 7)
+    u = mesh - 1.3
+    low = cli._hermite_min(mesh, u ** 3 - 2.0 * u ** 2 + 0.5, 3.0 * u ** 2 - 4.0 * u)
+    xs = np.linspace(mesh[:-1], mesh[1:], 20001)
+    v = xs - 1.3
+    ref = (v ** 3 - 2.0 * v ** 2 + 0.5).min(axis=0)
+    assert np.all(low <= ref) and np.max(ref - low) <= 1e-8
 
 
 def test_q_too_large_for_the_node_budget_fails_fast(capsys):

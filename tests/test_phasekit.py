@@ -6,10 +6,12 @@ import pytest
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian, sample)
-from oscpairs.phasekit import (_combined_phase, _integrate_inv_v_local,
-                               _inv_v_derivatives, _phase_increments,
-                               _refine_fast, amplitude_series, appell_residual,
-                               phase_unwrap, prufer_polar, wronskian)
+from oscpairs.phasekit import (_FAST_PANEL, _combined_phase,
+                               _integrate_inv_v_local, _inv_v_derivatives,
+                               _phase_increments, _refine_fast,
+                               _third_derivative_stencils, amplitude_series,
+                               appell_residual, phase_unwrap, prufer_polar,
+                               wronskian)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import unimodular_scrambles
@@ -163,6 +165,47 @@ def test_appell_linearity_and_random_combinations(run_genairy):
         assert r.max <= 1e-5
 
 
+def _five_point_stencil(traj, A, B, C, centers, hc):
+    """Reference: the five-point third derivative at one spacing, with its
+    own evaluation and solve."""
+    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    pts = centers[:, None] + hc[:, None] * offs[None, :]
+    z = (pts - centers[:, None]) / hc[:, None]
+    V = z[:, None, :] ** np.arange(5)[None, :, None]
+    rhs = np.zeros((len(hc), 5, 1))
+    rhs[:, 3, 0] = 6.0
+    wts = np.linalg.solve(V, rhs)[:, :, 0] / hc[:, None] ** 3
+    pv = traj.evaluate(pts.ravel(), nder=0)
+    py1, py2 = pv["y1"].reshape(pts.shape), pv["y2"].reshape(pts.shape)
+    vv = A * py1 ** 2 + B * py2 ** 2 + 2.0 * C * py1 * py2
+    return (vv * wts).sum(axis=1)
+
+
+def test_shared_stencils_match_separate_ones(run_genairy, monkeypatch):
+    # the h and h/2 stencils share their points at -h, 0 and +h: one
+    # evaluation of the six others gives both, bit for bit
+    traj = transform_pair(run_genairy.traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
+    A, B, C = 1.2, 0.9, 0.3
+    centers = np.linspace(20.0, 190.0, 37)
+    hc = np.linspace(0.01, 0.3, 37)
+    want = (_five_point_stencil(traj, A, B, C, centers, hc),
+            _five_point_stencil(traj, A, B, C, centers, 0.5 * hc))
+    y = traj.evaluate(centers, nder=0)
+    v_center = A * y["y1"] ** 2 + B * y["y2"] ** 2 + 2.0 * C * y["y1"] * y["y2"]
+
+    points = []
+    evaluate = PairTrajectory.evaluate
+
+    def counting(self, xs, nder=1):
+        points.append(np.size(xs))
+        return evaluate(self, xs, nder)
+
+    monkeypatch.setattr(PairTrajectory, "evaluate", counting)
+    got = _third_derivative_stencils(traj, A, B, C, centers, hc, v_center)
+    assert points == [6 * len(centers)]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_appell_grid_too_coarse(run_constant):
     with pytest.raises(GridError):
         appell_residual(run_constant.traj, (1.0, 1.0, 0.0),
@@ -204,9 +247,19 @@ def test_prufer_invalid_selector(run_constant):
         prufer_polar(run_constant.traj, "y3")
 
 
+def _moved(traj):
+    """The size of the arctangent's phase increment over each mesh
+    interval, wrapped into [0, pi]."""
+    y1, y2 = traj.states[:, 0], traj.states[:, 2]
+    raw = np.arctan2(y2, y1) if traj.w > 0 else np.arctan2(y1, y2)
+    d = np.abs(np.diff(raw))
+    return np.minimum(d, 2.0 * math.pi - d)
+
+
 def _loop_increments(traj):
     """Scalar reference for _phase_increments: the corrected trapezoid per
-    mesh interval, then one linspace refinement per fast interval.
+    mesh interval, then one linspace refinement per interval whose
+    trapezoid or arctangent increment moves fast.
     Returns (unrefined, refined) increments."""
     y1, d1, y2, d2 = traj.states.T
     f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, traj.q_nodes, traj.qp_nodes)
@@ -215,8 +268,9 @@ def _loop_increments(traj):
               - h * h / 12.0 * (f1[1:] - f1[:-1])
               + h ** 4 / 720.0 * (f3[1:] - f3[:-1]))
     inc = coarse.copy()
-    for idx in np.nonzero(np.abs(inc) > 0.05)[0]:
-        n = int(math.ceil(abs(inc[idx]) / 0.025))
+    move = np.maximum(np.abs(coarse), _moved(traj))
+    for idx in np.nonzero(move > 0.05)[0]:
+        n = int(math.ceil(move[idx] / 0.025))
         edges = np.linspace(traj.mesh[idx], traj.mesh[idx + 1], n + 1)
         inc[idx] = float(np.sum(_integrate_inv_v_local(traj, edges[:-1], edges[1:])))
     return coarse, inc
@@ -230,8 +284,8 @@ def _coarse_traj(name, params, xmax):
 
 def _assert_matches_loop(traj):
     coarse, ref = _loop_increments(traj)
-    inc, refined = _phase_increments(traj)
-    fast = int(np.count_nonzero(np.abs(coarse) > 0.05))
+    inc, refined = _phase_increments(traj, _moved(traj))
+    fast = int(np.count_nonzero(np.maximum(np.abs(coarse), _moved(traj)) > 0.05))
     assert fast > 0 and refined == fast
     # only the summation order of the sub-panels differs from the loop
     assert np.all(np.abs(inc - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
@@ -264,7 +318,7 @@ def test_no_fast_intervals_returns_unrefined_increments():
     traj = normalize_unit_wronskian(
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 7.5))
     coarse, _ = _loop_increments(traj)
-    inc, refined = _phase_increments(traj)
+    inc, refined = _phase_increments(traj, _moved(traj))
     assert refined == 0
     assert np.array_equal(inc, coarse)
     assert phase_unwrap(traj).refined_intervals == 0
@@ -274,8 +328,10 @@ def test_no_fast_intervals_returns_unrefined_increments():
 def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
     traj = _coarse_traj("gen-airy", {"nu": 0.4}, 60.0)
     coarse, _ = _loop_increments(traj)
-    fast = np.flatnonzero(np.abs(coarse) > 0.05)
-    n = np.ceil(np.abs(coarse[fast]) / 0.025).astype(int)
+    moved = _moved(traj)
+    move = np.maximum(np.abs(coarse), moved)
+    fast = np.flatnonzero(move > 0.05)
+    n = np.ceil(move[fast] / 0.025).astype(int)
     assert fast.size > 0
 
     # the sub-panels [a, b] as the per-panel linspace edges give them
@@ -296,10 +352,29 @@ def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
         return evaluate(self, xs, nder)
 
     monkeypatch.setattr(PairTrajectory, "evaluate", counting)
-    inc, refined = _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], coarse)
+    inc, refined = _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], coarse, moved)
     assert refined == fast.size
     assert points == [int(np.sum(n + 1))]
     assert np.array_equal(inc, want)
+
+
+def test_panels_the_arctangent_sees_move_fast_are_refined():
+    # q = 1 at rtol 1e-3 with the amplitude stretched 25-fold: the phase
+    # moves up to 1.9 rad per mesh interval, and the corrected trapezoid
+    # misjudges intervals it does not resolve (one moving 0.83 rad comes
+    # out negative), so it alone would leave some of them unrefined
+    traj = transform_pair(_coarse_traj("constant", {"c": 1.0}, 50.0),
+                          (5.0, 0.0, 0.0, 0.2))
+    coarse, _ = _loop_increments(traj)
+    moved = _moved(traj)
+    fast = moved > _FAST_PANEL
+    assert np.any(fast & (np.abs(coarse) <= _FAST_PANEL))
+    inc, refined = _phase_increments(traj, moved)
+    assert refined == np.count_nonzero(np.maximum(np.abs(coarse), moved) > _FAST_PANEL)
+    assert np.all(inc[fast] != coarse[fast])
+    # the quadrature now follows the arctangent to 7e-4 rad (1.9 rad off
+    # when sized by the trapezoid alone), still above phase_unwrap's bound
+    assert np.max(np.abs(np.cumsum(inc) - np.cumsum(moved))) <= 1e-3
 
 
 def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_long):

@@ -6,10 +6,11 @@ import pytest
 
 from oscpairs import principal
 from oscpairs.errors import IllConditionedError, ParameterError
+from oscpairs.integrate import PairTrajectory
 from oscpairs.phasekit import amplitude_series, phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
                                 coefficient_matrix, find_principal,
-                                sufficient_conditions, transform_pair,
+                                sufficient_conditions, transform_pair, _fit,
                                 _oscillation_residual, _sheet_minimizer)
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import unimodular_scrambles
@@ -299,6 +300,58 @@ def test_find_principal_unwraps_only_its_input(run_inversex, monkeypatch):
     assert calls == {"phase_unwrap": 1, "transform_pair": 0}
     assert rep.diagnostics["polish_steps"] == 2
     assert not rep.diagnostics["polish_fallback"]
+
+
+def test_find_principal_builds_one_full_mesh_combination(run_inversex, monkeypatch):
+    built = []
+    combined = PairTrajectory._combined
+
+    def counting(self, matrix, w):
+        built.append(len(self.mesh))
+        return combined(self, matrix, w)
+
+    scr = transform_pair(run_inversex.traj, unimodular_scrambles(7, n=1)[0])
+    monkeypatch.setattr(PairTrajectory, "_combined", counting)
+    rep = find_principal(scr)
+    assert built == [len(scr.mesh)]
+    assert rep.diagnostics["full_mesh_combinations"] == len(built)
+    assert rep.diagnostics["polish_steps"] == 2
+
+
+@pytest.mark.parametrize("fixture", ["run_constant", "run_genairy", "run_inversex",
+                                     "run_ce"])
+def test_find_principal_is_gauge_invariant(request, fixture):
+    # 20 random unit-determinant scrambles R(a) diag(s, +-1/s) R(b) of a
+    # catalog principal pair, stretch s up to 2: each recovers the pair's
+    # amplitude within the C1 bound, with the same classification
+    run = request.getfixturevalue(fixture)
+    ref = run.principal_phase
+    wlo, whi = run.report.window
+    tail = (ref.grid >= wlo) & (ref.grid <= whi)
+    rng = np.random.default_rng(1105)
+    for _ in range(20):
+        a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+        stretch = math.exp(rng.uniform(0.0, math.log(2.0)))
+        sign = rng.choice([-1.0, 1.0])
+        ra = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        rb = np.array([[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]])
+        M = ra @ np.diag([stretch, sign / stretch]) @ rb
+        rep = find_principal(transform_pair(run.principal, tuple(M.ravel())))
+        assert rep.classification == run.report.classification
+        assert np.max(np.abs(rep.phase.v[tail] - ref.v[tail]) / ref.v[tail]) <= 1e-5
+
+
+def test_fit_matches_least_squares():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((200, 10))
+    Y = rng.standard_normal((200, 3))
+    assert np.allclose(_fit(X, Y), np.linalg.lstsq(X, Y, rcond=None)[0],
+                       rtol=0.0, atol=1e-13)
+    # a zero column makes the Gram matrix singular: the minimum-norm
+    # least-squares solution
+    X[:, 4] = 0.0
+    assert np.allclose(_fit(X, Y), np.linalg.lstsq(X, Y, rcond=None)[0],
+                       rtol=0.0, atol=1e-13)
 
 
 def test_find_principal_deterministic(run_ce):

@@ -128,32 +128,30 @@ def test_csv_serialization(run_constant):
     assert float(first[1]) == table.x_crit[0]
 
 
-def _counting_target_eval(monkeypatch, target_eval):
-    """Route zeros_of through target_eval and count its calls."""
+def _counting_eval_targets(monkeypatch, eval_targets):
+    """Route the Newton loop of zeros_of through eval_targets and count
+    its calls."""
     calls = []
 
-    def counting(traj, target):
-        fval = target_eval(traj, target)
+    def counting(traj, xs, cols):
+        calls.append(len(xs))
+        return eval_targets(traj, xs, cols)
 
-        def f(xs):
-            calls.append(len(xs))
-            return fval(xs)
-        return f
-
-    monkeypatch.setattr(zeros, "_target_eval", counting)
+    monkeypatch.setattr(zeros, "_eval_targets", counting)
     return calls
 
 
-def _bisected_roots(traj, target, fval, steps=90):
+def _bisected_roots(traj, target, eval_targets, steps=90):
     """Roots of the dense output in every sign-change bracket of the node
     values, by plain bisection."""
     col = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}[target]
     s = np.sign(traj.states[:, col])
     change = np.nonzero(s[:-1] * s[1:] < 0)[0]
     a, b, sa = traj.mesh[change], traj.mesh[change + 1], s[change]
+    cols = np.full(a.shape, col)
     for _ in range(steps):
         m = 0.5 * (a + b)
-        left = np.sign(fval(m)[0]) == sa
+        left = np.sign(eval_targets(traj, m, cols)[0]) == sa
         a, b = np.where(left, m, a), np.where(left, b, m)
     return 0.5 * (a + b)
 
@@ -167,17 +165,30 @@ def test_zeros_of_matches_bisection_of_dense_output(monkeypatch, request,
     if scramble:
         pair = transform_pair(pair, (0.7060476993524358, 0.5679392598307327,
                                      -1.2033851519276002, 0.44834127752738895))
-    target_eval = zeros._target_eval
-    calls = _counting_target_eval(monkeypatch, target_eval)
+    eval_targets = zeros._eval_targets
+    calls = _counting_eval_targets(monkeypatch, eval_targets)
     for target, rel in (("y1", 1e-14), ("y2", 1e-14),
                         ("y1p", 2e-12), ("y2p", 2e-12)):
         calls.clear()
         got = zeros_of(pair, target)
         assert 1 <= len(calls) <= 8
         got = got[~np.isin(got, pair.mesh)]  # node-exact zeros need no polish
-        ref = _bisected_roots(pair, target, target_eval(pair, target))
+        ref = _bisected_roots(pair, target, eval_targets)
         assert got.shape == ref.shape and len(ref) >= 10
         assert np.all(np.abs(got - ref) <= rel * (1.0 + np.abs(ref)))
+
+
+def test_gap_table_polishes_both_targets_in_one_loop(monkeypatch, run_genairy):
+    pair, phase = run_genairy.principal, run_genairy.principal_phase
+    first, second = ("y2", "y1") if phase.swapped else ("y1", "y2")
+    crit = zeros_of(pair, first + "p")
+    zero = zeros_of(pair, second)
+    calls = _counting_eval_targets(monkeypatch, zeros._eval_targets)
+    table = gap_table(pair, phase)
+    # one evaluation per Newton round covers the critical points and the
+    # zeros together, with the same roots as one loop per target
+    assert 1 <= len(calls) <= 8 and calls[0] == len(crit) + len(zero)
+    assert np.all(np.isin(table.x_crit, crit)) and np.all(np.isin(table.x_zero, zero))
 
 
 def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
@@ -188,14 +199,12 @@ def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
     # positive non-constant factor, so the secant start is not r.
     r, e = 0.38673473457649354, 6.3e-14
 
-    def synthetic(traj, target):
-        def fval(xs):
-            f = xs - r
-            far = np.abs(f) > 1.5 * e
-            return f, np.where(far, f / np.where(far, f - e, 1.0), 0.5)
-        return fval
+    def synthetic(traj, xs, cols):
+        f = xs - r
+        far = np.abs(f) > 1.5 * e
+        return f, np.where(far, f / np.where(far, f - e, 1.0), 0.5)
 
-    calls = _counting_target_eval(monkeypatch, synthetic)
+    calls = _counting_eval_targets(monkeypatch, synthetic)
     mesh = np.linspace(0.0, 1.0, 11)
     states = np.zeros((len(mesh), 4))
     states[:, 0] = (mesh - r) * (1.0 + mesh)
@@ -224,7 +233,7 @@ def test_newton_two_cycle_stops_early(monkeypatch):
                                       -1.2033851519276002, 0.44834127752738895))
     pair = transform_pair(scrambled, find_principal(scrambled).matrix)
 
-    calls = _counting_target_eval(monkeypatch, zeros._target_eval)
+    calls = _counting_eval_targets(monkeypatch, zeros._eval_targets)
     got = zeros_of(pair, "y1p", (pair.x0, pair.xmax))
     # one call per Newton iteration, 5 here; a loop that followed the
     # cycle would run to its iteration cap
