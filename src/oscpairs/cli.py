@@ -75,10 +75,12 @@ def _refuse_nonpositive(lo, hi, q, where):
             f"q <= 0 on {runs} ({where}); y'' + q y = 0 need not oscillate there")
 
 
-def _hermite_min(mesh, q, qp):
-    """Least value on each step of the cubic Hermite interpolant of q and
-    q' at the step's two ends: a bound on the step's minimum of q that
-    does not depend on where q was sampled inside the step."""
+def _hermite_argmin(mesh, q, qp):
+    """Where on each step, as a fraction t of the step, the cubic Hermite
+    interpolant of q and q' at the step's two ends is least, and its value
+    there.  The interpolant is not a bound on q (for q = u^4 it is
+    u^4 - (u-a)^2 (u-b)^2 on [a, b]), so it only picks the point at which
+    q itself is tested."""
     h = np.diff(mesh)
     q0, q1, d0, d1 = q[:-1], q[1:], h * qp[:-1], h * qp[1:]
     # p(t) = q0 + d0 t + c2 t^2 + c3 t^3 on t in [0, 1]
@@ -87,21 +89,22 @@ def _hermite_min(mesh, q, qp):
     # the roots of p'(t) = d0 + 2 c2 t + 3 c3 t^2, in the cancellation-free
     # form; without real roots the points tried lie inside [0, 1] anyway
     s = -(c2 + np.copysign(np.sqrt(np.maximum(c2 * c2 - 3.0 * c3 * d0, 0.0)), c2))
-    low = np.minimum(q0, q1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in (s / (3.0 * c3), d0 / s):
-            t = np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
-            low = np.minimum(low, q0 + t * (d0 + t * (c2 + t * c3)))
-    return low
+        t1, t2 = (np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+                  for t in (s / (3.0 * c3), d0 / s))
+    p1, p2 = (q0 + t * (d0 + t * (c2 + t * c3)) for t in (t1, t2))
+    second = p2 < p1
+    return np.where(second, t2, t1), np.where(second, p2, p1)
 
 
 def _integrated_pair(config):
     """The normalized default pair.  q <= 0 is refused on the predicate
     grid before any integration, so that the phase work downstream does
     not fail only after the whole run, and after it at the mesh nodes,
-    then at the stage points of every step and last by the cubic Hermite
-    of q and q' on every step, which catch a dip between two grid points,
-    one between two mesh nodes and one between two stage points."""
+    then at the stage points of every step and last, on the steps whose
+    cubic Hermite of q and q' dips to 0 or below, at that cubic's least
+    point; these catch a dip between two grid points, one between two
+    mesh nodes and one between two stage points."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
@@ -117,11 +120,16 @@ def _integrated_pair(config):
     bad = int(np.count_nonzero(traj.q_step_min <= 0.0))
     _refuse_nonpositive(mesh[:-1], mesh[1:], traj.q_step_min,
                         f"at the stage points of {bad} of {len(mesh) - 1} steps")
-    low = _hermite_min(mesh, traj.q_nodes, traj.qp_nodes)
-    bad = int(np.count_nonzero(low <= 0.0))
-    _refuse_nonpositive(mesh[:-1], mesh[1:], low,
-                        f"by the cubic Hermite of q and q' on {bad} of "
-                        f"{len(mesh) - 1} steps")
+    t, low = _hermite_argmin(mesh, traj.q_nodes, traj.qp_nodes)
+    dips = np.flatnonzero(low <= 0.0)
+    if len(dips):
+        q_min = np.full_like(low, np.inf)
+        q_min[dips] = model.q_array(
+            mesh[dips] + t[dips] * (mesh[dips + 1] - mesh[dips]))
+        bad = int(np.count_nonzero(q_min <= 0.0))
+        _refuse_nonpositive(mesh[:-1], mesh[1:], q_min,
+                            f"at the least point of the cubic Hermite of q and "
+                            f"q' on {bad} of {len(mesh) - 1} steps")
     return model, normalize_unit_wronskian(traj)
 
 

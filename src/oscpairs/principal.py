@@ -307,8 +307,11 @@ def find_principal(traj, window=None):
 
     coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
     matrix = coefficient_matrix(coeffs)
-    # the one full-mesh combination: classify and the gap table read it
+    # the whole-mesh combinations, counted as they are built: only the
+    # result, which classify and the gap table read
+    full_mesh = 0
     pair = traj._combined(matrix, traj.w)
+    full_mesh += 1
     phase_t = _combined_phase(pair, phase)
     k1, k2 = _oscillation_residual(phase_t, window)
     w = np.array([coeffs.A, coeffs.B, coeffs.C])
@@ -320,7 +323,7 @@ def find_principal(traj, window=None):
         diag["residual_above_tol"] = residual
     diag.update({"window_expanded": expanded, "alpha_span": alpha_span,
                  "polish_steps": steps, "polish_fallback": not ok,
-                 "full_mesh_combinations": 1,
+                 "full_mesh_combinations": full_mesh,
                  "refined_intervals": phase.refined_intervals,
                  "alpha_mismatch_max": phase.alpha_mismatch_max})
     return PrincipalReport(coeffs=coeffs, classification=tag, L=L, K=K,

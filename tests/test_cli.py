@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from oscpairs import cli
-from oscpairs.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY, RunConfig,
-                          cmd_analyze, cmd_verify, cmd_zeros, main, to_json)
+from oscpairs.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY,
+                          RunConfig, cmd_analyze, cmd_verify, cmd_zeros, main,
+                          to_json)
+from oscpairs.integrate import PairTrajectory
 from oscpairs.verify import catalog_run
 
 SCHEMA_KEYS = {"equation", "params", "span", "tolerances", "wronskian",
@@ -61,7 +63,15 @@ def test_json_determinism():
     assert a == b
 
 
-def test_analyze_reports_finder_diagnostics():
+def test_analyze_reports_finder_diagnostics(monkeypatch):
+    built = []
+    combined = PairTrajectory._combined
+
+    def counting(self, matrix, w):
+        built.append(len(self.mesh))
+        return combined(self, matrix, w)
+
+    monkeypatch.setattr(PairTrajectory, "_combined", counting)
     report = cmd_analyze(RunConfig(equation="constant", params={"c": 1.0},
                                    xmax=50.0))
     diag = report["diagnostics"]
@@ -69,8 +79,8 @@ def test_analyze_reports_finder_diagnostics():
             "alpha_mismatch_max", "full_mesh_combinations"} <= set(diag)
     assert isinstance(diag["polish_steps"], int) and diag["polish_steps"] >= 0
     # the polish works on the window slice; only the result is built on
-    # the whole mesh
-    assert diag["full_mesh_combinations"] == 1
+    # the whole mesh, and the key counts the builds
+    assert diag["full_mesh_combinations"] == len(built) == 1
     assert diag["polish_fallback"] is False
     assert isinstance(diag["refined_intervals"], int)
     # the input pair's quadrature-vs-arctangent check, below its 1e-4 bound
@@ -196,31 +206,56 @@ def test_dip_between_mesh_nodes_is_caught_at_the_stage_points(capsys):
     assert lo < 9.999 and hi > 10.001 and hi - lo < 0.1
 
 
-def test_dip_between_stage_points_is_caught_by_the_hermite_bound(capsys):
+def test_dip_between_stage_points_is_caught_at_the_hermite_minimum(capsys):
     # q < 0 on (10 - 1e-4, 10 + 1e-4): no node or stage point of the step
-    # from 9.997 to 10.010 falls inside, the cubic Hermite of q and q' at
-    # its ends (exact for this quadratic) dips to -1e-8
+    # from 9.997 to 10.010 falls inside; the cubic Hermite of q and q' at
+    # its ends (exact for this quadratic) is least at x = 10, where q is
+    # tested
     start = time.perf_counter()
     code = main(["analyze", "--eq", "(x - 10)^2 - 0.00000001", "--x0", "1",
                  "--xmax", "50"])
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "NonOscillatoryError" in err and "cubic Hermite of q and q' on 1 of" in err
+    assert "NonOscillatoryError" in err
+    assert "least point of the cubic Hermite of q and q' on 1 of" in err
     lo, hi = (float(t) for t in err.split("q <= 0 on [")[1].split("]")[0].split(", "))
     assert lo < 10.0 - 1e-4 and hi > 10.0 + 1e-4 and hi - lo < 0.1
 
 
-def test_hermite_bound_is_the_least_value_of_a_cubic():
-    # the cubic Hermite reproduces a cubic q, so the bound is its minimum
-    # on each step, interior or at an end
+def test_flat_positive_minimum_is_not_refused(capsys):
+    # the cubic Hermite of (x - 10)^4 on a step [a, b] around 10 is
+    # (x - 10)^4 - (x - a)^2 (x - b)^2, below 0 near 10, but q itself
+    # stays above 1e-10 there
+    _, low = cli._hermite_argmin(np.array([9.995, 10.006]),
+                                 np.array([0.005 ** 4, 0.006 ** 4]),
+                                 np.array([-4 * 0.005 ** 3, 4 * 0.006 ** 3]))
+    assert low[0] < 0.0
+    code = main(["analyze", "--eq", "(x - 10)^4 + 0.0000000001", "--x0", "1",
+                 "--xmax", "20"])
+    assert code == EXIT_OK
+    assert "NonOscillatoryError" not in capsys.readouterr().err
+
+
+def test_hermite_argmin_is_the_interior_minimum_of_a_cubic():
+    # the cubic Hermite reproduces a cubic q, so on each step with an
+    # interior minimum it finds that minimum and where it lies
     mesh = np.linspace(0.0, 3.0, 7)
     u = mesh - 1.3
-    low = cli._hermite_min(mesh, u ** 3 - 2.0 * u ** 2 + 0.5, 3.0 * u ** 2 - 4.0 * u)
+    t, low = cli._hermite_argmin(mesh, u ** 3 - 2.0 * u ** 2 + 0.5,
+                                 3.0 * u ** 2 - 4.0 * u)
+    x_min = mesh[:-1] + t * np.diff(mesh)
     xs = np.linspace(mesh[:-1], mesh[1:], 20001)
     v = xs - 1.3
-    ref = (v ** 3 - 2.0 * v ** 2 + 0.5).min(axis=0)
-    assert np.all(low <= ref) and np.max(ref - low) <= 1e-8
+    vals = v ** 3 - 2.0 * v ** 2 + 0.5
+    ref = vals.min(axis=0)
+    # the local minimum of the cubic is at u = 4/3, inside the step [2.5, 3]
+    assert abs(x_min[5] - (1.3 + 4.0 / 3.0)) <= 1e-12
+    assert abs(low[5] - (0.5 - 32.0 / 27.0)) <= 1e-12
+    # on every step the least of the cubic's critical points, clipped to
+    # the step, is not below the step's minimum (sampled at 20001 points)
+    assert np.all(low >= ref - 1e-8)
+    assert np.all((x_min >= mesh[:-1]) & (x_min <= mesh[1:]))
 
 
 def test_q_too_large_for_the_node_budget_fails_fast(capsys):
