@@ -2,15 +2,21 @@
 
 Reports are JSON (17 significant digits, fixed key order, so identical
 configurations produce byte-identical output) or CSV for the gap table.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure
+Exit codes: 0 success, 2 configuration error (including a non-finite
+number and an --out path that cannot be written), 3 numeric failure
 (including q <= 0 in the span, a q too large for the node budget and a
 stalled integration), 4 verification failure.
 """
 
 import argparse
 import functools
+import math
+import os
 import sys
 from dataclasses import dataclass, field
+# a str as a JSON string literal, as json.dumps(s, ensure_ascii=False)
+# writes it: quotes, backslashes and control characters escaped
+from json.encoder import encode_basestring as _json_string
 
 import numpy as np
 
@@ -52,6 +58,10 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
+        for name in ("x0", "xmax", "rtol", "atol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not 0.0 < self.window_fraction <= 0.5:
             raise ParameterError(
                 f"window fraction must lie in (0, 0.5], got {self.window_fraction}")
@@ -224,7 +234,7 @@ def _json_scalar(x):
             return '"%s"' % repr(x)
         return format(x, ".17g")
     if isinstance(x, str):
-        return '"%s"' % x.replace("\\", "\\\\").replace('"', '\\"')
+        return _json_string(x)
     raise TypeError(f"cannot serialize {type(x)}")
 
 
@@ -233,8 +243,8 @@ def to_json(obj, indent=0):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join('%s"%s": %s' % ("  " * (indent + 1), k,
-                                           to_json(v, indent + 1))
+        items = ",\n".join("%s%s: %s" % ("  " * (indent + 1), _json_string(k),
+                                         to_json(v, indent + 1))
                            for k, v in obj.items())
         return "{\n%s\n%s}" % (items, pad)
     if isinstance(obj, (list, tuple)):
@@ -294,6 +304,16 @@ def _parser():
     return parser
 
 
+def _check_out(out):
+    """Refuse an --out path that cannot be written, before the run."""
+    if os.path.isdir(out):
+        raise ParameterError(f"--out {out!r} is a directory")
+    target = out if os.path.exists(out) else os.path.dirname(out) or "."
+    if not os.access(target, os.W_OK):
+        raise ParameterError(
+            f"--out {out!r}: {target!r} does not exist or is not writable")
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -314,6 +334,8 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "verify":
             lines, ok = cmd_verify(args.suite, seed=args.seed, rtol=args.rtol)
             text = "\n".join(lines) + "\n"
@@ -330,7 +352,7 @@ def main(argv=None):
         else:
             _emit(cmd_zeros(config), config.out)
         return EXIT_OK
-    except _CONFIG_ERRORS as exc:
+    except (*_CONFIG_ERRORS, OSError) as exc:  # OSError: writing --out
         sys.stderr.write(_error_json(exc, EXIT_CONFIG))
         return EXIT_CONFIG
     except OscpairsError as exc:

@@ -521,8 +521,10 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     """
     if not 1e-13 <= rtol <= 1e-3:
         raise ParameterError(f"rtol must lie in [1e-13, 1e-3], got {rtol}")
-    if atol <= 0.0:
-        raise ParameterError("atol must be positive")
+    if not 0.0 < atol < math.inf:
+        raise ParameterError(f"atol must be positive and finite, got {atol}")
+    if not math.isfinite(xmax):
+        raise ParameterError(f"xmax must be finite, got {xmax}")
     x0 = model.x0
     if not xmax > x0:
         raise IntegrationError(f"xmax = {xmax} must exceed x0 = {x0}", x=x0)

@@ -28,21 +28,13 @@ _FAST_PANEL = 0.05  # phase per quadrature panel above which it is refined
 _SUB_PANEL = 0.025  # largest phase per refined sub-panel
 
 
-def wronskian(state):
-    """y1*y2' - y1'*y2 for a state (y1, y1', y2, y2'); vectorized."""
-    state = np.asarray(state, dtype=float)
-    if state.ndim == 1:
-        return float(state[0] * state[3] - state[1] * state[2])
-    return state[:, 0] * state[:, 3] - state[:, 1] * state[:, 2]
-
-
 @dataclass(frozen=True)
 class PhaseData:
     """Sampled phase and amplitude data for a unit-Wronskian pair.
 
-    alpha fields are None when only the amplitude series was computed.
-    ``swapped`` records that the pair order was flipped internally so the
-    effective Wronskian is -1 and alpha increases.
+    alpha and alpha_mismatch_max are None when only the amplitude series
+    was computed.  ``swapped`` records that the pair order was flipped
+    internally so the effective Wronskian is -1 and alpha increases.
     ``refined_intervals`` counts the mesh intervals whose phase quadrature
     went through sub-panel refinement.
     """
@@ -54,11 +46,14 @@ class PhaseData:
     w: float
     swapped: bool = False
     alpha: np.ndarray | None = None
-    alpha_prime: np.ndarray | None = None
     alpha_mismatch_max: float | None = None
     refined_intervals: int = 0
     _traj: object | None = field(default=None, repr=False, compare=False)
-    _mesh_alpha: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def alpha_prime(self):
+        """|alpha'| = 1/v for the unit pair."""
+        return 1.0 / self.v
 
     def alpha_at(self, xs):
         """Phase at arbitrary points, machine-accurate.
@@ -66,7 +61,7 @@ class PhaseData:
         The quadrature values anchor the branch; the value itself is
         snapped to the pointwise arctangent of (y1, y2).
         """
-        if self._mesh_alpha is None:
+        if self.alpha is None:
             raise ParameterError("phase was not unwrapped for this data")
         scalar = np.isscalar(xs)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -77,21 +72,10 @@ class PhaseData:
         a1, a2 = (vals["y2"], vals["y1"]) if self.swapped else (vals["y1"], vals["y2"])
         raw = np.arctan2(a1, a2)
         # coarse anchor: one trapezoid of alpha' = 1/v from the left node
-        v_node = (traj.states[idx, 0] ** 2 + traj.states[idx, 2] ** 2)
         v_here = a1 ** 2 + a2 ** 2
-        approx = self._mesh_alpha[idx] + 0.5 * (xs - mesh[idx]) * (1.0 / v_node + 1.0 / v_here)
+        approx = self.alpha[idx] + 0.5 * (xs - mesh[idx]) * (1.0 / self.v[idx] + 1.0 / v_here)
         alpha = raw + 2.0 * math.pi * np.round((approx - raw) / (2.0 * math.pi))
         return float(alpha[0]) if scalar else alpha
-
-
-@dataclass(frozen=True)
-class PruferPolar:
-    """Polar coordinates in the (y', y) plane: y = rho sin(phi), y' = rho cos(phi)."""
-
-    grid: np.ndarray
-    rho: np.ndarray
-    phi: np.ndarray
-    which: str
 
 
 def _require_unit(traj):
@@ -102,35 +86,42 @@ def _require_unit(traj):
 
 
 def _states_on(traj, grid):
+    """grid (the mesh for None) and y1, y1', y2, y2' and q on it."""
     if grid is None:
-        return traj.mesh, traj.states[:, 0], traj.states[:, 1], traj.states[:, 2], traj.states[:, 3]
+        return (traj.mesh, *traj.states.T, traj.q_nodes)
     grid = np.asarray(grid, dtype=float)
     vals = traj.evaluate(grid, nder=1)
-    return grid, vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
+    return (grid, vals["y1"], vals["y1p"], vals["y2"], vals["y2p"],
+            traj.model.q_array(grid))
 
 
-def amplitude_series(traj, grid=None):
-    """Amplitude v = y1^2 + y2^2 with exact first and second derivatives.
+def _amplitude(y1, d1, y2, d2, q):
+    """(v, v', v'') of the amplitude v = y1^2 + y2^2 from exact states:
 
     v'  = 2 (y1 y1' + y2 y2')
     v'' = 2 (y1'^2 + y2'^2) - 2 q v
+    """
+    v = y1 * y1 + y2 * y2
+    return v, 2.0 * (y1 * d1 + y2 * d2), 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
+
+
+def amplitude_series(traj, grid=None):
+    """Amplitude v = y1^2 + y2^2 with exact first and second derivatives
+    (see _amplitude).
 
     No numerical differentiation is involved.  The pair must be
     unit-normalized, since downstream classification assumes |w| = 1.
     """
     _require_unit(traj)
-    grid, y1, d1, y2, d2 = _states_on(traj, grid)
-    v = y1 * y1 + y2 * y2
-    vp = 2.0 * (y1 * d1 + y2 * d2)
-    q = traj.q_nodes if grid is traj.mesh else traj.model.q_array(grid)
-    vpp = 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
+    grid, y1, d1, y2, d2, q = _states_on(traj, grid)
+    v, vp, vpp = _amplitude(y1, d1, y2, d2, q)
     return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp, w=traj.w)
 
 
-def _inv_v_derivatives(y1, d1, y2, d2, q, qp):
-    """(f, f', f''') for the phase speed f = |w|/v from exact states.
+def _inv_v_derivatives(y1, d1, y2, d2, amp, q, qp):
+    """(f, f', f''') for the phase speed f = |w|/v from exact states and
+    their amplitude amp = (v, v', v'').
 
-    v'  = 2(y1 y1' + y2 y2'),  v'' = 2(y1'^2 + y2'^2) - 2 q v, and
     v''' = -4 q v' - 2 q' v along solutions, so all derivatives of the
     quadrature integrand come out in closed form.  With r = 1/v and
     g = v' r they are f = w r, f' = -f g and
@@ -140,10 +131,8 @@ def _inv_v_derivatives(y1, d1, y2, d2, q, qp):
     quadrature consistent with the arctangent even across the
     integrator's tiny w drift.
     """
-    v = y1 * y1 + y2 * y2
+    v, vp, vpp = amp
     w = np.abs(y1 * d2 - d1 * y2)
-    vp = 2.0 * (y1 * d1 + y2 * d2)
-    vpp = 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
     vppp = -4.0 * q * vp - 2.0 * qp * v
     r = 1.0 / v
     g = vp * r
@@ -151,10 +140,11 @@ def _inv_v_derivatives(y1, d1, y2, d2, q, qp):
     return f, -f * g, f * r * (6.0 * g * (vpp - vp * g) - vppp)
 
 
-def _phase_increments(traj, turn):
+def _phase_increments(traj, amp, turn):
     """Integral of 1/v over every mesh interval, and the number of
-    intervals refined; turn is the arctangent's increment of the phase
-    over each interval, up to a whole turn (see _refine_fast).
+    intervals refined; amp is the amplitude (v, v', v'') at the nodes and
+    turn the arctangent's increment of the phase over each interval, up
+    to a whole turn (see _refine_fast).
 
     Each interval first gets the Euler-Maclaurin corrected trapezoid
     (endpoint f' and f''' corrections) from exact node data, so no
@@ -165,7 +155,7 @@ def _phase_increments(traj, turn):
     (_refine_fast).
     """
     y1, d1, y2, d2 = traj.states.T
-    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, traj.q_nodes, traj.qp_nodes)
+    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, amp, traj.q_nodes, traj.qp_nodes)
     inc = _corrected_trapezoid(np.diff(traj.mesh), (f[:-1], f1[:-1], f3[:-1]),
                                (f[1:], f1[1:], f3[1:]))
     return _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], inc, turn)
@@ -182,9 +172,9 @@ def _corrected_trapezoid(h, left, right):
 def _inv_v_at(traj, xs):
     """(f, f', f''') of the phase speed at points xs, from the dense
     output and q there."""
-    vals = traj.evaluate(xs, nder=1)
-    return _inv_v_derivatives(vals["y1"], vals["y1p"], vals["y2"], vals["y2p"],
-                              traj.model.q_array(xs), traj.model.q_prime_array(xs))
+    xs, y1, d1, y2, d2, q = _states_on(traj, xs)
+    return _inv_v_derivatives(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q), q,
+                              traj.model.q_prime_array(xs))
 
 
 def _refine_fast(traj, lo, hi, inc, turn):
@@ -227,12 +217,6 @@ def _refine_fast(traj, lo, hi, inc, turn):
     return inc, int(fast.size)
 
 
-def _integrate_inv_v_local(traj, a, b):
-    """Integral of 1/v over short sub-intervals [a, b] (corrected
-    trapezoid with exact endpoint derivatives)."""
-    return _corrected_trapezoid(b - a, _inv_v_at(traj, a), _inv_v_at(traj, b))
-
-
 def phase_unwrap(traj):
     """Continuous, strictly monotone phase on the mesh from quadrature of
     alpha' = -w/v.
@@ -246,11 +230,12 @@ def phase_unwrap(traj):
     """
     _require_unit(traj)
     swapped = traj.w > 0
-    y1, y2 = traj.states[:, 0], traj.states[:, 2]
+    y1, d1, y2, d2 = traj.states.T
     a1, a2 = (y2, y1) if swapped else (y1, y2)
 
     raw = np.arctan2(a1, a2)
-    inc, refined = _phase_increments(traj, np.diff(raw))
+    v, vp, vpp = amp = _amplitude(y1, d1, y2, d2, traj.q_nodes)
+    inc, refined = _phase_increments(traj, amp, np.diff(raw))
     alpha = np.concatenate([[math.atan2(a1[0], a2[0])], inc]).cumsum()
 
     mism = alpha - raw
@@ -261,12 +246,9 @@ def phase_unwrap(traj):
             f"phase quadrature deviates from arctangent by {mismatch:.3e}; "
             "refine the trajectory (tighter rtol)")
 
-    amp = amplitude_series(traj)
-    return PhaseData(grid=traj.mesh, v=amp.v, v_prime=amp.v_prime,
-                     v_second=amp.v_second, w=traj.w, swapped=swapped,
-                     alpha=alpha, alpha_prime=1.0 / amp.v,
-                     alpha_mismatch_max=mismatch, refined_intervals=refined,
-                     _traj=traj, _mesh_alpha=alpha)
+    return PhaseData(grid=traj.mesh, v=v, v_prime=vp, v_second=vpp, w=traj.w,
+                     swapped=swapped, alpha=alpha, alpha_mismatch_max=mismatch,
+                     refined_intervals=refined, _traj=traj)
 
 
 def _combined_alpha(z1, z2, alpha, swapped):
@@ -289,12 +271,11 @@ def _combined_phase(pair, phase):
     pair whose unwrapped phase is ``phase``, on the same mesh; no
     quadrature (see _combined_alpha).  Its alpha_at works on pair."""
     z1, p1, z2, p2 = pair.states.T
-    v = z1 * z1 + z2 * z2
-    alpha = _combined_alpha(z1, z2, phase.alpha, phase.swapped)
-    return PhaseData(grid=pair.mesh, v=v, v_prime=2.0 * (z1 * p1 + z2 * p2),
-                     v_second=2.0 * (p1 * p1 + p2 * p2) - 2.0 * pair.q_nodes * v,
-                     w=pair.w, swapped=phase.swapped, alpha=alpha,
-                     alpha_prime=1.0 / v, _traj=pair, _mesh_alpha=alpha)
+    v, vp, vpp = _amplitude(z1, p1, z2, p2, pair.q_nodes)
+    return PhaseData(grid=pair.mesh, v=v, v_prime=vp, v_second=vpp, w=pair.w,
+                     swapped=phase.swapped,
+                     alpha=_combined_alpha(z1, z2, phase.alpha, phase.swapped),
+                     _traj=pair)
 
 
 def _coeff_triple(coeffs):
@@ -401,33 +382,3 @@ def appell_residual(traj, coeffs, grid):
     return ResidualStats(max=float(diff.max()),
                          rms=float(math.sqrt(np.mean(diff ** 2))),
                          count=int(diff.size))
-
-
-def prufer_polar(traj, which="y1", grid=None):
-    """Polar form y = rho sin(phi), y' = rho cos(phi) for one solution.
-
-    phi is continuous with tan(phi) = y/y', fixed at the first node by
-    atan2(y, y'); the angle satisfies phi' = cos^2(phi) + q sin^2(phi).
-    """
-    if which not in ("y1", "y2"):
-        raise ParameterError("which must be 'y1' or 'y2'")
-    col = 0 if which == "y1" else 2
-    ym, dm = traj.states[:, col], traj.states[:, col + 1]
-    if np.max(np.abs(ym)) == 0.0:
-        raise ParameterError(f"{which} is identically zero")
-    phi_mesh = np.unwrap(np.arctan2(ym, dm))
-
-    if grid is None or grid is traj.mesh:
-        grid = traj.mesh
-        rho = np.hypot(ym, dm)
-        phi = phi_mesh
-    else:
-        grid = np.asarray(grid, dtype=float)
-        vals = traj.evaluate(grid, nder=1)
-        y = vals["y1"] if which == "y1" else vals["y2"]
-        d = vals["y1p"] if which == "y1" else vals["y2p"]
-        rho = np.hypot(y, d)
-        raw = np.arctan2(y, d)
-        anchor = np.interp(grid, traj.mesh, phi_mesh)
-        phi = raw + 2.0 * math.pi * np.round((anchor - raw) / (2.0 * math.pi))
-    return PruferPolar(grid=grid, rho=rho, phi=phi, which=which)

@@ -22,14 +22,13 @@ class EquationModel:
     Instances are immutable and evaluation is pure, so a model can be
     shared freely across threads.  `q`, `q_prime` and `q_second` are the
     scalar functions themselves; the `*_array` methods evaluate on numpy
-    arrays, through the array forms when the model has them.
+    arrays through the array forms q_arr, qp_arr and qpp_arr.
     """
 
     __slots__ = ("source", "x0", "params", "q", "q_prime", "q_second",
                  "_q_arr", "_qp_arr", "_qpp_arr")
 
-    def __init__(self, source, x0, params, q, qp, qpp,
-                 q_arr=None, qp_arr=None, qpp_arr=None):
+    def __init__(self, source, x0, params, q, qp, qpp, q_arr, qp_arr, qpp_arr):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "x0", float(x0))
         object.__setattr__(self, "params", dict(params))
@@ -48,25 +47,20 @@ class EquationModel:
         return self.q(x), self.q_prime(x), self.q_second(x)
 
     def q_array(self, xs):
-        return _on_array(xs, self._q_arr, self.q)
+        return _on_array(xs, self._q_arr)
 
     def q_prime_array(self, xs):
-        return _on_array(xs, self._qp_arr, self.q_prime)
+        return _on_array(xs, self._qp_arr)
 
     def q_second_array(self, xs):
-        return _on_array(xs, self._qpp_arr, self.q_second)
+        return _on_array(xs, self._qpp_arr)
 
     def __repr__(self):
         return f"EquationModel({self.source!r}, x0={self.x0!r}, params={self.params!r})"
 
 
-def _on_array(xs, array_form, scalar_form):
-    """Evaluate through the array form, or point by point for a model
-    built without one."""
-    xs = np.asarray(xs, dtype=float)
-    if array_form is not None:
-        return np.asarray(array_form(xs), dtype=float)
-    return np.array([scalar_form(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+def _on_array(xs, array_form):
+    return np.asarray(array_form(np.asarray(xs, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .integrate import integrate_pair, normalize_unit_wronskian, sample
-from .phasekit import appell_residual, phase_unwrap, prufer_polar
+from .phasekit import appell_residual, phase_unwrap
 from .principal import find_principal, sufficient_conditions, transform_pair
 from .qfunc import catalog_get, parse_q
 from .specfun import bessel_jy, example1_v, gamma, modulus
@@ -83,12 +83,10 @@ def catalog_run(case, rtol=None):
             integrate_pair(model, (0.0, 1.0), (1.0, 0.0), xmax,
                            rtol=rtol, atol=DEFAULT_ATOL))
         report = find_principal(traj)
-        principal_traj = transform_pair(traj, report.matrix)
         _RUNS[key] = SimpleNamespace(
             name=name, model=model, traj=traj, report=report,
-            principal=principal_traj,
-            phase=phase_unwrap(traj),
-            principal_phase=phase_unwrap(principal_traj))
+            principal=report.pair, phase=phase_unwrap(traj),
+            principal_phase=report.phase)
     return _RUNS[key]
 
 
@@ -204,15 +202,6 @@ def fast_suite(rtol=None):
     checks.append(_le("companion residual, constant pair (1,1,0)",
                       appell_residual(const.traj, (1.0, 1.0, 0.0),
                                       np.linspace(1.0, 49.0, 64)).max, 1e-8))
-
-    pp = prufer_polar(const.traj, "y1")
-    checks.append(_le("prufer reconstruction rho sin(phi) = y",
-                      np.max(np.abs(pp.rho * np.sin(pp.phi)
-                                    - const.traj.states[:, 0])), 1e-9))
-    gphi = np.gradient(pp.phi, pp.grid)
-    model_phi = np.cos(pp.phi) ** 2 + 1.0 * np.sin(pp.phi) ** 2
-    checks.append(_le("prufer angle equation (finite differences)",
-                      np.max(np.abs(gphi - model_phi)[2:-2]), 1e-5))
 
     checks.append(_le("gamma(1/2) vs sqrt(pi)",
                       abs(gamma(0.5) - math.sqrt(math.pi)), 1e-12))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -94,6 +95,26 @@ def test_json_float_formatting():
     assert '"b": 0.10000000000000001' in text
     assert '"c": null' in text
     assert '"d": true' in text
+
+
+@pytest.mark.parametrize("eq, param", [("1 +\t0*x\n", None), ("1 + 0*x", 'a"b=1')])
+def test_analyze_json_escapes_strings_and_keys(capsys, eq, param):
+    # the tokenizer skips the tab and newline, so they reach "equation";
+    # the quote reaches a key of "params"
+    argv = ["analyze", "--eq", eq, "--xmax", "30"] + (["--param", param] if param else [])
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["equation"] == "expr:" + eq
+    assert report["config"]["equation"] == eq
+    if param:
+        assert list(report["params"]) == list(report["config"]["params"]) == ['a"b']
+
+
+def test_json_strings_escape_control_characters():
+    obj = {"k\x01\"\\": ["\t\n\x1f\x7f \u00e9\u2028 \\ \""], "ascii": 'a"b\\c'}
+    text = to_json(obj)
+    assert json.loads(text) == obj
+    assert '"ascii": "a\\"b\\\\c"' in text and "\u00e9" in text
 
 
 def test_zeros_csv():
@@ -266,6 +287,37 @@ def test_q_too_large_for_the_node_budget_fails_fast(capsys):
     err = capsys.readouterr().err
     assert "IntegrationError" in err and "q is too large" in err
     assert "node budget" in err and "singular" not in err
+
+
+@pytest.mark.parametrize("option, value, named", [
+    ("--atol", "inf", "atol"),
+    ("--atol", "nan", "atol"),
+    ("--xmax", "inf", "xmax"),
+    ("--out", "/nonexistent/dir/x.json", "/nonexistent/dir/x.json"),
+])
+def test_unusable_inputs_exit_2_at_once(capsys, option, value, named):
+    # the run these options ride on takes seconds: the refusal comes first
+    argv = ["analyze", "--eq", "gen-airy", "--param", "nu=0.3333333333333333",
+            "--xmax", "200", option, value]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and err["exit_code"] == EXIT_CONFIG
+    assert named in err["message"]
+
+
+def test_failed_write_of_out_exits_2(tmp_path, capsys):
+    # a path below a regular file passes the check made before the run
+    # and fails when written; that is a configuration error too
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "x.json")
+    code = main(["analyze", "--eq", "constant", "--param", "c=1", "--xmax", "20",
+                 "--out", out])
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NotADirectoryError" and out in err["message"]
 
 
 def test_coarse_cauchy_euler_near_the_threshold_is_l_infinite():

@@ -139,6 +139,10 @@ def test_error_conditions():
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), -1.0)  # xmax <= x0
     with pytest.raises(ParameterError):
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 5.0, rtol=1e-2)
+    for xmax, atol in ((5.0, math.inf), (5.0, math.nan), (math.inf, 1e-12),
+                       (math.nan, 1e-12)):  # non-finite
+        with pytest.raises(ParameterError, match="atol" if xmax == 5.0 else "xmax"):
+            integrate_pair(model, (0.0, 1.0), (1.0, 0.0), xmax, atol=atol)
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 5.0)
     with pytest.raises(ParameterError):
         sample(traj, 6.0)  # outside span

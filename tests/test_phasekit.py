@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oscpairs import phasekit
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian, sample)
-from oscpairs.phasekit import (_FAST_PANEL, _combined_phase,
-                               _integrate_inv_v_local, _inv_v_derivatives,
+from oscpairs.phasekit import (_FAST_PANEL, _amplitude, _combined_phase,
+                               _corrected_trapezoid, _inv_v_at, _inv_v_derivatives,
                                _phase_increments, _refine_fast,
                                _third_derivative_stencils, amplitude_series,
-                               appell_residual, phase_unwrap, prufer_polar,
-                               wronskian)
+                               appell_residual, phase_unwrap)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import unimodular_scrambles
@@ -19,10 +19,13 @@ from oscpairs.verify import unimodular_scrambles
 
 def test_wronskian_operation():
     x = 0.7
-    state = np.array([math.sin(x), math.cos(x), math.cos(x), -math.sin(x)])
-    assert wronskian(state) == pytest.approx(-1.0, abs=1e-15)
-    dependent = np.array([1.0, 2.0, 1.0, 2.0])
-    assert wronskian(dependent) == 0.0
+    states = [[math.sin(x), math.cos(x), math.cos(x), -math.sin(x)],
+              [1.0, 2.0, 1.0, 2.0]]  # a dependent pair at the second node
+    traj = PairTrajectory(catalog_get("constant", {"c": 1.0}), [x, 1.3], states,
+                          -1.0, 1e-10, 1e-12)
+    w = traj.wronskian_nodes()
+    assert w[0] == pytest.approx(-1.0, abs=1e-15)
+    assert w[1] == 0.0
 
 
 def test_wronskian_constant_for_ce_closed_pair():
@@ -30,7 +33,9 @@ def test_wronskian_constant_for_ce_closed_pair():
     s = model.params["s"]
     traj = integrate_pair(model, (0.0, s), (1.0, 0.5), 50.0)
     xs = np.geomspace(1.0, 50.0, 10)
-    w = wronskian(sample(traj, xs))
+    # the dense output at xs, as the nodes of a trajectory of its own
+    sampled = PairTrajectory(model, xs, sample(traj, xs), traj.w, traj.rtol, traj.atol)
+    w = sampled.wronskian_nodes()
     assert np.max(np.abs(w + s)) <= 1e-10
 
 
@@ -70,6 +75,25 @@ def test_amplitude_rejects_non_unit_pair():
         amplitude_series(traj)
     with pytest.raises(ParameterError):
         phase_unwrap(traj)
+
+
+def test_phase_unwrap_forms_the_node_amplitude_once(monkeypatch, run_genairy):
+    # one _amplitude call on the nodes feeds both the quadrature and the
+    # returned v, v', v'', which match amplitude_series bit for bit
+    traj = run_genairy.traj
+    sizes = []
+    amplitude = phasekit._amplitude
+
+    def counting(y1, d1, y2, d2, q):
+        sizes.append(np.size(y1))
+        return amplitude(y1, d1, y2, d2, q)
+
+    monkeypatch.setattr(phasekit, "_amplitude", counting)
+    ph = phase_unwrap(traj)
+    assert ph.refined_intervals == 0 and sizes == [len(traj.mesh)]
+    amp = amplitude_series(traj)
+    for name in ("v", "v_prime", "v_second", "alpha_prime"):
+        assert np.array_equal(getattr(ph, name), getattr(amp, name)), name
 
 
 def test_phase_constant_is_linear(run_constant):
@@ -212,39 +236,14 @@ def test_appell_grid_too_coarse(run_constant):
                         np.array([1.0, 2.0, 3.0]))
 
 
-def test_prufer_constant(run_constant):
-    pp = prufer_polar(run_constant.traj, "y1")
-    assert np.max(np.abs(pp.rho - 1.0)) <= 1e-10
-    assert np.max(np.abs(pp.phi - pp.grid)) <= 1e-9
+def _integrate_inv_v_local(traj, a, b):
+    """Integral of 1/v over short sub-intervals [a, b] (corrected
+    trapezoid with exact endpoint derivatives)."""
+    return _corrected_trapezoid(b - a, _inv_v_at(traj, a), _inv_v_at(traj, b))
 
 
-def test_prufer_reconstruction_exact(run_genairy):
-    pp = prufer_polar(run_genairy.traj, "y2")
-    y = run_genairy.traj.states[:, 2]
-    d = run_genairy.traj.states[:, 3]
-    ssq = y * y + d * d
-    assert np.max(np.abs(pp.rho ** 2 - ssq) / ssq) <= 1e-15
-    assert np.max(np.abs(pp.rho * np.sin(pp.phi) - y)) <= 1e-9 * np.max(pp.rho)
-
-
-def test_prufer_angle_equation(run_genairy):
-    # phi' = cos^2(phi) + q sin^2(phi), checked by centered differences
-    # with spacing tied to the local oscillation rate
-    traj = run_genairy.traj
-    xs = np.linspace(2.0, 199.0, 57)
-    q = traj.model.q_array(xs)
-    h = 2.5e-4 / np.sqrt(q)
-    lo = prufer_polar(traj, "y1", xs - h)
-    mid = prufer_polar(traj, "y1", xs)
-    hi = prufer_polar(traj, "y1", xs + h)
-    fd = (hi.phi - lo.phi) / (2.0 * h)
-    model = np.cos(mid.phi) ** 2 + q * np.sin(mid.phi) ** 2
-    assert np.max(np.abs(fd - model) / (1.0 + np.abs(model))) <= 1e-5
-
-
-def test_prufer_invalid_selector(run_constant):
-    with pytest.raises(ParameterError):
-        prufer_polar(run_constant.traj, "y3")
+def _node_amplitude(traj):
+    return _amplitude(*traj.states.T, traj.q_nodes)
 
 
 def _moved(traj):
@@ -262,7 +261,8 @@ def _loop_increments(traj):
     trapezoid or arctangent increment moves fast.
     Returns (unrefined, refined) increments."""
     y1, d1, y2, d2 = traj.states.T
-    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, traj.q_nodes, traj.qp_nodes)
+    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, _node_amplitude(traj),
+                                   traj.q_nodes, traj.qp_nodes)
     h = np.diff(traj.mesh)
     coarse = (0.5 * h * (f[:-1] + f[1:])
               - h * h / 12.0 * (f1[1:] - f1[:-1])
@@ -284,7 +284,7 @@ def _coarse_traj(name, params, xmax):
 
 def _assert_matches_loop(traj):
     coarse, ref = _loop_increments(traj)
-    inc, refined = _phase_increments(traj, _moved(traj))
+    inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
     fast = int(np.count_nonzero(np.maximum(np.abs(coarse), _moved(traj)) > 0.05))
     assert fast > 0 and refined == fast
     # only the summation order of the sub-panels differs from the loop
@@ -318,7 +318,7 @@ def test_no_fast_intervals_returns_unrefined_increments():
     traj = normalize_unit_wronskian(
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 7.5))
     coarse, _ = _loop_increments(traj)
-    inc, refined = _phase_increments(traj, _moved(traj))
+    inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
     assert refined == 0
     assert np.array_equal(inc, coarse)
     assert phase_unwrap(traj).refined_intervals == 0
@@ -369,7 +369,7 @@ def test_panels_the_arctangent_sees_move_fast_are_refined():
     moved = _moved(traj)
     fast = moved > _FAST_PANEL
     assert np.any(fast & (np.abs(coarse) <= _FAST_PANEL))
-    inc, refined = _phase_increments(traj, moved)
+    inc, refined = _phase_increments(traj, _node_amplitude(traj), moved)
     assert refined == np.count_nonzero(np.maximum(np.abs(coarse), moved) > _FAST_PANEL)
     assert np.all(inc[fast] != coarse[fast])
     # the quadrature now follows the arctangent to 7e-4 rad (1.9 rad off
@@ -382,7 +382,8 @@ def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_lon
         traj = transform_pair(run.traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
         y1, d1, y2, d2 = traj.states.T
         q, qp = traj.q_nodes, traj.qp_nodes
-        f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, q, qp)
+        f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q),
+                                       q, qp)
         # the quotient form with powers of v, term by term
         v = y1 * y1 + y2 * y2
         w = np.abs(y1 * d2 - d1 * y2)

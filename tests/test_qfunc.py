@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oscpairs.errors import ParameterError
-from oscpairs.qfunc import CATALOG_NAMES, catalog_get, parse_q
+from oscpairs.errors import EvaluationError, ParameterError
+from oscpairs.qfunc import CATALOG_NAMES, EquationModel, catalog_get, parse_q
 
 FD_TOL = 1e-6
 
@@ -144,3 +144,73 @@ def test_parsed_array_evaluation_matches_scalar(expr, params):
         got = arr(xs)
         assert got.shape == xs.shape
         assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+
+def test_array_forms_are_required():
+    m = catalog_get("constant", {"c": 1.0})
+    with pytest.raises(TypeError):
+        EquationModel("q", 1.0, {}, q=m.q, qp=m.q_prime, qpp=m.q_second)
+
+
+# seeded property test of parsed q: random grammar expressions on
+# [_LO, _HI], where "positive" subexpressions (bounded away from 0 there)
+# are the only arguments of log, sqrt, real powers and denominators
+_LO, _HI = 0.5, 1.5
+
+
+def _random_expression(rng, depth):
+    """(text, positive) of a random expression in x."""
+    if depth == 0 or rng.random() < 0.2:
+        return ("x", True) if rng.random() < 0.6 else (f"{rng.uniform(0.5, 2.5):.3g}", True)
+    kind = rng.integers(8)
+    a, pos_a = _random_expression(rng, depth - 1)
+    if kind < 4:
+        b, pos_b = _random_expression(rng, depth - 1)
+        if kind == 3 and not pos_b:
+            b = f"(1 + ({b})^2)"
+        op = "+-*/"[kind]
+        return f"({a} {op} {b})", pos_a and (pos_b or kind == 3) and kind != 1
+    if kind == 4:
+        expo = rng.choice(["0.5", "1.5", "-1", "2", "-0.5", "x"] if pos_a else ["2", "3"])
+        return f"({a})^{expo}", pos_a
+    if kind == 5:
+        return f"-({a})", False
+    if kind == 6:
+        fname = rng.choice(["sin", "cos", "exp"])
+        return f"{fname}({a})", fname == "exp"
+    fname = rng.choice(["log", "sqrt"])
+    return f"{fname}({a if pos_a else f'1 + ({a})^2'})", fname == "sqrt"
+
+
+def _draw_model(rng, xs, h):
+    """A parsed model of a random expression that is defined, and at most
+    1e4 in size with its derivatives, at xs and at the stencil points."""
+    pts = (xs[:, None] + h * np.arange(-2, 3)).ravel()
+    while True:
+        model = parse_q(_random_expression(rng, 3)[0])
+        try:
+            vals = np.array([model.evaluate(float(x)) for x in pts])
+        except (EvaluationError, OverflowError):
+            continue
+        if np.all(np.abs(vals) < 1e4):
+            return model
+
+
+def test_parsed_derivatives_of_random_expressions():
+    rng = np.random.default_rng(20261018)
+    xs = np.linspace(_LO + 0.01, _HI - 0.01, 64)
+    h = 5e-4
+
+    def centred(f):  # fourth order: error h^4 f^(5) / 30
+        return (f(xs - 2 * h) - 8 * f(xs - h) + 8 * f(xs + h) - f(xs + 2 * h)) / (12 * h)
+
+    for _ in range(40):
+        model = _draw_model(rng, xs, h)
+        for f, df in ((model.q_array, model.q_prime_array),
+                      (model.q_prime_array, model.q_second_array)):
+            want = df(xs)
+            assert np.max(np.abs(centred(f) - want)) <= FD_TOL * (1.0 + np.max(np.abs(want))), model
+        for array, scalar in ((model.q_array, model.q), (model.q_prime_array, model.q_prime),
+                              (model.q_second_array, model.q_second)):
+            want = np.array([scalar(float(x)) for x in xs])
+            assert np.max(np.abs(array(xs) - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))), model

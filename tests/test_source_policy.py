@@ -6,13 +6,41 @@ import oscpairs
 _DYNAMIC = {"exec", "eval", "compile"}
 
 
+def _package_nodes():
+    """(file name, node) for every AST node of the package source."""
+    root = pathlib.Path(oscpairs.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_package_runs_no_generated_code():
     # q is evaluated by walking its tree; the package never builds code at
     # run time, so none of the builtins that run source text appear in it
-    root = pathlib.Path(oscpairs.__file__).parent
+    found = [f"{name}:{node.lineno} {node.id}" for name, node in _package_nodes()
+             if isinstance(node, ast.Name) and node.id in _DYNAMIC]
+    assert found == []
+
+
+def test_package_never_prints():
+    # library code returns its results; the CLI writes its output
+    # through sys.stdout and sys.stderr
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print"]
+    assert found == []
+
+
+def test_package_does_not_import_scipy():
+    # numpy is the only runtime dependency; scipy serves tests as an oracle
     found = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and node.id in _DYNAMIC:
-                found.append(f"{path.name}:{node.lineno} {node.id}")
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {m}" for m in modules
+                  if m.split(".")[0] == "scipy"]
     assert found == []
