@@ -8,8 +8,7 @@ find_principal recovers it from the trajectory alone.
 
 import numpy as np
 
-from oscpairs import (catalog_get, find_principal, integrate_pair,
-                      phase_unwrap, transform_pair)
+from oscpairs import catalog_get, find_principal, integrate_pair, transform_pair
 
 model = catalog_get("gen-airy", {"nu": 1.0 / 3.0})
 traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 200.0)
@@ -31,14 +30,15 @@ rep2 = find_principal(scrambled)
 print("\nafter a random unit-determinant scramble")
 print("  coefficients:", (rep2.coeffs.A, rep2.coeffs.B, rep2.coeffs.C))
 
-# the recovered amplitude is the same function either way
-v1 = phase_unwrap(transform_pair(traj, report.matrix)).v
-v2 = phase_unwrap(transform_pair(scrambled, rep2.matrix)).v
+# the recovered amplitude is the same function either way; each report
+# carries the principal pair's phase data
+v1 = report.phase.v
+v2 = rep2.phase.v
 print("  max relative difference of recovered v:",
       np.max(np.abs(v1 - v2) / v1))
 
 # and it decays like 2*nu/sqrt(x) for this equation
-grid = phase_unwrap(transform_pair(traj, report.matrix)).grid
+grid = report.phase.grid
 i = np.searchsorted(grid, 100.0)
 print("  v * sqrt(x) at x = 100:", v1[i] * np.sqrt(grid[i]),
       " (limit 2 nu = %.6f)" % (2.0 / 3.0))

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import verify
 from .errors import NonOscillatoryError, OscpairsError, ParameterError, ParseError
-from .integrate import integrate_pair, normalize_unit_wronskian
+from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, integrate_pair,
+                        normalize_unit_wronskian)
 from .phasekit import appell_residual
 from .principal import find_principal, predicate_grid, sufficient_conditions
 # not called here since the finder hands back the principal pair and its
@@ -52,8 +53,8 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     x0: float | None = None
     xmax: float = 100.0
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
     window_fraction: float = 0.25
     out: str | None = None
 
@@ -109,19 +110,24 @@ def _hermite_argmin(mesh, q, qp):
 
 def _integrated_pair(config):
     """The normalized default pair.  q <= 0 is refused on the predicate
-    grid before any integration, so that the phase work downstream does
-    not fail only after the whole run, and after it at the mesh nodes,
-    then at the stage points of every step and last, on the steps whose
-    cubic Hermite of q and q' dips to 0 or below, at that cubic's least
-    point; these catch a dip between two grid points, one between two
-    mesh nodes and one between two stage points."""
+    grid (and, when x0 <= 0, on evenly spaced points from x0 to that
+    grid's first point) before any integration, so that the phase work
+    downstream does not fail only after the whole run, and after it at
+    the mesh nodes, then at the stage points of every step and last, on
+    the steps whose cubic Hermite of q and q' dips to 0 or below, at that
+    cubic's least point; these catch a dip between two grid points, one
+    between two mesh nodes and one between two stage points."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
             f"xmax = {config.xmax} must exceed x0 = {model.x0}")
     xs = predicate_grid((model.x0, config.xmax))
-    _refuse_nonpositive(xs, xs, model.q_array(xs),
-                        f"sampled at {len(xs)} log-spaced points")
+    where = f"sampled at {len(xs)} log-spaced points"
+    if model.x0 <= 0.0:  # that grid starts right of 0: sample [x0, xs[0]) too
+        n = len(xs)
+        xs = np.concatenate([np.linspace(model.x0, xs[0], n, endpoint=False), xs])
+        where = f"sampled at {n} evenly spaced and {n} log-spaced points"
+    _refuse_nonpositive(xs, xs, model.q_array(xs), where)
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), config.xmax,
                           rtol=config.rtol, atol=config.atol)
     mesh = traj.mesh
@@ -164,10 +170,8 @@ def cmd_analyze(config):
         return {"status": p.status, "first_fail_x": p.first_fail_x,
                 "n_fail": p.n_fail, "n_checked": p.n_checked, "note": p.note}
 
-    diagnostics = {k: v for k, v in report.diagnostics.items()
-                   if k not in ("windows",)}
-    diagnostics.update(mesh_nodes=len(traj.mesh), integration_passes=traj.passes,
-                       q_points=traj.q_points)
+    diagnostics = dict(report.diagnostics, mesh_nodes=len(traj.mesh),
+                       integration_passes=traj.passes, q_points=traj.q_points)
     return {
         "equation": model.source,
         "params": dict(model.params),
@@ -203,7 +207,7 @@ def cmd_zeros(config):
     model, traj = _integrated_pair(config)
     report = find_principal(traj, window=_window(config, traj))
     table = gap_table(report.pair, report.phase, (model.x0, config.xmax))
-    return table.to_csv(include_summary=True)
+    return table.to_csv()
 
 
 def cmd_verify(suite="fast", seed=0, rtol=None):
@@ -287,8 +291,8 @@ def _parser():
                        help="equation parameter; repeatable")
         p.add_argument("--x0", type=float, default=None)
         p.add_argument("--xmax", type=float, default=100.0)
-        p.add_argument("--rtol", type=float, default=1e-10)
-        p.add_argument("--atol", type=float, default=1e-12)
+        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
         p.add_argument("--window", type=float, default=0.25,
                        help="tail window fraction in (0, 0.5]")
         p.add_argument("--out", default=None)

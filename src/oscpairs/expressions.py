@@ -15,13 +15,11 @@ rewriting the tree; they are never approximated by finite differences.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import EvaluationError, ParseError
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
-
 
 # ---------------------------------------------------------------------------
 # nodes
@@ -180,43 +178,10 @@ class Call(Node):
         self.fname, self.a = fname, a
 
     def eval(self, x):
-        u = self.a.eval(x)
-        f = self.fname
-        if f == "sin":
-            return math.sin(u)
-        if f == "cos":
-            return math.cos(u)
-        if f == "exp":
-            return math.exp(u)
-        if f == "log":
-            if u <= 0.0:
-                raise EvaluationError(f"log of non-positive value {u!r} at x = {x!r}")
-            return math.log(u)
-        if f == "sqrt":
-            if u < 0.0:
-                raise EvaluationError(f"sqrt of negative value {u!r} at x = {x!r}")
-            return math.sqrt(u)
-        if f == "abs":
-            return abs(u)
-        raise EvaluationError(f"unknown function {f!r}")
+        return _FUNCTIONS[self.fname].scalar(self.a.eval(x), x)
 
     def deriv(self):
-        a, da = self.a, self.a.deriv()
-        f = self.fname
-        if f == "sin":
-            return mul(Call("cos", a), da)
-        if f == "cos":
-            return neg(mul(Call("sin", a), da))
-        if f == "exp":
-            return mul(Call("exp", a), da)
-        if f == "log":
-            return div(da, a)
-        if f == "sqrt":
-            return div(da, mul(Num(2.0), Call("sqrt", a)))
-        if f == "abs":
-            # d|u| = u/|u| * u'; evaluating at u = 0 raises, as it should
-            return div(mul(a, da), Call("abs", a))
-        raise EvaluationError(f"unknown function {f!r}")
+        return _FUNCTIONS[self.fname].deriv(self.a, self.a.deriv())
 
     def __repr__(self):
         return f"Call({self.fname!r}, {self.a!r})"
@@ -313,6 +278,43 @@ def pow_(a, b):
             except (EvaluationError, ArithmeticError, ValueError):
                 pass
     return Pow(a, b)
+
+
+# ---------------------------------------------------------------------------
+# functions of the grammar
+
+# scalar: (u, x) -> f(u), raising at a domain fault; array: the numpy
+# form, non-finite at a domain fault; deriv: (a, a') -> the tree of f(a)'
+_Function = namedtuple("_Function", "scalar array deriv")
+
+
+def _log(u, x):
+    if u <= 0.0:
+        raise EvaluationError(f"log of non-positive value {u!r} at x = {x!r}")
+    return math.log(u)
+
+
+def _sqrt(u, x):
+    if u < 0.0:
+        raise EvaluationError(f"sqrt of negative value {u!r} at x = {x!r}")
+    return math.sqrt(u)
+
+
+_FUNCTIONS = {
+    "sin": _Function(lambda u, x: math.sin(u), np.sin,
+                     lambda a, da: mul(Call("cos", a), da)),
+    "cos": _Function(lambda u, x: math.cos(u), np.cos,
+                     lambda a, da: neg(mul(Call("sin", a), da))),
+    "exp": _Function(lambda u, x: math.exp(u), np.exp,
+                     lambda a, da: mul(Call("exp", a), da)),
+    "log": _Function(_log, np.log, lambda a, da: div(da, a)),
+    "sqrt": _Function(_sqrt, np.sqrt,
+                      lambda a, da: div(da, mul(Num(2.0), Call("sqrt", a)))),
+    # d|u| = u/|u| * u'; evaluating at u = 0 raises, as it should
+    "abs": _Function(lambda u, x: abs(u), np.abs,
+                     lambda a, da: div(mul(a, da), Call("abs", a))),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +478,6 @@ def _pw(base, expo, ok):
 
 
 _NP_BINOPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
-_NP_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-             "sqrt": np.sqrt}
 
 
 def _array_eval(node, x, ok):
@@ -492,12 +492,7 @@ def _array_eval(node, x, ok):
     if isinstance(node, Neg):
         return -_array_eval(node.a, x, ok)
     if isinstance(node, Call):
-        u = _array_eval(node.a, x, ok)
-        if node.fname == "abs":
-            return np.abs(u)
-        if node.fname in _NP_CALLS:
-            return _fin(_NP_CALLS[node.fname](u), ok)
-        raise EvaluationError(f"unknown function {node.fname!r}")
+        return _fin(_FUNCTIONS[node.fname].array(_array_eval(node.a, x, ok)), ok)
     a = _array_eval(node.a, x, ok)
     b = _array_eval(node.b, x, ok)
     if isinstance(node, Div):

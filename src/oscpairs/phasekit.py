@@ -43,7 +43,6 @@ class PhaseData:
     v: np.ndarray
     v_prime: np.ndarray
     v_second: np.ndarray
-    w: float
     swapped: bool = False
     alpha: np.ndarray | None = None
     alpha_mismatch_max: float | None = None
@@ -115,7 +114,7 @@ def amplitude_series(traj, grid=None):
     _require_unit(traj)
     grid, y1, d1, y2, d2, q = _states_on(traj, grid)
     v, vp, vpp = _amplitude(y1, d1, y2, d2, q)
-    return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp, w=traj.w)
+    return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp)
 
 
 def _inv_v_derivatives(y1, d1, y2, d2, amp, q, qp):
@@ -246,7 +245,7 @@ def phase_unwrap(traj):
             f"phase quadrature deviates from arctangent by {mismatch:.3e}; "
             "refine the trajectory (tighter rtol)")
 
-    return PhaseData(grid=traj.mesh, v=v, v_prime=vp, v_second=vpp, w=traj.w,
+    return PhaseData(grid=traj.mesh, v=v, v_prime=vp, v_second=vpp,
                      swapped=swapped, alpha=alpha, alpha_mismatch_max=mismatch,
                      refined_intervals=refined, _traj=traj)
 
@@ -272,7 +271,7 @@ def _combined_phase(pair, phase):
     quadrature (see _combined_alpha).  Its alpha_at works on pair."""
     z1, p1, z2, p2 = pair.states.T
     v, vp, vpp = _amplitude(z1, p1, z2, p2, pair.q_nodes)
-    return PhaseData(grid=pair.mesh, v=v, v_prime=vp, v_second=vpp, w=pair.w,
+    return PhaseData(grid=pair.mesh, v=v, v_prime=vp, v_second=vpp,
                      swapped=phase.swapped,
                      alpha=_combined_alpha(z1, z2, phase.alpha, phase.swapped),
                      _traj=pair)

@@ -47,23 +47,6 @@ class CombinationCoefficients:
     B: float
     C: float
 
-    @property
-    def determinant(self):
-        return self.A * self.B - self.C * self.C
-
-    @property
-    def unit_determinant(self):
-        return self.A > 0 and abs(self.determinant - 1.0) <= 1e-9
-
-    @classmethod
-    def unit(cls, A, B, C):
-        coeffs = cls(float(A), float(B), float(C))
-        if not coeffs.unit_determinant:
-            raise ParameterError(
-                f"not a unit-determinant combination: A={A}, B={B}, C={C} "
-                f"(AB - C^2 = {coeffs.determinant})")
-        return coeffs
-
 
 @dataclass(frozen=True)
 class PrincipalReport:
@@ -401,7 +384,7 @@ def classify(phase):
     t0, T = float(grid[0]), float(grid[-1])
     M, bounds = _windowed_means(grid, phase.v, T, t0)
     m, _ = _windowed_means(grid, phase.v_prime, T, t0)
-    diag = {"v_means": M, "vp_means": m, "windows": bounds}
+    diag = {"v_means": M, "vp_means": m}
     if len(M) < 2:
         diag["reason"] = "span too short for dyadic windows"
         return "undetermined", None, None, diag
@@ -463,8 +446,6 @@ class PredicateReport:
     corollary2: PredicateResult
     remark_finite_q: PredicateResult
     q_trend: str                 # divergent | finite-positive | decaying | unclear
-    q_limit_estimate: float | None
-    grid: np.ndarray
 
 
 def _sign_check(values, sign, slack):
@@ -513,49 +494,36 @@ def sufficient_conditions(model, span):
     m_prev = float(np.mean(q[-2 * quarter:-quarter]))
     if m_last > 0 and m_prev > 0:
         growth = m_last / m_prev
-        if growth > 1.2:
-            trend, q_lim = "divergent", None
-        elif growth < 1.0 / 1.2:
-            trend, q_lim = "decaying", 0.0
-        else:
-            trend, q_lim = "finite-positive", m_last
+        trend = ("divergent" if growth > 1.2 else
+                 "decaying" if growth < 1.0 / 1.2 else "finite-positive")
     else:
-        trend, q_lim = "unclear", None
+        trend = "unclear"
 
+    def result(status, first=None, n_fail=0, note=""):
+        return PredicateResult(status, first, n_fail, _PREDICATE_GRID_N, note)
+
+    # corollary 1 and the remark share their sign hypotheses and differ
+    # only in the trend of q they ask for
     n1p, i1p = _sign_check(qp, 1.0, slack_p)     # q' >= 0
     n1pp, i1pp = _sign_check(-qpp, 1.0, slack_pp)  # q'' <= 0
-    n1 = n1p + n1pp
-    if n1 > 0:
-        first = xs[i1p] if n1p else xs[i1pp]
-        c1 = PredicateResult("fails", float(first), n1, _PREDICATE_GRID_N,
-                             "sign hypotheses fail")
-    elif trend == "divergent":
-        c1 = PredicateResult("holds", None, 0, _PREDICATE_GRID_N, "")
+    if n1p + n1pp > 0:
+        c1 = rm = result("fails", float(xs[i1p] if n1p else xs[i1pp]),
+                         n1p + n1pp, "sign hypotheses fail")
     else:
-        c1 = PredicateResult("not-decidable", None, 0, _PREDICATE_GRID_N,
-                             f"signs hold but q trend is {trend}")
+        undecided = result("not-decidable", note=f"signs hold but q trend is {trend}")
+        c1 = result("holds") if trend == "divergent" else undecided
+        rm = (result("holds", note=f"q levels off near {m_last:.6g}")
+              if trend == "finite-positive" else undecided)
 
     n2p, i2p = _sign_check(-qp, 1.0, slack_p)    # q' <= 0
     n2h, i2h = _sign_check(h22, 1.0, slack_22)   # q q'' - 3 q'^2 >= 0
     if n2p > 0:
-        c2 = PredicateResult("fails", float(xs[i2p]), n2p, _PREDICATE_GRID_N,
-                             "q' changes sign")
+        c2 = result("fails", float(xs[i2p]), n2p, "q' changes sign")
     elif n2h > 0:
-        c2 = PredicateResult("fails", float(xs[i2h]), n2h, _PREDICATE_GRID_N,
-                             "curvature inequality q q'' - 3 q'^2 >= 0 fails")
+        c2 = result("fails", float(xs[i2h]), n2h,
+                    "curvature inequality q q'' - 3 q'^2 >= 0 fails")
     else:
-        c2 = PredicateResult("holds", None, 0, _PREDICATE_GRID_N, "")
-
-    if n1 > 0:
-        first = xs[i1p] if n1p else xs[i1pp]
-        rm = PredicateResult("fails", float(first), n1, _PREDICATE_GRID_N,
-                             "sign hypotheses fail")
-    elif trend == "finite-positive":
-        rm = PredicateResult("holds", None, 0, _PREDICATE_GRID_N,
-                             f"q levels off near {q_lim:.6g}")
-    else:
-        rm = PredicateResult("not-decidable", None, 0, _PREDICATE_GRID_N,
-                             f"signs hold but q trend is {trend}")
+        c2 = result("holds")
 
     return PredicateReport(corollary1=c1, corollary2=c2, remark_finite_q=rm,
-                           q_trend=trend, q_limit_estimate=q_lim, grid=xs)
+                           q_trend=trend)

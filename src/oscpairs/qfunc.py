@@ -84,7 +84,10 @@ def _mono_arr(c, e):
     def value(xs):
         if c == 0.0 or e == 0.0:
             return np.full_like(xs, c, dtype=float)
-        return c * xs ** e
+        # a point where q is singular or undefined gives inf or nan, which
+        # the caller refuses, and no numpy warning
+        with np.errstate(all="ignore"):
+            return c * xs ** e
     return value
 
 

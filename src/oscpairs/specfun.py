@@ -47,8 +47,6 @@ def gamma(z):
 
 @dataclass(frozen=True)
 class BesselValue:
-    order: float
-    argument: float
     J: float
     Y: float
     method: str  # 'series' | 'propagated'
@@ -137,12 +135,11 @@ def bessel_jy(nu, t):
     _validate(nu, t)
     if t <= _SERIES_PROPAGATE_SPLIT:
         j, _, y, _ = _series_jy(nu, t)
-        return BesselValue(order=nu, argument=t, J=j, Y=y, method="series")
+        return BesselValue(J=j, Y=y, method="series")
     traj = _propagated_trajectory(nu, t)
     uj, _, uy, _ = sample(traj, t)
     r = math.sqrt(t)
-    return BesselValue(order=nu, argument=t, J=uj / r, Y=uy / r,
-                       method="propagated")
+    return BesselValue(J=uj / r, Y=uy / r, method="propagated")
 
 
 def modulus(nu, t):

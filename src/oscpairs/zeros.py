@@ -122,7 +122,6 @@ class ZeroGapTable:
     x_zero: np.ndarray     # nearest zero of the second member
     gap: np.ndarray        # |x_crit - x_zero|
     phase_gap: np.ndarray  # alpha distance mod pi, folded into [0, pi/2]
-    which: str             # which stored solution played the first member
 
     @property
     def d_first(self):
@@ -136,13 +135,14 @@ class ZeroGapTable:
     def delta_last(self):
         return float(self.phase_gap[-1])
 
-    def to_csv(self, include_summary=False):
+    def to_csv(self):
+        """The rows, then a summary comment line when there is a row."""
         lines = ["j,x_crit,x_zero,gap,phase_gap"]
         for row in range(len(self.j)):
             lines.append("%d,%.17g,%.17g,%.17g,%.17g" % (
                 self.j[row], self.x_crit[row], self.x_zero[row],
                 self.gap[row], self.phase_gap[row]))
-        if include_summary and len(self.j):
+        if len(self.j):
             lines.append("# summary: d_first=%.17g d_last=%.17g delta_last=%.17g"
                          % (self.d_first, self.d_last, self.delta_last))
         return "\n".join(lines) + "\n"
@@ -178,8 +178,7 @@ def gap_table(traj, phase, span=None, min_zeros=5):
     delta = np.minimum(r, math.pi - r)
     return ZeroGapTable(j=np.arange(1, len(x_crit) + 1),
                         x_crit=x_crit, x_zero=nearest,
-                        gap=np.abs(x_crit - nearest), phase_gap=delta,
-                        which=first)
+                        gap=np.abs(x_crit - nearest), phase_gap=delta)
 
 
 def critical_point_residual(traj, phase, x_crit):
@@ -194,7 +193,6 @@ def critical_point_residual(traj, phase, x_crit):
         raise ParameterError("phase data lacks alpha; use phase_unwrap")
     vals = traj.evaluate(x_crit, nder=1)
     y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
-    v = y1 * y1 + y2 * y2
     vp = 2.0 * (y1 * d1 + y2 * d2)
     alpha = phase.alpha_at(x_crit)
     sin_a = np.sin(alpha)

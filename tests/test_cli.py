@@ -16,6 +16,16 @@ from oscpairs.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY,
 from oscpairs.integrate import PairTrajectory
 from oscpairs.verify import catalog_run
 
+
+def _fresh_process(argv):
+    """The oscpairs command line run in a new interpreter, on this package."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "oscpairs.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 SCHEMA_KEYS = {"equation", "params", "span", "tolerances", "wronskian",
                "coefficients", "classification", "L", "K", "k1", "k2",
                "objective", "appell_residual", "corollary1", "corollary2",
@@ -142,7 +152,7 @@ def test_zeros_runs_one_phase_quadrature(monkeypatch):
     for module in (cli, principal):
         monkeypatch.setattr(module, "phase_unwrap",
                             lambda t: calls.append(t) or phasekit.phase_unwrap(t))
-    assert cmd_zeros(config) == want.to_csv(include_summary=True)
+    assert cmd_zeros(config) == want.to_csv()
     assert len(calls) == 1
 
 
@@ -183,22 +193,46 @@ def test_main_exit_codes(tmp_path, capsys):
     assert '"error"' in err
 
 
-@pytest.mark.parametrize("eq, xmax, last_bad", [
-    ("x^2 - 100", "50", 9.94965),
-    ("1/(x - 5)", "20", 4.80277),
+@pytest.mark.parametrize("eq, x0, xmax, stretch", [
+    pytest.param("x^2 - 100", "1", "50", "[1, 9.94965]", id="x^2 - 100-50-9.94965"),
+    pytest.param("1/(x - 5)", "1", "20", "[1, 4.80277]", id="1/(x - 5)-20-4.80277"),
+    # a span from x0 <= 0 is sampled from x0 on, not only right of 0
+    pytest.param("x", "-5", "300", "[-5, -0.0481016]", id="x-from-5"),
+    pytest.param("inverse-x", "-1", "100", "[-1, -0.00568281]",
+                 id="inverse-x-from-1"),
+    # q <= 0 on [-10, 10]: the stretch starts at the first sample there,
+    # one step (50/64) of the even grid right of -10
+    pytest.param("x^2 - 100", "-50", "50", "[-9.36688, 9.87198]",
+                 id="x^2 - 100-from-50"),
 ])
-def test_nonpositive_q_fails_before_integrating(monkeypatch, capsys, eq, xmax,
-                                                last_bad):
+def test_nonpositive_q_fails_before_integrating(monkeypatch, capsys, eq, x0, xmax,
+                                                stretch):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrate_pair called")
 
     monkeypatch.setattr(cli, "integrate_pair", no_integration)
     for command in ("analyze", "zeros"):
-        code = main([command, "--eq", eq, "--x0", "1", "--xmax", xmax])
+        start = time.perf_counter()
+        code = main([command, "--eq", eq, "--x0", x0, "--xmax", xmax])
+        assert time.perf_counter() - start < 1.0
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "NonOscillatoryError" in err
-        assert f"q <= 0 on [1, {last_bad}]" in err
+        assert f"q <= 0 on {stretch}" in err
+
+
+@pytest.mark.parametrize("eq, param", [
+    ("inverse-x", None), ("cauchy-euler", "gamma=1"), ("gen-airy", "nu=0.4"),
+])
+def test_catalog_q_singular_at_x0_writes_only_the_json_error(eq, param):
+    # q or one of its derivatives is infinite at x0 = 0; no numpy
+    # warning may precede the error report on stderr
+    argv = ["analyze", "--eq", eq, "--x0", "0", "--xmax", "30"]
+    if param:
+        argv += ["--param", param]
+    run = _fresh_process(argv)
+    assert run.returncode == EXIT_NUMERIC
+    assert json.loads(run.stderr)["exit_code"] == EXIT_NUMERIC
 
 
 @pytest.mark.parametrize("eq, stretch", [
@@ -389,13 +423,9 @@ def test_main_called_twice_matches_fresh_processes(capsys):
             ["analyze", "--eq", "nosuch(", "--xmax", "50"],
             ["zeros", "--eq", "constant", "--param", "c"],
             ["analyze", "--xmax", "50"])
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in runs:
         code = main(argv)
         out = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "oscpairs.cli", *argv], env=env,
-                               capture_output=True, text=True, timeout=120)
+        fresh = _fresh_process(argv)
         assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert cli._parser() is cli._parser()

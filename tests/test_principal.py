@@ -47,15 +47,8 @@ def test_singular_matrix_rejected(run_constant):
         transform_pair(run_constant.traj, (1.0, 2.0, 2.0, 4.0))
 
 
-def test_combination_coefficients_validation():
-    c = CombinationCoefficients.unit(2.0, 1.0, -1.0)
-    assert c.unit_determinant
-    with pytest.raises(ParameterError):
-        CombinationCoefficients.unit(2.0, 1.0, 0.5)
-
-
 def test_coefficient_matrix_realizes_form():
-    c = CombinationCoefficients.unit(2.0, 1.0, -1.0)
+    c = CombinationCoefficients(2.0, 1.0, -1.0)
     a, b, cc, d = coefficient_matrix(c)
     assert a * a + cc * cc == pytest.approx(c.A)
     assert b * b + d * d == pytest.approx(c.B)
@@ -74,7 +67,7 @@ def test_oscillation_residual_of_other_combinations(run_constant):
     # vbar = 2 sin^2 + cos^2/2 and (sin + cos)^2 + cos^2 keep an O(1)
     # oscillating vbar'
     for A, B, C in ((2.0, 0.5, 0.0), (1.0, 2.0, 1.0)):
-        coeffs = CombinationCoefficients.unit(A, B, C)
+        coeffs = CombinationCoefficients(A, B, C)
         combo = transform_pair(run_constant.traj, coefficient_matrix(coeffs))
         k = _oscillation_residual(phase_unwrap(combo), run_constant.report.window)
         assert math.hypot(*k) > 0.5

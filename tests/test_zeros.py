@@ -117,7 +117,7 @@ def test_zero_count_matches_phase(run_genairy):
 
 def test_csv_serialization(run_constant):
     table = gap_table(run_constant.traj, run_constant.phase, (0.1, 50.0))
-    text = table.to_csv(include_summary=True)
+    text = table.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "j,x_crit,x_zero,gap,phase_gap"
     assert lines[-1].startswith("# summary:")
