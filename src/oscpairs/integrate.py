@@ -1,33 +1,46 @@
 """Integration of the two-solution system for y'' + q(x) y = 0.
 
-A Dormand-Prince 5(4) pair advances the joint 4-dimensional state
-(y1, y1', y2, y2') on one shared mesh, which keeps the Wronskian
-identity tight and makes every derived quantity (amplitude, phase,
-zeros) consistent between the two solutions.
+The eighth-order Dormand-Prince pair DOP853 advances the joint
+4-dimensional state (y1, y1', y2, y2') on one shared mesh, which keeps
+the Wronskian identity tight and makes every derived quantity
+(amplitude, phase, zeros) consistent between the two solutions.
 
 The equation is linear, so one step maps (y, y') by a 2x2 transfer
-matrix T that depends only on h and on q at the stage nodes, and its
-embedded error estimate is E (y, y') for a matrix E of the same kind;
-both solutions share them.  A pass over a fixed mesh builds T and E for
-every step in numpy and chains the T by a log-depth prefix product, in
-blocks of steps that carry the state from one block to the next.  The
-first mesh equidistributes the Liouville-Green density sqrt(q)/0.15,
-the cap of 0.15 rad of phase per step.  Where a step fails its error
-test, the run of steps around it is re-meshed from the usual
-controller's target step, smoothed, and the pass repeats; every other
-node keeps its place.
+matrix T that depends only on h and on q at the twelve stage nodes, and
+its two embedded error estimates, of fifth and third order, are E5 (y, y')
+and E3 (y, y') for matrices of the same kind; both solutions share them.
+A pass over a fixed mesh builds T, E5 and E3 for every step in numpy and
+chains the T by a log-depth prefix product, in blocks of steps that carry
+the state from one block to the next.
 
-Error control is per unit step, so the accumulated error scales about
-linearly with rtol.  Dense output is a two-point Hermite interpolant of
-order 7 per solution, built from the stored (y, y') node values plus the
-equation-supplied y'' = -q y and y''' = -q' y - q y'.  The solutions
-share the mesh and so the basis, which one evaluation computes once for
-both.  The final pass also keeps the least q at the stage points of each
-step, so that a dip to q <= 0 between two nodes can be refused.
+A step passes when scipy's DOP853 error norm,
+|e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100) of the scaled estimates, is at most
+h: error control is per unit step.  That norm behaves like the error of
+the eighth-order solution, so the step the test allows grows like
+rtol^(1/7), and the accumulated error falls a little faster than rtol.
+The step is also capped: it may turn a solution by at most
+_phase_step(rtol) rad, 0.25 at the default rtol and 1 at most, where a
+solution turns at the rate max(sqrt(q), |q'|/q) (_rate).  The cap follows
+rtol with the same power as the error test, so the mesh, and the error,
+follow rtol where the cap sets the step too.  The first mesh
+equidistributes that rate over the cap.  Where a step fails its error
+test, the run of steps around it is re-meshed from the usual controller's
+target step, _SAFETY h (h/err)^(1/7), smoothed, and the pass repeats;
+every other node keeps its place.
+
+Dense output is a two-point Hermite interpolant of order 7 per solution,
+built from the stored (y, y') node values plus the equation-supplied
+y'' = -q y and y''' = -q' y - q y'; its second derivative is -q y at
+the evaluation points.  The solutions share the mesh and so the basis,
+which one evaluation computes once for both.  The final pass also keeps
+the least q at the stage points of each step, so that a dip to q <= 0
+between two nodes can be refused.
 
 References
 ----------
 Dormand & Prince (1980), J. Comp. Appl. Math. 6, 19-26.
+Hairer, Norsett & Wanner (1993), "Solving Ordinary Differential
+Equations I", 2nd ed., sec. II.10 (DOP853).
 Blelloch (1990), "Prefix sums and their applications", CMU-CS-90-190.
 """
 
@@ -37,35 +50,88 @@ import numpy as np
 
 from .errors import IntegrationError, ParameterError
 
-# Dormand-Prince 5(4) tableau: interior stage nodes (stages 1 and 6 sit
-# at x and x + h), stage rows, fifth-order weights and the weights of the
-# embedded error estimate (stage 7 is the FSAL stage at x + h)
-_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9])
-_DC = np.diff(np.concatenate([[0.0], _C, [1.0]]))
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_E_ABS = sum(abs(e) for e in _E)
+# DOP853 tableau (Hairer, Norsett & Wanner, "Solving Ordinary
+# Differential Equations I", sec. II.10; the values scipy.integrate
+# tabulates): stage nodes (stage 1 sits at x and stage 12 at x + h), the
+# rows of the stage matrix, the eighth-order weights and the weights of
+# the fifth- and third-order error estimates
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_A = tuple(np.array(row) for row in (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636)))
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+# the third-order estimate is the eighth-order weights less those of a
+# third-order solution
+_E3 = _B - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                     0.7338466882816118, 0.0, 0.0, 0.022058823529411766])
+_STAGES = len(_C)
+# the rows of the stage matrix and the weights with the identity's weight 1
+# in front (see _stage_terms)
+_A_I = tuple(np.concatenate([[1.0], row]) for row in _A)
+_B_I = np.concatenate([[1.0], _B])
+_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
+# stage nodes in increasing order, for differences of q across a step
+_ORDER = np.argsort(_C)
+_DC = np.diff(_C[_ORDER])
+_E5_ABS = np.abs(_E5).sum()
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 MAX_STEPS = 10 ** 7  # node budget
 
-# a step advances the phase by at most about _PHASE_STEP rad, so that
-# downstream quadrature of 1/v over mesh intervals stays accurate
-_PHASE_STEP = 0.15
+# a step turns a solution by at most _phase_step(rtol) rad (see there)
+_PHASE_REF = 0.25  # the cap at DEFAULT_RTOL
+_PHASE_MAX = 1.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _START_CELLS = 128  # cells of the grid that samples the starting density
 _BLOCK = 8192  # steps per block of a pass: bounds the temporaries
-# the catalog settles in 4-6 passes; a failing step shrinks to no less
+# the catalog settles in 1-3 passes; a failing step shrinks to no less
 # than _MIN_FACTOR of its size per pass
 _MAX_PASSES = 40
 _EPS = 2.220446049250313e-16
+
+
+def _phase_step(rtol):
+    """The most a step may turn a solution at tolerance rtol, in rad: its
+    length times the rate of _rate, which is the phase it advances where
+    q varies slowly.
+
+    There the error test allows steps of about 0.29 (rtol/1e-10)^(1/7)
+    rad.  The cap follows the same power of rtol from a little below
+    that, so that the mesh, and with it the error, follows rtol where the
+    cap sets the step, as it does where the error test sets it (halving
+    rtol then halves the error).  It never exceeds 1 rad: a step of a
+    scrambled pair, whose phase can run several times faster than the
+    pair's own, then still advances the arctangent by less than pi, and
+    the order-7 Hermite dense output, whose error is about
+    step^8 / (8! 2^8), stays below rtol between nodes.
+    """
+    return min(_PHASE_MAX, _PHASE_REF * (rtol / DEFAULT_RTOL) ** (1.0 / 7.0))
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +153,21 @@ def _hermite_basis():
 
 
 _H = _hermite_basis()
-_HD = _H[:, 1:] * np.arange(1, 8)
-# cubic Hermite basis used to interpolate y'' from its own nodal data
-# (y'' = -q y, y''' = -q' y - q y'); differentiating the order-7 y
-# interpolant twice instead would amplify roundoff by 1/h^2
-_H2 = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0]])
+# the basis H_k, its derivatives and its antiderivatives that vanish at 0,
+# as the rows of one (12, 9) table of coefficients of the powers 0 to 8
+_H_TABLE = np.vstack([np.pad(_H, ((0, 0), (0, 1))),
+                      np.pad(_H[:, 1:] * np.arange(1, 8), ((0, 0), (0, 2))),
+                      np.hstack([np.zeros((4, 1)), _H / np.arange(1, 9)])])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]  # right-end (-1)^k
 
 
-def _polyval_many(coef, t):
-    """Horner for a (k, m) coefficient table at points t; returns (k, n)."""
-    out = np.zeros((coef.shape[0], t.size))
-    for j in range(coef.shape[1] - 1, -1, -1):
+def _basis(t):
+    """H_k(t) and H_k'(t) at the points t, (8, len(t)), from the first rows
+    of _H_TABLE.  Each point is evaluated on its own, by Horner's rule, so
+    that its values do not depend on the other points."""
+    coef = _H_TABLE[:8, :8]
+    out = np.zeros((8, t.size))
+    for j in range(7, -1, -1):
         out *= t
         out += coef[:, j:j + 1]
     return out
@@ -200,13 +269,14 @@ class PairTrajectory:
 
     def _locate(self, xs):
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < self.mesh[0] - 1e-12 * (1 + abs(self.mesh[0]))
-                        or xs.max() > self.mesh[-1] + 1e-12 * (1 + abs(self.mesh[-1]))):
+        lo, hi = self.mesh[0], self.mesh[-1]
+        if xs.size and (xs.min() < lo - 1e-12 * (1 + abs(lo))
+                        or xs.max() > hi + 1e-12 * (1 + abs(hi))):
             raise ParameterError("sample point outside trajectory span")
-        xs = np.clip(xs, self.mesh[0], self.mesh[-1])
-        idx = np.clip(np.searchsorted(self.mesh, xs, side="right") - 1,
-                      0, len(self.mesh) - 2)
-        return xs, idx
+        xs = np.minimum(np.maximum(xs, lo), hi)
+        # xs >= mesh[0], so the index is at least 0
+        idx = np.searchsorted(self.mesh, xs, side="right") - 1
+        return xs, np.minimum(idx, len(self.mesh) - 2, out=idx)
 
     def _node_table(self):
         """(4, 2, N) table of y, y', y'' = -q y and y''' = -q' y - q y' of
@@ -239,32 +309,36 @@ class PairTrajectory:
         xs, idx = self._locate(np.atleast_1d(xs))
         n = xs.size
         nodes = self._node_table()
-        x0 = self.mesh[idx]
-        h = self.mesh[idx + 1] - x0
+        x0, x1 = self.mesh[idx], self.mesh[idx + 1]
+        h = x1 - x0
         tau = (xs - x0) / h
         both = np.concatenate([tau, 1.0 - tau])
         # left node data in the first n columns, right node data after them
         f = nodes.take(np.concatenate([idx, idx + 1]), axis=2)  # (4, 2, 2n)
-        h2 = np.concatenate([h, h])
-        w = f * np.stack([np.ones_like(h2), h2, h2 * h2, h2 * h2 * h2])[:, None]
+        hk = np.empty((4, 2 * n))
+        hk[0] = 1.0
+        hk[1, :n] = hk[1, n:] = h
+        np.multiply(hk[1], hk[1], out=hk[2])
+        np.multiply(hk[2], hk[1], out=hk[3])
+        w = f * hk[:, None]
         # the right-end signs (-1)^k go on the basis, which is exact
-        b = _polyval_many(_H, both)
+        b, d = _basis(both).reshape(2, 4, -1)
         b[:, n:] *= _SIGNS
         s = (w * b[:, None]).sum(axis=0)
         out = [s[:, :n] + s[:, n:]]
         if nder >= 1:
             # H_0' is symmetric, so the value terms give (y0 - y1) H_0'(tau):
             # the roundoff of the basis then scales with y', not with y/h
-            d = _polyval_many(_HD, both)
             d[:, n:] *= -_SIGNS
             s = (w[1:] * d[1:, None]).sum(axis=0)
             out.append(((f[0, :, :n] - f[0, :, n:]) * d[0, :n] + s[:, :n] + s[:, n:]) / h)
         if nder >= 2:
-            b2 = _polyval_many(_H2, both)
-            out.append(f[2, :, :n] * b2[0, :n] + h * f[3, :, :n] * b2[1, :n]
-                       + f[2, :, n:] * b2[0, n:] - h * f[3, :, n:] * b2[1, n:])
+            # y'' = -q y from the equation at the interpolated y: as exact
+            # as y, where differentiating the order-7 y twice would lose
+            # accuracy and amplify roundoff by 1/h^2
+            out.append(-self.model.q_array(xs) * out[0])
         # exact node hits: return stored data bit-for-bit
-        for node_idx, take in ((idx, xs == x0), (idx + 1, xs == self.mesh[idx + 1])):
+        for node_idx, take in ((idx, xs == x0), (idx + 1, xs == x1)):
             if take.any():
                 for k, arr in enumerate(out):
                     arr[:, take] = nodes[k][:, node_idx[take]]
@@ -289,47 +363,63 @@ def sample(traj, x):
 
 
 def _combine(coef, terms):
-    """sum_j coef_j terms_j over the non-zero weights."""
-    acc = None
-    for c, term in zip(coef, terms):
-        if c:
-            if acc is None:
-                acc = c * term
-            else:
-                acc += c * term
-    return acc
+    """sum_j coef_j terms_j over the leading axis of terms, for the first
+    len(coef) of them, as one product."""
+    k = len(coef)
+    return np.dot(coef, terms[:k].reshape(k, -1)).reshape(terms.shape[1:])
 
 
 def _stage_terms(h, q):
-    """Transfer matrix T and scaled stage matrices h K_j of one DP5(4)
+    """Transfer matrix T and scaled stage matrices h K_j of one DOP853
     step for every step at once.
 
     For y'' = -q y, stage j maps the state u at the step start to
     h k_j = h K_j u, with K_j = A(q_j) M_j, A(q) = [[0, 1], [-q, 0]] and
     M_j = I + sum_i a_ji h K_i, so the step is u -> T u and its error
-    estimate is sum_j e_j h K_j u.  h holds the step sizes and the rows of
-    q the values of q at the six stage nodes x, x + c_2 h, ..., x + h.
-    Matrices are (4, n) arrays of the entries (00, 01, 10, 11), one
-    column per step; returns T (4, n) and h K (7, 4, n).
+    estimates are sum_j e_j h K_j u.  h holds the step sizes and the rows
+    of q the values of q at the twelve stage nodes x + c_j h.  Matrices
+    are (4, n) arrays of the entries (00, 01, 10, 11), one column per
+    step; the identity leads the stage matrices, so that each M_j, and T,
+    is one product.  Returns T (4, n) and h K (12, 4, n).
     """
+    n = len(h)
     nhq = -h * q
-    hk = np.empty((7, 4, len(h)))
-    hk[0, ::3] = 0.0  # h A(q_1), as M_1 = I
-    hk[0, 1] = h
-    hk[0, 2] = nhq[0]
-    for j, row in enumerate(_A + (_B,), start=1):
+    hk = np.empty((_STAGES + 1, 4, n))
+    hk[0] = _IDENTITY
+    hk[1, ::3] = 0.0  # h A(q_1), as M_1 = I
+    hk[1, 1] = h
+    hk[1, 2] = nhq[0]
+    for j, row in enumerate(_A_I, start=2):
         m = _combine(row, hk)
-        m[::3] += 1.0
-        # h A(q_j) m; the FSAL stage 7 sits at x + h, as stage 6 does
-        np.multiply(h, m[2:], out=hk[j, :2])
-        np.multiply(nhq[min(j, 5)], m[:2], out=hk[j, 2:])
-    return m, hk  # the last m, from the weights _B, is T
+        np.multiply(h, m[2:], out=hk[j, :2])  # h A(q_j) m
+        np.multiply(nhq[j - 1], m[:2], out=hk[j, 2:])
+    return _combine(_B_I, hk), hk[1:]
 
 
-def _norm(scaled):
-    """Root mean square over the four scaled error components of a
-    (2, 2, n) array."""
-    return np.sqrt(0.25 * (scaled * scaled).sum(axis=(0, 1)))
+def _rate(q, dq, q_low=None):
+    """How fast a solution turns, per unit x, where q and q' are q and
+    (an estimate of) its derivative: the local frequency sqrt(q), or
+    where q > 0 varies faster, |q'|/q, the rate at which that frequency
+    and the amplitude q^(-1/4) change.  (For q = g^2/x^2 the solutions are
+    x^(1/2 +- i s), whose k-th derivatives grow like k!/x^k: the dense
+    output there needs steps short against x, not only against the
+    wavelength.)  Over a step, q is the largest value and q_low the
+    least."""
+    q_low = q if q_low is None else q_low
+    slope = np.divide(np.abs(dq), q_low, out=np.zeros_like(q), where=q_low > 0.0)
+    return np.maximum(np.sqrt(np.maximum(q, 0.0)), slope)
+
+
+def _norm(e5, e3):
+    """scipy's DOP853 error norm of (2, 2, n) arrays of scaled fifth- and
+    third-order estimates: |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), with |.|
+    the root mean square over the four components.  It behaves like the
+    fifth-order estimate times the ratio of the two, of the order of the
+    eighth-order solution's own error."""
+    s5 = 0.25 * (e5 * e5).sum(axis=(0, 1))
+    s3 = 0.25 * (e3 * e3).sum(axis=(0, 1))
+    # 0 where both vanish; a NaN (from a step that overflowed) stays NaN
+    return np.where(s5 == 0.0, 0.0, s5 / np.sqrt(s5 + 0.01 * s3))
 
 
 def _times(a, b):
@@ -350,16 +440,16 @@ def _prefix_states(t, s):
     return p
 
 
-def _estimate_noise(x, h, q, hk, before):
-    """Bound on the roundoff in the error estimates E s of a block: eps
-    times the magnitudes of their terms, plus the error that rounding x
-    to a double brings into q at the stage nodes, eps |x q'|, with q'
-    from the differences of the stage values.  Near a singular point of
-    q the second term grows like 1/(x - x_s)^2."""
-    noise = _times(_combine(np.abs(_E), np.abs(hk)).reshape(2, 2, -1), np.abs(before))
-    dq = np.abs(np.diff(q, axis=0)) / (_DC[:, None] * h)
-    dq = dq.max(axis=0) * np.maximum(np.abs(x), np.abs(x + h))
-    noise[1] += _E_ABS * h * dq * np.abs(before[0])
+def _estimate_noise(x, h, slope, hk, before):
+    """Bound on the roundoff in the fifth-order error estimates E5 s of a
+    block: eps times the magnitudes of their terms, plus the error that
+    rounding x to a double brings into q at the stage nodes, eps |x q'|,
+    with |q'| bounded by slope, the largest difference quotient of the
+    stage values.  Near a singular point of q the second term grows like
+    1/(x - x_s)^2."""
+    noise = _times(_combine(np.abs(_E5), np.abs(hk)).reshape(2, 2, -1), np.abs(before))
+    dq = slope * np.maximum(np.abs(x), np.abs(x + h))
+    noise[1] += _E5_ABS * h * dq * np.abs(before[0])
     return _EPS * noise
 
 
@@ -369,23 +459,24 @@ def _integration_pass(model, mesh, start, rtol, atol):
 
     start is the 2x2 matrix [[y1, y2], [y1', y2']] at mesh[0].  Returns
     the node states (N, 4) as (y1, y1', y2, y2'), the error norm of every
-    step, the roundoff level of that norm (filled in only in blocks with
-    a failing step), the largest and the smallest q at each step's stage
-    nodes and q at the nodes.
+    step, that norm with the fifth-order estimate at its roundoff level
+    (filled in only in blocks with a failing step), the rate (_rate) of
+    each step from q and the differences of q at its stage nodes, the
+    smallest q at those nodes and q at the nodes.
     """
     n = len(mesh) - 1
     q_nodes = model.q_array(mesh)
     states = np.empty((n + 1, 4))
     err = np.empty(n)
     noise = np.zeros(n)
-    qmax = np.empty(n)
+    rate = np.empty(n)
     qmin = np.empty(n)
     s = start
     states[0] = s.T.ravel()
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
         x, h = mesh[i:j], mesh[i + 1:j + 1] - mesh[i:j]
-        q = np.concatenate([q_nodes[None, i:j], model.q_array(x + _C[:, None] * h),
+        q = np.concatenate([q_nodes[None, i:j], model.q_array(x + _C[1:-1, None] * h),
                             q_nodes[None, i + 1:j + 1]])
         if not np.isfinite(q).all():
             bad = np.flatnonzero(~np.isfinite(q).all(axis=0))[0]
@@ -396,14 +487,18 @@ def _integration_pass(model, mesh, start, rtol, atol):
         after = _prefix_states(t, s)
         before = np.concatenate([s[:, :, None], after[:, :, :-1]], axis=2)
         scale = atol + rtol * np.maximum(np.abs(before), np.abs(after))
-        err[i:j] = _norm(_times(_combine(_E, hk).reshape(2, 2, -1), before) / scale)
+        e3 = _times(_combine(_E3, hk).reshape(2, 2, -1), before) / scale
+        e5 = _times(_combine(_E5, hk).reshape(2, 2, -1), before) / scale
+        err[i:j] = _norm(e5, e3)
+        # |q'| across each step, from the differences of the stage values
+        slope = (np.abs(np.diff(q[_ORDER], axis=0)) / (_DC[:, None] * h)).max(axis=0)
         if not (err[i:j] <= h).all():
-            noise[i:j] = _norm(_estimate_noise(x, h, q, hk, before) / scale)
-        qmax[i:j] = q.max(axis=0)
+            noise[i:j] = _norm(_estimate_noise(x, h, slope, hk, before) / scale, e3)
         qmin[i:j] = q.min(axis=0)
+        rate[i:j] = _rate(q.max(axis=0), slope, qmin[i:j])
         states[i + 1:j + 1] = after.transpose(2, 1, 0).reshape(-1, 4)
         s = after[:, :, -1].copy()
-    return states, err, noise, qmax, qmin, q_nodes
+    return states, err, noise, rate, qmin, q_nodes
 
 
 def _equidistribute(xs, cum, max_steps, what):
@@ -466,35 +561,35 @@ def _skip_overflow(mesh, states, err, fails):
         err[k - 1:], fails[k - 1:] = 0.0, False
 
 
-def _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps, what):
+def _next_mesh(mesh, err, noise, rate, fails, passes, max_steps, what, cap):
     """The mesh for the next pass.
 
     Each step's target size is the usual controller's, min(hcap,
-    _SAFETY h (h/err)^(1/4)), shrinking by at most _MIN_FACTOR; as a
+    _SAFETY h (h/err)^(1/7)), shrinking by at most _MIN_FACTOR; as a
     density of nodes it is smoothed by the maximum over each step and its
     two neighbours.  A failing step whose error estimate is down to its
     roundoff level, or whose target falls below the spacing of doubles,
     cannot be resolved (near a singular point of q): the run stalls.
     """
     h = np.diff(mesh)
-    factor = _SAFETY * (h / err) ** 0.25
+    factor = _SAFETY * (h / err) ** (1.0 / 7.0)
     factor = np.maximum(np.where(np.isnan(factor), 0.0, factor), _MIN_FACTOR)
     floor = 16.0 * _EPS * np.maximum(np.abs(mesh[:-1]), np.abs(mesh[1:]))
     stuck = fails & ((err <= noise) | (h * factor <= floor))
     if stuck.any():
         _stalled(mesh, stuck, passes)
-    rho = np.maximum(1.0 / (h * factor), np.sqrt(np.maximum(qmax, 0.0)) / _PHASE_STEP)
+    rho = np.maximum(1.0 / (h * factor), rate / cap)
     smooth = rho.copy()
     smooth[1:] = np.maximum(smooth[1:], rho[:-1])
     smooth[:-1] = np.maximum(smooth[:-1], rho[1:])
     return _refined_mesh(mesh, smooth * h, fails, max_steps, what)
 
 
-def _starting_mesh(model, x0, xmax, max_steps):
-    """Equidistribute the Liouville-Green density sqrt(q)/_PHASE_STEP (a
-    step of at most _PHASE_STEP rad of phase), sampled on a grid that is
-    geometric in x - x0 + d (d = x0 for x0 > 0, so geometric in x);
-    returns (mesh, q points evaluated)."""
+def _starting_mesh(model, x0, xmax, max_steps, cap):
+    """Equidistribute the Liouville-Green density sqrt(q)/cap (a step of
+    at most cap rad of phase), sampled on a grid that is geometric in
+    x - x0 + d (d = x0 for x0 > 0, so geometric in x); returns (mesh,
+    q points evaluated)."""
     span = xmax - x0
     d = x0 if x0 > 0.0 else span / _START_CELLS
     grid = (x0 - d) + d * np.exp(np.linspace(0.0, math.log1p(span / d), _START_CELLS + 1))
@@ -503,12 +598,12 @@ def _starting_mesh(model, x0, xmax, max_steps):
     if not np.isfinite(q).all():
         bad = float(grid[np.flatnonzero(~np.isfinite(q))[0]])
         raise IntegrationError(f"q is not finite at x = {bad:.17g}", x=bad)
-    rho = np.sqrt(np.maximum(q, 0.0))
-    cum = np.concatenate([[0.0], np.cumsum((0.5 / _PHASE_STEP) * (rho[1:] + rho[:-1])
+    rho = _rate(q, model.q_prime_array(grid))
+    cum = np.concatenate([[0.0], np.cumsum((0.5 / cap) * (rho[1:] + rho[:-1])
                                            * np.diff(grid))])
     mesh = _equidistribute(
         grid, cum, max_steps,
-        f"q is too large: its phase on [{x0:.6g}, {xmax:.6g}] at {_PHASE_STEP} rad per step")
+        f"q is too large: its phase on [{x0:.6g}, {xmax:.6g}] at {cap:.3g} rad per step")
     return mesh, len(grid)
 
 
@@ -537,25 +632,27 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         raise ParameterError("initial conditions have zero Wronskian")
     start = np.array([[y1, y2], [p1, p2]])
 
-    mesh, q_points = _starting_mesh(model, x0, float(xmax), max_steps)
+    cap = _phase_step(rtol)
+    mesh, q_points = _starting_mesh(model, x0, float(xmax), max_steps, cap)
     # overflow and 0/0 in a step that fails anyway become inf or NaN, and
     # NaN fails the error test
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for passes in range(1, _MAX_PASSES + 1):
-            states, err, noise, qmax, qmin, q_nodes = _integration_pass(
+            states, err, noise, rate, qmin, q_nodes = _integration_pass(
                 model, mesh, start, rtol, atol)
-            q_points += 5 * len(mesh) - 4
+            # q at every node and at the interior stage nodes of every step
+            q_points += len(mesh) + (_STAGES - 2) * (len(mesh) - 1)
             fails = ~(err <= np.diff(mesh))  # error per unit step
             if not fails.any():
                 break
             _skip_overflow(mesh, states, err, fails)
             if passes == _MAX_PASSES:
                 _stalled(mesh, fails, passes)
-            mesh = _next_mesh(mesh, err, noise, qmax, fails, passes, max_steps,
-                              f"rtol = {rtol:g}")
+            mesh = _next_mesh(mesh, err, noise, rate, fails, passes, max_steps,
+                              f"rtol = {rtol:g}", cap)
             # only the mesh carries over: free this pass's arrays before
             # the next pass allocates its own
-            del states, err, noise, qmax, qmin, q_nodes, fails
+            del states, err, noise, rate, qmin, q_nodes, fails
     return PairTrajectory(model, mesh, states, w0, rtol, atol, q_nodes=q_nodes,
                           passes=passes, q_points=q_points, q_step_min=qmin)
 

@@ -22,10 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, ParameterError, PhaseConsistencyError
+from .integrate import _H_TABLE, _SIGNS
 
 _ATAN2_CHECK_BOUND = 1e-4  # quadrature-vs-arctangent mismatch => grid too coarse
-_FAST_PANEL = 0.05  # phase per quadrature panel above which it is refined
-_SUB_PANEL = 0.025  # largest phase per refined sub-panel
+# relative error the quadrature of one mesh interval may keep: summed over
+# 10^6 rad of phase it stays below the arctangent check
+_PANEL_RTOL = 1e-10
+# relative difference from the arctangent's increment above which an
+# interval is split more finely: far above the roundoff of a resolved one
+# (1e-14 at rtol = 1e-10, 2e-8 at 1e-3)
+_TURN_RTOL = 1e-6
+_MAX_SUB_PANELS = 256  # an interval this far from resolved fails the check
 
 
 @dataclass(frozen=True)
@@ -64,17 +71,21 @@ class PhaseData:
             raise ParameterError("phase was not unwrapped for this data")
         scalar = np.isscalar(xs)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        traj = self._traj
-        mesh = traj.mesh
+        vals = self._traj.evaluate(xs, nder=0)
+        alpha = self._alpha_of(xs, vals["y1"], vals["y2"])
+        return float(alpha[0]) if scalar else alpha
+
+    def _alpha_of(self, xs, y1, y2):
+        """alpha_at for points xs where the pair's values y1, y2 are
+        already known."""
+        mesh = self._traj.mesh
         idx = np.clip(np.searchsorted(mesh, xs, side="right") - 1, 0, len(mesh) - 2)
-        vals = traj.evaluate(xs, nder=0)
-        a1, a2 = (vals["y2"], vals["y1"]) if self.swapped else (vals["y1"], vals["y2"])
+        a1, a2 = (y2, y1) if self.swapped else (y1, y2)
         raw = np.arctan2(a1, a2)
         # coarse anchor: one trapezoid of alpha' = 1/v from the left node
         v_here = a1 ** 2 + a2 ** 2
         approx = self.alpha[idx] + 0.5 * (xs - mesh[idx]) * (1.0 / self.v[idx] + 1.0 / v_here)
-        alpha = raw + 2.0 * math.pi * np.round((approx - raw) / (2.0 * math.pi))
-        return float(alpha[0]) if scalar else alpha
+        return raw + 2.0 * math.pi * np.round((approx - raw) / (2.0 * math.pi))
 
 
 def _require_unit(traj):
@@ -117,13 +128,13 @@ def amplitude_series(traj, grid=None):
     return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp)
 
 
-def _inv_v_derivatives(y1, d1, y2, d2, amp, q, qp):
-    """(f, f', f''') for the phase speed f = |w|/v from exact states and
-    their amplitude amp = (v, v', v'').
+def _phase_speed(y1, d1, y2, d2, amp, q, qp):
+    """(f, f', f'', f''') for the phase speed f = |w|/v from exact states
+    and their amplitude amp = (v, v', v'').
 
     v''' = -4 q v' - 2 q' v along solutions, so all derivatives of the
     quadrature integrand come out in closed form.  With r = 1/v and
-    g = v' r they are f = w r, f' = -f g and
+    g = v' r they are f = w r, f' = -f g, f'' = f r (2 v' g - v'') and
     f''' = f r (6 g (v'' - v' g) - v'''): one division and no powers.
     The local Wronskian is used rather than its nominal constant: the
     pointwise arctangent slope is exactly -w(x)/v, so this keeps the
@@ -136,7 +147,64 @@ def _inv_v_derivatives(y1, d1, y2, d2, amp, q, qp):
     r = 1.0 / v
     g = vp * r
     f = w * r
-    return f, -f * g, f * r * (6.0 * g * (vpp - vp * g) - vppp)
+    fr = f * r
+    return f, -f * g, fr * (2.0 * vp * g - vpp), fr * (6.0 * g * (vpp - vp * g) - vppp)
+
+
+def _phase_speed_at(traj, xs):
+    """_phase_speed at points xs, from the dense output and q there."""
+    xs, y1, d1, y2, d2, q = _states_on(traj, xs)
+    return _phase_speed(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q), q,
+                        traj.model.q_prime_array(xs))
+
+
+def _hermite_rule(h, left, right):
+    """Integral of f over panels of width h from (f, f', f'', f''') at
+    their ends, and the truncation estimate of the corrected trapezoid.
+
+    The rule integrates the order-7 two-point Hermite interpolant of the
+    data, exactly for polynomials of degree 7; its weights are the
+    integrals of that basis on [0, 1], (1/2, 3/28, 1/84, 1/1680).  The
+    Euler-Maclaurin corrected trapezoid uses the same ends without f'' and
+    is exact to degree 5 only, so the difference of the two estimates the
+    trapezoid's error, and bounds the rule's own, which falls like h^9.
+    """
+    (fa, f1a, f2a, f3a), (fb, f1b, f2b, f3b) = left, right
+    d1, s2, d3 = f1a - f1b, f2a + f2b, f3a - f3b
+    trapezoid = 0.5 * h * (fa + fb)
+    rule = trapezoid + h * h * (3.0 / 28.0 * d1 + h * (s2 / 84.0 + h * d3 / 1680.0))
+    corrected = trapezoid + h * h * (d1 / 12.0 - h * h * d3 / 720.0)
+    return rule, np.abs(rule - corrected)
+
+
+# the antiderivatives of the order-7 Hermite basis at 1 times (-1)^k, the
+# signs of the right end's basis, derivative and antiderivative, (-1)^k,
+# -(-1)^k and (-1)^k, and the powers the interpolant needs
+_H_INT_1 = _SIGNS * _H_TABLE[8:].sum(axis=1)[:, None]
+_RIGHT_SIGNS = np.array([_SIGNS, -_SIGNS, _SIGNS])
+_POWERS_8 = np.arange(9.0)
+_POWERS_3 = np.arange(4.0)[:, None]
+
+
+def _hermite_interpolant(h, tau, left, right):
+    """Value, slope and integral from the left end of the order-7
+    two-point Hermite interpolant of (g, g', g'', g''') at tau in [0, 1],
+    a fraction of panels of width h.
+
+    left and right are (4, m, n) arrays of the end data of m functions on
+    n panels; the results are (3, m, n).  Over the whole panel the
+    integral is _hermite_rule's value.
+    """
+    n = len(tau)
+    powers = np.power.outer(np.concatenate([tau, 1.0 - tau]), _POWERS_8)
+    # basis, derivative and antiderivative at tau (left end) and 1 - tau
+    at = (powers @ _H_TABLE.T).T.reshape(3, 4, 2, n)
+    at_right = at[:, :, 1] * _RIGHT_SIGNS
+    # the antiderivative of the right end's basis runs from 1 - tau to 1
+    np.subtract(_H_INT_1, at_right[2], out=at_right[2])
+    scale = h ** _POWERS_3 * np.array([np.ones_like(h), 1.0 / h, h])[:, None]
+    return (left * (scale * at[:, :, 0])[:, :, None]
+            + right * (scale * at_right)[:, :, None]).sum(axis=1)
 
 
 def _phase_increments(traj, amp, turn):
@@ -145,75 +213,83 @@ def _phase_increments(traj, amp, turn):
     turn the arctangent's increment of the phase over each interval, up
     to a whole turn (see _refine_fast).
 
-    Each interval first gets the Euler-Maclaurin corrected trapezoid
-    (endpoint f' and f''' corrections) from exact node data, so no
-    dense-output evaluations are needed.  Intervals where the phase moves
-    fast (scrambled pairs can oscillate several times faster than the
-    integration step control assumed) are then split into sub-panels of
-    at most 0.025 rad of phase, all evaluated in one batched call
-    (_refine_fast).
+    Each interval gets the Hermite rule (_hermite_rule) from exact node
+    data, with no dense-output evaluation.  The intervals where the
+    estimated error is too large (a pair whose v oscillates fast, such
+    as a scrambled one) are split into sub-panels (_refine_fast), all
+    evaluated in one batched call.  A pair whose v is smooth, like a
+    principal pair, needs almost none.
     """
     y1, d1, y2, d2 = traj.states.T
-    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, amp, traj.q_nodes, traj.qp_nodes)
-    inc = _corrected_trapezoid(np.diff(traj.mesh), (f[:-1], f1[:-1], f3[:-1]),
-                               (f[1:], f1[1:], f3[1:]))
-    return _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], inc, turn)
+    nodes = _phase_speed(y1, d1, y2, d2, amp, traj.q_nodes, traj.qp_nodes)
+    inc, est = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
+                             [d[1:] for d in nodes])
+    return _refine_fast(traj, nodes, inc, est, turn)
 
 
-def _corrected_trapezoid(h, left, right):
-    """Euler-Maclaurin corrected trapezoid of f over panels of width h
-    from (f, f', f''') at their left and right ends."""
-    (fa, f1a, f3a), (fb, f1b, f3b) = left, right
-    return (0.5 * h * (fa + fb) - h * h / 12.0 * (f1b - f1a)
-            + h ** 4 / 720.0 * (f3b - f3a))
+def _sub_panel_sums(traj, nodes, fast, n):
+    """The Hermite rule summed over n[i] equal sub-panels of each mesh
+    interval fast[i].
 
-
-def _inv_v_at(traj, xs):
-    """(f, f', f''') of the phase speed at points xs, from the dense
-    output and q there."""
-    xs, y1, d1, y2, d2, q = _states_on(traj, xs)
-    return _inv_v_derivatives(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q), q,
-                              traj.model.q_prime_array(xs))
-
-
-def _refine_fast(traj, lo, hi, inc, turn):
-    """Re-integrate 1/v on the panels [lo, hi] where the phase moves by
-    more than _FAST_PANEL.
-
-    A panel's move is the larger of its estimate |inc| and the size of
-    turn, the arctangent's increment over it wrapped into [0, pi]: the
-    corrected trapezoid misjudges a panel it does not resolve (even in
-    sign), the arctangent does not while the panel moves less than pi.
-    Only the fast panels' moves are formed.  Panel i is split into
-    n_i = ceil(move_i / _SUB_PANEL) equal sub-panels with the n_i + 1
-    edges lo_i + k (hi_i - lo_i)/n_i, the last one exactly hi_i.
-    Neighbouring sub-panels share an edge, so the edges of all fast
-    panels, laid end to end, are evaluated once, in one batch; the
-    sub-panels' corrected trapezoids are summed back per panel.  Returns
-    the updated increments and the number of panels refined.
+    Interval i has the n_i + 1 edges lo_i + k (hi_i - lo_i)/n_i, the last
+    one exactly hi_i.  Its ends take the node data (nodes holds f, f',
+    f'' and f''' at the mesh nodes); the interior edges of all the
+    intervals, laid end to end, are evaluated once, in one batch.
     """
-    size = np.abs(turn)
-    # min(size, 2 pi - size) > _FAST_PANEL, without forming it everywhere
-    seen = (size > _FAST_PANEL) & (size < 2.0 * math.pi - _FAST_PANEL)
-    fast = np.flatnonzero(seen | (inc > _FAST_PANEL) | (inc < -_FAST_PANEL))
-    if fast.size == 0:
-        return inc, 0
-    size = size[fast]
-    move = np.maximum(np.abs(inc[fast]), np.minimum(size, 2.0 * math.pi - size))
-    n = np.ceil(move / _SUB_PANEL).astype(np.intp)
     owner = np.repeat(np.arange(fast.size), n + 1)
     k = np.arange(owner.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
-    lo_k, hi_k, n_k = lo[fast][owner], hi[fast][owner], n[owner]
-    step = (hi_k - lo_k) / n_k
-    edges = np.where(k == n_k, hi_k, lo_k + k * step)
-    f, f1, f3 = _inv_v_at(traj, edges)
+    mesh = traj.mesh
+    lo_k, hi_k, n_k = mesh[fast][owner], mesh[fast + 1][owner], n[owner]
+    edges = np.where(k == n_k, hi_k, lo_k + k * ((hi_k - lo_k) / n_k))
+    inner = (k > 0) & (k < n_k)
+    data = np.empty((4, edges.size))
+    data[:, k == 0] = [d[fast] for d in nodes]
+    data[:, k == n_k] = [d[fast + 1] for d in nodes]
+    data[:, inner] = _phase_speed_at(traj, edges[inner])
     a = np.flatnonzero(k < n_k)  # left edge of every sub-panel
-    b = a + 1
-    sub = _corrected_trapezoid(edges[b] - edges[a], (f[a], f1[a], f3[a]),
-                               (f[b], f1[b], f3[b]))
+    sub, _ = _hermite_rule(edges[a + 1] - edges[a], data[:, a], data[:, a + 1])
+    return np.bincount(owner[a], weights=sub)
+
+
+def _refine_fast(traj, nodes, inc, est, turn):
+    """Re-integrate 1/v on the mesh intervals whose Hermite rule may err
+    by more than _PANEL_RTOL of their increment inc.
+
+    est is the truncation estimate of each interval's corrected
+    trapezoid.  The Hermite rule's error is no larger and falls like n^-8
+    on n equal sub-panels, so interval i is split into the least n_i >= 2
+    with est_i / n_i^8 <= _PANEL_RTOL |inc_i| (_sub_panel_sums).  That
+    rate holds once the sub-panels resolve v; an interval of a strongly
+    stretched pair, where v dips steeply between two nodes, may need
+    more.  turn, the size of the arctangent's increment over each
+    interval wrapped into [0, pi], is the phase the interval moves while
+    it moves less than pi, so an interval whose result still differs from
+    it by more than _TURN_RTOL is split twice as finely again, as long as
+    that still changes its result by more than _TURN_RTOL (a result that
+    has settled elsewhere is the check's to report, in phase_unwrap), up
+    to _MAX_SUB_PANELS.  turn also selects the intervals that the
+    estimate, from node data alone, misses.  Returns the updated
+    increments and the number of intervals refined.
+    """
+    turn = np.abs(turn)
+    turn = np.minimum(turn, 2.0 * math.pi - turn)
+    tol = _PANEL_RTOL * np.abs(inc)
+    fast = np.flatnonzero((est > tol) | (np.abs(inc - turn) > _TURN_RTOL * turn))
+    if fast.size == 0:
+        return inc, 0
+    refined = fast.size
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero increment
+        n = np.ceil((est[fast] / tol[fast]) ** 0.125)
+    n = np.clip(np.where(np.isfinite(n), n, _MAX_SUB_PANELS), 2,
+                _MAX_SUB_PANELS).astype(np.intp)
     inc = inc.copy()
-    inc[fast] = np.bincount(owner[a], weights=sub)
-    return inc, int(fast.size)
+    while fast.size:
+        before, inc[fast] = inc[fast], _sub_panel_sums(traj, nodes, fast, n)
+        slack = _TURN_RTOL * turn[fast]
+        again = ((np.abs(inc[fast] - turn[fast]) > slack)
+                 & (np.abs(inc[fast] - before) > slack) & (n < _MAX_SUB_PANELS))
+        fast, n = fast[again], np.minimum(2 * n[again], _MAX_SUB_PANELS)
+    return inc, refined
 
 
 def phase_unwrap(traj):
@@ -299,6 +375,7 @@ _CENTER = 3
 _SIDES = [0, 1, 2, 4, 5, 6]
 _FULL = [0, 1, 3, 5, 6]
 _HALF = [1, 2, 3, 4, 5]
+_DIAGONAL = np.arange(5)
 
 
 def _third_derivative_stencils(traj, A, B, C, centers, hc, v_center):
@@ -306,8 +383,10 @@ def _third_derivative_stencils(traj, A, B, C, centers, hc, v_center):
     around each center at spacings hc and hc/2, from one evaluation of the
     six off-center points; v_center is v at the centers.  Weights are
     built for the offsets actually realized in floating point, so node
-    rounding costs no accuracy; both weight sets come from one batched
-    solve."""
+    rounding costs no accuracy: for offsets z_i (in units of the spacing)
+    the third derivative at 0 of the interpolant is sum_i w_i v_i with
+    w_i = -6 (sum_{j != i} z_j) / prod_{j != i} (z_i - z_j), both weight
+    sets at once."""
     n = len(hc)
     pts = centers[:, None] + hc[:, None] * _STENCIL
     pv = traj.evaluate(pts[:, _SIDES].ravel(), nder=0)
@@ -317,11 +396,11 @@ def _third_derivative_stencils(traj, A, B, C, centers, hc, v_center):
     vv[:, _CENTER] = v_center
     z = (pts - centers[:, None]) / hc[:, None]
     z = np.concatenate([z[:, _FULL], 2.0 * z[:, _HALF]])  # in units of each spacing
-    V = z[:, None, :] ** np.arange(5)[None, :, None]     # (2n, 5, 5) moments
-    rhs = np.zeros((2 * n, 5, 1))
-    rhs[:, 3, 0] = 6.0
+    gaps = z[:, :, None] - z[:, None, :]
+    gaps[:, _DIAGONAL, _DIAGONAL] = 1.0
     spacing = np.concatenate([hc, 0.5 * hc])
-    wts = np.linalg.solve(V, rhs)[:, :, 0] / spacing[:, None] ** 3
+    wts = (-6.0 * (z.sum(axis=1)[:, None] - z) / gaps.prod(axis=2)
+           / spacing[:, None] ** 3)
     return (vv[:, _FULL] * wts[:n]).sum(axis=1), (vv[:, _HALF] * wts[n:]).sum(axis=1)
 
 

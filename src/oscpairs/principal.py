@@ -31,12 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, WindowError
-from .phasekit import _combined_alpha, _combined_phase, phase_unwrap
+from .phasekit import (_combined_alpha, _combined_phase, _hermite_interpolant,
+                       _hermite_rule, phase_unwrap)
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 _RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
 _CLASSIFY_TOL = 1e-3    # level below which window means count as zero
+_VP_FLOOR = 1e-8        # relative change of the v' means that counts as settled
 _PREDICATE_GRID_N = 64  # log-grid points of the hypothesis predicates
+_MIN_SAMPLES = 24       # samples of a window fit: well above its 10 columns
+_MIN_WINDOW_PHASE = 0.5  # rad of phase a classification window spans at least
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,36 @@ def coefficient_matrix(coeffs):
     return (ra, C / ra, 0.0, 1.0 / ra)
 
 
-def _window_indices(grid, window):
+def _window_points(grid, window):
+    """Where a fit samples the window (lo, hi): (nodes, slice) for the
+    mesh nodes in [lo, hi) when there are at least _MIN_SAMPLES of them;
+    otherwise (x, None) for more than that many points, the window cut at
+    the nodes inside it and each piece split evenly, so that no fit runs
+    short of samples however coarse the mesh."""
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise WindowError(f"empty window {window}")
     i0, i1 = np.searchsorted(grid, [lo, hi])
-    i1 = min(i1, len(grid))
-    if i1 - i0 < 8:
-        raise WindowError(f"window {window} contains too few samples ({i1 - i0})")
-    return slice(i0, i1)
+    if i1 - i0 >= _MIN_SAMPLES:
+        return grid[i0:i1], slice(i0, i1)
+    cuts = np.concatenate([[lo], grid[i0:i1][grid[i0:i1] > lo], [hi]])
+    parts = -(-_MIN_SAMPLES // (len(cuts) - 1))
+    return np.append((cuts[:-1, None] + np.diff(cuts)[:, None]
+                      * (np.arange(parts) / parts)).ravel(), hi), None
+
+
+def _window_samples(phase, window):
+    """The pair of ``phase`` sampled on the window at _window_points: the
+    points x, the phase alpha, the states (y1, y1', y2, y2') and v' there,
+    read from phase at the nodes, and from the dense output and
+    PhaseData.alpha_at elsewhere."""
+    x, sl = _window_points(phase.grid, window)
+    traj = phase._traj
+    if sl is not None:
+        return x, phase.alpha[sl], tuple(traj.states[sl].T), phase.v_prime[sl]
+    vals = traj.evaluate(x, nder=1)
+    y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
+    return x, phase._alpha_of(x, y1, y2), (y1, d1, y2, d2), 2.0 * (y1 * d1 + y2 * d2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +152,13 @@ def _sheet_minimizer(cov):
         raise IllConditionedError("variance covariance of vbar' is not finite")
     _, vecs = np.linalg.eig(_J_INV @ cov)
     vecs = vecs.real
-    jnorm = np.einsum("ik,ij,jk->k", vecs, _J, vecs)
+    jnorm = (vecs * (_J @ vecs)).sum(axis=0)
     admissible = np.flatnonzero(jnorm > 0.0)
     if admissible.size == 0:
         raise IllConditionedError(
             "no eigenvector of the variance pencil lies on AB - C^2 = 1")
     w = vecs[:, admissible] / np.sqrt(jnorm[admissible])
-    w = w[:, np.argmin(np.einsum("ik,ij,jk->k", w, cov, w))]
+    w = w[:, np.argmin((w * (cov @ w)).sum(axis=0))]
     return w if w[0] > 0 else -w
 
 
@@ -154,7 +179,7 @@ def _fit(X, Y):
 
 def _residual_design(x, alpha):
     """Left trim and design matrix for fitting the sin/cos(2 alpha) content
-    of a derivative series sampled at the window nodes x, where the phase
+    of a derivative series sampled at the window points x, where the phase
     is alpha.
 
     The returned offset trims the window on the left to a whole number of
@@ -169,13 +194,26 @@ def _residual_design(x, alpha):
     if whole >= math.pi:
         sgn = 1.0 if alpha[-1] >= alpha[0] else -1.0
         i0 = np.searchsorted(sgn * alpha, sgn * (alpha[-1] - sgn * whole))
-        i0 = min(int(i0), len(alpha) - 8)
+        i0 = min(int(i0), len(alpha) - _MIN_SAMPLES // 2)
         x, alpha = x[i0:], alpha[i0:]
     t = 2.0 * (x - x[0]) / (x[-1] - x[0]) - 1.0
     periods = abs(alpha[-1] - alpha[0]) / math.pi
     degree = 7 if periods >= 2.0 else (3 if periods >= 1.0 else 1)
-    trend = np.polynomial.chebyshev.chebvander(t, degree)
-    return i0, np.column_stack([trend, np.sin(2.0 * alpha), np.cos(2.0 * alpha)])
+    # the Chebyshev polynomials T_k(t) = cos(k arccos t), k <= degree
+    X = np.empty((len(t), degree + 3))
+    np.cos(np.multiply.outer(np.arccos(np.clip(t, -1.0, 1.0)), np.arange(degree + 1)),
+           out=X[:, :-2])
+    np.sin(2.0 * alpha, out=X[:, -2])
+    np.cos(2.0 * alpha, out=X[:, -1])
+    return i0, X
+
+
+def _residual_amplitudes(x, alpha, series):
+    """Fitted sin/cos(2 alpha) amplitudes of a derivative series (one
+    column or several) sampled at x, where the phase is alpha, after
+    removing the polynomial trend (see _residual_design)."""
+    i0, X = _residual_design(x, alpha)
+    return _fit(X, series[i0:])[-2:]
 
 
 def _oscillation_residual(phase, window):
@@ -186,10 +224,9 @@ def _oscillation_residual(phase, window):
     both amplitudes vanish; any other unit-determinant combination keeps
     an O(1) oscillating part, so this is the discriminating residual.
     """
-    sl = _window_indices(phase.grid, window)
-    i0, X = _residual_design(phase.grid[sl], phase.alpha[sl])
-    beta = _fit(X, phase.v_prime[sl][i0:])
-    return float(beta[-2]), float(beta[-1])
+    x, alpha, _, v_prime = _window_samples(phase, window)
+    k1, k2 = _residual_amplitudes(x, alpha, v_prime)
+    return float(k1), float(k2)
 
 
 def _expand_window(phase, window, need_alpha):
@@ -207,7 +244,7 @@ def _expand_window(phase, window, need_alpha):
     sgn = 1.0 if alpha[-1] >= alpha[0] else -1.0
     target = alpha[i1] - sgn * need_alpha
     i0 = np.searchsorted(sgn * alpha, sgn * target)
-    i0 = max(0, min(int(i0), i1 - 8))
+    i0 = max(0, min(int(i0), i1 - 1))
     return (float(grid[i0]), hi), True
 
 
@@ -221,8 +258,9 @@ def find_principal(traj, window=None):
     polish that would leave the neighbourhood of the variance minimizer
     keeps the minimizer.  The phase is unwrapped once, for the input pair;
     the phase of every combination follows from it (``_combined_alpha``).
-    The polish builds its candidates on the window slice only, and all
-    fits solve the normal equations (``_fit``).
+    The polish builds its candidates on the window samples only
+    (``_window_samples``: the nodes, or the dense output where the window
+    holds too few), and all fits solve the normal equations (``_fit``).
     The window defaults to the last quarter of the span and grows leftward
     when it holds fewer than 3 periods of 2*alpha (short-span runs still
     resolve the combination when v' is close to constant).
@@ -248,10 +286,9 @@ def find_principal(traj, window=None):
             f"trajectory spans only {total_alpha / math.pi:.2f} pi of phase; "
             "not enough oscillation to separate the pair")
     window, expanded = _expand_window(phase, window, 3.0 * math.pi)
-    sl = _window_indices(phase.grid, window)
-    alpha_span = abs(phase.alpha[sl][-1] - phase.alpha[sl][0])
+    x_win, alpha_win, (y1, d1, y2, d2), _ = _window_samples(phase, window)
+    alpha_span = abs(alpha_win[-1] - alpha_win[0])
 
-    y1, d1, y2, d2 = traj.states[sl].T
     g = np.vstack([2.0 * y1 * d1, 2.0 * y2 * d2, 2.0 * (d1 * y2 + y1 * d2)])
     mu = g.mean(axis=1)
     cov = (g @ g.T) / g.shape[1] - np.outer(mu, mu)
@@ -262,20 +299,18 @@ def find_principal(traj, window=None):
     # With the phase basis frozen, the fitted sin/cos(2 alpha) amplitudes
     # of vbar' are linear in w, F = amps w, so they vanish on the sheet
     # at the cross product of the two rows of amps, scaled to w^T J w = 1.
-    # The candidates of the polish are built on the window slice only:
-    # their node states there, and their phase unwrapped against the
-    # input's from the slice start.
+    # The candidates of the polish are built on the window samples only:
+    # their states there, and their phase unwrapped against the input's
+    # from the first sample.
+    def combined_alpha(p, m):
+        a, b, c, d = coefficient_matrix(CombinationCoefficients(p, (1.0 + m * m) / p, m))
+        return _combined_alpha(a * y1 + b * y2, c * y1 + d * y2, alpha_win, phase.swapped)
+
     p, m = float(w0[0]), float(w0[2])
-    x_win, alpha_win = phase.grid[sl], phase.alpha[sl]
     steps, ok = 0, True
     for _ in range(2):
-        coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
-        a, b, c, d = coefficient_matrix(coeffs)
-        alpha = _combined_alpha(a * y1 + b * y2, c * y1 + d * y2, alpha_win,
-                                phase.swapped)
-        i0, X = _residual_design(x_win, alpha)
-        amps = _fit(X, g[:, i0:].T)
-        n = np.cross(amps[-2], amps[-1])
+        (a1, a2, a3), (b1, b2, b3) = _residual_amplitudes(x_win, combined_alpha(p, m), g.T)
+        n = np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
         jnorm = float(n @ _J @ n)
         ok = 0.0 < jnorm < math.inf
         if ok:
@@ -290,15 +325,15 @@ def find_principal(traj, window=None):
 
     coeffs = CombinationCoefficients(p, (1.0 + m * m) / p, m)
     matrix = coefficient_matrix(coeffs)
+    w = np.array([coeffs.A, coeffs.B, coeffs.C])
+    k1, k2 = (float(k) for k in _residual_amplitudes(x_win, combined_alpha(p, m), w @ g))
+    fbest = float(w @ cov @ w)
     # the whole-mesh combinations, counted as they are built: only the
     # result, which classify and the gap table read
     full_mesh = 0
     pair = traj._combined(matrix, traj.w)
     full_mesh += 1
     phase_t = _combined_phase(pair, phase)
-    k1, k2 = _oscillation_residual(phase_t, window)
-    w = np.array([coeffs.A, coeffs.B, coeffs.C])
-    fbest = float(w @ cov @ w)
     tag, L, K, diag = classify(phase_t)
     residual = math.hypot(k1, k2)
     if residual > _RESIDUAL_TOL:
@@ -319,26 +354,76 @@ def find_principal(traj, window=None):
 # ---------------------------------------------------------------------------
 # classifier
 
-def _windowed_means(grid, values, t_end, t_start, n_windows=4):
-    """Length-weighted means over dyadic windows ending at t_end."""
-    means, bounds = [], []
-    hi = t_end
+def _interpolants(phase):
+    """(4, 2, N) node data of the order-7 interpolants of v and of the
+    phase on the mesh intervals: v, v', v'' and v''' = -4 q v' - 2 q' v,
+    and alpha, alpha' = 1/v, -v'/v^2 and (2 v'^2/v - v'')/v^2."""
+    traj = phase._traj
+    v, vp, vpp = phase.v, phase.v_prime, phase.v_second
+    r = 1.0 / v
+    return np.array([[v, phase.alpha], [vp, r], [vpp, -vp * r * r],
+                     [-4.0 * traj.q_nodes * vp - 2.0 * traj.qp_nodes * v,
+                      (2.0 * vp * vp * r - vpp) * r * r]])
+
+
+def _interpolated(phase, data, x):
+    """The interpolants of data (_interpolants) at the points x: their
+    values, slopes and integrals over the part of each point's mesh
+    interval left of it, each (2, n), and the intervals."""
+    grid = phase.grid
+    j = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
+    h = grid[j + 1] - grid[j]
+    return (*_hermite_interpolant(h, (x - grid[j]) / h, data[:, :, j],
+                                  data[:, :, j + 1]), j)
+
+
+def _window_statistics(phase, n_windows=4):
+    """The means of v and of v' over dyadic windows [lo, hi] that end at
+    the end of the span, lo halving the distance to its start, in
+    increasing order, and the amplitudes of the 2*alpha oscillation in v'
+    and in v over the last window.
+
+    The windows are taken from the end leftward while the phase advances
+    by at least _MIN_WINDOW_PHASE across each: a shorter one, next to the
+    start, sees the start-up of the pair rather than its limit.  The means
+    are exact integrals, not sums over the nodes inside a window, so that
+    a window needs no nodes.  v' integrates to v(hi) - v(lo), and v to
+    the Hermite rule of phasekit over whole mesh intervals plus the
+    integral of the same order-7 interpolant over the parts that the
+    edges cut.  v and the phase at the edges, and at _window_points of
+    the last window where it holds too few nodes for the fit of the
+    oscillation, come from such interpolants of node data (_interpolants)
+    too: v is smooth for the pairs this classifies, so they are much
+    closer than the dense output of y1 and y2, which oscillate.
+    """
+    grid = phase.grid
+    t0 = float(grid[0])
+    edges = [float(grid[-1])]
     for _ in range(n_windows):
-        lo = t_start + 0.5 * (hi - t_start)
-        if hi - lo <= 0:
-            break
-        i0, i1 = np.searchsorted(grid, [lo, hi])
-        i1 = min(i1, len(grid))
-        if i1 - i0 < 4:
-            break
-        x = grid[i0:i1]
-        y = values[i0:i1]
-        means.append(float(np.trapezoid(y, x) / (x[-1] - x[0])))
-        bounds.append((float(lo), float(hi)))
-        hi = lo
-    means.reverse()
-    bounds.reverse()
-    return means, bounds
+        edges.append(t0 + 0.5 * (edges[-1] - t0))
+    edges = np.array(edges[::-1])
+    x, sl = _window_points(grid, edges[-2:])
+
+    data = _interpolants(phase)
+    panels, _ = _hermite_rule(np.diff(grid), data[:, 0, :-1], data[:, 0, 1:])
+    points = edges if sl is not None else np.concatenate([edges, x])
+    (v, alpha), (vp, _), (part, _), j = _interpolated(phase, data, points)
+    n = len(edges)
+    integral = np.concatenate([[0.0], np.cumsum(panels)])[j[:n]] + part[:n]
+    width = np.diff(edges)
+    means = np.diff(integral) / width
+    slopes = np.diff(v[:n]) / width
+    short = np.flatnonzero(np.diff(alpha[:n]) < _MIN_WINDOW_PHASE)
+    first = short[-1] + 1 if short.size else 0
+
+    if sl is not None:
+        v, vp, alpha = phase.v[sl], phase.v_prime[sl], phase.alpha[sl]
+    else:
+        v, vp, alpha = v[n:], vp[n:], alpha[n:]
+    s2, c2 = np.sin(2.0 * alpha), np.cos(2.0 * alpha)
+    beta = _fit(np.column_stack([np.ones_like(s2), s2, c2]), np.column_stack([vp, v]))
+    return (means[first:].tolist(), slopes[first:].tolist(),
+            math.hypot(beta[1, 0], beta[2, 0]), math.hypot(beta[1, 1], beta[2, 1]))
 
 
 def _aitken(seq, floor):
@@ -358,14 +443,6 @@ def _aitken(seq, floor):
     return a3 - d2 * d2 / denom
 
 
-def _osc_amplitude(phase, sl):
-    """Amplitude of the 2*alpha oscillation in v' and v over a slice."""
-    s2, c2 = np.sin(2.0 * phase.alpha[sl]), np.cos(2.0 * phase.alpha[sl])
-    X = np.column_stack([np.ones_like(s2), s2, c2])
-    beta = _fit(X, np.column_stack([phase.v_prime[sl], phase.v[sl]]))
-    return math.hypot(beta[1, 0], beta[2, 0]), math.hypot(beta[1, 1], beta[2, 1])
-
-
 def classify(phase):
     """Limit classification of an amplitude series over dyadic windows.
 
@@ -380,24 +457,19 @@ def classify(phase):
     if phase.alpha is None:
         raise ParameterError("phase data lacks alpha; use phase_unwrap")
     tol = _CLASSIFY_TOL
-    grid = phase.grid
-    t0, T = float(grid[0]), float(grid[-1])
-    M, bounds = _windowed_means(grid, phase.v, T, t0)
-    m, _ = _windowed_means(grid, phase.v_prime, T, t0)
+    M, m, osc_p, osc_v = _window_statistics(phase)
     diag = {"v_means": M, "vp_means": m}
     if len(M) < 2:
         diag["reason"] = "span too short for dyadic windows"
         return "undetermined", None, None, diag
-
-    i0 = np.searchsorted(grid, bounds[-1][0])
-    sl = slice(i0, len(grid))
-    osc_p, osc_v = _osc_amplitude(phase, sl)
     diag["osc_vprime"] = osc_p
     diag["osc_v"] = osc_v
 
     ratios = [M[i + 1] / M[i] for i in range(len(M) - 1)] if min(M) > 0 else []
     diag["v_mean_ratios"] = ratios
-    floor_m = 1e-8 * (1.0 + abs(m[-1]))
+    # v' means that differ by less than the tolerance the pair was
+    # integrated to cannot be told apart
+    floor_m = max(_VP_FLOOR, phase._traj.rtol) * (1.0 + abs(m[-1]))
     K_est = _aitken(m, floor_m)
 
     decreasing = ratios and all(r <= 0.95 for r in ratios)

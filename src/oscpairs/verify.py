@@ -13,10 +13,10 @@ exactly that factor and the checks fail by it; the companion checks
 right below them verify the Wronskian-consistent relationships.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,6 +70,21 @@ _CASES = {
 _RUNS = {}
 
 
+class CatalogRun:
+    """A catalog case integrated, normalized and analyzed: its model, the
+    default pair (traj), the finder's report and the principal pair and
+    its phase.  The default pair's own phase is unwrapped on first read,
+    so that only the checks that read it pay for it."""
+
+    def __init__(self, name, model, traj, report):
+        self.name, self.model, self.traj, self.report = name, model, traj, report
+        self.principal, self.principal_phase = report.pair, report.phase
+
+    @functools.cached_property
+    def phase(self):
+        return phase_unwrap(self.traj)
+
+
 def catalog_run(case, rtol=None):
     """Integrated, normalized, analyzed catalog trajectory (cached)."""
     rtol = DEFAULT_RTOL if rtol is None else rtol
@@ -80,11 +95,7 @@ def catalog_run(case, rtol=None):
         traj = normalize_unit_wronskian(
             integrate_pair(model, (0.0, 1.0), (1.0, 0.0), xmax,
                            rtol=rtol, atol=DEFAULT_ATOL))
-        report = find_principal(traj)
-        _RUNS[key] = SimpleNamespace(
-            name=name, model=model, traj=traj, report=report,
-            principal=report.pair, phase=phase_unwrap(traj),
-            principal_phase=report.phase)
+        _RUNS[key] = CatalogRun(name, model, traj, find_principal(traj))
     return _RUNS[key]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscpairs import cli
+from oscpairs import cli, integrate
 from oscpairs.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY,
                           RunConfig, cmd_analyze, cmd_verify, cmd_zeros, main,
                           to_json)
@@ -162,7 +162,7 @@ def test_config_validation():
                               xmax=50.0, window_fraction=0.9))
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     # success
     out = tmp_path / "report.json"
     code = main(["analyze", "--eq", "constant", "--param", "c=1",
@@ -191,6 +191,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert '"error"' in err
+
+    # q singular at x0 = 0, as a catalog equation and as a parsed one:
+    # one error, naming x = 0, before any integration
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrate_pair called")
+
+    monkeypatch.setattr(cli, "integrate_pair", no_integration)
+    for eq in ("inverse-x", "1/x"):
+        code = main(["analyze", "--eq", eq, "--x0", "0", "--xmax", "30"])
+        assert code == EXIT_NUMERIC
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "EvaluationError"
+        assert report["message"].startswith("q is not finite at x = 0")
 
 
 @pytest.mark.parametrize("eq, x0, xmax, stretch", [
@@ -236,7 +249,7 @@ def test_catalog_q_singular_at_x0_writes_only_the_json_error(eq, param):
 
 
 @pytest.mark.parametrize("eq, stretch", [
-    ("(x - 20)^2 - 0.01", "q <= 0 on [19.9"),
+    ("(x - 20)^2 - 0.01", "q <= 0 on [20.03"),
     ("(x - 10)^2 - 0.0001", "q <= 0 on [9.99"),
 ])
 def test_narrow_nonpositive_dip_is_caught_at_the_mesh_nodes(capsys, eq, stretch):
@@ -250,20 +263,20 @@ def test_narrow_nonpositive_dip_is_caught_at_the_mesh_nodes(capsys, eq, stretch)
 
 
 def test_dip_between_mesh_nodes_is_caught_at_the_stage_points(capsys):
-    # q < 0 on (9.999, 10.001): no mesh node falls inside, the stage
+    # q < 0 on (11.999, 12.001): no mesh node falls inside, the stage
     # points of one step do
-    code = main(["analyze", "--eq", "(x - 10)^2 - 0.000001", "--x0", "1",
+    code = main(["analyze", "--eq", "(x - 12)^2 - 0.000001", "--x0", "1",
                  "--xmax", "50"])
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "NonOscillatoryError" in err and "stage points of 1 of" in err
     lo, hi = (float(t) for t in err.split("q <= 0 on [")[1].split("]")[0].split(", "))
-    assert lo < 9.999 and hi > 10.001 and hi - lo < 0.1
+    assert lo < 11.999 and hi > 12.001 and hi - lo < 0.1
 
 
 def test_dip_between_stage_points_is_caught_at_the_hermite_minimum(capsys):
     # q < 0 on (10 - 1e-4, 10 + 1e-4): no node or stage point of the step
-    # from 9.997 to 10.010 falls inside; the cubic Hermite of q and q' at
+    # from 9.983 to 10.0004 falls inside; the cubic Hermite of q and q' at
     # its ends (exact for this quadratic) is least at x = 10, where q is
     # tested
     start = time.perf_counter()
@@ -364,8 +377,10 @@ def test_analyze_reports_integration_counters():
     cfg = dict(equation="inverse-x", xmax=100.0)
     diag = cmd_analyze(RunConfig(**cfg))["diagnostics"]
     assert {"mesh_nodes", "integration_passes", "q_points"} <= set(diag)
+    # every pass evaluates q at the nodes and the interior stage nodes
+    nodes = diag["mesh_nodes"]
     assert diag["integration_passes"] >= 2
-    assert diag["q_points"] > 5 * diag["mesh_nodes"]
+    assert diag["q_points"] > nodes + (integrate._STAGES - 2) * (nodes - 1)
     again = cmd_analyze(RunConfig(**cfg))["diagnostics"]
     for key in ("mesh_nodes", "integration_passes", "q_points"):
         assert isinstance(diag[key], int) and again[key] == diag[key]

@@ -4,6 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from scipy.integrate._ivp import dop853_coefficients as dop853
+
+from oscpairs import integrate
 from oscpairs.errors import IntegrationError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian, sample)
@@ -178,14 +181,16 @@ def test_restated_pairs_reuse_node_values_of_q():
     assert counts["scalar"] == 0 and not counts["qpp"]
     assert traj.q_points == sum(xs.size for xs, _ in counts["q"])
     # q_nodes are the node values of the final pass; after them that pass
-    # evaluates q only at the interior stage nodes, and q' once at the nodes
+    # evaluates q only at the interior stage nodes
     last = max(k for k, (xs, _) in enumerate(counts["q"])
                if np.array_equal(xs, traj.mesh))
     assert np.array_equal(counts["q"][last][1], traj.q_nodes)
     after = counts["q"][last + 1:]
-    assert sum(xs.size for xs, _ in after) == 4 * (len(traj.mesh) - 1)
+    assert sum(xs.size for xs, _ in after) == (integrate._STAGES - 2) * (len(traj.mesh) - 1)
     assert not any(np.isin(xs, traj.mesh).any() for xs, _ in after)
-    assert [xs.size for xs, _ in counts["qp"]] == [len(traj.mesh)]
+    # q' on the grid that samples the starting density, then at the nodes
+    assert [xs.size for xs, _ in counts["qp"]] == [integrate._START_CELLS + 1,
+                                                   len(traj.mesh)]
 
     for key in ("q", "qp"):
         counts[key].clear()
@@ -206,13 +211,10 @@ def test_restated_pairs_reuse_node_values_of_q():
 
 
 def _sequential_states(traj):
-    """Oracle: one plain Dormand-Prince 5(4) step after another on the
-    trajectory's own mesh, each stage from the state vectors."""
-    a = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-    b = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-    c = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+    """Oracle: one plain DOP853 step after another on the trajectory's own
+    mesh, each stage from the state vectors, with scipy's table."""
+    n = dop853.N_STAGES
+    a, b, c = dop853.A[:n, :n], dop853.B, dop853.C[:n]
     q = traj.model.q
 
     def rhs(x, u):
@@ -221,11 +223,25 @@ def _sequential_states(traj):
 
     out = [traj.states[0]]
     for x, h in zip(traj.mesh[:-1], np.diff(traj.mesh)):
-        u, ks = out[-1], []
-        for aj, cj in zip(a, c):
-            ks.append(rhs(x + cj * h, u + h * sum(w * k for w, k in zip(aj, ks))))
-        out.append(u + h * sum(w * k for w, k in zip(b, ks)))
+        u, ks = out[-1], np.zeros((n, 4))
+        for j in range(n):
+            ks[j] = rhs(x + c[j] * h, u + h * (a[j, :j] @ ks[:j]))
+        out.append(u + h * (b @ ks))
     return np.array(out)
+
+
+def test_tableau_matches_scipy():
+    # scipy's table has a 13th, first-same-as-last stage that the error
+    # estimates do not use, and 3 more stages for its own dense output
+    n = dop853.N_STAGES
+    assert integrate._STAGES == n
+    assert np.array_equal(integrate._C, dop853.C[:n])
+    for j, row in enumerate(integrate._A, start=1):
+        assert np.array_equal(row, dop853.A[j, :j])
+    assert np.array_equal(integrate._B, dop853.B)
+    assert not dop853.E5[n] and not dop853.E3[n]
+    assert np.array_equal(integrate._E5, dop853.E5[:n])
+    assert np.array_equal(integrate._E3, dop853.E3[:n])
 
 
 @pytest.mark.parametrize("name, params, xmax", [
@@ -241,7 +257,10 @@ def test_transfer_products_match_sequential_steps(name, params, xmax):
 def test_integration_counters_repeat():
     model = catalog_get("inverse-x")
     runs = [integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 100.0) for _ in range(2)]
-    assert runs[0].passes >= 2 and runs[0].q_points > 5 * len(runs[0].mesh)
+    # every pass evaluates q at the nodes and the interior stage nodes
+    nodes = len(runs[0].mesh)
+    assert runs[0].passes >= 2
+    assert runs[0].q_points > nodes + (integrate._STAGES - 2) * (nodes - 1)
     assert (runs[0].passes, runs[0].q_points) == (runs[1].passes, runs[1].q_points)
     assert np.array_equal(runs[0].states, runs[1].states)
 
@@ -291,6 +310,24 @@ def test_stall_guard_lets_a_growing_step_through():
     assert traj.mesh[-1] == 5e7
 
 
+def test_hermite_basis_table():
+    # the order-7 two-point Hermite basis in ascending powers of tau: H_k
+    # has k-th derivative 1 at 0 and every other derivative up to the
+    # third 0 at both ends
+    basis = np.array([[1, 0, 0, 0, -35, 84, -70, 20],
+                      [0, 1, 0, 0, -20, 45, -36, 10],
+                      [0, 0, 0.5, 0, -5, 10, -7.5, 2],
+                      [0, 0, 0, 1 / 6, -2 / 3, 1, -2 / 3, 1 / 6]])
+    assert np.array_equal(integrate._H, basis)
+    t = np.linspace(0.0, 1.0, 101)
+    polys = [np.polynomial.Polynomial(row) for row in basis]
+    want = np.array([p(t) for p in polys] + [p.deriv()(t) for p in polys]
+                    + [p.integ()(t) for p in polys])
+    assert np.allclose(integrate._basis(t), want[:8], rtol=0.0, atol=1e-13)
+    table = np.power.outer(t, np.arange(9)) @ integrate._H_TABLE.T
+    assert np.allclose(table.T, want, rtol=0.0, atol=1e-13)
+
+
 def _per_solution_evaluate(traj, xs, nder):
     """Oracle: the order-7 Hermite dense output evaluated one solution at
     a time, each with its own (N, 4) table of node data and its own basis
@@ -302,19 +339,10 @@ def _per_solution_evaluate(traj, xs, nder):
     tables = (np.column_stack([y1, d1, -q * y1, -qp * y1 - q * d1]),
               np.column_stack([y2, d2, -q * y2, -qp * y2 - q * d2]))
 
-    def horner(coef, t):
-        out = np.zeros((coef.shape[0], t.size))
-        for j in range(coef.shape[1] - 1, -1, -1):
-            out *= t
-            out += coef[:, j:j + 1]
-        return out
+    def basis(t):
+        # H_k and H_k' at t, as the package tabulates them
+        return integrate._basis(t).reshape(2, 4, -1)
 
-    basis = np.array([[1, 0, 0, 0, -35, 84, -70, 20],
-                      [0, 1, 0, 0, -20, 45, -36, 10],
-                      [0, 0, 0.5, 0, -5, 10, -7.5, 2],
-                      [0, 0, 0, 1 / 6, -2 / 3, 1, -2 / 3, 1 / 6]])
-    dbasis = basis[:, 1:] * np.arange(1, 8)
-    cubic = np.array([[1.0, 0.0, -3.0, 2.0], [0.0, 1.0, -2.0, 1.0]])
     results = []
     for fdata in tables:
         x0 = traj.mesh[idx]
@@ -326,16 +354,13 @@ def _per_solution_evaluate(traj, xs, nder):
         sgn = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
         w0 = f0.T * hk
         w1 = f1.T * hk * sgn
-        bt, bs = horner(basis, tau), horner(basis, sig)
+        (bt, dt), (bs, ds) = basis(tau), basis(sig)
         out = [(w0 * bt).sum(axis=0) + (w1 * bs).sum(axis=0)]
         if nder >= 1:
-            dt, ds = horner(dbasis, tau), horner(dbasis, sig)
             out.append(((f0[:, 0] - f1[:, 0]) * dt[0] + (w0[1:] * dt[1:]).sum(axis=0)
                         - (w1[1:] * ds[1:]).sum(axis=0)) / h)
         if nder >= 2:
-            b2t, b2s = horner(cubic, tau), horner(cubic, sig)
-            out.append(f0[:, 2] * b2t[0] + h * f0[:, 3] * b2t[1]
-                       + f1[:, 2] * b2s[0] - h * f1[:, 3] * b2s[1])
+            out.append(-traj.model.q_array(xs) * out[0])
         for node_idx, take in ((idx, xs == traj.mesh[idx]),
                                (idx + 1, xs == traj.mesh[idx + 1])):
             for d in range(nder + 1):

@@ -7,9 +7,10 @@ from oscpairs import phasekit
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian, sample)
-from oscpairs.phasekit import (_FAST_PANEL, _amplitude, _combined_phase,
-                               _corrected_trapezoid, _inv_v_at, _inv_v_derivatives,
-                               _phase_increments, _refine_fast,
+from oscpairs.cli import RunConfig, _integrated_pair
+from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _TURN_RTOL, _amplitude,
+                               _combined_phase, _hermite_rule, _phase_increments,
+                               _phase_speed, _phase_speed_at, _sub_panel_sums,
                                _third_derivative_stencils, amplitude_series,
                                appell_residual, phase_unwrap)
 from oscpairs.principal import transform_pair
@@ -79,8 +80,10 @@ def test_amplitude_rejects_non_unit_pair():
 
 def test_phase_unwrap_forms_the_node_amplitude_once(monkeypatch, run_genairy):
     # one _amplitude call on the nodes feeds both the quadrature and the
-    # returned v, v', v'', which match amplitude_series bit for bit
-    traj = run_genairy.traj
+    # returned v, v', v'', which match amplitude_series bit for bit; the
+    # principal pair needs no refinement, which would add calls off the
+    # nodes
+    traj = run_genairy.principal
     sizes = []
     amplitude = phasekit._amplitude
 
@@ -189,16 +192,27 @@ def test_appell_linearity_and_random_combinations(run_genairy):
         assert r.max <= 1e-5
 
 
+def _third_derivative_weights(z):
+    """Weights of the third derivative at 0 of the interpolant through
+    offsets z (rows of 5), from the moment equations sum_i w_i z_i^k =
+    6 [k = 3], solved."""
+    V = z[:, None, :] ** np.arange(5)[None, :, None]
+    rhs = np.zeros((len(z), 5, 1))
+    rhs[:, 3, 0] = 6.0
+    return np.linalg.solve(V, rhs)[:, :, 0]
+
+
 def _five_point_stencil(traj, A, B, C, centers, hc):
     """Reference: the five-point third derivative at one spacing, with its
-    own evaluation and solve."""
+    own evaluation and its own weights, in the package's closed form."""
     offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     pts = centers[:, None] + hc[:, None] * offs[None, :]
     z = (pts - centers[:, None]) / hc[:, None]
-    V = z[:, None, :] ** np.arange(5)[None, :, None]
-    rhs = np.zeros((len(hc), 5, 1))
-    rhs[:, 3, 0] = 6.0
-    wts = np.linalg.solve(V, rhs)[:, :, 0] / hc[:, None] ** 3
+    gaps = z[:, :, None] - z[:, None, :] + np.eye(5)
+    wts = -6.0 * (z.sum(axis=1)[:, None] - z) / gaps.prod(axis=2) / hc[:, None] ** 3
+    # the closed form is the solution of the moment equations
+    assert np.allclose(wts * hc[:, None] ** 3, _third_derivative_weights(z),
+                       rtol=1e-12, atol=1e-12)
     pv = traj.evaluate(pts.ravel(), nder=0)
     py1, py2 = pv["y1"].reshape(pts.shape), pv["y2"].reshape(pts.shape)
     vv = A * py1 ** 2 + B * py2 ** 2 + 2.0 * C * py1 * py2
@@ -237,9 +251,9 @@ def test_appell_grid_too_coarse(run_constant):
 
 
 def _integrate_inv_v_local(traj, a, b):
-    """Integral of 1/v over short sub-intervals [a, b] (corrected
-    trapezoid with exact endpoint derivatives)."""
-    return _corrected_trapezoid(b - a, _inv_v_at(traj, a), _inv_v_at(traj, b))
+    """Integral of 1/v over short sub-intervals [a, b] (the Hermite rule
+    with exact end data)."""
+    return _hermite_rule(b - a, _phase_speed_at(traj, a), _phase_speed_at(traj, b))[0]
 
 
 def _node_amplitude(traj):
@@ -255,24 +269,55 @@ def _moved(traj):
     return np.minimum(d, 2.0 * math.pi - d)
 
 
+def test_hermite_rule_is_exact_to_degree_7():
+    # the rule integrates the order-7 Hermite interpolant, so it is exact
+    # for degree 7; the corrected trapezoid is exact to degree 5, so the
+    # truncation estimate vanishes there and not at degree 6
+    rng = np.random.default_rng(11)
+    a, h = rng.uniform(-2.0, 2.0, 50), rng.uniform(0.1, 1.5, 50)
+    for degree in (5, 6, 7):
+        coef = rng.standard_normal(degree + 1)
+        p = np.polynomial.Polynomial(coef)
+        ends = [[p.deriv(k)(x) if k else p(x) for k in range(4)] for x in (a, a + h)]
+        rule, est = _hermite_rule(h, *ends)
+        exact = p.integ()(a + h) - p.integ()(a)
+        assert np.all(np.abs(rule - exact) <= 1e-13 * (1.0 + np.abs(exact)))
+        if degree <= 5:
+            assert np.all(est <= 1e-13 * (1.0 + np.abs(exact)))
+        else:
+            assert np.all(est > 1e-9 * h ** 7)
+
+
 def _loop_increments(traj):
-    """Scalar reference for _phase_increments: the corrected trapezoid per
-    mesh interval, then one linspace refinement per interval whose
-    trapezoid or arctangent increment moves fast.
-    Returns (unrefined, refined) increments."""
+    """Scalar reference for _phase_increments: the Hermite rule per mesh
+    interval, then, per interval whose truncation estimate is too large
+    or whose rule is off the arctangent's increment, linspace sub-panels
+    sized from the estimate and doubled until they match that increment
+    or stop changing.  Returns (unrefined, refined) increments."""
     y1, d1, y2, d2 = traj.states.T
-    f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, _node_amplitude(traj),
-                                   traj.q_nodes, traj.qp_nodes)
+    f, f1, f2, f3 = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj),
+                                 traj.q_nodes, traj.qp_nodes)
     h = np.diff(traj.mesh)
-    coarse = (0.5 * h * (f[:-1] + f[1:])
-              - h * h / 12.0 * (f1[1:] - f1[:-1])
-              + h ** 4 / 720.0 * (f3[1:] - f3[:-1]))
+    coarse = h * (0.5 * (f[:-1] + f[1:]) + 3.0 / 28.0 * h * (f1[:-1] - f1[1:])
+                  + h * h / 84.0 * (f2[:-1] + f2[1:]) + h ** 3 / 1680.0 * (f3[:-1] - f3[1:]))
+    corrected = (0.5 * h * (f[:-1] + f[1:]) - h * h / 12.0 * (f1[1:] - f1[:-1])
+                 + h ** 4 / 720.0 * (f3[1:] - f3[:-1]))
+    est, turn = np.abs(coarse - corrected), _moved(traj)
     inc = coarse.copy()
-    move = np.maximum(np.abs(coarse), _moved(traj))
-    for idx in np.nonzero(move > 0.05)[0]:
-        n = int(math.ceil(move[idx] / 0.025))
-        edges = np.linspace(traj.mesh[idx], traj.mesh[idx + 1], n + 1)
-        inc[idx] = float(np.sum(_integrate_inv_v_local(traj, edges[:-1], edges[1:])))
+    for idx in range(len(h)):
+        tol = _PANEL_RTOL * abs(coarse[idx])
+        if est[idx] <= tol and abs(coarse[idx] - turn[idx]) <= _TURN_RTOL * turn[idx]:
+            continue
+        n = int(min(max(math.ceil((est[idx] / tol) ** 0.125), 2), _MAX_SUB_PANELS))
+        while True:
+            edges = np.linspace(traj.mesh[idx], traj.mesh[idx + 1], n + 1)
+            before = inc[idx]
+            inc[idx] = float(np.sum(_integrate_inv_v_local(traj, edges[:-1], edges[1:])))
+            slack = _TURN_RTOL * turn[idx]
+            if (abs(inc[idx] - turn[idx]) <= slack or abs(inc[idx] - before) <= slack
+                    or n == _MAX_SUB_PANELS):
+                break
+            n = min(2 * n, _MAX_SUB_PANELS)
     return coarse, inc
 
 
@@ -285,8 +330,7 @@ def _coarse_traj(name, params, xmax):
 def _assert_matches_loop(traj):
     coarse, ref = _loop_increments(traj)
     inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
-    fast = int(np.count_nonzero(np.maximum(np.abs(coarse), _moved(traj)) > 0.05))
-    assert fast > 0 and refined == fast
+    assert refined > 0 and refined == np.count_nonzero(ref != coarse)
     # only the summation order of the sub-panels differs from the loop
     assert np.all(np.abs(inc - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
     return refined
@@ -299,40 +343,40 @@ def _assert_matches_loop(traj):
 ])
 def test_batched_refinement_matches_loop_coarse_tolerance(name, params, xmax):
     traj = _coarse_traj(name, params, xmax)
+    if name == "constant":  # sin and cos, whose v = 1 needs no refinement
+        traj = transform_pair(traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
     refined = _assert_matches_loop(traj)
     assert phase_unwrap(traj).refined_intervals == refined
 
 
 def test_batched_refinement_matches_loop_scrambled(run_inversex):
-    # the first three scrambles of seed 7 that leave the pair with fast
-    # intervals, so that every comparison covers refined ones
-    pairs = (transform_pair(run_inversex.traj, m) for m in unimodular_scrambles(7))
-    fast = [p for p in pairs if np.any(np.abs(_loop_increments(p)[0]) > 0.05)][:3]
-    assert len(fast) == 3
-    for pair in fast:
+    for pair in (transform_pair(run_inversex.traj, m) for m in unimodular_scrambles(7)[:3]):
         _assert_matches_loop(pair)
 
 
-def test_no_fast_intervals_returns_unrefined_increments():
-    model = catalog_get("gen-airy", {"nu": 0.4})
-    traj = normalize_unit_wronskian(
-        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 7.5))
-    coarse, _ = _loop_increments(traj)
-    inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
-    assert refined == 0
-    assert np.array_equal(inc, coarse)
-    assert phase_unwrap(traj).refined_intervals == 0
-
+def test_smooth_pairs_need_no_refinement(run_constant, run_genairy):
+    # sin and cos (v = 1) and the gen-airy principal pair, whose v decays
+    # smoothly: the Hermite rule on the node data alone meets the
+    # tolerance on every interval
+    for traj in (run_constant.traj, run_genairy.principal):
+        y1, d1, y2, d2 = traj.states.T
+        nodes = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj), traj.q_nodes,
+                             traj.qp_nodes)
+        rule, _ = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
+                                [d[1:] for d in nodes])
+        inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
+        assert refined == 0
+        assert np.array_equal(inc, rule)
+        assert phase_unwrap(traj).refined_intervals == 0
 
 
 def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
     traj = _coarse_traj("gen-airy", {"nu": 0.4}, 60.0)
-    coarse, _ = _loop_increments(traj)
-    moved = _moved(traj)
-    move = np.maximum(np.abs(coarse), moved)
-    fast = np.flatnonzero(move > 0.05)
-    n = np.ceil(move[fast] / 0.025).astype(int)
-    assert fast.size > 0
+    y1, d1, y2, d2 = traj.states.T
+    nodes = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj), traj.q_nodes,
+                         traj.qp_nodes)
+    fast = np.arange(0, len(traj.mesh) - 1, 3)
+    n = 2 + fast % 5
 
     # the sub-panels [a, b] as the per-panel linspace edges give them
     step = (traj.mesh[fast + 1] - traj.mesh[fast]) / n
@@ -341,8 +385,7 @@ def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
     lo, hi = traj.mesh[fast][owner], traj.mesh[fast + 1][owner]
     a = lo + k * step[owner]
     b = np.where(k + 1 == n[owner], hi, lo + (k + 1) * step[owner])
-    want = coarse.copy()
-    want[fast] = np.bincount(owner, weights=_integrate_inv_v_local(traj, a, b))
+    want = np.bincount(owner, weights=_integrate_inv_v_local(traj, a, b))
 
     points = []
     evaluate = PairTrajectory.evaluate
@@ -352,29 +395,39 @@ def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
         return evaluate(self, xs, nder)
 
     monkeypatch.setattr(PairTrajectory, "evaluate", counting)
-    inc, refined = _refine_fast(traj, traj.mesh[:-1], traj.mesh[1:], coarse, moved)
-    assert refined == fast.size
-    assert points == [int(np.sum(n + 1))]
-    assert np.array_equal(inc, want)
+    got = _sub_panel_sums(traj, nodes, fast, n)
+    # the interval ends come from the node data: only interior edges
+    assert points == [int(np.sum(n - 1))]
+    assert np.array_equal(got, want)
 
 
-def test_panels_the_arctangent_sees_move_fast_are_refined():
-    # q = 1 at rtol 1e-3 with the amplitude stretched 25-fold: the phase
-    # moves up to 1.9 rad per mesh interval, and the corrected trapezoid
-    # misjudges intervals it does not resolve (one moving 0.83 rad comes
-    # out negative), so it alone would leave some of them unrefined
-    traj = transform_pair(_coarse_traj("constant", {"c": 1.0}, 50.0),
-                          (5.0, 0.0, 0.0, 0.2))
-    coarse, _ = _loop_increments(traj)
+def test_intervals_off_the_arctangent_are_split_until_they_match_it():
+    # past the flat minimum of q = (x - 10)^4 + 1e-10 the default pair is
+    # stretched so far that its phase moves up to 2.9 rad in a step and
+    # 1/v spikes between two nodes: sized from the truncation estimate
+    # alone, such an interval still misses the arctangent's increment by
+    # 7e-4 rad, and is split twice as finely until it matches
+    _, traj = _integrated_pair(RunConfig(equation="(x - 10)^4 + 0.0000000001",
+                                         x0=1.0, xmax=20.0))
+    y1, d1, y2, d2 = traj.states.T
     moved = _moved(traj)
-    fast = moved > _FAST_PANEL
-    assert np.any(fast & (np.abs(coarse) <= _FAST_PANEL))
+    nodes = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj), traj.q_nodes,
+                         traj.qp_nodes)
+    coarse, est = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
+                                [d[1:] for d in nodes])
+    tol = _PANEL_RTOL * np.abs(coarse)
+    fast = np.flatnonzero(est > tol)
+    n = np.clip(np.ceil((est[fast] / tol[fast]) ** 0.125), 2, _MAX_SUB_PANELS).astype(int)
+    once = _sub_panel_sums(traj, nodes, fast, n)
+    assert np.max(np.abs(once - moved[fast])) > 1e-4
     inc, refined = _phase_increments(traj, _node_amplitude(traj), moved)
-    assert refined == np.count_nonzero(np.maximum(np.abs(coarse), moved) > _FAST_PANEL)
-    assert np.all(inc[fast] != coarse[fast])
-    # the quadrature now follows the arctangent to 7e-4 rad (1.9 rad off
-    # when sized by the trapezoid alone), still above phase_unwrap's bound
-    assert np.max(np.abs(np.cumsum(inc) - np.cumsum(moved))) <= 1e-3
+    assert np.all(np.abs(inc - moved) <= _TURN_RTOL * moved)
+    assert phase_unwrap(traj).alpha_mismatch_max <= 1e-4
+    # the loop reference on the stretch around the worst interval
+    worst = int(fast[np.argmax(np.abs(once - moved[fast]))])
+    part = slice(max(worst - 40, 0), worst + 40)
+    _assert_matches_loop(PairTrajectory(traj.model, traj.mesh[part], traj.states[part],
+                                        traj.w, traj.rtol, traj.atol))
 
 
 def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_long):
@@ -382,17 +435,41 @@ def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_lon
         traj = transform_pair(run.traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
         y1, d1, y2, d2 = traj.states.T
         q, qp = traj.q_nodes, traj.qp_nodes
-        f, f1, f3 = _inv_v_derivatives(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q),
-                                       q, qp)
+        f, f1, f2, f3 = _phase_speed(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q),
+                                     q, qp)
         # the quotient form with powers of v, term by term
         v = y1 * y1 + y2 * y2
         w = np.abs(y1 * d2 - d1 * y2)
         vp = 2.0 * (y1 * d1 + y2 * d2)
         vpp = 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
         vppp = -4.0 * q * vp - 2.0 * qp * v
+        second = (2.0 * w * vp ** 2 / v ** 3, -w * vpp / v ** 2)
         terms = (-w * vppp / v ** 2, 6.0 * w * vp * vpp / v ** 3,
                  -6.0 * w * vp ** 3 / v ** 4)
         assert np.all(np.abs(f - w / v) <= 1e-14 * (w / v))
         assert np.all(np.abs(f1 + w * vp / v ** 2) <= 1e-14 * np.abs(w * vp / v ** 2))
+        scale = np.abs(second[0]) + np.abs(second[1])
+        assert np.all(np.abs(f2 - (second[0] + second[1])) <= 1e-14 * scale)
         scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
         assert np.all(np.abs(f3 - (terms[0] + terms[1] + terms[2])) <= 1e-14 * scale)
+
+
+def test_doubling_stops_once_the_quadrature_settles(run_genairy):
+    # node states off the equation by 1e-2 (as a trajectory built from
+    # outside data can be): the arctangent of the states and the
+    # quadrature of the equation's phase speed disagree on some
+    # intervals however finely they are split, so their doubling stops
+    # when the result settles; the batched refinement and the loop agree
+    traj = run_genairy.traj
+    rng = np.random.default_rng(5)
+    states = traj.states * (1.0 + 1e-2 * rng.standard_normal(traj.states.shape))
+    w = states[0, 0] * states[0, 3] - states[0, 1] * states[0, 2]
+    noisy = PairTrajectory(traj.model, traj.mesh, states / math.sqrt(abs(w)),
+                           math.copysign(1.0, w), traj.rtol, traj.atol)
+    moved = _moved(noisy)
+    inc, _ = _phase_increments(noisy, _node_amplitude(noisy), moved)
+    off = np.flatnonzero(np.abs(inc - moved) > _TURN_RTOL * moved)
+    assert off.size > 0
+    part = slice(max(off[0] - 20, 0), off[0] + 20)
+    _assert_matches_loop(PairTrajectory(noisy.model, noisy.mesh[part], noisy.states[part],
+                                        noisy.w, noisy.rtol, noisy.atol))

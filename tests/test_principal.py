@@ -6,14 +6,14 @@ import pytest
 
 from oscpairs import principal
 from oscpairs.errors import IllConditionedError, ParameterError
-from oscpairs.integrate import PairTrajectory
+from oscpairs.integrate import PairTrajectory, _rate
 from oscpairs.phasekit import amplitude_series, phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
                                 coefficient_matrix, find_principal,
                                 sufficient_conditions, transform_pair, _fit,
                                 _oscillation_residual, _sheet_minimizer)
 from oscpairs.qfunc import catalog_get
-from oscpairs.verify import unimodular_scrambles
+from oscpairs.verify import catalog_run, unimodular_scrambles
 
 
 def test_rotation_preserves_amplitude(run_constant):
@@ -380,3 +380,35 @@ def test_sufficient_conditions_constant():
     assert rep.remark_finite_q.status == "holds"
     assert rep.q_trend == "finite-positive"
 
+
+
+def _subsampled(traj, step=0.5):
+    """The pair on a subset of its own nodes, about `step` apart in the
+    integrator's measure of a step, h max(sqrt(q), |q'|/q) (twice its cap
+    at the default tolerance): a mesh of the same states, just coarser."""
+    rate = _rate(traj.q_nodes, traj.qp_nodes)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(traj.mesh))])
+    idx = np.unique(np.concatenate([np.searchsorted(cum, np.arange(0.0, cum[-1], step)),
+                                    [len(cum) - 1]]))
+    return PairTrajectory(traj.model, traj.mesh[idx], traj.states[idx], traj.w,
+                          traj.rtol, traj.atol)
+
+
+@pytest.mark.parametrize("case, tag", [
+    ("constant", "L-finite"), ("gen-airy", "L-zero"), ("inverse-x", "L-infinite"),
+    ("cauchy-euler", "L-infinite"), ("cauchy-euler-long", "L-infinite"),
+    ("gen-airy-0.4", "L-zero")])
+def test_principal_pair_does_not_depend_on_the_node_count(case, tag):
+    # the finder and the classifier sample the dense output and exact
+    # interpolants where a window holds few nodes, so the integrator's
+    # mesh and one with a half to a third of its nodes give the same
+    # pair and the same tag
+    run = catalog_run(case)
+    coarse = _subsampled(run.traj)
+    assert len(coarse.mesh) < 0.7 * len(run.traj.mesh)
+    want = np.array([run.report.coeffs.A, run.report.coeffs.B, run.report.coeffs.C])
+    for traj in (run.traj, coarse):
+        rep = find_principal(traj)
+        assert rep.classification == classify(rep.phase)[0] == tag
+        got = np.array([rep.coeffs.A, rep.coeffs.B, rep.coeffs.C])
+        assert np.max(np.abs(got - want)) <= 1e-6

