@@ -10,28 +10,32 @@ phase).  With |w| = 1 the pair is recovered as
 alpha is computed by quadrature of the exact alpha' = -w/v, which makes
 monotonicity and branch consistency structural; the pointwise
 two-argument arctangent serves as an independent consistency check.
+Every mesh interval gets the order-7 Hermite rule from exact node data
+of |w|/v and its derivatives.  The intervals it may not resolve, which
+are most of them when v oscillates, get 6-point Gauss-Legendre
+(Davis & Rabinowitz 1984) on the order-7 Hermite dense output: at
+fixed fractions of an interval its basis is the same for every
+interval, so y and y' there are one product of a fixed table with the
+node data, and |w|/v needs no evaluation of q.
 
 v and any quadratic combination A y1^2 + B y2^2 + 2C y1 y2 solve the
 third-order Appell companion equation v''' + 4 q v' + 2 q' v = 0, which
 appell_residual verifies against a five-point finite difference.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError, ParameterError, PhaseConsistencyError
-from .integrate import _H_TABLE, _SIGNS
+from .integrate import _H_TABLE, _SIGNS, _basis
 
 _ATAN2_CHECK_BOUND = 1e-4  # quadrature-vs-arctangent mismatch => grid too coarse
 # relative error the quadrature of one mesh interval may keep: summed over
 # 10^6 rad of phase it stays below the arctangent check
 _PANEL_RTOL = 1e-10
-# relative difference from the arctangent's increment above which an
-# interval is split more finely: far above the roundoff of a resolved one
-# (1e-14 at rtol = 1e-10, 2e-8 at 1e-3)
-_TURN_RTOL = 1e-6
 _MAX_SUB_PANELS = 256  # an interval this far from resolved fails the check
 
 
@@ -43,7 +47,7 @@ class PhaseData:
     was computed.  ``swapped`` records that the pair order was flipped
     internally so the effective Wronskian is -1 and alpha increases.
     ``refined_intervals`` counts the mesh intervals whose phase quadrature
-    went through sub-panel refinement.
+    went to Gauss-Legendre panels (see _refine_fast).
     """
 
     grid: np.ndarray
@@ -151,13 +155,6 @@ def _phase_speed(y1, d1, y2, d2, amp, q, qp):
     return f, -f * g, fr * (2.0 * vp * g - vpp), fr * (6.0 * g * (vpp - vp * g) - vppp)
 
 
-def _phase_speed_at(traj, xs):
-    """_phase_speed at points xs, from the dense output and q there."""
-    xs, y1, d1, y2, d2, q = _states_on(traj, xs)
-    return _phase_speed(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q), q,
-                        traj.model.q_prime_array(xs))
-
-
 def _hermite_rule(h, left, right):
     """Integral of f over panels of width h from (f, f', f'', f''') at
     their ends, and the truncation estimate of the corrected trapezoid.
@@ -207,88 +204,127 @@ def _hermite_interpolant(h, tau, left, right):
             + right * (scale * at_right)[:, :, None]).sum(axis=1)
 
 
+# 6-point Gauss-Legendre nodes on [-1, 1] and their weights
+_GL_NODES = np.array([-0.932469514203152027812301554494, -0.661209386466264513661399595020,
+                      -0.238619186083196908630501721681, 0.238619186083196908630501721681,
+                      0.661209386466264513661399595020, 0.932469514203152027812301554494])
+_GL_WEIGHTS = np.array([0.171324492379170345040296142173, 0.360761573048138607569833513838,
+                        0.467913934572691047389870343990, 0.467913934572691047389870343990,
+                        0.360761573048138607569833513838, 0.171324492379170345040296142173])
+_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)  # on [0, 1]
+
+
+@functools.cache
+def _panel_table(n):
+    """(12 n, 9) table that reads y and h y' of a solution at the 6 n
+    Gauss-Legendre points of n equal sub-panels of a mesh interval of
+    width h off its node data; built once for each n.
+
+    The data are the columns of _node_data: h^k y^(k) at the left node,
+    the same at the right node, and y_left - y_right.  The rows are the
+    order-7 Hermite dense output (integrate._basis) at the points'
+    fractions tau of the interval, values first and slopes after them.
+    The value terms of the slope read the difference, as
+    PairTrajectory.evaluate does, so that their roundoff scales with y'
+    and not with y/h.
+    """
+    tau = ((np.arange(n)[:, None] + _GL_FRACTIONS) / n).ravel()
+    t = tau.size
+    b, d = _basis(np.concatenate([tau, 1.0 - tau])).reshape(2, 4, 2, t)
+    table = np.zeros((2, t, 9))
+    table[0, :, :4] = b[:, 0].T
+    table[0, :, 4:8] = (b[:, 1] * _SIGNS).T
+    table[1, :, 1:4] = d[1:, 0].T
+    table[1, :, 5:8] = -(d[1:, 1] * _SIGNS[1:]).T
+    table[1, :, 8] = d[0, 0]
+    table = table.reshape(2 * t, 9)
+    table.setflags(write=False)
+    return table
+
+
+def _node_data(traj, idx):
+    """(9, 2, m) node data of both solutions on the mesh intervals idx, in
+    the columns _panel_table reads: h^k y^(k) (k = 0 to 3) at the
+    left node, the same at the right node, and y_left - y_right."""
+    nodes = traj._node_table()
+    hk = (traj.mesh[idx + 1] - traj.mesh[idx]) ** np.arange(1.0, 4.0)[:, None, None]
+    data = np.empty((9, 2, idx.size))
+    nodes.take(idx, axis=2, out=data[:4])
+    nodes.take(idx + 1, axis=2, out=data[4:8])
+    np.subtract(data[0], data[4], out=data[8])
+    data[1:4] *= hk
+    data[5:8] *= hk
+    return data
+
+
+def _gauss_sums(traj, fast, n):
+    """Integral of |w|/v over each mesh interval fast[i], by 6-point
+    Gauss-Legendre on n equal sub-panels of it.
+
+    y and h y' of both solutions at all 6 n points of all the intervals
+    come from one product of _panel_table(n) with their node data;
+    then h |w|/v = |y1 h y2' - h y1' y2| / (y1^2 + y2^2), with no
+    dense-output evaluation and no q.
+    """
+    m = fast.size
+    ys = (_panel_table(n) @ _node_data(traj, fast).reshape(9, 2 * m)).reshape(2, -1, 2, m)
+    (y1, y2), (s1, s2) = ys.transpose(0, 2, 1, 3)
+    speed = np.abs(y1 * s2 - s1 * y2) / (y1 * y1 + y2 * y2)
+    return np.tile(_GL_WEIGHTS, n) @ speed * (0.5 / n)
+
+
 def _phase_increments(traj, amp, turn):
     """Integral of 1/v over every mesh interval, and the number of
     intervals refined; amp is the amplitude (v, v', v'') at the nodes and
     turn the arctangent's increment of the phase over each interval, up
-    to a whole turn (see _refine_fast).
+    to a whole turn.
 
     Each interval gets the Hermite rule (_hermite_rule) from exact node
-    data, with no dense-output evaluation.  The intervals where the
-    estimated error is too large (a pair whose v oscillates fast, such
-    as a scrambled one) are split into sub-panels (_refine_fast), all
-    evaluated in one batched call.  A pair whose v is smooth, like a
-    principal pair, needs almost none.
+    data, with no dense-output evaluation.  The intervals it may not
+    resolve (_refine_fast) get Gauss-Legendre panels on the dense output.
+    A pair whose v oscillates, such as a scrambled or a default pair,
+    has most of its intervals refined; a pair whose v is smooth, like a
+    principal pair, almost none.
     """
     y1, d1, y2, d2 = traj.states.T
     nodes = _phase_speed(y1, d1, y2, d2, amp, traj.q_nodes, traj.qp_nodes)
     inc, est = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
                              [d[1:] for d in nodes])
-    return _refine_fast(traj, nodes, inc, est, turn)
+    return _refine_fast(traj, inc, est, turn)
 
 
-def _sub_panel_sums(traj, nodes, fast, n):
-    """The Hermite rule summed over n[i] equal sub-panels of each mesh
-    interval fast[i].
-
-    Interval i has the n_i + 1 edges lo_i + k (hi_i - lo_i)/n_i, the last
-    one exactly hi_i.  Its ends take the node data (nodes holds f, f',
-    f'' and f''' at the mesh nodes); the interior edges of all the
-    intervals, laid end to end, are evaluated once, in one batch.
-    """
-    owner = np.repeat(np.arange(fast.size), n + 1)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
-    mesh = traj.mesh
-    lo_k, hi_k, n_k = mesh[fast][owner], mesh[fast + 1][owner], n[owner]
-    edges = np.where(k == n_k, hi_k, lo_k + k * ((hi_k - lo_k) / n_k))
-    inner = (k > 0) & (k < n_k)
-    data = np.empty((4, edges.size))
-    data[:, k == 0] = [d[fast] for d in nodes]
-    data[:, k == n_k] = [d[fast + 1] for d in nodes]
-    data[:, inner] = _phase_speed_at(traj, edges[inner])
-    a = np.flatnonzero(k < n_k)  # left edge of every sub-panel
-    sub, _ = _hermite_rule(edges[a + 1] - edges[a], data[:, a], data[:, a + 1])
-    return np.bincount(owner[a], weights=sub)
-
-
-def _refine_fast(traj, nodes, inc, est, turn):
-    """Re-integrate 1/v on the mesh intervals whose Hermite rule may err
-    by more than _PANEL_RTOL of their increment inc.
+def _refine_fast(traj, inc, est, turn):
+    """Re-integrate 1/v on the mesh intervals whose Hermite rule may be
+    off by more than _PANEL_RTOL.
 
     est is the truncation estimate of each interval's corrected
-    trapezoid.  The Hermite rule's error is no larger and falls like n^-8
-    on n equal sub-panels, so interval i is split into the least n_i >= 2
-    with est_i / n_i^8 <= _PANEL_RTOL |inc_i| (_sub_panel_sums).  That
-    rate holds once the sub-panels resolve v; an interval of a strongly
-    stretched pair, where v dips steeply between two nodes, may need
-    more.  turn, the size of the arctangent's increment over each
-    interval wrapped into [0, pi], is the phase the interval moves while
-    it moves less than pi, so an interval whose result still differs from
-    it by more than _TURN_RTOL is split twice as finely again, as long as
-    that still changes its result by more than _TURN_RTOL (a result that
-    has settled elsewhere is the check's to report, in phase_unwrap), up
-    to _MAX_SUB_PANELS.  turn also selects the intervals that the
-    estimate, from node data alone, misses.  Returns the updated
-    increments and the number of intervals refined.
+    trapezoid, which bounds the rule's error.  turn, the size of the
+    arctangent's increment over each interval wrapped into [0, pi], is
+    the phase the dense output moves over an interval while it moves
+    less than pi: the quadrature of its |w|/v converges to it.  An
+    interval is picked when est exceeds _PANEL_RTOL of its increment inc
+    or inc differs from turn by more than _PANEL_RTOL of it; turn
+    catches the intervals that the estimate, from node data alone,
+    misses.  A picked interval gets 6-point Gauss-Legendre
+    (_gauss_sums).  One whose result is still off turn is split into 2,
+    4, ... equal sub-panels, as long as that still changes its result by
+    more than the tolerance (a result that has settled elsewhere is the
+    check's to report, in phase_unwrap), up to _MAX_SUB_PANELS.  Returns
+    the updated increments and the number of intervals picked.
     """
     turn = np.abs(turn)
     turn = np.minimum(turn, 2.0 * math.pi - turn)
-    tol = _PANEL_RTOL * np.abs(inc)
-    fast = np.flatnonzero((est > tol) | (np.abs(inc - turn) > _TURN_RTOL * turn))
-    if fast.size == 0:
-        return inc, 0
+    fast = np.flatnonzero((est > _PANEL_RTOL * np.abs(inc))
+                          | (np.abs(inc - turn) > _PANEL_RTOL * turn))
     refined = fast.size
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero increment
-        n = np.ceil((est[fast] / tol[fast]) ** 0.125)
-    n = np.clip(np.where(np.isfinite(n), n, _MAX_SUB_PANELS), 2,
-                _MAX_SUB_PANELS).astype(np.intp)
     inc = inc.copy()
-    while fast.size:
-        before, inc[fast] = inc[fast], _sub_panel_sums(traj, nodes, fast, n)
-        slack = _TURN_RTOL * turn[fast]
-        again = ((np.abs(inc[fast] - turn[fast]) > slack)
-                 & (np.abs(inc[fast] - before) > slack) & (n < _MAX_SUB_PANELS))
-        fast, n = fast[again], np.minimum(2 * n[again], _MAX_SUB_PANELS)
+    n = 1
+    while fast.size and n <= _MAX_SUB_PANELS:
+        before, inc[fast] = inc[fast], _gauss_sums(traj, fast, n)
+        slack = _PANEL_RTOL * turn[fast]
+        fast = fast[(np.abs(inc[fast] - turn[fast]) > slack)
+                    & (np.abs(inc[fast] - before) > slack)]
+        n *= 2
     return inc, refined
 
 

@@ -8,13 +8,14 @@ from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian, sample)
 from oscpairs.cli import RunConfig, _integrated_pair
-from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _TURN_RTOL, _amplitude,
-                               _combined_phase, _hermite_rule, _phase_increments,
-                               _phase_speed, _phase_speed_at, _sub_panel_sums,
+from oscpairs.phasekit import (_GL_FRACTIONS, _GL_NODES, _GL_WEIGHTS,
+                               _MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_phase,
+                               _gauss_sums, _hermite_rule, _node_data,
+                               _panel_table, _phase_increments, _phase_speed,
                                _third_derivative_stencils, amplitude_series,
                                appell_residual, phase_unwrap)
-from oscpairs.principal import transform_pair
-from oscpairs.qfunc import catalog_get
+from oscpairs.principal import find_principal, transform_pair
+from oscpairs.qfunc import EquationModel, catalog_get
 from oscpairs.verify import unimodular_scrambles
 
 
@@ -250,10 +251,26 @@ def test_appell_grid_too_coarse(run_constant):
                         np.array([1.0, 2.0, 3.0]))
 
 
-def _integrate_inv_v_local(traj, a, b):
-    """Integral of 1/v over short sub-intervals [a, b] (the Hermite rule
-    with exact end data)."""
-    return _hermite_rule(b - a, _phase_speed_at(traj, a), _phase_speed_at(traj, b))[0]
+def _unit_interval(traj, i):
+    """Mesh interval i of traj as a trajectory of its own on [0, 1]: with
+    x = x_i + h tau its dense output is traj's, its y' is h y', and its
+    evaluate reads a fraction tau as given, to the last bit."""
+    h = traj.mesh[i + 1] - traj.mesh[i]
+    part = slice(i, i + 2)
+    unit = object.__new__(PairTrajectory)
+    unit._fill(traj.model, np.array([0.0, 1.0]), traj.states[part] * [1.0, h, 1.0, h],
+               h * traj.w, traj.rtol, traj.atol, h * h * traj.q_nodes[part],
+               h ** 3 * traj.qp_nodes[part], None, 0, 0)
+    return unit
+
+
+def _gauss_legendre_local(traj, i, n):
+    """Reference: 6-point Gauss-Legendre of |w|/v on n equal sub-panels
+    of mesh interval i, from the dense output at their points."""
+    y = _unit_interval(traj, i).evaluate(
+        ((np.arange(n)[:, None] + _GL_FRACTIONS) / n).ravel(), nder=1)
+    speed = np.abs(y["y1"] * y["y2p"] - y["y1p"] * y["y2"]) / (y["y1"] ** 2 + y["y2"] ** 2)
+    return float(np.sum(np.tile(_GL_WEIGHTS, n) * speed) * (0.5 / n))
 
 
 def _node_amplitude(traj):
@@ -291,9 +308,10 @@ def test_hermite_rule_is_exact_to_degree_7():
 def _loop_increments(traj):
     """Scalar reference for _phase_increments: the Hermite rule per mesh
     interval, then, per interval whose truncation estimate is too large
-    or whose rule is off the arctangent's increment, linspace sub-panels
-    sized from the estimate and doubled until they match that increment
-    or stop changing.  Returns (unrefined, refined) increments."""
+    or whose rule is off the arctangent's increment, Gauss-Legendre on
+    1, 2, 4, ... sub-panels until it matches that increment or stops
+    changing (from the rule's value, to begin with).  Returns
+    (unrefined, refined) increments."""
     y1, d1, y2, d2 = traj.states.T
     f, f1, f2, f3 = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj),
                                  traj.q_nodes, traj.qp_nodes)
@@ -305,19 +323,16 @@ def _loop_increments(traj):
     est, turn = np.abs(coarse - corrected), _moved(traj)
     inc = coarse.copy()
     for idx in range(len(h)):
-        tol = _PANEL_RTOL * abs(coarse[idx])
-        if est[idx] <= tol and abs(coarse[idx] - turn[idx]) <= _TURN_RTOL * turn[idx]:
+        slack = _PANEL_RTOL * turn[idx]
+        if est[idx] <= _PANEL_RTOL * abs(coarse[idx]) and abs(coarse[idx] - turn[idx]) <= slack:
             continue
-        n = int(min(max(math.ceil((est[idx] / tol) ** 0.125), 2), _MAX_SUB_PANELS))
+        n = 1
         while True:
-            edges = np.linspace(traj.mesh[idx], traj.mesh[idx + 1], n + 1)
-            before = inc[idx]
-            inc[idx] = float(np.sum(_integrate_inv_v_local(traj, edges[:-1], edges[1:])))
-            slack = _TURN_RTOL * turn[idx]
+            before, inc[idx] = inc[idx], _gauss_legendre_local(traj, idx, n)
             if (abs(inc[idx] - turn[idx]) <= slack or abs(inc[idx] - before) <= slack
                     or n == _MAX_SUB_PANELS):
                 break
-            n = min(2 * n, _MAX_SUB_PANELS)
+            n *= 2
     return coarse, inc
 
 
@@ -370,43 +385,41 @@ def test_smooth_pairs_need_no_refinement(run_constant, run_genairy):
         assert phase_unwrap(traj).refined_intervals == 0
 
 
-def test_refinement_evaluates_each_sub_panel_edge_once(monkeypatch):
-    traj = _coarse_traj("gen-airy", {"nu": 0.4}, 60.0)
-    y1, d1, y2, d2 = traj.states.T
-    nodes = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj), traj.q_nodes,
-                         traj.qp_nodes)
-    fast = np.arange(0, len(traj.mesh) - 1, 3)
-    n = 2 + fast % 5
+def test_refinement_reads_no_dense_output_and_no_q(monkeypatch, run_inversex):
+    # the Gauss-Legendre panels read the node table at fixed fractions:
+    # a scrambled pair, whose intervals are nearly all refined, costs no
+    # PairTrajectory.evaluate and no evaluation of q or q'
+    pair = transform_pair(run_inversex.traj, unimodular_scrambles(7)[0])
+    calls = []
 
-    # the sub-panels [a, b] as the per-panel linspace edges give them
-    step = (traj.mesh[fast + 1] - traj.mesh[fast]) / n
-    owner = np.repeat(np.arange(fast.size), n)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
-    lo, hi = traj.mesh[fast][owner], traj.mesh[fast + 1][owner]
-    a = lo + k * step[owner]
-    b = np.where(k + 1 == n[owner], hi, lo + (k + 1) * step[owner])
-    want = np.bincount(owner, weights=_integrate_inv_v_local(traj, a, b))
+    def counting(name):
+        method = getattr(EquationModel, name)
 
-    points = []
+        def call(self, xs):
+            calls.append(name)
+            return method(self, xs)
+        return call
+
     evaluate = PairTrajectory.evaluate
 
-    def counting(self, xs, nder=1):
-        points.append(np.size(xs))
+    def counting_evaluate(self, xs, nder=1):
+        calls.append("evaluate")
         return evaluate(self, xs, nder)
 
-    monkeypatch.setattr(PairTrajectory, "evaluate", counting)
-    got = _sub_panel_sums(traj, nodes, fast, n)
-    # the interval ends come from the node data: only interior edges
-    assert points == [int(np.sum(n - 1))]
-    assert np.array_equal(got, want)
+    monkeypatch.setattr(PairTrajectory, "evaluate", counting_evaluate)
+    for name in ("q_array", "q_prime_array"):
+        monkeypatch.setattr(EquationModel, name, counting(name))
+    ph = phase_unwrap(pair)
+    assert ph.refined_intervals > 0.9 * (len(pair.mesh) - 1)
+    assert calls == []
 
 
 def test_intervals_off_the_arctangent_are_split_until_they_match_it():
     # past the flat minimum of q = (x - 10)^4 + 1e-10 the default pair is
     # stretched so far that its phase moves up to 2.9 rad in a step and
-    # 1/v spikes between two nodes: sized from the truncation estimate
-    # alone, such an interval still misses the arctangent's increment by
-    # 7e-4 rad, and is split twice as finely until it matches
+    # 1/v spikes between two nodes: one Gauss-Legendre panel on such an
+    # interval still misses the arctangent's increment by more than
+    # 1e-4 rad, and it is split twice as finely until it matches
     _, traj = _integrated_pair(RunConfig(equation="(x - 10)^4 + 0.0000000001",
                                          x0=1.0, xmax=20.0))
     y1, d1, y2, d2 = traj.states.T
@@ -415,13 +428,11 @@ def test_intervals_off_the_arctangent_are_split_until_they_match_it():
                          traj.qp_nodes)
     coarse, est = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
                                 [d[1:] for d in nodes])
-    tol = _PANEL_RTOL * np.abs(coarse)
-    fast = np.flatnonzero(est > tol)
-    n = np.clip(np.ceil((est[fast] / tol[fast]) ** 0.125), 2, _MAX_SUB_PANELS).astype(int)
-    once = _sub_panel_sums(traj, nodes, fast, n)
+    fast = np.flatnonzero(est > _PANEL_RTOL * np.abs(coarse))
+    once = _gauss_sums(traj, fast, 1)
     assert np.max(np.abs(once - moved[fast])) > 1e-4
     inc, refined = _phase_increments(traj, _node_amplitude(traj), moved)
-    assert np.all(np.abs(inc - moved) <= _TURN_RTOL * moved)
+    assert np.all(np.abs(inc - moved) <= _PANEL_RTOL * moved)
     assert phase_unwrap(traj).alpha_mismatch_max <= 1e-4
     # the loop reference on the stretch around the worst interval
     worst = int(fast[np.argmax(np.abs(once - moved[fast]))])
@@ -455,21 +466,58 @@ def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_lon
 
 
 def test_doubling_stops_once_the_quadrature_settles(run_genairy):
-    # node states off the equation by 1e-2 (as a trajectory built from
-    # outside data can be): the arctangent of the states and the
-    # quadrature of the equation's phase speed disagree on some
-    # intervals however finely they are split, so their doubling stops
-    # when the result settles; the batched refinement and the loop agree
+    # every 16th node of the gen-airy pair: some intervals move more than
+    # pi, so the arctangent's increment, wrapped, is not the phase they
+    # move, however finely they are split; the quadrature settles on that
+    # phase and their doubling stops there; the batched refinement and
+    # the loop agree
     traj = run_genairy.traj
-    rng = np.random.default_rng(5)
-    states = traj.states * (1.0 + 1e-2 * rng.standard_normal(traj.states.shape))
-    w = states[0, 0] * states[0, 3] - states[0, 1] * states[0, 2]
-    noisy = PairTrajectory(traj.model, traj.mesh, states / math.sqrt(abs(w)),
-                           math.copysign(1.0, w), traj.rtol, traj.atol)
-    moved = _moved(noisy)
-    inc, _ = _phase_increments(noisy, _node_amplitude(noisy), moved)
-    off = np.flatnonzero(np.abs(inc - moved) > _TURN_RTOL * moved)
-    assert off.size > 0
+    thin = PairTrajectory(traj.model, traj.mesh[::16], traj.states[::16], traj.w,
+                          traj.rtol, traj.atol)
+    moved = _moved(thin)
+    inc, _ = _phase_increments(thin, _node_amplitude(thin), moved)
+    off = np.flatnonzero(np.abs(inc - moved) > _PANEL_RTOL * moved)
+    assert off.size > 0 and np.all(inc[off] > math.pi)
     part = slice(max(off[0] - 20, 0), off[0] + 20)
-    _assert_matches_loop(PairTrajectory(noisy.model, noisy.mesh[part], noisy.states[part],
-                                        noisy.w, noisy.rtol, noisy.atol))
+    _assert_matches_loop(PairTrajectory(thin.model, thin.mesh[part], thin.states[part],
+                                        thin.w, thin.rtol, thin.atol))
+
+
+def test_gauss_legendre_constants_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    assert np.all(np.abs(_GL_NODES - nodes) <= 4e-16)
+    assert np.all(np.abs(_GL_WEIGHTS - weights) <= 4e-16)
+    assert np.array_equal(_GL_FRACTIONS, 0.5 * (1.0 + _GL_NODES))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_panel_table_reproduces_the_dense_output(run_ce, n):
+    # on every mesh interval, y and h y' of both solutions read off the
+    # node data by the table at the fractions of n sub-panels are the
+    # dense output's there (evaluated on the interval mapped to [0, 1], so
+    # that both read the same fractions)
+    traj = transform_pair(run_ce.traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
+    tau = ((np.arange(n)[:, None] + _GL_FRACTIONS) / n).ravel()
+    table = _panel_table(n)
+    cells = len(traj.mesh) - 1
+    got = (table @ _node_data(traj, np.arange(cells)).reshape(9, -1)).reshape(2, -1, 2, cells)
+    for i in range(cells):
+        y = _unit_interval(traj, i).evaluate(tau, nder=1)
+        want = np.array([[y["y1"], y["y2"]], [y["y1p"], y["y2p"]]]).transpose(0, 2, 1)
+        scale = np.abs(want[0]) + np.abs(want[1])
+        assert np.all(np.abs(got[..., i] - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-4])
+def test_principal_pair_of_a_coarse_run_passes_the_arctangent_check(rtol):
+    # gen-airy nu = 1/3 to 200 at a coarse rtol: the principal pair's
+    # intervals are smooth enough for the Hermite rule's estimate, but
+    # each one may sit a little off the arctangent's increment; over
+    # 2 800 rad of phase those offsets must stay below the check
+    model = catalog_get("gen-airy", {"nu": 1.0 / 3.0})
+    traj = normalize_unit_wronskian(
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 200.0, rtol=rtol))
+    for pair in (traj, find_principal(traj).pair):
+        ph = phase_unwrap(pair)
+        assert ph.alpha[-1] - ph.alpha[0] > 2500.0
+        assert ph.alpha_mismatch_max <= 1e-8
