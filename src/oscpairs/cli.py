@@ -134,11 +134,11 @@ def _integrated_pair(config):
     is <= 0 is refused on the predicate grid (and, when x0 <= 0, on evenly
     spaced points from x0 to that grid's first point) before any
     integration, so that the phase work downstream does not fail only
-    after the whole run.  q <= 0 is refused after it at the mesh nodes,
-    then at the stage points of every step and last, on the steps whose
-    cubic Hermite of q and q' dips to 0 or below, at that cubic's least
-    point; these catch a dip between two grid points, one between two
-    mesh nodes and one between two stage points."""
+    after the whole run.  q <= 0 is refused after it at the stage points
+    of every step, which include both of its ends, and last, on the steps
+    whose cubic Hermite of q and q' dips to 0 or below, at that cubic's
+    least point; these catch a dip between two grid points and one
+    between two stage points."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
@@ -153,8 +153,6 @@ def _integrated_pair(config):
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), config.xmax,
                           rtol=config.rtol, atol=config.atol)
     mesh = traj.mesh
-    bad = int(np.count_nonzero(traj.q_nodes <= 0.0))
-    _refuse_nonpositive(mesh, mesh, traj.q_nodes, f"at {bad} of {len(mesh)} mesh nodes")
     bad = int(np.count_nonzero(traj.q_step_min <= 0.0))
     _refuse_nonpositive(mesh[:-1], mesh[1:], traj.q_step_min,
                         f"at the stage points of {bad} of {len(mesh) - 1} steps")

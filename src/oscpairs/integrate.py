@@ -31,10 +31,17 @@ every other node keeps its place.
 Dense output is a two-point Hermite interpolant of order 7 per solution,
 built from the stored (y, y') node values plus the equation-supplied
 y'' = -q y and y''' = -q' y - q y'; its second derivative is -q y at
-the evaluation points.  The solutions share the mesh and so the basis,
-which one evaluation computes once for both.  The final pass also keeps
-the least q at the stage points of each step, so that a dip to q <= 0
-between two nodes can be refused.
+the evaluation points.  This module is the only one that evaluates the
+Hermite basis.  It does so in factored form, (1 - t)^4 times a cubic
+for the values and (1 - t)^3 times a cubic for the slopes, so that each
+value rounds at the level of its inputs, also near t = 1 where the
+basis vanishes.  One contraction (PairTrajectory._interpolate) reads it
+against any derivative-major table of node data: both solutions'
+(y, y', y'', y''') for evaluate, and v and the phase for the classifier
+of principal.  The solutions share the mesh and so the basis, which one
+evaluation computes once for both.  The final pass also keeps the least
+q at the stage points of each step, both ends included, so that a dip
+to q <= 0 between two nodes can be refused.
 
 References
 ----------
@@ -44,6 +51,7 @@ Equations I", 2nd ed., sec. II.10 (DOP853).
 Blelloch (1990), "Prefix sums and their applications", CMU-CS-90-190.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -137,40 +145,117 @@ def _phase_step(rtol):
 # ---------------------------------------------------------------------------
 # order-7 two-point Hermite basis on [0, 1]
 #
-# H_k interpolates delta_{jk} derivative data at tau=0 and zero data at
-# tau=1; the right-end basis is H_k(1 - tau) with sign (-1)^k.
+# H_k interpolates delta_{jk} derivative data at t = 0 and zero data at
+# t = 1; the right end's basis is (-1)^k H_k(1 - t).  With s = 1 - t,
+#
+#   H_0 = s^4 (1 + 4t + 10t^2 + 20t^3)     H_0' = -140 t^3 s^3
+#   H_1 = s^4 (t + 4t^2 + 10t^3)           H_1' = s^3 (1 + 3t + 6t^2 - 70t^3)
+#   H_2 = s^4 (t^2 + 4t^3) / 2             H_2' = s^3 (t + 3t^2 - 14t^3)
+#   H_3 = s^4 t^3 / 6                      H_3' = s^3 (3t^2 - 7t^3) / 6
+#
+# and the integrals to the right end are int_t^1 H_k = s^5 R_k(t), with
+# cubics R_k of positive coefficients and R_k(0) = int_0^1 H_k.  The
+# monomial form, H_0 = 1 - 35t^4 + 84t^5 - 70t^6 + 20t^7, sums terms up to
+# 84 into values at most 1, so near t = 1, where the basis vanishes, it
+# rounds at about 100 ulp of its values.  Factored, s is exact for
+# t >= 1/2 and the cubics are short: each value rounds at a few ulp of
+# itself.  The rows of _TAILS are the cubics of H_k, H_k' and R_k, in
+# ascending powers of t.
+_TAILS = np.array([[1.0, 4.0, 10.0, 20.0],
+                   [0.0, 1.0, 4.0, 10.0],
+                   [0.0, 0.0, 0.5, 2.0],
+                   [0.0, 0.0, 0.0, 1.0 / 6.0],
+                   [0.0, 0.0, 0.0, -140.0],
+                   [1.0, 3.0, 6.0, -70.0],
+                   [0.0, 1.0, 3.0, -14.0],
+                   [0.0, 0.0, 0.5, -7.0 / 6.0],
+                   [1.0 / 2.0, 3.0 / 2.0, 5.0 / 2.0, 5.0 / 2.0],
+                   [3.0 / 28.0, 15.0 / 28.0, 31.0 / 28.0, 5.0 / 4.0],
+                   [1.0 / 84.0, 5.0 / 84.0, 5.0 / 28.0, 1.0 / 4.0],
+                   [1.0 / 1680.0, 1.0 / 336.0, 1.0 / 112.0, 1.0 / 48.0]])
+_RULE_WEIGHTS = _TAILS[8:, :1]  # int_0^1 H_k, the weights of the Hermite rule
+# the right end's signs: (-1)^k on H_k(1 - tau), -(-1)^k on its slope and
+# (-1)^k on its integral
+_SIGNS = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0])[:, :, None]
 
-def _hermite_basis():
-    left = np.array([1.0, -4.0, 6.0, -4.0, 1.0])  # (1 - tau)^4
-    tails = ([1.0, 4.0, 10.0, 20.0], [1.0, 4.0, 10.0], [1.0, 4.0], [1.0])
-    fact = (1.0, 1.0, 2.0, 6.0)
-    rows = []
-    for k, tail in enumerate(tails):
-        poly = np.convolve(left, np.array(tail)) / fact[k]
-        poly = np.concatenate([np.zeros(k), poly])  # multiply by tau^k
-        rows.append(np.pad(poly, (0, 8 - len(poly))))
-    return np.vstack(rows)  # (4, 8), ascending powers
+# 6-point Gauss-Legendre nodes on [-1, 1] and their weights
+_GL_NODES = np.array([-0.932469514203152027812301554494, -0.661209386466264513661399595020,
+                      -0.238619186083196908630501721681, 0.238619186083196908630501721681,
+                      0.661209386466264513661399595020, 0.932469514203152027812301554494])
+_GL_WEIGHTS = np.array([0.171324492379170345040296142173, 0.360761573048138607569833513838,
+                        0.467913934572691047389870343990, 0.467913934572691047389870343990,
+                        0.360761573048138607569833513838, 0.171324492379170345040296142173])
+_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)  # on [0, 1]
 
 
-_H = _hermite_basis()
-# the basis H_k, its derivatives and its antiderivatives that vanish at 0,
-# as the rows of one (12, 9) table of coefficients of the powers 0 to 8
-_H_TABLE = np.vstack([np.pad(_H, ((0, 0), (0, 1))),
-                      np.pad(_H[:, 1:] * np.arange(1, 8), ((0, 0), (0, 2))),
-                      np.hstack([np.zeros((4, 1)), _H / np.arange(1, 9)])])
-_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]  # right-end (-1)^k
-
-
-def _basis(t):
-    """H_k(t) and H_k'(t) at the points t, (8, len(t)), from the first rows
-    of _H_TABLE.  Each point is evaluated on its own, by Horner's rule, so
-    that its values do not depend on the other points."""
-    coef = _H_TABLE[:8, :8]
-    out = np.zeros((8, t.size))
-    for j in range(7, -1, -1):
+def _basis(t, integral=False):
+    """H_k(t) and H_k'(t) at the points t, (8, len(t)), and with integral
+    int_t^1 H_k after them, (12, len(t)): one Horner pass over the cubics
+    of _TAILS, times powers of s = 1 - t.  Each point is evaluated on its
+    own, so that its values do not depend on the other points."""
+    tails = _TAILS[:12 if integral else 8]
+    s = 1.0 - t
+    out = tails[:, 3:] * t
+    for j in (2, 1):
+        out += tails[:, j:j + 1]
         out *= t
-        out += coef[:, j:j + 1]
+    out += tails[:, :1]
+    out *= s * s * s
+    out[:4] *= s
+    out[8:] *= s * s
     return out
+
+
+def _signed_basis(tau, integral=False):
+    """The basis of both ends at the fractions tau, (2, 2, 4, n), and with
+    integral (3, 2, 4, n): value, slope and integral from the left end,
+    the left end's first and the right end's, signs included, second.
+    The left end's integral is int_0^tau H_k = R_k(0) - int_tau^1 H_k."""
+    n = tau.size
+    b = _basis(np.concatenate([tau, 1.0 - tau]), integral).reshape(-1, 4, 2, n)
+    b[:, :, 1] *= _SIGNS[:len(b)]
+    if integral:
+        np.subtract(_RULE_WEIGHTS, b[2, :, 0], out=b[2, :, 0])
+    return b.transpose(0, 2, 1, 3)
+
+
+def _node_data(traj, idx, table=None):
+    """(9, m, n) end data of order-7 interpolants on the mesh intervals
+    idx, from a derivative-major (4, m, N) table of (f, f', f'', f''') of
+    m functions at the nodes, traj._node_table() by default: h^k f^(k)
+    (k = 0 to 3) at the left node, the same at the right node, and
+    f_left - f_right."""
+    table = traj._node_table() if table is None else table
+    h = traj.mesh[idx + 1] - traj.mesh[idx]
+    h2 = h * h
+    hk = np.array([h, h2, h2 * h])[:, None]
+    data = np.empty((9, table.shape[1], idx.size))
+    table.take(idx, axis=2, out=data[:4])
+    table.take(idx + 1, axis=2, out=data[4:8])
+    np.subtract(data[0], data[4], out=data[8])
+    data[1:4] *= hk
+    data[5:8] *= hk
+    return data
+
+
+@functools.cache
+def _panel_table(n):
+    """(12 n, 9) table that reads y and h y' of a solution at the 6 n
+    Gauss-Legendre points of n equal sub-panels of a mesh interval of
+    width h off its end data (_node_data); built once for each n.
+
+    The rows are the dense output at the points' fractions of the
+    interval, values first and slopes after them, with the value terms
+    of the slope on y_left - y_right, as in PairTrajectory._interpolate.
+    """
+    tau = ((np.arange(n)[:, None] + _GL_FRACTIONS) / n).ravel()
+    table = np.zeros((2, tau.size, 9))
+    table[:, :, :8] = _signed_basis(tau).reshape(2, 8, -1).transpose(0, 2, 1)
+    table[1, :, 8] = table[1, :, 0]
+    table[1, :, [0, 4]] = 0.0
+    table = table.reshape(-1, 9)
+    table.setflags(write=False)
+    return table
 
 
 class PairTrajectory:
@@ -293,52 +378,52 @@ class PairTrajectory:
             object.__setattr__(self, "_nodes", nodes)
         return nodes
 
+    def _interpolate(self, xs, table=None, integral=False):
+        """The order-7 interpolants of the node data table (see
+        _node_data) at the points xs: xs clamped to the span, their
+        intervals, and the values, the slopes and, with integral, the
+        integrals from the left node, each (m, len(xs)).
+
+        Each sum is the left end's terms plus the right end's.  The value
+        terms of the slope read f_left - f_right, as (f_0 - f_1) H_0'(tau):
+        H_0' is symmetric, so the roundoff of the basis then scales with f'
+        and not with f/h.
+        """
+        xs, idx = self._locate(xs)
+        x0 = self.mesh[idx]
+        h = self.mesh[idx + 1] - x0
+        data = _node_data(self, idx, table)
+        b = _signed_basis((xs - x0) / h, integral)[..., None, :]
+        ends = data[:8].reshape(2, 4, -1, xs.size)
+        value = (ends * b[0]).sum(axis=1)
+        slope = (ends[:, 1:] * b[1, :, 1:]).sum(axis=1)
+        out = [xs, idx, value[0] + value[1],
+               (data[8] * b[1, 0, 0] + slope[0] + slope[1]) / h]
+        if integral:
+            part = (ends * b[2]).sum(axis=1)
+            out.append((part[0] + part[1]) * h)
+        return out
+
     def evaluate(self, xs, nder=1):
         """Interpolated (y, y', ...) for both solutions at xs.
 
         Returns a dict with keys 'y1', 'y2' (and 'y1p', 'y2p' for
         nder >= 1, 'y1pp', 'y2pp' for nder == 2).  Node hits reproduce the
-        stored states exactly.
-
-        The two solutions share each interval's tau = (x - x_i)/h and so
-        the Hermite basis: every basis table is run once, on tau and
-        1 - tau side by side, and meets the (4, 2, n) node data of both
-        solutions in one broadcast.
+        stored states exactly.  The two solutions share each interval's
+        tau = (x - x_i)/h and so the Hermite basis (_interpolate).
         """
         scalar = np.isscalar(xs)
-        xs, idx = self._locate(np.atleast_1d(xs))
-        n = xs.size
         nodes = self._node_table()
-        x0, x1 = self.mesh[idx], self.mesh[idx + 1]
-        h = x1 - x0
-        tau = (xs - x0) / h
-        both = np.concatenate([tau, 1.0 - tau])
-        # left node data in the first n columns, right node data after them
-        f = nodes.take(np.concatenate([idx, idx + 1]), axis=2)  # (4, 2, 2n)
-        hk = np.empty((4, 2 * n))
-        hk[0] = 1.0
-        hk[1, :n] = hk[1, n:] = h
-        np.multiply(hk[1], hk[1], out=hk[2])
-        np.multiply(hk[2], hk[1], out=hk[3])
-        w = f * hk[:, None]
-        # the right-end signs (-1)^k go on the basis, which is exact
-        b, d = _basis(both).reshape(2, 4, -1)
-        b[:, n:] *= _SIGNS
-        s = (w * b[:, None]).sum(axis=0)
-        out = [s[:, :n] + s[:, n:]]
-        if nder >= 1:
-            # H_0' is symmetric, so the value terms give (y0 - y1) H_0'(tau):
-            # the roundoff of the basis then scales with y', not with y/h
-            d[:, n:] *= -_SIGNS
-            s = (w[1:] * d[1:, None]).sum(axis=0)
-            out.append(((f[0, :, :n] - f[0, :, n:]) * d[0, :n] + s[:, :n] + s[:, n:]) / h)
+        xs, idx, *out = self._interpolate(np.atleast_1d(xs))
+        del out[nder + 1:]
         if nder >= 2:
             # y'' = -q y from the equation at the interpolated y: as exact
             # as y, where differentiating the order-7 y twice would lose
             # accuracy and amplify roundoff by 1/h^2
             out.append(-self.model.q_array(xs) * out[0])
         # exact node hits: return stored data bit-for-bit
-        for node_idx, take in ((idx, xs == x0), (idx + 1, xs == x1)):
+        for node_idx in (idx, idx + 1):
+            take = xs == self.mesh[node_idx]
             if take.any():
                 for k, arr in enumerate(out):
                     arr[:, take] = nodes[k][:, node_idx[take]]

@@ -15,22 +15,24 @@ of |w|/v and its derivatives.  The intervals it may not resolve, which
 are most of them when v oscillates, get 6-point Gauss-Legendre
 (Davis & Rabinowitz 1984) on the order-7 Hermite dense output: at
 fixed fractions of an interval its basis is the same for every
-interval, so y and y' there are one product of a fixed table with the
-node data, and |w|/v needs no evaluation of q.
+interval, so y and y' there are one product of a fixed table
+(integrate._panel_table) with the node data, and |w|/v needs no
+evaluation of q.  The table comes from the dense output's own factored
+basis, so the panels read the same values as PairTrajectory.evaluate,
+which round at the level of the node data.
 
 v and any quadratic combination A y1^2 + B y2^2 + 2C y1 y2 solve the
 third-order Appell companion equation v''' + 4 q v' + 2 q' v = 0, which
 appell_residual verifies against a five-point finite difference.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError, ParameterError, PhaseConsistencyError
-from .integrate import _H_TABLE, _SIGNS, _basis
+from .integrate import _GL_WEIGHTS, _node_data, _panel_table
 
 _ATAN2_CHECK_BOUND = 1e-4  # quadrature-vs-arctangent mismatch => grid too coarse
 # relative error the quadrature of one mesh interval may keep: summed over
@@ -83,7 +85,7 @@ class PhaseData:
         """alpha_at for points xs where the pair's values y1, y2 are
         already known."""
         mesh = self._traj.mesh
-        idx = np.clip(np.searchsorted(mesh, xs, side="right") - 1, 0, len(mesh) - 2)
+        _, idx = self._traj._locate(xs)
         a1, a2 = (y2, y1) if self.swapped else (y1, y2)
         raw = np.arctan2(a1, a2)
         # coarse anchor: one trapezoid of alpha' = 1/v from the left node
@@ -172,89 +174,6 @@ def _hermite_rule(h, left, right):
     rule = trapezoid + h * h * (3.0 / 28.0 * d1 + h * (s2 / 84.0 + h * d3 / 1680.0))
     corrected = trapezoid + h * h * (d1 / 12.0 - h * h * d3 / 720.0)
     return rule, np.abs(rule - corrected)
-
-
-# the antiderivatives of the order-7 Hermite basis at 1 times (-1)^k, the
-# signs of the right end's basis, derivative and antiderivative, (-1)^k,
-# -(-1)^k and (-1)^k, and the powers the interpolant needs
-_H_INT_1 = _SIGNS * _H_TABLE[8:].sum(axis=1)[:, None]
-_RIGHT_SIGNS = np.array([_SIGNS, -_SIGNS, _SIGNS])
-_POWERS_8 = np.arange(9.0)
-_POWERS_3 = np.arange(4.0)[:, None]
-
-
-def _hermite_interpolant(h, tau, left, right):
-    """Value, slope and integral from the left end of the order-7
-    two-point Hermite interpolant of (g, g', g'', g''') at tau in [0, 1],
-    a fraction of panels of width h.
-
-    left and right are (4, m, n) arrays of the end data of m functions on
-    n panels; the results are (3, m, n).  Over the whole panel the
-    integral is _hermite_rule's value.
-    """
-    n = len(tau)
-    powers = np.power.outer(np.concatenate([tau, 1.0 - tau]), _POWERS_8)
-    # basis, derivative and antiderivative at tau (left end) and 1 - tau
-    at = (powers @ _H_TABLE.T).T.reshape(3, 4, 2, n)
-    at_right = at[:, :, 1] * _RIGHT_SIGNS
-    # the antiderivative of the right end's basis runs from 1 - tau to 1
-    np.subtract(_H_INT_1, at_right[2], out=at_right[2])
-    scale = h ** _POWERS_3 * np.array([np.ones_like(h), 1.0 / h, h])[:, None]
-    return (left * (scale * at[:, :, 0])[:, :, None]
-            + right * (scale * at_right)[:, :, None]).sum(axis=1)
-
-
-# 6-point Gauss-Legendre nodes on [-1, 1] and their weights
-_GL_NODES = np.array([-0.932469514203152027812301554494, -0.661209386466264513661399595020,
-                      -0.238619186083196908630501721681, 0.238619186083196908630501721681,
-                      0.661209386466264513661399595020, 0.932469514203152027812301554494])
-_GL_WEIGHTS = np.array([0.171324492379170345040296142173, 0.360761573048138607569833513838,
-                        0.467913934572691047389870343990, 0.467913934572691047389870343990,
-                        0.360761573048138607569833513838, 0.171324492379170345040296142173])
-_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)  # on [0, 1]
-
-
-@functools.cache
-def _panel_table(n):
-    """(12 n, 9) table that reads y and h y' of a solution at the 6 n
-    Gauss-Legendre points of n equal sub-panels of a mesh interval of
-    width h off its node data; built once for each n.
-
-    The data are the columns of _node_data: h^k y^(k) at the left node,
-    the same at the right node, and y_left - y_right.  The rows are the
-    order-7 Hermite dense output (integrate._basis) at the points'
-    fractions tau of the interval, values first and slopes after them.
-    The value terms of the slope read the difference, as
-    PairTrajectory.evaluate does, so that their roundoff scales with y'
-    and not with y/h.
-    """
-    tau = ((np.arange(n)[:, None] + _GL_FRACTIONS) / n).ravel()
-    t = tau.size
-    b, d = _basis(np.concatenate([tau, 1.0 - tau])).reshape(2, 4, 2, t)
-    table = np.zeros((2, t, 9))
-    table[0, :, :4] = b[:, 0].T
-    table[0, :, 4:8] = (b[:, 1] * _SIGNS).T
-    table[1, :, 1:4] = d[1:, 0].T
-    table[1, :, 5:8] = -(d[1:, 1] * _SIGNS[1:]).T
-    table[1, :, 8] = d[0, 0]
-    table = table.reshape(2 * t, 9)
-    table.setflags(write=False)
-    return table
-
-
-def _node_data(traj, idx):
-    """(9, 2, m) node data of both solutions on the mesh intervals idx, in
-    the columns _panel_table reads: h^k y^(k) (k = 0 to 3) at the
-    left node, the same at the right node, and y_left - y_right."""
-    nodes = traj._node_table()
-    hk = (traj.mesh[idx + 1] - traj.mesh[idx]) ** np.arange(1.0, 4.0)[:, None, None]
-    data = np.empty((9, 2, idx.size))
-    nodes.take(idx, axis=2, out=data[:4])
-    nodes.take(idx + 1, axis=2, out=data[4:8])
-    np.subtract(data[0], data[4], out=data[8])
-    data[1:4] *= hk
-    data[5:8] *= hk
-    return data
 
 
 def _gauss_sums(traj, fast, n):

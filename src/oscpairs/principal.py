@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, WindowError
-from .phasekit import (_combined_alpha, _combined_phase, _hermite_interpolant,
-                       _hermite_rule, phase_unwrap)
+from .phasekit import _combined_alpha, _combined_phase, _hermite_rule, phase_unwrap
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 _RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
@@ -366,17 +365,6 @@ def _interpolants(phase):
                       (2.0 * vp * vp * r - vpp) * r * r]])
 
 
-def _interpolated(phase, data, x):
-    """The interpolants of data (_interpolants) at the points x: their
-    values, slopes and integrals over the part of each point's mesh
-    interval left of it, each (2, n), and the intervals."""
-    grid = phase.grid
-    j = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
-    h = grid[j + 1] - grid[j]
-    return (*_hermite_interpolant(h, (x - grid[j]) / h, data[:, :, j],
-                                  data[:, :, j + 1]), j)
-
-
 def _window_statistics(phase, n_windows=4):
     """The means of v and of v' over dyadic windows [lo, hi] that end at
     the end of the span, lo halving the distance to its start, in
@@ -407,7 +395,8 @@ def _window_statistics(phase, n_windows=4):
     data = _interpolants(phase)
     panels, _ = _hermite_rule(np.diff(grid), data[:, 0, :-1], data[:, 0, 1:])
     points = edges if sl is not None else np.concatenate([edges, x])
-    (v, alpha), (vp, _), (part, _), j = _interpolated(phase, data, points)
+    _, j, (v, alpha), (vp, _), (part, _) = phase._traj._interpolate(points, data,
+                                                                  integral=True)
     n = len(edges)
     integral = np.concatenate([[0.0], np.cumsum(panels)])[j[:n]] + part[:n]
     width = np.diff(edges)

@@ -248,18 +248,21 @@ def test_catalog_q_singular_at_x0_writes_only_the_json_error(eq, param):
     assert json.loads(run.stderr)["exit_code"] == EXIT_NUMERIC
 
 
-@pytest.mark.parametrize("eq, stretch", [
-    ("(x - 20)^2 - 0.01", "q <= 0 on [20.03"),
-    ("(x - 10)^2 - 0.0001", "q <= 0 on [9.99"),
+@pytest.mark.parametrize("eq, lo, hi", [
+    ("(x - 20)^2 - 0.01", 19.9, 20.1),
+    ("(x - 10)^2 - 0.0001", 9.99, 10.01),
 ])
-def test_narrow_nonpositive_dip_is_caught_at_the_mesh_nodes(capsys, eq, stretch):
-    # both dips fall between two points of the predicate grid
+def test_narrow_nonpositive_dip_is_caught_at_the_stage_points(capsys, eq, lo, hi):
+    # both dips, q < 0 on (lo, hi), fall between two points of the
+    # predicate grid; the stage points of every step include its ends
     start = time.perf_counter()
     code = main(["analyze", "--eq", eq, "--x0", "1", "--xmax", "50"])
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "NonOscillatoryError" in err and stretch in err and "mesh nodes" in err
+    assert "NonOscillatoryError" in err and "stage points" in err
+    left, right = (float(t) for t in err.split("q <= 0 on [")[1].split("]")[0].split(", "))
+    assert left < lo and right > hi
 
 
 def test_dip_between_mesh_nodes_is_caught_at_the_stage_points(capsys):

@@ -12,6 +12,7 @@ from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian, sample)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get, parse_q
+from oscpairs.verify import _CASES, catalog_run
 
 
 def test_constant_q_closed_form(run_constant):
@@ -67,6 +68,24 @@ def test_interpolated_derivative_is_smooth_at_roundoff_level(run_constant):
     lo, hi = traj.evaluate(xs, nder=2), traj.evaluate(xs + 1e-9, nder=1)
     slope = (hi["y1p"] - lo["y1p"]) / ((xs + 1e-9) - xs)
     assert np.max(np.abs(slope - lo["y1pp"])) <= 1e-4
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_dense_output_steps_one_ulp_at_roundoff_level(case):
+    # at points one ulp apart the dense output moves by its slope times
+    # the step, up to the rounding of its inputs: a basis that rounded
+    # like its monomial form near tau = 1 would move by about 1e-14
+    traj = catalog_run(case).traj
+    mesh = traj.mesh
+    rng = np.random.default_rng(16)
+    i = rng.integers(0, len(mesh) - 1, 400)
+    h = mesh[i + 1] - mesh[i]
+    x = mesh[i] + rng.uniform(0.0, 1.0, 400) * h
+    x_next = np.nextafter(x, np.inf)
+    lo, hi = traj.evaluate(x), traj.evaluate(x_next)
+    for y, p in (("y1", "y1p"), ("y2", "y2p")):
+        jump = np.abs(hi[y] - lo[y] - lo[p] * (x_next - x))
+        assert np.all(jump <= 2e-15 * (np.abs(lo[y]) + h * np.abs(lo[p])))
 
 
 def test_wronskian_constant_on_refined_mesh(run_genairy):
@@ -313,19 +332,17 @@ def test_stall_guard_lets_a_growing_step_through():
 def test_hermite_basis_table():
     # the order-7 two-point Hermite basis in ascending powers of tau: H_k
     # has k-th derivative 1 at 0 and every other derivative up to the
-    # third 0 at both ends
+    # third 0 at both ends; the package evaluates it in factored form
     basis = np.array([[1, 0, 0, 0, -35, 84, -70, 20],
                       [0, 1, 0, 0, -20, 45, -36, 10],
                       [0, 0, 0.5, 0, -5, 10, -7.5, 2],
                       [0, 0, 0, 1 / 6, -2 / 3, 1, -2 / 3, 1 / 6]])
-    assert np.array_equal(integrate._H, basis)
     t = np.linspace(0.0, 1.0, 101)
     polys = [np.polynomial.Polynomial(row) for row in basis]
     want = np.array([p(t) for p in polys] + [p.deriv()(t) for p in polys]
-                    + [p.integ()(t) for p in polys])
+                    + [p.integ()(1.0) - p.integ()(t) for p in polys])
     assert np.allclose(integrate._basis(t), want[:8], rtol=0.0, atol=1e-13)
-    table = np.power.outer(t, np.arange(9)) @ integrate._H_TABLE.T
-    assert np.allclose(table.T, want, rtol=0.0, atol=1e-13)
+    assert np.allclose(integrate._basis(t, integral=True), want, rtol=0.0, atol=1e-13)
 
 
 def _per_solution_evaluate(traj, xs, nder):

@@ -5,15 +5,14 @@ import pytest
 
 from oscpairs import phasekit
 from oscpairs.errors import GridError, ParameterError
-from oscpairs.integrate import (PairTrajectory, integrate_pair,
+from oscpairs.integrate import (_GL_FRACTIONS, _GL_NODES, _GL_WEIGHTS, PairTrajectory,
+                                _node_data, _panel_table, integrate_pair,
                                 normalize_unit_wronskian, sample)
 from oscpairs.cli import RunConfig, _integrated_pair
-from oscpairs.phasekit import (_GL_FRACTIONS, _GL_NODES, _GL_WEIGHTS,
-                               _MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_phase,
-                               _gauss_sums, _hermite_rule, _node_data,
-                               _panel_table, _phase_increments, _phase_speed,
-                               _third_derivative_stencils, amplitude_series,
-                               appell_residual, phase_unwrap)
+from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_phase,
+                               _gauss_sums, _hermite_rule, _phase_increments,
+                               _phase_speed, _third_derivative_stencils,
+                               amplitude_series, appell_residual, phase_unwrap)
 from oscpairs.principal import find_principal, transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get
 from oscpairs.verify import unimodular_scrambles

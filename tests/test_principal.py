@@ -7,7 +7,7 @@ import pytest
 from oscpairs import principal
 from oscpairs.errors import IllConditionedError, ParameterError
 from oscpairs.integrate import PairTrajectory, _rate
-from oscpairs.phasekit import amplitude_series, phase_unwrap
+from oscpairs.phasekit import _hermite_rule, amplitude_series, phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
                                 coefficient_matrix, find_principal,
                                 sufficient_conditions, transform_pair, _fit,
@@ -211,6 +211,69 @@ def test_classify_scrambled_constant_is_undetermined(run_constant):
     scr = transform_pair(run_constant.traj, (1.0, 0.0, 1.0, 1.0))
     tag, L, K, diag = classify(phase_unwrap(scr))
     assert tag == "undetermined"
+
+
+def _polynomial_table(mesh, coefs):
+    """(4, m, N) node data (f, f', f'', f''') on mesh of the degree-7
+    polynomials with the coefficients coefs on its span, and those
+    polynomials."""
+    polys = [np.polynomial.Polynomial(c, domain=[mesh[0], mesh[-1]]) for c in coefs]
+    return np.array([[p.deriv(k)(mesh) for p in polys] for k in range(4)]), polys
+
+
+def test_interpolants_are_exact_for_degree_7_data(run_genairy):
+    # the contraction the classifier reads v and the phase through gives
+    # a degree-7 polynomial's value, slope and integral from the left node
+    traj = run_genairy.principal
+    rng = np.random.default_rng(16)
+    table, polys = _polynomial_table(traj.mesh, rng.uniform(-1.0, 1.0, (2, 8)))
+    xs, idx, value, slope, part = traj._interpolate(
+        np.sort(rng.uniform(traj.x0, traj.xmax, 300)), table, integral=True)
+    # 4-point Gauss-Legendre is exact to degree 7
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * (xs - traj.mesh[idx])
+    mid = traj.mesh[idx] + half
+    h = traj.mesh[idx + 1] - traj.mesh[idx]
+    for p, got in zip(polys, zip(value, slope, part)):
+        want = (p(xs), p.deriv()(xs), half * (weights @ p(mid + np.outer(nodes, half))))
+        # to the rounding of the node data: f, f/h (of f_left - f_right)
+        # and h f
+        size = np.max(np.abs(want[0]))
+        for g, w, scale in zip(got, want, (size, size / h, size * h)):
+            assert np.all(np.abs(g - w) <= 1e-14 * scale)
+
+
+def test_interpolant_over_a_whole_interval_is_the_hermite_rule(run_genairy):
+    # on the classifier's node data of v and the phase, the integral over
+    # an interval (a trajectory of that interval alone, read at its end)
+    # is phasekit's Hermite rule
+    traj, phase = run_genairy.principal, run_genairy.principal_phase
+    data = principal._interpolants(phase)
+    for i in np.random.default_rng(16).integers(0, len(traj.mesh) - 1, 40):
+        part = slice(i, i + 2)
+        one = PairTrajectory(traj.model, traj.mesh[part], traj.states[part], traj.w,
+                             traj.rtol, traj.atol)
+        got = one._interpolate(traj.mesh[i + 1:i + 2], data[:, :, part], integral=True)[4]
+        rule, _ = _hermite_rule(traj.mesh[i + 1] - traj.mesh[i], data[:, :, i],
+                                data[:, :, i + 1])
+        assert np.all(np.abs(got[:, 0] - rule) <= 1e-15 * np.abs(rule))
+
+
+def test_interpolants_hit_the_nodes_and_ignore_their_batch(run_genairy):
+    # at a node the value is the node data's and the integral from it 0,
+    # the slope h f' / h; a point alone gives the bits it gets in a batch
+    traj, phase = run_genairy.principal, run_genairy.principal_phase
+    data = principal._interpolants(phase)
+    rng = np.random.default_rng(16)
+    nodes = rng.integers(0, len(traj.mesh), 50)
+    xs, idx, value, slope, part = traj._interpolate(traj.mesh[nodes], data, integral=True)
+    assert np.array_equal(value, data[0][:, nodes]) and np.all(part == 0.0)
+    assert np.all(np.abs(slope - data[1][:, nodes]) <= 2.0 * np.abs(np.spacing(data[1][:, nodes])))
+    xs = np.concatenate([traj.mesh[nodes], rng.uniform(traj.x0, traj.xmax, 50)])
+    batch = traj._interpolate(xs, data, integral=True)
+    for k in rng.integers(0, xs.size, 20):
+        alone = traj._interpolate(xs[k:k + 1], data, integral=True)
+        assert all(np.array_equal(a, b[..., k:k + 1]) for a, b in zip(alone, batch))
 
 
 def test_orthogonal_invariance(run_ce):
