@@ -35,13 +35,19 @@ the evaluation points.  This module is the only one that evaluates the
 Hermite basis.  It does so in factored form, (1 - t)^4 times a cubic
 for the values and (1 - t)^3 times a cubic for the slopes, so that each
 value rounds at the level of its inputs, also near t = 1 where the
-basis vanishes.  One contraction (PairTrajectory._interpolate) reads it
-against any derivative-major table of node data: both solutions'
-(y, y', y'', y''') for evaluate, and v and the phase for the classifier
-of principal.  The solutions share the mesh and so the basis, which one
-evaluation computes once for both.  The final pass also keeps the least
-q at the stage points of each step, both ends included, so that a dip
-to q <= 0 between two nodes can be refused.
+basis vanishes.  One contraction (_contract, located by
+PairTrajectory._interpolate) reads it against any derivative-major table
+of node data: both solutions' (y, y', y'', y''') for evaluate, and v and
+the phase for the classifier of principal.  The solutions share the mesh
+and so the basis, which one evaluation computes once for both.  A read
+forms only the rows it uses: a value-only one (evaluate with nder=0)
+skips the slope rows of the basis and the slope contraction, and
+PairTrajectory._dense hands back the points' intervals with the rows, so
+that a caller that needs both locates the points once.  The Newton
+rounds of zeros run the same contraction on end data gathered once per
+bracket.  The final pass also keeps the least q at the stage points of
+each step, both ends included, so that a dip to q <= 0 between two
+nodes can be refused.
 
 References
 ----------
@@ -188,12 +194,13 @@ _GL_WEIGHTS = np.array([0.171324492379170345040296142173, 0.36076157304813860756
 _GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)  # on [0, 1]
 
 
-def _basis(t, integral=False):
-    """H_k(t) and H_k'(t) at the points t, (8, len(t)), and with integral
-    int_t^1 H_k after them, (12, len(t)): one Horner pass over the cubics
-    of _TAILS, times powers of s = 1 - t.  Each point is evaluated on its
-    own, so that its values do not depend on the other points."""
-    tails = _TAILS[:12 if integral else 8]
+def _basis(t, integral=False, slope=True):
+    """H_k(t) at the points t, (4, len(t)); with slope H_k'(t) after them,
+    (8, len(t)), and with integral int_t^1 H_k after those, (12, len(t)):
+    one Horner pass over the cubics of _TAILS, times powers of s = 1 - t.
+    Each point and each row is evaluated on its own, so that its values
+    depend neither on the other points nor on the rows asked for."""
+    tails = _TAILS[:12 if integral else 8 if slope else 4]
     s = 1.0 - t
     out = tails[:, 3:] * t
     for j in (2, 1):
@@ -206,27 +213,30 @@ def _basis(t, integral=False):
     return out
 
 
-def _signed_basis(tau, integral=False):
-    """The basis of both ends at the fractions tau, (2, 2, 4, n), and with
-    integral (3, 2, 4, n): value, slope and integral from the left end,
-    the left end's first and the right end's, signs included, second.
-    The left end's integral is int_0^tau H_k = R_k(0) - int_tau^1 H_k."""
+def _signed_basis(tau, integral=False, slope=True):
+    """The basis of both ends at the fractions tau, (1, 2, 4, n), with
+    slope (2, 2, 4, n) and with integral (3, 2, 4, n): value, slope and
+    integral from the left end, the left end's first and the right end's,
+    signs included, second.  The left end's integral is
+    int_0^tau H_k = R_k(0) - int_tau^1 H_k."""
     n = tau.size
-    b = _basis(np.concatenate([tau, 1.0 - tau]), integral).reshape(-1, 4, 2, n)
+    b = _basis(np.concatenate([tau, 1.0 - tau]), integral, slope).reshape(-1, 4, 2, n)
     b[:, :, 1] *= _SIGNS[:len(b)]
     if integral:
         np.subtract(_RULE_WEIGHTS, b[2, :, 0], out=b[2, :, 0])
     return b.transpose(0, 2, 1, 3)
 
 
-def _node_data(traj, idx, table=None):
+def _node_data(traj, idx, table=None, h=None):
     """(9, m, n) end data of order-7 interpolants on the mesh intervals
     idx, from a derivative-major (4, m, N) table of (f, f', f'', f''') of
     m functions at the nodes, traj._node_table() by default: h^k f^(k)
     (k = 0 to 3) at the left node, the same at the right node, and
-    f_left - f_right."""
+    f_left - f_right.  h, the widths of the intervals, is read from the
+    mesh unless the caller has it."""
     table = traj._node_table() if table is None else table
-    h = traj.mesh[idx + 1] - traj.mesh[idx]
+    if h is None:
+        h = traj.mesh[idx + 1] - traj.mesh[idx]
     h2 = h * h
     hk = np.array([h, h2, h2 * h])[:, None]
     data = np.empty((9, table.shape[1], idx.size))
@@ -236,6 +246,30 @@ def _node_data(traj, idx, table=None):
     data[1:4] *= hk
     data[5:8] *= hk
     return data
+
+
+def _contract(data, tau, h, slope=True, integral=False):
+    """The order-7 interpolants of the end data (9, m, n) (_node_data) at
+    the fractions tau of their intervals of width h: the values, with
+    slope the slopes, and with integral the integrals from the left node,
+    each (m, n).
+
+    Each sum is the left end's terms plus the right end's.  The value
+    terms of the slope read f_left - f_right, as (f_0 - f_1) H_0'(tau):
+    H_0' is symmetric, so the roundoff of the basis then scales with f'
+    and not with f/h.
+    """
+    b = _signed_basis(tau, integral, slope)[..., None, :]
+    ends = data[:8].reshape(2, 4, -1, tau.size)
+    value = (ends * b[0]).sum(axis=1)
+    out = [value[0] + value[1]]
+    if slope:
+        part = (ends[:, 1:] * b[1, :, 1:]).sum(axis=1)
+        out.append((data[8] * b[1, 0, 0] + part[0] + part[1]) / h)
+    if integral:
+        part = (ends * b[2]).sum(axis=1)
+        out.append((part[0] + part[1]) * h)
+    return out
 
 
 @functools.cache
@@ -378,31 +412,37 @@ class PairTrajectory:
             object.__setattr__(self, "_nodes", nodes)
         return nodes
 
-    def _interpolate(self, xs, table=None, integral=False):
+    def _interpolate(self, xs, table=None, integral=False, slope=True):
         """The order-7 interpolants of the node data table (see
         _node_data) at the points xs: xs clamped to the span, their
-        intervals, and the values, the slopes and, with integral, the
-        integrals from the left node, each (m, len(xs)).
-
-        Each sum is the left end's terms plus the right end's.  The value
-        terms of the slope read f_left - f_right, as (f_0 - f_1) H_0'(tau):
-        H_0' is symmetric, so the roundoff of the basis then scales with f'
-        and not with f/h.
-        """
+        intervals, and the values, with slope the slopes and with
+        integral the integrals from the left node, each (m, len(xs))
+        (_contract)."""
         xs, idx = self._locate(xs)
         x0 = self.mesh[idx]
         h = self.mesh[idx + 1] - x0
-        data = _node_data(self, idx, table)
-        b = _signed_basis((xs - x0) / h, integral)[..., None, :]
-        ends = data[:8].reshape(2, 4, -1, xs.size)
-        value = (ends * b[0]).sum(axis=1)
-        slope = (ends[:, 1:] * b[1, :, 1:]).sum(axis=1)
-        out = [xs, idx, value[0] + value[1],
-               (data[8] * b[1, 0, 0] + slope[0] + slope[1]) / h]
-        if integral:
-            part = (ends * b[2]).sum(axis=1)
-            out.append((part[0] + part[1]) * h)
-        return out
+        data = _node_data(self, idx, table, h)
+        return [xs, idx, *_contract(data, (xs - x0) / h, h, slope or integral, integral)]
+
+    def _dense(self, xs, nder):
+        """The dense output of both solutions at the points xs (an array):
+        xs clamped to the span, their intervals, and the (2, len(xs)) rows
+        (y1, y2) of the values and of the first nder derivatives.  Only the
+        rows asked for are formed, and node hits reproduce the stored data
+        bit-for-bit."""
+        nodes = self._node_table()
+        xs, idx, *out = self._interpolate(xs, slope=nder >= 1)
+        if nder >= 2:
+            # y'' = -q y from the equation at the interpolated y: as exact
+            # as y, where differentiating the order-7 y twice would lose
+            # accuracy and amplify roundoff by 1/h^2
+            out.append(-self.model.q_array(xs) * out[0])
+        for node_idx in (idx, idx + 1):
+            take = xs == self.mesh[node_idx]
+            if take.any():
+                for k, arr in enumerate(out):
+                    arr[:, take] = nodes[k][:, node_idx[take]]
+        return xs, idx, out
 
     def evaluate(self, xs, nder=1):
         """Interpolated (y, y', ...) for both solutions at xs.
@@ -410,23 +450,10 @@ class PairTrajectory:
         Returns a dict with keys 'y1', 'y2' (and 'y1p', 'y2p' for
         nder >= 1, 'y1pp', 'y2pp' for nder == 2).  Node hits reproduce the
         stored states exactly.  The two solutions share each interval's
-        tau = (x - x_i)/h and so the Hermite basis (_interpolate).
+        tau = (x - x_i)/h and so the Hermite basis (_dense).
         """
         scalar = np.isscalar(xs)
-        nodes = self._node_table()
-        xs, idx, *out = self._interpolate(np.atleast_1d(xs))
-        del out[nder + 1:]
-        if nder >= 2:
-            # y'' = -q y from the equation at the interpolated y: as exact
-            # as y, where differentiating the order-7 y twice would lose
-            # accuracy and amplify roundoff by 1/h^2
-            out.append(-self.model.q_array(xs) * out[0])
-        # exact node hits: return stored data bit-for-bit
-        for node_idx in (idx, idx + 1):
-            take = xs == self.mesh[node_idx]
-            if take.any():
-                for k, arr in enumerate(out):
-                    arr[:, take] = nodes[k][:, node_idx[take]]
+        _, _, out = self._dense(np.atleast_1d(xs), nder)
         keys = (("y1", "y2"), ("y1p", "y2p"), ("y1pp", "y2pp"))
         res = {}
         for (k1, k2), (a, b) in zip(keys, out):

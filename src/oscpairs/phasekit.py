@@ -77,15 +77,14 @@ class PhaseData:
             raise ParameterError("phase was not unwrapped for this data")
         scalar = np.isscalar(xs)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vals = self._traj.evaluate(xs, nder=0)
-        alpha = self._alpha_of(xs, vals["y1"], vals["y2"])
+        xs, idx, ((y1, y2),) = self._traj._dense(xs, 0)
+        alpha = self._alpha_of(xs, idx, y1, y2)
         return float(alpha[0]) if scalar else alpha
 
-    def _alpha_of(self, xs, y1, y2):
-        """alpha_at for points xs where the pair's values y1, y2 are
-        already known."""
+    def _alpha_of(self, xs, idx, y1, y2):
+        """alpha_at for points xs in the mesh intervals idx where the
+        pair's values y1, y2 are already known."""
         mesh = self._traj.mesh
-        _, idx = self._traj._locate(xs)
         a1, a2 = (y2, y1) if self.swapped else (y1, y2)
         raw = np.arctan2(a1, a2)
         # coarse anchor: one trapezoid of alpha' = 1/v from the left node

@@ -115,15 +115,14 @@ def _window_points(grid, window):
 def _window_samples(phase, window):
     """The pair of ``phase`` sampled on the window at _window_points: the
     points x, the phase alpha, the states (y1, y1', y2, y2') and v' there,
-    read from phase at the nodes, and from the dense output and
-    PhaseData.alpha_at elsewhere."""
+    read from phase at the nodes, and from one dense-output read and
+    PhaseData._alpha_of elsewhere."""
     x, sl = _window_points(phase.grid, window)
     traj = phase._traj
     if sl is not None:
         return x, phase.alpha[sl], tuple(traj.states[sl].T), phase.v_prime[sl]
-    vals = traj.evaluate(x, nder=1)
-    y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
-    return x, phase._alpha_of(x, y1, y2), (y1, d1, y2, d2), 2.0 * (y1 * d1 + y2 * d2)
+    x, idx, ((y1, y2), (d1, d2)) = traj._dense(x, 1)
+    return x, phase._alpha_of(x, idx, y1, y2), (y1, d1, y2, d2), 2.0 * (y1 * d1 + y2 * d2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ axis: y2 vanishes where alpha = pi/2 mod pi, while y1' vanishes where
 cot(alpha) = -v'/2.  When v' -> 0 the two sequences merge, so the gaps
 d_j = |x_crit_j - x_zero_j| measure how closely the pair realizes that
 limit; when v' tends to a nonzero constant the phase gap settles at a
-positive value instead.
+positive value instead.  The phase gap, the distance of alpha(x_crit)
+from the lattice pi/2 + k pi on which every zero of the second member
+lies, has a closed form at a critical point: atan2(|second|, |first|)
+of the two members' values there, which the critical-point relation
+turns into atan(|v'| / (2 |w|)).
+
+Newton polishes every root inside its bracket, a mesh interval, so the
+end data of each root's interval are gathered once and a round is one
+contraction of the dense output on the live roots, with no interval
+search.
 """
 
 import math
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WindowError
+from .integrate import _contract, _node_data
 from .phasekit import ResidualStats
 
 _COLUMNS = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}  # state columns of the targets
@@ -21,15 +31,23 @@ _TARGETS = tuple(_COLUMNS)
 _NEWTON_ITERS = 12  # the catalog pairs need 2-7 from the secant start
 
 
-def _eval_targets(traj, xs, cols):
+def _eval_targets(traj, xs, cols, idx, data):
     """(f, f') at xs[i] of the state component in column cols[i], from one
-    dense-output evaluation; the derivative of y' comes from y'' = -q y,
-    with q evaluated at those points only."""
-    vals = traj.evaluate(xs, nder=1)
-    first = cols < 2
-    y = np.where(first, vals["y1"], vals["y2"])
-    d = np.where(first, vals["y1p"], vals["y2p"])
+    contraction of the end data (9, 1, n) of its solution on its mesh
+    interval idx[i] (_newton).  Node hits read the stored states, as the
+    dense output does; the derivative of y' comes from y'' = -q y, with q
+    evaluated at those points only."""
+    mesh = traj.mesh
+    x0 = mesh[idx]
+    h = mesh[idx + 1] - x0
+    (y,), (d,) = _contract(data, (xs - x0) / h, h)
     slope = cols % 2 == 1
+    ycol = cols - slope  # the state column of y of each target's solution
+    for node in (idx, idx + 1):
+        take = xs == mesh[node]
+        if take.any():
+            y[take] = traj.states[node[take], ycol[take]]
+            d[take] = traj.states[node[take], ycol[take] + 1]
     f = np.where(slope, d, y)
     if slope.any():
         d[slope] = -traj.model.q_array(xs[slope]) * y[slope]
@@ -38,8 +56,8 @@ def _eval_targets(traj, xs, cols):
 
 def _brackets(traj, col, lo, hi):
     """Node-exact zeros of state column col on the mesh nodes in [lo, hi],
-    and the sign-change brackets (a, b) of the node values with the
-    secant point of each."""
+    and the sign-change brackets (a, b) of the node values: the mesh
+    interval of each, its ends and its secant point."""
     mesh = traj.mesh
     i0, i1 = np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right")
     f = traj.states[i0:i1, col]
@@ -48,24 +66,29 @@ def _brackets(traj, col, lo, hi):
     change = np.nonzero(s[:-1] * s[1:] < 0)[0]
     a, b = x[change], x[change + 1]
     fa, fb = f[change], f[change + 1]
-    return x[f == 0.0], a, b, a - fa * (b - a) / (fb - fa)  # secant inside [a, b]
+    # the secant point lies inside [a, b]
+    return x[f == 0.0], i0 + change, a, b, a - fa * (b - a) / (fb - fa)
 
 
-def _newton(traj, cols, a, b, roots):
+def _newton(traj, cols, idx, a, b, roots):
     """Polish the roots of every bracket at once, one evaluation per round.
 
-    Newton steps with the exact derivative, clipped to the bracket.  A
-    root retires once its step falls below 1e-14 (1 + |x|), or when the
-    step stops shrinking: that is the roundoff floor of the dense output
-    (f and f' disagree in their last bits, so Newton would cycle), and
-    such a step is not taken."""
+    Each root stays in its bracket, the mesh interval idx, so the end
+    data of its solution there are gathered once; a round is then one
+    contraction on the live roots (_eval_targets), with no interval
+    search.  Newton steps with the exact derivative, clipped to the
+    bracket.  A root retires once its step falls below 1e-14 (1 + |x|),
+    or when the step stops shrinking: that is the roundoff floor of the
+    dense output (f and f' disagree in their last bits, so Newton would
+    cycle), and such a step is not taken."""
+    data = _node_data(traj, idx)[:, cols // 2, np.arange(idx.size)][:, None]
     last = np.full(roots.shape, np.inf)
     live = np.arange(roots.size)
     for _ in range(_NEWTON_ITERS):
         if live.size == 0:
             break
         xc = roots[live]
-        fc, dc = _eval_targets(traj, xc, cols[live])
+        fc, dc = _eval_targets(traj, xc, cols[live], idx[live], data[..., live])
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = np.clip(xc - fc / dc, a[live], b[live])
         step = np.abs(xn - xc)
@@ -88,8 +111,8 @@ def _zeros(traj, targets, span=None):
     found = [_brackets(traj, _COLUMNS[t], lo, hi) for t in targets]
     cols = np.concatenate([np.full(len(br[1]), _COLUMNS[t], dtype=np.intp)
                            for t, br in zip(targets, found)])
-    a, b, roots = (np.concatenate([br[k] for br in found]) for k in (1, 2, 3))
-    roots = _newton(traj, cols, a, b, roots)
+    idx, a, b, roots = (np.concatenate([br[k] for br in found]) for k in (1, 2, 3, 4))
+    roots = _newton(traj, cols, idx, a, b, roots)
     ends = np.cumsum([len(br[1]) for br in found])[:-1]
     out = []
     for (exact, *_), polished in zip(found, np.split(roots, ends)):
@@ -121,7 +144,7 @@ class ZeroGapTable:
     x_crit: np.ndarray     # zeros of the derivative of the first member
     x_zero: np.ndarray     # nearest zero of the second member
     gap: np.ndarray        # |x_crit - x_zero|
-    phase_gap: np.ndarray  # alpha distance mod pi, folded into [0, pi/2]
+    phase_gap: np.ndarray  # distance of alpha(x_crit) from pi/2 + k pi, in [0, pi/2]
 
     @property
     def d_first(self):
@@ -152,11 +175,14 @@ def gap_table(traj, phase, span=None, min_zeros=5):
     """Match zeros of the first member's derivative to nearest zeros of
     the second member.
 
-    The pair order follows the phase data (flipped when the Wronskian is
-    +1).  The critical points and the zeros are polished in one Newton
-    loop, and their phases come from one evaluation.  Critical points
-    outside the range covered by zeros of the companion are dropped; ties
-    in the nearest-zero match go left.
+    phase gives only the pair order (flipped when the Wronskian is +1).
+    The critical points and the zeros are polished in one Newton loop.
+    The phase gap at each critical point is read in closed form from one
+    value-only evaluation there, atan2(|second|, |first|): alpha =
+    atan2(first, second), and the zeros of the second member lie at
+    alpha = pi/2 + k pi.  Critical points outside the range covered by
+    zeros of the companion are dropped; ties in the nearest-zero match go
+    left.
     """
     first, second = ("y2", "y1") if phase.swapped else ("y1", "y2")
     x_crit, x_zero = _zeros(traj, (first + "p", second), span)
@@ -173,9 +199,11 @@ def gap_table(traj, phase, span=None, min_zeros=5):
     dist_left = np.abs(x_crit - x_zero[idx - 1])
     nearest = np.where(dist_left <= dist_right, x_zero[idx - 1], x_zero[idx])
 
-    alpha = phase.alpha_at(np.concatenate([x_crit, nearest]))
-    r = np.abs(alpha[:len(x_crit)] - alpha[len(x_crit):]) % math.pi
-    delta = np.minimum(r, math.pi - r)
+    # alpha = atan2(first, second), so its distance to the lattice
+    # pi/2 + k pi of the second member's zeros is atan2(|second|, |first|)
+    _, _, ((y1, y2),) = traj._dense(x_crit, 0)
+    a1, a2 = (y2, y1) if phase.swapped else (y1, y2)
+    delta = np.arctan2(np.abs(a2), np.abs(a1))
     return ZeroGapTable(j=np.arange(1, len(x_crit) + 1),
                         x_crit=x_crit, x_zero=nearest,
                         gap=np.abs(x_crit - nearest), phase_gap=delta)

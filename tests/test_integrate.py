@@ -412,3 +412,21 @@ def test_evaluate_matches_per_solution_kernel(request, fixture):
                 one = pair.evaluate(float(x), nder=nder)
                 ref = _per_solution_evaluate(pair, float(x), nder)
                 assert all(type(one[k]) is float and one[k] == ref[k] for k in ref)
+
+
+@pytest.mark.parametrize("fixture", ["run_constant", "run_genairy", "run_ce_long"])
+def test_value_only_reads_match_the_full_dense_output(request, fixture):
+    # evaluate(nder=0) skips the slope rows of the basis and the slope
+    # contraction; the values keep every bit
+    traj = request.getfixturevalue(fixture).traj
+    mesh = traj.mesh
+    rng = np.random.default_rng(17)
+    xs = np.concatenate([rng.uniform(mesh[0], mesh[-1], 700),
+                         mesh[rng.integers(0, len(mesh), 50)], [mesh[-1], mesh[0]]])
+    for pair in (traj, transform_pair(traj, (1.3, 0.4, -0.2, 0.92 / 1.3))):
+        values, full = pair.evaluate(xs, nder=0), pair.evaluate(xs, nder=1)
+        assert list(values) == ["y1", "y2"]
+        for key in values:
+            assert np.array_equal(values[key], full[key]), key
+        for x in (mesh[-1], xs[3]):
+            assert pair.evaluate(float(x), nder=0)["y2"] == full["y2"][xs == x][0]

@@ -9,13 +9,14 @@ from oscpairs.integrate import (_GL_FRACTIONS, _GL_NODES, _GL_WEIGHTS, PairTraje
                                 _node_data, _panel_table, integrate_pair,
                                 normalize_unit_wronskian, sample)
 from oscpairs.cli import RunConfig, _integrated_pair
-from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_phase,
+from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_alpha,
+                               _combined_phase,
                                _gauss_sums, _hermite_rule, _phase_increments,
                                _phase_speed, _third_derivative_stencils,
                                amplitude_series, appell_residual, phase_unwrap)
 from oscpairs.principal import find_principal, transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get
-from oscpairs.verify import unimodular_scrambles
+from oscpairs.verify import catalog_run, unimodular_scrambles
 
 
 def test_wronskian_operation():
@@ -520,3 +521,30 @@ def test_principal_pair_of_a_coarse_run_passes_the_arctangent_check(rtol):
         ph = phase_unwrap(pair)
         assert ph.alpha[-1] - ph.alpha[0] > 2500.0
         assert ph.alpha_mismatch_max <= 1e-8
+
+
+def test_phase_of_a_pair_the_unrefined_rule_puts_on_the_wrong_branch():
+    # the principal pair of gen-airy nu = 0.4 to 200, scrambled by a
+    # unit-determinant matrix of singular value 6.66: v swings by a factor
+    # of about 44, so the order-7 Hermite rule, from node data alone, is
+    # off by whole turns on some intervals while its truncation estimate
+    # stays below pi/2.  Taking each interval's branch from that rule, as
+    # a phase snapped to the node arctangent would, then misses by 2 pi k.
+    # The Moebius map of the principal phase is the oracle.
+    run = catalog_run("gen-airy-0.4")
+    M = (0.8754588744764108, 5.021210482394638, -0.9283408301506615, -4.182257801404123)
+    pair = transform_pair(run.principal, M)
+    z1, d1, z2, d2 = pair.states.T
+    want = _combined_alpha(z1, z2, run.principal_phase.alpha, run.principal_phase.swapped)
+    assert np.max(np.abs(phase_unwrap(pair).alpha - want)) <= 1e-8
+
+    i = int(np.searchsorted(pair.mesh, 61.59)) - 1  # [61.5593, 61.6257]
+    nodes = _phase_speed(z1, d1, z2, d2, _amplitude(z1, d1, z2, d2, pair.q_nodes),
+                         pair.q_nodes, pair.qp_nodes)
+    inc, est = _hermite_rule(pair.mesh[i + 1] - pair.mesh[i], [f[i] for f in nodes],
+                             [f[i + 1] for f in nodes])
+    true = want[i + 1] - want[i]
+    wrapped = true % (2.0 * math.pi)  # the arctangent's increment
+    branch = wrapped + 2.0 * math.pi * round((inc - wrapped) / (2.0 * math.pi))
+    assert abs(inc - true) > 3.0 * math.pi and est < math.pi / 2
+    assert abs(branch - true) > 3.0 * math.pi

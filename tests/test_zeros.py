@@ -7,8 +7,10 @@ import pytest
 from oscpairs import zeros
 from oscpairs.errors import ParameterError, WindowError
 from oscpairs.integrate import PairTrajectory, integrate_pair, normalize_unit_wronskian
+from oscpairs.phasekit import phase_unwrap
 from oscpairs.principal import find_principal, transform_pair
 from oscpairs.qfunc import catalog_get
+from oscpairs.verify import catalog_run
 from oscpairs.zeros import critical_point_residual, gap_table, zeros_of
 
 
@@ -129,29 +131,28 @@ def test_csv_serialization(run_constant):
 
 
 def _counting_eval_targets(monkeypatch, eval_targets):
-    """Route the Newton loop of zeros_of through eval_targets and count
-    its calls."""
+    """Route the Newton rounds of zeros_of through eval_targets, called as
+    zeros._eval_targets is, and count its calls."""
     calls = []
 
-    def counting(traj, xs, cols):
+    def counting(traj, xs, *args):
         calls.append(len(xs))
-        return eval_targets(traj, xs, cols)
+        return eval_targets(traj, xs, *args)
 
     monkeypatch.setattr(zeros, "_eval_targets", counting)
     return calls
 
 
-def _bisected_roots(traj, target, eval_targets, steps=90):
-    """Roots of the dense output in every sign-change bracket of the node
-    values, by plain bisection."""
+def _bisected_roots(traj, target, steps=90):
+    """Roots of the dense output (PairTrajectory.evaluate) in every
+    sign-change bracket of the node values, by plain bisection."""
     col = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}[target]
     s = np.sign(traj.states[:, col])
     change = np.nonzero(s[:-1] * s[1:] < 0)[0]
     a, b, sa = traj.mesh[change], traj.mesh[change + 1], s[change]
-    cols = np.full(a.shape, col)
     for _ in range(steps):
         m = 0.5 * (a + b)
-        left = np.sign(eval_targets(traj, m, cols)[0]) == sa
+        left = np.sign(traj.evaluate(m, nder=1)[target]) == sa
         a, b = np.where(left, m, a), np.where(left, b, m)
     return 0.5 * (a + b)
 
@@ -165,15 +166,14 @@ def test_zeros_of_matches_bisection_of_dense_output(monkeypatch, request,
     if scramble:
         pair = transform_pair(pair, (0.7060476993524358, 0.5679392598307327,
                                      -1.2033851519276002, 0.44834127752738895))
-    eval_targets = zeros._eval_targets
-    calls = _counting_eval_targets(monkeypatch, eval_targets)
+    calls = _counting_eval_targets(monkeypatch, zeros._eval_targets)
     for target, rel in (("y1", 1e-14), ("y2", 1e-14),
                         ("y1p", 2e-12), ("y2p", 2e-12)):
         calls.clear()
         got = zeros_of(pair, target)
         assert 1 <= len(calls) <= 8
         got = got[~np.isin(got, pair.mesh)]  # node-exact zeros need no polish
-        ref = _bisected_roots(pair, target, eval_targets)
+        ref = _bisected_roots(pair, target)
         assert got.shape == ref.shape and len(ref) >= 10
         assert np.all(np.abs(got - ref) <= rel * (1.0 + np.abs(ref)))
 
@@ -199,7 +199,7 @@ def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
     # positive non-constant factor, so the secant start is not r.
     r, e = 0.38673473457649354, 6.3e-14
 
-    def synthetic(traj, xs, cols):
+    def synthetic(traj, xs, *args):
         f = xs - r
         far = np.abs(f) > 1.5 * e
         return f, np.where(far, f / np.where(far, f - e, 1.0), 0.5)
@@ -208,7 +208,12 @@ def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
     mesh = np.linspace(0.0, 1.0, 11)
     states = np.zeros((len(mesh), 4))
     states[:, 0] = (mesh - r) * (1.0 + mesh)
-    traj = SimpleNamespace(x0=0.0, xmax=1.0, mesh=mesh, states=states)
+    # the Newton rounds read the node table once, for the end data of
+    # the bracket; its rows of second and third derivatives are left 0
+    table = np.zeros((4, 2, len(mesh)))
+    table[:2] = states.T.reshape(2, 2, -1).transpose(1, 0, 2)
+    traj = SimpleNamespace(x0=0.0, xmax=1.0, mesh=mesh, states=states,
+                           _node_table=lambda: table)
     got = zeros_of(traj, "y1")
     # one call per Newton iteration; a loop that keeps following the cycle
     # runs to its cap of 12
@@ -260,3 +265,30 @@ def test_zeros_of_scans_the_last_mesh_interval(run_constant):
         got = zeros_of(traj, "y1", span)
         assert got[0] == 0.0 and len(got) == 2  # x0 = 0 is a node-exact zero
         assert got[1] == pytest.approx(math.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-3])
+@pytest.mark.parametrize("case", ["constant", "gen-airy", "inverse-x",
+                                  "cauchy-euler-long", "gen-airy-0.4"])
+def test_phase_gap_is_the_critical_point_relation(case, rtol):
+    # At a critical point of the first member, v' = 2 y y' of the second
+    # and |w| = |y of the first times y' of the second|, so the phase gap
+    # atan2(|second|, |first|) is atan(|v'| / (2 |w|)): the relation
+    # cot(alpha) = -v'/2 of
+    # critical_point_residual with the local Wronskian, which drifts from
+    # 1 by up to 4e-5 at rtol 1e-3.  It is also the old reading, the
+    # distance mod pi of alpha_at at x_crit and at the nearest zero.  A
+    # scramble with det -1 flips the pair order (phase.swapped).
+    run = catalog_run(case, rtol)
+    flipped = transform_pair(run.principal, (0.8, 0.5, 1.1, (0.5 * 1.1 - 1.0) / 0.8))
+    for pair, phase in ((run.principal, run.principal_phase),
+                        (flipped, phase_unwrap(flipped))):
+        assert phase.swapped == (pair is flipped)
+        table = gap_table(pair, phase)
+        vals = pair.evaluate(table.x_crit, nder=1)
+        y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
+        vp, w = 2.0 * (y1 * d1 + y2 * d2), y1 * d2 - d1 * y2
+        assert np.max(np.abs(table.phase_gap - np.arctan(np.abs(vp) / (2.0 * np.abs(w))))) <= 1e-12
+        alpha = phase.alpha_at(np.concatenate([table.x_crit, table.x_zero]))
+        r = np.abs(alpha[:len(table.j)] - alpha[len(table.j):]) % math.pi
+        assert np.max(np.abs(table.phase_gap - np.minimum(r, math.pi - r))) <= 1e-12
