@@ -184,6 +184,19 @@ _RULE_WEIGHTS = _TAILS[8:, :1]  # int_0^1 H_k, the weights of the Hermite rule
 # (-1)^k on its integral
 _SIGNS = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0])[:, :, None]
 
+
+def _hermite_rule(h, left, right):
+    """Integral of f over panels of width h from (f, f', f'', f''') at
+    their ends: the integral of the order-7 two-point Hermite interpolant
+    of the data, exact for polynomials of degree 7.  Its weights are
+    _RULE_WEIGHTS, (1/2, 3/28, 1/84, 1/1680), applied as a trapezoid plus
+    corrections from the differences and sums of the end derivatives."""
+    (fa, f1a, f2a, f3a), (fb, f1b, f2b, f3b) = left, right
+    d1, s2, d3 = f1a - f1b, f2a + f2b, f3a - f3b
+    trapezoid = 0.5 * h * (fa + fb)
+    return trapezoid + h * h * (3.0 / 28.0 * d1 + h * (s2 / 84.0 + h * d3 / 1680.0))
+
+
 # 6-point Gauss-Legendre nodes on [-1, 1] and their weights
 _GL_NODES = np.array([-0.932469514203152027812301554494, -0.661209386466264513661399595020,
                       -0.238619186083196908630501721681, 0.238619186083196908630501721681,

@@ -10,16 +10,15 @@ phase).  With |w| = 1 the pair is recovered as
 alpha is computed by quadrature of the exact alpha' = -w/v, which makes
 monotonicity and branch consistency structural; the pointwise
 two-argument arctangent serves as an independent consistency check.
-Every mesh interval gets the order-7 Hermite rule from exact node data
-of |w|/v and its derivatives.  The intervals it may not resolve, which
-are most of them when v oscillates, get 6-point Gauss-Legendre
-(Davis & Rabinowitz 1984) on the order-7 Hermite dense output: at
-fixed fractions of an interval its basis is the same for every
-interval, so y and y' there are one product of a fixed table
-(integrate._panel_table) with the node data, and |w|/v needs no
-evaluation of q.  The table comes from the dense output's own factored
-basis, so the panels read the same values as PairTrajectory.evaluate,
-which round at the level of the node data.
+Every mesh interval gets 6-point Gauss-Legendre (Davis & Rabinowitz
+1984) of |w|/v on the order-7 Hermite dense output: at fixed fractions
+of an interval its basis is the same for every interval, so y and y'
+there are one product of a fixed table (integrate._panel_table) with
+the node data, and |w|/v needs no evaluation of q.  The table comes
+from the dense output's own factored basis, so the panels read the same
+values as PairTrajectory.evaluate, which round at the level of the
+node data.  An interval that one panel leaves off the arctangent's
+increment is split into 2, 4, ... panels.
 
 v and any quadratic combination A y1^2 + B y2^2 + 2C y1 y2 solve the
 third-order Appell companion equation v''' + 4 q v' + 2 q' v = 0, which
@@ -49,7 +48,8 @@ class PhaseData:
     was computed.  ``swapped`` records that the pair order was flipped
     internally so the effective Wronskian is -1 and alpha increases.
     ``refined_intervals`` counts the mesh intervals whose phase quadrature
-    went to Gauss-Legendre panels (see _refine_fast).
+    was split into more than one Gauss-Legendre panel (see
+    _phase_increments).
     """
 
     grid: np.ndarray
@@ -133,50 +133,8 @@ def amplitude_series(traj, grid=None):
     return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp)
 
 
-def _phase_speed(y1, d1, y2, d2, amp, q, qp):
-    """(f, f', f'', f''') for the phase speed f = |w|/v from exact states
-    and their amplitude amp = (v, v', v'').
-
-    v''' = -4 q v' - 2 q' v along solutions, so all derivatives of the
-    quadrature integrand come out in closed form.  With r = 1/v and
-    g = v' r they are f = w r, f' = -f g, f'' = f r (2 v' g - v'') and
-    f''' = f r (6 g (v'' - v' g) - v'''): one division and no powers.
-    The local Wronskian is used rather than its nominal constant: the
-    pointwise arctangent slope is exactly -w(x)/v, so this keeps the
-    quadrature consistent with the arctangent even across the
-    integrator's tiny w drift.
-    """
-    v, vp, vpp = amp
-    w = np.abs(y1 * d2 - d1 * y2)
-    vppp = -4.0 * q * vp - 2.0 * qp * v
-    r = 1.0 / v
-    g = vp * r
-    f = w * r
-    fr = f * r
-    return f, -f * g, fr * (2.0 * vp * g - vpp), fr * (6.0 * g * (vpp - vp * g) - vppp)
-
-
-def _hermite_rule(h, left, right):
-    """Integral of f over panels of width h from (f, f', f'', f''') at
-    their ends, and the truncation estimate of the corrected trapezoid.
-
-    The rule integrates the order-7 two-point Hermite interpolant of the
-    data, exactly for polynomials of degree 7; its weights are the
-    integrals of that basis on [0, 1], (1/2, 3/28, 1/84, 1/1680).  The
-    Euler-Maclaurin corrected trapezoid uses the same ends without f'' and
-    is exact to degree 5 only, so the difference of the two estimates the
-    trapezoid's error, and bounds the rule's own, which falls like h^9.
-    """
-    (fa, f1a, f2a, f3a), (fb, f1b, f2b, f3b) = left, right
-    d1, s2, d3 = f1a - f1b, f2a + f2b, f3a - f3b
-    trapezoid = 0.5 * h * (fa + fb)
-    rule = trapezoid + h * h * (3.0 / 28.0 * d1 + h * (s2 / 84.0 + h * d3 / 1680.0))
-    corrected = trapezoid + h * h * (d1 / 12.0 - h * h * d3 / 720.0)
-    return rule, np.abs(rule - corrected)
-
-
-def _gauss_sums(traj, fast, n):
-    """Integral of |w|/v over each mesh interval fast[i], by 6-point
+def _gauss_sums(traj, idx, n):
+    """Integral of |w|/v over each mesh interval idx[i], by 6-point
     Gauss-Legendre on n equal sub-panels of it.
 
     y and h y' of both solutions at all 6 n points of all the intervals
@@ -184,64 +142,38 @@ def _gauss_sums(traj, fast, n):
     then h |w|/v = |y1 h y2' - h y1' y2| / (y1^2 + y2^2), with no
     dense-output evaluation and no q.
     """
-    m = fast.size
-    ys = (_panel_table(n) @ _node_data(traj, fast).reshape(9, 2 * m)).reshape(2, -1, 2, m)
+    m = idx.size
+    ys = (_panel_table(n) @ _node_data(traj, idx).reshape(9, 2 * m)).reshape(2, -1, 2, m)
     (y1, y2), (s1, s2) = ys.transpose(0, 2, 1, 3)
     speed = np.abs(y1 * s2 - s1 * y2) / (y1 * y1 + y2 * y2)
     return np.tile(_GL_WEIGHTS, n) @ speed * (0.5 / n)
 
 
-def _phase_increments(traj, amp, turn):
-    """Integral of 1/v over every mesh interval, and the number of
-    intervals refined; amp is the amplitude (v, v', v'') at the nodes and
-    turn the arctangent's increment of the phase over each interval, up
-    to a whole turn.
+def _phase_increments(traj, turn):
+    """Integral of |w|/v over every mesh interval, and the number of
+    intervals split into more than one panel; turn is the arctangent's
+    increment of the phase over each interval, up to a whole turn.
 
-    Each interval gets the Hermite rule (_hermite_rule) from exact node
-    data, with no dense-output evaluation.  The intervals it may not
-    resolve (_refine_fast) get Gauss-Legendre panels on the dense output.
-    A pair whose v oscillates, such as a scrambled or a default pair,
-    has most of its intervals refined; a pair whose v is smooth, like a
-    principal pair, almost none.
-    """
-    y1, d1, y2, d2 = traj.states.T
-    nodes = _phase_speed(y1, d1, y2, d2, amp, traj.q_nodes, traj.qp_nodes)
-    inc, est = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
-                             [d[1:] for d in nodes])
-    return _refine_fast(traj, inc, est, turn)
-
-
-def _refine_fast(traj, inc, est, turn):
-    """Re-integrate 1/v on the mesh intervals whose Hermite rule may be
-    off by more than _PANEL_RTOL.
-
-    est is the truncation estimate of each interval's corrected
-    trapezoid, which bounds the rule's error.  turn, the size of the
-    arctangent's increment over each interval wrapped into [0, pi], is
-    the phase the dense output moves over an interval while it moves
-    less than pi: the quadrature of its |w|/v converges to it.  An
-    interval is picked when est exceeds _PANEL_RTOL of its increment inc
-    or inc differs from turn by more than _PANEL_RTOL of it; turn
-    catches the intervals that the estimate, from node data alone,
-    misses.  A picked interval gets 6-point Gauss-Legendre
-    (_gauss_sums).  One whose result is still off turn is split into 2,
-    4, ... equal sub-panels, as long as that still changes its result by
-    more than the tolerance (a result that has settled elsewhere is the
-    check's to report, in phase_unwrap), up to _MAX_SUB_PANELS.  Returns
-    the updated increments and the number of intervals picked.
+    Every interval gets 6-point Gauss-Legendre on one panel
+    (_gauss_sums).  The size of turn wrapped into [0, pi] is the phase
+    the dense output moves over an interval while it moves less than pi,
+    and the quadrature of its |w|/v converges to it.  An interval whose
+    result is off it by more than _PANEL_RTOL is split into 2, 4, ...
+    equal sub-panels, as long as that still changes its result by more
+    than the tolerance (a result that has settled elsewhere is the
+    check's to report, in phase_unwrap), up to _MAX_SUB_PANELS.
     """
     turn = np.abs(turn)
     turn = np.minimum(turn, 2.0 * math.pi - turn)
-    fast = np.flatnonzero((est > _PANEL_RTOL * np.abs(inc))
-                          | (np.abs(inc - turn) > _PANEL_RTOL * turn))
-    refined = fast.size
-    inc = inc.copy()
-    n = 1
-    while fast.size and n <= _MAX_SUB_PANELS:
-        before, inc[fast] = inc[fast], _gauss_sums(traj, fast, n)
-        slack = _PANEL_RTOL * turn[fast]
-        fast = fast[(np.abs(inc[fast] - turn[fast]) > slack)
-                    & (np.abs(inc[fast] - before) > slack)]
+    inc = _gauss_sums(traj, np.arange(turn.size), 1)
+    off = np.flatnonzero(np.abs(inc - turn) > _PANEL_RTOL * turn)
+    refined = off.size
+    n = 2
+    while off.size and n <= _MAX_SUB_PANELS:
+        before, inc[off] = inc[off], _gauss_sums(traj, off, n)
+        slack = _PANEL_RTOL * turn[off]
+        off = off[(np.abs(inc[off] - turn[off]) > slack)
+                  & (np.abs(inc[off] - before) > slack)]
         n *= 2
     return inc, refined
 
@@ -263,8 +195,8 @@ def phase_unwrap(traj):
     a1, a2 = (y2, y1) if swapped else (y1, y2)
 
     raw = np.arctan2(a1, a2)
-    v, vp, vpp = amp = _amplitude(y1, d1, y2, d2, traj.q_nodes)
-    inc, refined = _phase_increments(traj, amp, np.diff(raw))
+    v, vp, vpp = _amplitude(y1, d1, y2, d2, traj.q_nodes)
+    inc, refined = _phase_increments(traj, np.diff(raw))
     alpha = np.concatenate([[math.atan2(a1[0], a2[0])], inc]).cumsum()
 
     mism = alpha - raw

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditionedError, ParameterError, WindowError
-from .phasekit import _combined_alpha, _combined_phase, _hermite_rule, phase_unwrap
+from .integrate import _hermite_rule
+from .phasekit import _combined_alpha, _combined_phase, phase_unwrap
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 _RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
@@ -263,11 +264,11 @@ def find_principal(traj, window=None):
     when it holds fewer than 3 periods of 2*alpha (short-span runs still
     resolve the combination when v' is close to constant).
     ``diagnostics`` records the polish passes applied (``polish_steps``),
-    whether the polish was abandoned (``polish_fallback``), the full-mesh
-    combinations built (``full_mesh_combinations``, only the result) and,
-    for the input pair's phase, the refined intervals
-    (``refined_intervals``) and the largest quadrature-vs-arctangent
-    mismatch (``alpha_mismatch_max``).
+    whether the polish was abandoned (``polish_fallback``) and, for the
+    input pair's phase, the mesh intervals its quadrature split into more
+    than one panel (``refined_intervals``) and the largest
+    quadrature-vs-arctangent mismatch (``alpha_mismatch_max``).  Only the
+    result is built on the whole mesh.
     The report carries the principal pair itself (``pair``, on the input's
     mesh) and its phase (``phase``, whose alpha_at works on ``pair``).
     """
@@ -326,11 +327,9 @@ def find_principal(traj, window=None):
     w = np.array([coeffs.A, coeffs.B, coeffs.C])
     k1, k2 = (float(k) for k in _residual_amplitudes(x_win, combined_alpha(p, m), w @ g))
     fbest = float(w @ cov @ w)
-    # the whole-mesh combinations, counted as they are built: only the
-    # result, which classify and the gap table read
-    full_mesh = 0
+    # the one whole-mesh combination: the result, which classify and the
+    # gap table read
     pair = traj._combined(matrix, traj.w)
-    full_mesh += 1
     phase_t = _combined_phase(pair, phase)
     tag, L, K, diag = classify(phase_t)
     residual = math.hypot(k1, k2)
@@ -339,7 +338,6 @@ def find_principal(traj, window=None):
         diag["residual_above_tol"] = residual
     diag.update({"window_expanded": expanded, "alpha_span": alpha_span,
                  "polish_steps": steps, "polish_fallback": not ok,
-                 "full_mesh_combinations": full_mesh,
                  "refined_intervals": phase.refined_intervals,
                  "alpha_mismatch_max": phase.alpha_mismatch_max})
     return PrincipalReport(coeffs=coeffs, classification=tag, L=L, K=K,
@@ -375,9 +373,9 @@ def _window_statistics(phase, n_windows=4):
     start, sees the start-up of the pair rather than its limit.  The means
     are exact integrals, not sums over the nodes inside a window, so that
     a window needs no nodes.  v' integrates to v(hi) - v(lo), and v to
-    the Hermite rule of phasekit over whole mesh intervals plus the
-    integral of the same order-7 interpolant over the parts that the
-    edges cut.  v and the phase at the edges, and at _window_points of
+    the Hermite rule (integrate._hermite_rule) over whole mesh intervals
+    plus the integral of the same order-7 interpolant over the parts that
+    the edges cut.  v and the phase at the edges, and at _window_points of
     the last window where it holds too few nodes for the fit of the
     oscillation, come from such interpolants of node data (_interpolants)
     too: v is smooth for the pairs this classifies, so they are much
@@ -392,7 +390,7 @@ def _window_statistics(phase, n_windows=4):
     x, sl = _window_points(grid, edges[-2:])
 
     data = _interpolants(phase)
-    panels, _ = _hermite_rule(np.diff(grid), data[:, 0, :-1], data[:, 0, 1:])
+    panels = _hermite_rule(np.diff(grid), data[:, 0, :-1], data[:, 0, 1:])
     points = edges if sl is not None else np.concatenate([edges, x])
     _, j, (v, alpha), (vp, _), (part, _) = phase._traj._interpolate(points, data,
                                                                   integral=True)

@@ -26,7 +26,7 @@ from .phasekit import appell_residual, phase_unwrap
 from .principal import find_principal, sufficient_conditions, transform_pair
 from .qfunc import catalog_get, parse_q
 from .specfun import bessel_jy, example1_v, gamma, modulus
-from .zeros import gap_table, zeros_of
+from .zeros import critical_point_residual, gap_table, zeros_of
 
 
 @dataclass(frozen=True)
@@ -357,16 +357,19 @@ def criterion_4(rtol=None):
 
 def criterion_5(rtol=None):
     """Zero-gap table for gen-airy: long monotone tail with vanishing
-    gaps; among 12 rotated companions, the quarter-turn one wins."""
+    gaps, and cot(alpha) = -v'/(2 |w|) at its critical points; among 12
+    rotated companions, the quarter-turn one wins."""
     run = catalog_run("gen-airy", rtol)
     table = gap_table(run.principal, run.principal_phase, (1.0, 200.0))
+    crit = critical_point_residual(run.principal, run.principal_phase, table.x_crit)
     checks = [_true("C5 table has >= 30 rows", len(table.j) >= 30,
                     f"{len(table.j)} rows"),
               _true("C5 monotone decreasing tail (last 10)",
                     bool(np.all(np.diff(table.gap[-10:]) < 0))),
               _le("C5 d_last", table.d_last, 1e-4),
               _true("C5 d_last < d_first/10", table.d_last < table.d_first / 10.0,
-                    f"d_first={table.d_first:.3e} d_last={table.d_last:.3e}")]
+                    f"d_first={table.d_first:.3e} d_last={table.d_last:.3e}"),
+              _le("C5 critical-point residual", crit.max, 1e-9)]
     crits = table.x_crit[table.x_crit >= 150.0]
     means = []
     for k in range(1, 13):

@@ -210,11 +210,16 @@ def gap_table(traj, phase, span=None, min_zeros=5):
 
 
 def critical_point_residual(traj, phase, x_crit):
-    """Mismatch of cot(alpha) = alpha''/(2 alpha'^2) at critical points.
+    """Mismatch of cot(alpha) = alpha''/(2 alpha'^2) at critical points
+    of the first member of the pair in phase order.
 
-    Both sides come from closed forms: alpha' = -w/v and (by
-    differentiating v alpha' = -w) alpha'' = w v'/v^2, which reduce the
-    right side to -v'/2 for the increasing-phase ordering.
+    Both sides come from closed forms: alpha' = |w|/v and (by
+    differentiating v alpha' = |w|) alpha'' = -|w| v'/v^2, which reduce
+    the right side to -v'/(2 |w|).  w = y1 y2' - y1' y2 is the local
+    Wronskian, as in the gap table's phase gap: at a critical point v' is
+    2 y y' of the second member and |w| is |y' of the second times the
+    first|, so the relation holds there whatever the integrator's drift
+    of w from its nominal value.
     """
     x_crit = np.atleast_1d(np.asarray(x_crit, dtype=float))
     if phase.alpha is None:
@@ -222,11 +227,12 @@ def critical_point_residual(traj, phase, x_crit):
     vals = traj.evaluate(x_crit, nder=1)
     y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
     vp = 2.0 * (y1 * d1 + y2 * d2)
+    w = np.abs(y1 * d2 - d1 * y2)
     alpha = phase.alpha_at(x_crit)
     sin_a = np.sin(alpha)
     if np.any(np.abs(sin_a) < 1e-12):
         raise ParameterError("critical point falls on a zero of the first member")
-    mism = np.abs(np.cos(alpha) / sin_a + 0.5 * vp)
+    mism = np.abs(np.cos(alpha) / sin_a + 0.5 * vp / w)
     return ResidualStats(max=float(np.max(mism)),
                          rms=float(math.sqrt(np.mean(mism ** 2))),
                          count=int(mism.size))

@@ -6,14 +6,13 @@ import pytest
 from oscpairs import phasekit
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import (_GL_FRACTIONS, _GL_NODES, _GL_WEIGHTS, PairTrajectory,
-                                _node_data, _panel_table, integrate_pair,
+                                _hermite_rule, _node_data, _panel_table, integrate_pair,
                                 normalize_unit_wronskian, sample)
 from oscpairs.cli import RunConfig, _integrated_pair
 from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_alpha,
-                               _combined_phase,
-                               _gauss_sums, _hermite_rule, _phase_increments,
-                               _phase_speed, _third_derivative_stencils,
-                               amplitude_series, appell_residual, phase_unwrap)
+                               _combined_phase, _gauss_sums, _phase_increments,
+                               _third_derivative_stencils, amplitude_series,
+                               appell_residual, phase_unwrap)
 from oscpairs.principal import find_principal, transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get
 from oscpairs.verify import catalog_run, unimodular_scrambles
@@ -80,10 +79,9 @@ def test_amplitude_rejects_non_unit_pair():
 
 
 def test_phase_unwrap_forms_the_node_amplitude_once(monkeypatch, run_genairy):
-    # one _amplitude call on the nodes feeds both the quadrature and the
-    # returned v, v', v'', which match amplitude_series bit for bit; the
-    # principal pair needs no refinement, which would add calls off the
-    # nodes
+    # one _amplitude call on the nodes gives the returned v, v', v'',
+    # which match amplitude_series bit for bit; the quadrature reads the
+    # states, not the amplitude
     traj = run_genairy.principal
     sizes = []
     amplitude = phasekit._amplitude
@@ -273,10 +271,6 @@ def _gauss_legendre_local(traj, i, n):
     return float(np.sum(np.tile(_GL_WEIGHTS, n) * speed) * (0.5 / n))
 
 
-def _node_amplitude(traj):
-    return _amplitude(*traj.states.T, traj.q_nodes)
-
-
 def _moved(traj):
     """The size of the arctangent's phase increment over each mesh
     interval, wrapped into [0, pi]."""
@@ -288,52 +282,40 @@ def _moved(traj):
 
 def test_hermite_rule_is_exact_to_degree_7():
     # the rule integrates the order-7 Hermite interpolant, so it is exact
-    # for degree 7; the corrected trapezoid is exact to degree 5, so the
-    # truncation estimate vanishes there and not at degree 6
+    # for degree 7
     rng = np.random.default_rng(11)
     a, h = rng.uniform(-2.0, 2.0, 50), rng.uniform(0.1, 1.5, 50)
     for degree in (5, 6, 7):
         coef = rng.standard_normal(degree + 1)
         p = np.polynomial.Polynomial(coef)
         ends = [[p.deriv(k)(x) if k else p(x) for k in range(4)] for x in (a, a + h)]
-        rule, est = _hermite_rule(h, *ends)
+        rule = _hermite_rule(h, *ends)
         exact = p.integ()(a + h) - p.integ()(a)
         assert np.all(np.abs(rule - exact) <= 1e-13 * (1.0 + np.abs(exact)))
-        if degree <= 5:
-            assert np.all(est <= 1e-13 * (1.0 + np.abs(exact)))
-        else:
-            assert np.all(est > 1e-9 * h ** 7)
 
 
 def _loop_increments(traj):
-    """Scalar reference for _phase_increments: the Hermite rule per mesh
-    interval, then, per interval whose truncation estimate is too large
-    or whose rule is off the arctangent's increment, Gauss-Legendre on
-    1, 2, 4, ... sub-panels until it matches that increment or stops
-    changing (from the rule's value, to begin with).  Returns
-    (unrefined, refined) increments."""
-    y1, d1, y2, d2 = traj.states.T
-    f, f1, f2, f3 = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj),
-                                 traj.q_nodes, traj.qp_nodes)
-    h = np.diff(traj.mesh)
-    coarse = h * (0.5 * (f[:-1] + f[1:]) + 3.0 / 28.0 * h * (f1[:-1] - f1[1:])
-                  + h * h / 84.0 * (f2[:-1] + f2[1:]) + h ** 3 / 1680.0 * (f3[:-1] - f3[1:]))
-    corrected = (0.5 * h * (f[:-1] + f[1:]) - h * h / 12.0 * (f1[1:] - f1[:-1])
-                 + h ** 4 / 720.0 * (f3[1:] - f3[:-1]))
-    est, turn = np.abs(coarse - corrected), _moved(traj)
-    inc = coarse.copy()
-    for idx in range(len(h)):
+    """Scalar reference for _phase_increments: Gauss-Legendre on one panel
+    per mesh interval, then, per interval whose result is off the
+    arctangent's increment, on 2, 4, ... sub-panels until it matches
+    that increment or stops changing.  Returns the increments and the
+    number of intervals split."""
+    turn = _moved(traj)
+    one = np.array([_gauss_legendre_local(traj, i, 1) for i in range(turn.size)])
+    inc, split = one.copy(), 0
+    for idx in range(turn.size):
         slack = _PANEL_RTOL * turn[idx]
-        if est[idx] <= _PANEL_RTOL * abs(coarse[idx]) and abs(coarse[idx] - turn[idx]) <= slack:
+        if abs(one[idx] - turn[idx]) <= slack:
             continue
-        n = 1
+        split += 1
+        n = 2
         while True:
             before, inc[idx] = inc[idx], _gauss_legendre_local(traj, idx, n)
             if (abs(inc[idx] - turn[idx]) <= slack or abs(inc[idx] - before) <= slack
                     or n == _MAX_SUB_PANELS):
                 break
             n *= 2
-    return coarse, inc
+    return inc, split
 
 
 def _coarse_traj(name, params, xmax):
@@ -343,9 +325,9 @@ def _coarse_traj(name, params, xmax):
 
 
 def _assert_matches_loop(traj):
-    coarse, ref = _loop_increments(traj)
-    inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
-    assert refined > 0 and refined == np.count_nonzero(ref != coarse)
+    ref, split = _loop_increments(traj)
+    inc, refined = _phase_increments(traj, _moved(traj))
+    assert refined == split
     # only the summation order of the sub-panels differs from the loop
     assert np.all(np.abs(inc - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
     return refined
@@ -361,35 +343,38 @@ def test_batched_refinement_matches_loop_coarse_tolerance(name, params, xmax):
     if name == "constant":  # sin and cos, whose v = 1 needs no refinement
         traj = transform_pair(traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
     refined = _assert_matches_loop(traj)
-    assert phase_unwrap(traj).refined_intervals == refined
+    assert refined > 0 and phase_unwrap(traj).refined_intervals == refined
 
 
 def test_batched_refinement_matches_loop_scrambled(run_inversex):
-    for pair in (transform_pair(run_inversex.traj, m) for m in unimodular_scrambles(7)[:3]):
-        _assert_matches_loop(pair)
+    # at the default tolerance one panel meets it on every interval of
+    # these scrambles; at rtol 1e-3 most of their intervals are split
+    coarse = _coarse_traj("inverse-x", {}, 400.0)
+    for m in unimodular_scrambles(7)[:3]:
+        assert _assert_matches_loop(transform_pair(run_inversex.traj, m)) == 0
+        assert _assert_matches_loop(transform_pair(coarse, m)) > 0
 
 
 def test_smooth_pairs_need_no_refinement(run_constant, run_genairy):
     # sin and cos (v = 1) and the gen-airy principal pair, whose v decays
-    # smoothly: the Hermite rule on the node data alone meets the
-    # tolerance on every interval
+    # smoothly: one Gauss-Legendre panel meets the tolerance on every
+    # interval
     for traj in (run_constant.traj, run_genairy.principal):
-        y1, d1, y2, d2 = traj.states.T
-        nodes = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj), traj.q_nodes,
-                             traj.qp_nodes)
-        rule, _ = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
-                                [d[1:] for d in nodes])
-        inc, refined = _phase_increments(traj, _node_amplitude(traj), _moved(traj))
+        one = _gauss_sums(traj, np.arange(len(traj.mesh) - 1), 1)
+        inc, refined = _phase_increments(traj, _moved(traj))
         assert refined == 0
-        assert np.array_equal(inc, rule)
+        assert np.array_equal(inc, one)
         assert phase_unwrap(traj).refined_intervals == 0
 
 
 def test_refinement_reads_no_dense_output_and_no_q(monkeypatch, run_inversex):
-    # the Gauss-Legendre panels read the node table at fixed fractions:
-    # a scrambled pair, whose intervals are nearly all refined, costs no
-    # PairTrajectory.evaluate and no evaluation of q or q'
-    pair = transform_pair(run_inversex.traj, unimodular_scrambles(7)[0])
+    # the Gauss-Legendre panels read the node table at fixed fractions: a
+    # scrambled pair, its coarse twin, whose intervals are nearly all
+    # split, and a principal pair cost no PairTrajectory.evaluate and no
+    # evaluation of q or q'
+    m = unimodular_scrambles(7)[0]
+    scrambled = transform_pair(run_inversex.traj, m)
+    coarse = transform_pair(_coarse_traj("inverse-x", {}, 400.0), m)
     calls = []
 
     def counting(name):
@@ -409,8 +394,10 @@ def test_refinement_reads_no_dense_output_and_no_q(monkeypatch, run_inversex):
     monkeypatch.setattr(PairTrajectory, "evaluate", counting_evaluate)
     for name in ("q_array", "q_prime_array"):
         monkeypatch.setattr(EquationModel, name, counting(name))
-    ph = phase_unwrap(pair)
-    assert ph.refined_intervals > 0.9 * (len(pair.mesh) - 1)
+    for pair in (scrambled, run_inversex.principal):
+        phase_unwrap(pair)
+    ph = phase_unwrap(coarse)
+    assert ph.refined_intervals > 0.9 * (len(coarse.mesh) - 1)
     assert calls == []
 
 
@@ -422,47 +409,17 @@ def test_intervals_off_the_arctangent_are_split_until_they_match_it():
     # 1e-4 rad, and it is split twice as finely until it matches
     _, traj = _integrated_pair(RunConfig(equation="(x - 10)^4 + 0.0000000001",
                                          x0=1.0, xmax=20.0))
-    y1, d1, y2, d2 = traj.states.T
     moved = _moved(traj)
-    nodes = _phase_speed(y1, d1, y2, d2, _node_amplitude(traj), traj.q_nodes,
-                         traj.qp_nodes)
-    coarse, est = _hermite_rule(np.diff(traj.mesh), [d[:-1] for d in nodes],
-                                [d[1:] for d in nodes])
-    fast = np.flatnonzero(est > _PANEL_RTOL * np.abs(coarse))
-    once = _gauss_sums(traj, fast, 1)
-    assert np.max(np.abs(once - moved[fast])) > 1e-4
-    inc, refined = _phase_increments(traj, _node_amplitude(traj), moved)
+    once = _gauss_sums(traj, np.arange(moved.size), 1)
+    assert np.max(np.abs(once - moved)) > 1e-4
+    inc, refined = _phase_increments(traj, moved)
     assert np.all(np.abs(inc - moved) <= _PANEL_RTOL * moved)
     assert phase_unwrap(traj).alpha_mismatch_max <= 1e-4
     # the loop reference on the stretch around the worst interval
-    worst = int(fast[np.argmax(np.abs(once - moved[fast]))])
+    worst = int(np.argmax(np.abs(once - moved)))
     part = slice(max(worst - 40, 0), worst + 40)
-    _assert_matches_loop(PairTrajectory(traj.model, traj.mesh[part], traj.states[part],
-                                        traj.w, traj.rtol, traj.atol))
-
-
-def test_phase_speed_matches_quotient_form(run_constant, run_genairy, run_ce_long):
-    for run in (run_constant, run_genairy, run_ce_long):
-        traj = transform_pair(run.traj, (1.3, 0.4, -0.2, 0.92 / 1.3))
-        y1, d1, y2, d2 = traj.states.T
-        q, qp = traj.q_nodes, traj.qp_nodes
-        f, f1, f2, f3 = _phase_speed(y1, d1, y2, d2, _amplitude(y1, d1, y2, d2, q),
-                                     q, qp)
-        # the quotient form with powers of v, term by term
-        v = y1 * y1 + y2 * y2
-        w = np.abs(y1 * d2 - d1 * y2)
-        vp = 2.0 * (y1 * d1 + y2 * d2)
-        vpp = 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
-        vppp = -4.0 * q * vp - 2.0 * qp * v
-        second = (2.0 * w * vp ** 2 / v ** 3, -w * vpp / v ** 2)
-        terms = (-w * vppp / v ** 2, 6.0 * w * vp * vpp / v ** 3,
-                 -6.0 * w * vp ** 3 / v ** 4)
-        assert np.all(np.abs(f - w / v) <= 1e-14 * (w / v))
-        assert np.all(np.abs(f1 + w * vp / v ** 2) <= 1e-14 * np.abs(w * vp / v ** 2))
-        scale = np.abs(second[0]) + np.abs(second[1])
-        assert np.all(np.abs(f2 - (second[0] + second[1])) <= 1e-14 * scale)
-        scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
-        assert np.all(np.abs(f3 - (terms[0] + terms[1] + terms[2])) <= 1e-14 * scale)
+    assert _assert_matches_loop(PairTrajectory(traj.model, traj.mesh[part], traj.states[part],
+                                               traj.w, traj.rtol, traj.atol)) > 0
 
 
 def test_doubling_stops_once_the_quadrature_settles(run_genairy):
@@ -475,12 +432,12 @@ def test_doubling_stops_once_the_quadrature_settles(run_genairy):
     thin = PairTrajectory(traj.model, traj.mesh[::16], traj.states[::16], traj.w,
                           traj.rtol, traj.atol)
     moved = _moved(thin)
-    inc, _ = _phase_increments(thin, _node_amplitude(thin), moved)
+    inc, _ = _phase_increments(thin, moved)
     off = np.flatnonzero(np.abs(inc - moved) > _PANEL_RTOL * moved)
     assert off.size > 0 and np.all(inc[off] > math.pi)
     part = slice(max(off[0] - 20, 0), off[0] + 20)
-    _assert_matches_loop(PairTrajectory(thin.model, thin.mesh[part], thin.states[part],
-                                        thin.w, thin.rtol, thin.atol))
+    assert _assert_matches_loop(PairTrajectory(thin.model, thin.mesh[part], thin.states[part],
+                                               thin.w, thin.rtol, thin.atol)) > 0
 
 
 def test_gauss_legendre_constants_match_leggauss():
@@ -510,10 +467,10 @@ def test_panel_table_reproduces_the_dense_output(run_ce, n):
 
 @pytest.mark.parametrize("rtol", [1e-3, 1e-4])
 def test_principal_pair_of_a_coarse_run_passes_the_arctangent_check(rtol):
-    # gen-airy nu = 1/3 to 200 at a coarse rtol: the principal pair's
-    # intervals are smooth enough for the Hermite rule's estimate, but
-    # each one may sit a little off the arctangent's increment; over
-    # 2 800 rad of phase those offsets must stay below the check
+    # gen-airy nu = 1/3 to 200 at a coarse rtol: one panel resolves the
+    # principal pair's smooth intervals, but each one may sit a little
+    # off the arctangent's increment; over 2 800 rad of phase those
+    # offsets must stay below the check
     model = catalog_get("gen-airy", {"nu": 1.0 / 3.0})
     traj = normalize_unit_wronskian(
         integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 200.0, rtol=rtol))
@@ -526,11 +483,12 @@ def test_principal_pair_of_a_coarse_run_passes_the_arctangent_check(rtol):
 def test_phase_of_a_pair_the_unrefined_rule_puts_on_the_wrong_branch():
     # the principal pair of gen-airy nu = 0.4 to 200, scrambled by a
     # unit-determinant matrix of singular value 6.66: v swings by a factor
-    # of about 44, so the order-7 Hermite rule, from node data alone, is
-    # off by whole turns on some intervals while its truncation estimate
-    # stays below pi/2.  Taking each interval's branch from that rule, as
-    # a phase snapped to the node arctangent would, then misses by 2 pi k.
-    # The Moebius map of the principal phase is the oracle.
+    # of about 44, so the order-7 Hermite rule of |w|/v, from node data
+    # alone, is off by whole turns on some intervals while its truncation
+    # estimate (its difference from the corrected trapezoid, exact to
+    # degree 5) stays below pi/2.  Taking each interval's branch from that
+    # rule, as a phase snapped to the node arctangent would, then misses
+    # by 2 pi k.  The Moebius map of the principal phase is the oracle.
     run = catalog_run("gen-airy-0.4")
     M = (0.8754588744764108, 5.021210482394638, -0.9283408301506615, -4.182257801404123)
     pair = transform_pair(run.principal, M)
@@ -539,10 +497,19 @@ def test_phase_of_a_pair_the_unrefined_rule_puts_on_the_wrong_branch():
     assert np.max(np.abs(phase_unwrap(pair).alpha - want)) <= 1e-8
 
     i = int(np.searchsorted(pair.mesh, 61.59)) - 1  # [61.5593, 61.6257]
-    nodes = _phase_speed(z1, d1, z2, d2, _amplitude(z1, d1, z2, d2, pair.q_nodes),
-                         pair.q_nodes, pair.qp_nodes)
-    inc, est = _hermite_rule(pair.mesh[i + 1] - pair.mesh[i], [f[i] for f in nodes],
-                             [f[i + 1] for f in nodes])
+    # |w|/v and its first three derivatives at the nodes, in quotient form
+    q, qp = pair.q_nodes, pair.qp_nodes
+    w = np.abs(z1 * d2 - d1 * z2)
+    v, vp, vpp = _amplitude(z1, d1, z2, d2, q)
+    vppp = -4.0 * q * vp - 2.0 * qp * v
+    nodes = (w / v, -w * vp / v ** 2, 2.0 * w * vp ** 2 / v ** 3 - w * vpp / v ** 2,
+             -w * vppp / v ** 2 + 6.0 * w * vp * vpp / v ** 3 - 6.0 * w * vp ** 3 / v ** 4)
+    h = pair.mesh[i + 1] - pair.mesh[i]
+    left, right = [[f[j] for f in nodes] for j in (i, i + 1)]
+    inc = _hermite_rule(h, left, right)
+    (fa, f1a, _, f3a), (fb, f1b, _, f3b) = left, right
+    corrected = 0.5 * h * (fa + fb) + h * h * ((f1a - f1b) / 12.0 - h * h * (f3a - f3b) / 720.0)
+    est = abs(inc - corrected)
     true = want[i + 1] - want[i]
     wrapped = true % (2.0 * math.pi)  # the arctangent's increment
     branch = wrapped + 2.0 * math.pi * round((inc - wrapped) / (2.0 * math.pi))

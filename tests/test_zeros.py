@@ -103,6 +103,21 @@ def test_critical_point_residual_gen_airy(run_genairy):
     assert stats.max <= 1e-6
 
 
+@pytest.mark.parametrize("case", ["constant", "gen-airy", "inverse-x",
+                                  "cauchy-euler-long", "gen-airy-0.4"])
+def test_critical_point_residual_uses_the_local_wronskian(case):
+    # at rtol 1e-3 the Wronskian drifts from 1 by up to 1.4e-4; the
+    # relation with the local w holds at the gap table's critical points
+    # to the rounding of the dense output, for the principal pair and for
+    # a scramble with det -1, which flips the pair order
+    run = catalog_run(case, 1e-3)
+    flipped = transform_pair(run.principal, (0.8, 0.5, 1.1, (0.5 * 1.1 - 1.0) / 0.8))
+    for pair, phase in ((run.principal, run.principal_phase),
+                        (flipped, phase_unwrap(flipped))):
+        table = gap_table(pair, phase)
+        assert critical_point_residual(pair, phase, table.x_crit).max <= 1e-11
+
+
 def test_interlacing(run_genairy):
     z1 = zeros_of(run_genairy.principal, "y1", (1.0, 200.0))
     z2 = zeros_of(run_genairy.principal, "y2", (1.0, 200.0))
@@ -274,9 +289,8 @@ def test_phase_gap_is_the_critical_point_relation(case, rtol):
     # At a critical point of the first member, v' = 2 y y' of the second
     # and |w| = |y of the first times y' of the second|, so the phase gap
     # atan2(|second|, |first|) is atan(|v'| / (2 |w|)): the relation
-    # cot(alpha) = -v'/2 of
-    # critical_point_residual with the local Wronskian, which drifts from
-    # 1 by up to 4e-5 at rtol 1e-3.  It is also the old reading, the
+    # cot(alpha) = -v'/(2 |w|) of critical_point_residual with the local
+    # Wronskian, which drifts from 1 by up to 1.4e-4 at rtol 1e-3.  It is also the old reading, the
     # distance mod pi of alpha_at at x_crit and at the nearest zero.  A
     # scramble with det -1 flips the pair order (phase.swapped).
     run = catalog_run(case, rtol)
