@@ -9,8 +9,8 @@ identities that make the phase/amplitude description work:
 
 import numpy as np
 
-from oscpairs import (amplitude_series, catalog_get, integrate_pair,
-                      normalize_unit_wronskian, phase_unwrap)
+from oscpairs import (catalog_get, integrate_pair, normalize_unit_wronskian,
+                      phase_unwrap)
 
 # --- constant coefficient: the pair is (sin, cos), the phase is x itself
 model = catalog_get("constant", {"c": 1.0})
@@ -31,12 +31,10 @@ traj = integrate_pair(model, (0.0, s), (1.0, 0.5), 500.0)
 print("\ncauchy-euler gamma = 1 on [1, 500]")
 print("  raw Wronskian of the closed-form pair:", traj.w, "(= -s)")
 traj = normalize_unit_wronskian(traj)
-amp = amplitude_series(traj)
-x = amp.grid
-print("  after normalization, v(x) tracks x/s:")
-print("  max relative deviation  :", np.max(np.abs(amp.v - x / s) / (x / s)))
-print("  v' is constant at 1/s   :", np.max(np.abs(amp.v_prime - 1.0 / s)))
-
 phase = phase_unwrap(traj)
+x = phase.grid
+print("  after normalization, v(x) tracks x/s:")
+print("  max relative deviation  :", np.max(np.abs(phase.v - x / s) / (x / s)))
+print("  v' is constant at 1/s   :", np.max(np.abs(phase.v_prime - 1.0 / s)))
 print("  alpha(x) - alpha(1) = s log x:",
       np.max(np.abs((phase.alpha - phase.alpha[0]) - s * np.log(x))))

@@ -5,10 +5,8 @@ from .errors import (EvaluationError, GridError, IllConditionedError,
                      IntegrationError, NonOscillatoryError, OscpairsError,
                      ParameterError, ParseError, PhaseConsistencyError,
                      WindowError)
-from .integrate import (PairTrajectory, integrate_pair,
-                        normalize_unit_wronskian, sample)
-from .phasekit import (PhaseData, ResidualStats, amplitude_series,
-                       appell_residual, phase_unwrap)
+from .integrate import PairTrajectory, integrate_pair, normalize_unit_wronskian
+from .phasekit import PhaseData, ResidualStats, appell_residual, phase_unwrap
 from .principal import (CombinationCoefficients, PredicateReport,
                         PredicateResult, PrincipalReport, classify,
                         coefficient_matrix, find_principal,
@@ -25,11 +23,11 @@ __all__ = [
     "NonOscillatoryError", "OscpairsError", "PairTrajectory", "ParameterError",
     "ParseError", "PhaseConsistencyError", "PhaseData", "PredicateReport",
     "PredicateResult", "PrincipalReport", "ResidualStats",
-    "WindowError", "ZeroGapTable", "amplitude_series", "appell_residual",
+    "WindowError", "ZeroGapTable", "appell_residual",
     "bessel_jy", "catalog_get", "classify", "coefficient_matrix",
     "critical_point_residual", "example1_v",
     "find_principal", "gamma", "gap_table", "integrate_pair", "modulus",
     "normalize_unit_wronskian", "parse_q", "phase_unwrap",
-    "sample", "sufficient_conditions", "transform_pair",
+    "sufficient_conditions", "transform_pair",
     "zeros_of",
 ]

@@ -474,19 +474,6 @@ class PairTrajectory:
         return res
 
 
-def sample(traj, x):
-    """Interpolated state (y1, y1', y2, y2') at x (scalar or array).
-
-    At mesh nodes this returns the stored state exactly; between nodes it
-    evaluates the Hermite interpolant, which satisfies y'' = -q y to well
-    below the integration tolerance.
-    """
-    vals = traj.evaluate(x, nder=1)
-    if np.isscalar(vals["y1"]):
-        return np.array([vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]])
-    return np.column_stack([vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]])
-
-
 def _combine(coef, terms):
     """sum_j coef_j terms_j over the leading axis of terms, for the first
     len(coef) of them, as one product."""
@@ -626,23 +613,23 @@ def _integration_pass(model, mesh, start, rtol, atol):
     return states, err, noise, rate, qmin, q_nodes
 
 
-def _equidistribute(xs, cum, max_steps, what):
+def _equidistribute(xs, cum, what):
     """Nodes at which the cumulative node count cum (given at xs) passes
     whole multiples of its total over the number of steps; refuses a
-    mesh over the node budget."""
+    mesh over the node budget MAX_STEPS."""
     total = cum[-1]
-    if not total <= max_steps:
-        x_out = float(np.interp(max_steps, cum, xs)) if np.isfinite(total) else xs[0]
+    if not total <= MAX_STEPS:
+        x_out = float(np.interp(MAX_STEPS, cum, xs)) if np.isfinite(total) else xs[0]
         raise IntegrationError(
             f"{what} needs about {total:.2g} nodes, above the node budget of "
-            f"{max_steps}; the budget runs out at x = {x_out:.6g}", x=x_out)
+            f"{MAX_STEPS}; the budget runs out at x = {x_out:.6g}", x=x_out)
     n = max(1, math.ceil(total))
     mesh = np.interp(np.arange(n + 1) * (total / n), cum, xs)
     mesh[0], mesh[-1] = xs[0], xs[-1]
     return mesh
 
 
-def _refined_mesh(mesh, counts, fails, max_steps, what):
+def _refined_mesh(mesh, counts, fails, what):
     """Refine each run of consecutive steps with counts > 1 that holds a
     failing step: the run gets a whole number of nodes, placed by the
     counts.  Every other node stays where it is, so that a step that
@@ -660,7 +647,7 @@ def _refined_mesh(mesh, counts, fails, max_steps, what):
     cum = np.concatenate([[0.0], np.cumsum(c)])
     fixed = np.concatenate([[True], ~(active[:-1] & active[1:]), [True]])
     cum[fixed] = np.round(cum[fixed])
-    return _equidistribute(mesh, cum, max_steps, what)
+    return _equidistribute(mesh, cum, what)
 
 
 def _stalled(mesh, fails, passes):
@@ -686,7 +673,7 @@ def _skip_overflow(mesh, states, err, fails):
         err[k - 1:], fails[k - 1:] = 0.0, False
 
 
-def _next_mesh(mesh, err, noise, rate, fails, passes, max_steps, what, cap):
+def _next_mesh(mesh, err, noise, rate, fails, passes, what, cap):
     """The mesh for the next pass.
 
     Each step's target size is the usual controller's, min(hcap,
@@ -707,10 +694,10 @@ def _next_mesh(mesh, err, noise, rate, fails, passes, max_steps, what, cap):
     smooth = rho.copy()
     smooth[1:] = np.maximum(smooth[1:], rho[:-1])
     smooth[:-1] = np.maximum(smooth[:-1], rho[1:])
-    return _refined_mesh(mesh, smooth * h, fails, max_steps, what)
+    return _refined_mesh(mesh, smooth * h, fails, what)
 
 
-def _starting_mesh(model, x0, xmax, max_steps, cap):
+def _starting_mesh(model, x0, xmax, cap):
     """Equidistribute the Liouville-Green density sqrt(q)/cap (a step of
     at most cap rad of phase), sampled on a grid that is geometric in
     x - x0 + d (d = x0 for x0 > 0, so geometric in x); returns (mesh,
@@ -727,17 +714,16 @@ def _starting_mesh(model, x0, xmax, max_steps, cap):
     cum = np.concatenate([[0.0], np.cumsum((0.5 / cap) * (rho[1:] + rho[:-1])
                                            * np.diff(grid))])
     mesh = _equidistribute(
-        grid, cum, max_steps,
+        grid, cum,
         f"q is too large: its phase on [{x0:.6g}, {xmax:.6g}] at {cap:.3g} rad per step")
     return mesh, len(grid)
 
 
-def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                   max_steps=MAX_STEPS):
+def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Advance both solutions jointly from model.x0 to xmax.
 
     ic1 and ic2 are (y, y') at x0 and must be linearly independent.
-    max_steps is a node budget, checked before every pass is built.
+    The node budget MAX_STEPS is checked before every pass is built.
     """
     if not 1e-13 <= rtol <= 1e-3:
         raise ParameterError(f"rtol must lie in [1e-13, 1e-3], got {rtol}")
@@ -758,7 +744,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     start = np.array([[y1, y2], [p1, p2]])
 
     cap = _phase_step(rtol)
-    mesh, q_points = _starting_mesh(model, x0, float(xmax), max_steps, cap)
+    mesh, q_points = _starting_mesh(model, x0, float(xmax), cap)
     # overflow and 0/0 in a step that fails anyway become inf or NaN, and
     # NaN fails the error test
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -773,7 +759,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             _skip_overflow(mesh, states, err, fails)
             if passes == _MAX_PASSES:
                 _stalled(mesh, fails, passes)
-            mesh = _next_mesh(mesh, err, noise, rate, fails, passes, max_steps,
+            mesh = _next_mesh(mesh, err, noise, rate, fails, passes,
                               f"rtol = {rtol:g}", cap)
             # only the mesh carries over: free this pass's arrays before
             # the next pass allocates its own

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, ParameterError, PhaseConsistencyError
-from .integrate import _GL_WEIGHTS, _node_data, _panel_table
+from .integrate import _BLOCK, _GL_WEIGHTS, _node_data, _panel_table
 
 _ATAN2_CHECK_BOUND = 1e-4  # quadrature-vs-arctangent mismatch => grid too coarse
 # relative error the quadrature of one mesh interval may keep: summed over
@@ -42,25 +42,31 @@ _MAX_SUB_PANELS = 256  # an interval this far from resolved fails the check
 
 @dataclass(frozen=True)
 class PhaseData:
-    """Sampled phase and amplitude data for a unit-Wronskian pair.
+    """Phase and amplitude of a unit-Wronskian pair on its trajectory's
+    mesh (``grid``).
 
-    alpha and alpha_mismatch_max are None when only the amplitude series
-    was computed.  ``swapped`` records that the pair order was flipped
-    internally so the effective Wronskian is -1 and alpha increases.
-    ``refined_intervals`` counts the mesh intervals whose phase quadrature
-    was split into more than one Gauss-Legendre panel (see
-    _phase_increments).
+    Built only by phase_unwrap, and by _combined_phase for a combination
+    of an unwrapped pair, whose alpha_mismatch_max is None: its phase is
+    mapped, not checked against the arctangent.  ``swapped`` records that the pair
+    order was flipped internally so the effective Wronskian is -1 and
+    alpha increases.  ``refined_intervals`` counts the mesh intervals
+    whose phase quadrature was split into more than one Gauss-Legendre
+    panel (see _phase_increments).
     """
 
-    grid: np.ndarray
     v: np.ndarray
     v_prime: np.ndarray
     v_second: np.ndarray
+    alpha: np.ndarray
+    _traj: object = field(repr=False, compare=False)
     swapped: bool = False
-    alpha: np.ndarray | None = None
     alpha_mismatch_max: float | None = None
     refined_intervals: int = 0
-    _traj: object | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def grid(self):
+        """The mesh of the trajectory the phase belongs to."""
+        return self._traj.mesh
 
     @property
     def alpha_prime(self):
@@ -73,8 +79,6 @@ class PhaseData:
         The quadrature values anchor the branch; the value itself is
         snapped to the pointwise arctangent of (y1, y2).
         """
-        if self.alpha is None:
-            raise ParameterError("phase was not unwrapped for this data")
         scalar = np.isscalar(xs)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         xs, idx, ((y1, y2),) = self._traj._dense(xs, 0)
@@ -100,16 +104,6 @@ def _require_unit(traj):
             "call normalize_unit_wronskian first")
 
 
-def _states_on(traj, grid):
-    """grid (the mesh for None) and y1, y1', y2, y2' and q on it."""
-    if grid is None:
-        return (traj.mesh, *traj.states.T, traj.q_nodes)
-    grid = np.asarray(grid, dtype=float)
-    vals = traj.evaluate(grid, nder=1)
-    return (grid, vals["y1"], vals["y1p"], vals["y2"], vals["y2p"],
-            traj.model.q_array(grid))
-
-
 def _amplitude(y1, d1, y2, d2, q):
     """(v, v', v'') of the amplitude v = y1^2 + y2^2 from exact states:
 
@@ -120,33 +114,26 @@ def _amplitude(y1, d1, y2, d2, q):
     return v, 2.0 * (y1 * d1 + y2 * d2), 2.0 * (d1 * d1 + d2 * d2) - 2.0 * q * v
 
 
-def amplitude_series(traj, grid=None):
-    """Amplitude v = y1^2 + y2^2 with exact first and second derivatives
-    (see _amplitude).
-
-    No numerical differentiation is involved.  The pair must be
-    unit-normalized, since downstream classification assumes |w| = 1.
-    """
-    _require_unit(traj)
-    grid, y1, d1, y2, d2, q = _states_on(traj, grid)
-    v, vp, vpp = _amplitude(y1, d1, y2, d2, q)
-    return PhaseData(grid=grid, v=v, v_prime=vp, v_second=vpp)
-
-
 def _gauss_sums(traj, idx, n):
     """Integral of |w|/v over each mesh interval idx[i], by 6-point
     Gauss-Legendre on n equal sub-panels of it.
 
-    y and h y' of both solutions at all 6 n points of all the intervals
-    come from one product of _panel_table(n) with their node data;
-    then h |w|/v = |y1 h y2' - h y1' y2| / (y1^2 + y2^2), with no
-    dense-output evaluation and no q.
+    y and h y' of both solutions at the 6 n points of the intervals come
+    from one product of _panel_table(n) with their node data per block
+    of _BLOCK / n intervals, which bounds the temporaries whatever the
+    size of idx; then h |w|/v = |y1 h y2' - h y1' y2| / (y1^2 + y2^2),
+    with no dense-output evaluation and no q.
     """
-    m = idx.size
-    ys = (_panel_table(n) @ _node_data(traj, idx).reshape(9, 2 * m)).reshape(2, -1, 2, m)
-    (y1, y2), (s1, s2) = ys.transpose(0, 2, 1, 3)
-    speed = np.abs(y1 * s2 - s1 * y2) / (y1 * y1 + y2 * y2)
-    return np.tile(_GL_WEIGHTS, n) @ speed * (0.5 / n)
+    sums = np.empty(idx.size)
+    step = max(1, _BLOCK // n)
+    for i in range(0, idx.size, step):
+        block = idx[i:i + step]
+        m = block.size
+        ys = (_panel_table(n) @ _node_data(traj, block).reshape(9, 2 * m)).reshape(2, -1, 2, m)
+        (y1, y2), (s1, s2) = ys.transpose(0, 2, 1, 3)
+        speed = np.abs(y1 * s2 - s1 * y2) / (y1 * y1 + y2 * y2)
+        sums[i:i + step] = np.tile(_GL_WEIGHTS, n) @ speed * (0.5 / n)
+    return sums
 
 
 def _phase_increments(traj, turn):
@@ -207,9 +194,9 @@ def phase_unwrap(traj):
             f"phase quadrature deviates from arctangent by {mismatch:.3e}; "
             "refine the trajectory (tighter rtol)")
 
-    return PhaseData(grid=traj.mesh, v=v, v_prime=vp, v_second=vpp,
-                     swapped=swapped, alpha=alpha, alpha_mismatch_max=mismatch,
-                     refined_intervals=refined, _traj=traj)
+    return PhaseData(v=v, v_prime=vp, v_second=vpp, alpha=alpha, _traj=traj,
+                     swapped=swapped, alpha_mismatch_max=mismatch,
+                     refined_intervals=refined)
 
 
 def _combined_alpha(z1, z2, alpha, swapped):
@@ -233,10 +220,9 @@ def _combined_phase(pair, phase):
     quadrature (see _combined_alpha).  Its alpha_at works on pair."""
     z1, p1, z2, p2 = pair.states.T
     v, vp, vpp = _amplitude(z1, p1, z2, p2, pair.q_nodes)
-    return PhaseData(grid=pair.mesh, v=v, v_prime=vp, v_second=vpp,
-                     swapped=phase.swapped,
+    return PhaseData(v=v, v_prime=vp, v_second=vpp,
                      alpha=_combined_alpha(z1, z2, phase.alpha, phase.swapped),
-                     _traj=pair)
+                     _traj=pair, swapped=phase.swapped)
 
 
 def _coeff_triple(coeffs):

@@ -215,19 +215,6 @@ def _residual_amplitudes(x, alpha, series):
     return _fit(X, series[i0:])[-2:]
 
 
-def _oscillation_residual(phase, window):
-    """Amplitudes (k1, k2) of the sin/cos(2 alpha) content of v' over the
-    window, after removing the polynomial trend.
-
-    For the distinguished combination v' settles toward a constant and
-    both amplitudes vanish; any other unit-determinant combination keeps
-    an O(1) oscillating part, so this is the discriminating residual.
-    """
-    x, alpha, _, v_prime = _window_samples(phase, window)
-    k1, k2 = _residual_amplitudes(x, alpha, v_prime)
-    return float(k1), float(k2)
-
-
 def _expand_window(phase, window, need_alpha):
     """Grow the window leftward until it spans need_alpha of phase."""
     grid, alpha = phase.grid, phase.alpha
@@ -248,7 +235,8 @@ def _expand_window(phase, window, need_alpha):
 
 
 def find_principal(traj, window=None):
-    """Distinguished unit-determinant combination of an integrated pair.
+    """Distinguished unit-determinant combination of an integrated pair,
+    which must be unit-normalized (phase_unwrap raises ParameterError).
 
     Minimizes the sample variance w^T Sigma w of vbar' over the window,
     subject to AB - C^2 = 1, A > 0, in closed form (``_sheet_minimizer``),
@@ -272,8 +260,6 @@ def find_principal(traj, window=None):
     The report carries the principal pair itself (``pair``, on the input's
     mesh) and its phase (``phase``, whose alpha_at works on ``pair``).
     """
-    if not traj.unit_wronskian:
-        raise ParameterError("normalize the pair before searching (|w| != 1)")
     phase = phase_unwrap(traj)
     x0, xmax = traj.x0, traj.xmax
     if window is None:
@@ -430,18 +416,16 @@ def _aitken(seq, floor):
 
 
 def classify(phase):
-    """Limit classification of an amplitude series over dyadic windows.
+    """Limit classification of the amplitude v of a pair's PhaseData over
+    dyadic windows.
 
     Returns (tag, L, K, diagnostics) with tag one of 'L-finite',
     'L-zero', 'L-infinite', 'undetermined'.  Window means of v decide the
     trend; the limit of v' is estimated by extrapolating the window-mean
     sequence (exact when the means decay geometrically, as they do for
     power-law v').  'undetermined' is a first-class outcome, reported
-    whenever the indicators conflict.  The phase must come from
-    ``phase_unwrap``, since the oscillation test fits sin/cos(2 alpha).
+    whenever the indicators conflict.
     """
-    if phase.alpha is None:
-        raise ParameterError("phase data lacks alpha; use phase_unwrap")
     tol = _CLASSIFY_TOL
     M, m, osc_p, osc_v = _window_statistics(phase)
     diag = {"v_means": M, "vp_means": m}

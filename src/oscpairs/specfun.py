@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .integrate import integrate_pair, sample
+from .integrate import integrate_pair
 from .qfunc import EquationModel
 
 _SERIES_PROPAGATE_SPLIT = 2.0
@@ -137,9 +137,9 @@ def bessel_jy(nu, t):
         j, _, y, _ = _series_jy(nu, t)
         return BesselValue(J=j, Y=y, method="series")
     traj = _propagated_trajectory(nu, t)
-    uj, _, uy, _ = sample(traj, t)
+    u = traj.evaluate(t, nder=0)
     r = math.sqrt(t)
-    return BesselValue(J=uj / r, Y=uy / r, method="propagated")
+    return BesselValue(J=u["y1"] / r, Y=u["y2"] / r, method="propagated")
 
 
 def modulus(nu, t):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, integrate_pair,
-                        normalize_unit_wronskian, sample)
+                        normalize_unit_wronskian)
 from .phasekit import appell_residual, phase_unwrap
 from .principal import find_principal, sufficient_conditions, transform_pair
 from .qfunc import catalog_get, parse_q
@@ -168,18 +168,18 @@ def fast_suite(rtol=None):
 
     const = catalog_run("constant", rtol)
     xs = np.linspace(0.0, 50.0, 2001)
-    st = sample(const.traj, xs)
+    y1 = const.traj.evaluate(xs, nder=0)["y1"]
     checks.append(_le("constant-q closed form (dense)",
-                      np.max(np.abs(st[:, 0] - np.sin(xs))), 1e-8))
+                      np.max(np.abs(y1 - np.sin(xs))), 1e-8))
 
     ce = catalog_run("cauchy-euler", rtol)
     s = ce.model.params["s"]
     xs = np.geomspace(1.0, 500.0, 101)
-    st = sample(ce.traj, xs)
+    y1 = ce.traj.evaluate(xs, nder=0)["y1"]
     # default ICs (0, 1) give y1 = sqrt(x) sin(s log x) / s
     exact = np.sqrt(xs) * np.sin(s * np.log(xs)) / s
     checks.append(_le("cauchy-euler closed form",
-                      np.max(np.abs(st[:, 0] - exact) / (np.sqrt(xs) / s)),
+                      np.max(np.abs(y1 - exact) / (np.sqrt(xs) / s)),
                       1e-7))
 
     g = catalog_run("gen-airy", rtol)
@@ -188,8 +188,9 @@ def fast_suite(rtol=None):
                       np.max(np.abs(wn - wn[0])), 1e-8))
 
     i = len(const.traj.mesh) // 2
-    checks.append(_true("sample reproduces nodes exactly",
-                        np.array_equal(sample(const.traj, const.traj.mesh[i]),
+    node = const.traj.evaluate(const.traj.mesh[i])
+    checks.append(_true("dense output reproduces nodes exactly",
+                        np.array_equal([node[k] for k in ("y1", "y1p", "y2", "y2p")],
                                        const.traj.states[i])))
 
     mid = 0.5 * (g.traj.mesh[:-1] + g.traj.mesh[1:])

@@ -222,8 +222,6 @@ def critical_point_residual(traj, phase, x_crit):
     of w from its nominal value.
     """
     x_crit = np.atleast_1d(np.asarray(x_crit, dtype=float))
-    if phase.alpha is None:
-        raise ParameterError("phase data lacks alpha; use phase_unwrap")
     vals = traj.evaluate(x_crit, nder=1)
     y1, d1, y2, d2 = vals["y1"], vals["y1p"], vals["y2"], vals["y2p"]
     vp = 2.0 * (y1 * d1 + y2 * d2)

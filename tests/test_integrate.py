@@ -9,19 +9,19 @@ from scipy.integrate._ivp import dop853_coefficients as dop853
 from oscpairs import integrate
 from oscpairs.errors import IntegrationError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
-                                normalize_unit_wronskian, sample)
+                                normalize_unit_wronskian)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get, parse_q
 from oscpairs.verify import _CASES, catalog_run
 
 
 def test_constant_q_closed_form(run_constant):
-    st = sample(run_constant.traj, math.pi / 2.0)
-    assert abs(st[0] - 1.0) <= 1e-9   # y1 = sin
-    assert abs(st[2]) <= 1e-9         # y2 = cos
-    st = sample(run_constant.traj, 1.0)
-    assert np.allclose(st, [math.sin(1), math.cos(1), math.cos(1), -math.sin(1)],
-                       atol=1e-9)
+    st = run_constant.traj.evaluate(math.pi / 2.0)
+    assert abs(st["y1"] - 1.0) <= 1e-9   # y1 = sin
+    assert abs(st["y2"]) <= 1e-9         # y2 = cos
+    st = run_constant.traj.evaluate(1.0)
+    assert np.allclose([st["y1"], st["y1p"], st["y2"], st["y2p"]],
+                       [math.sin(1), math.cos(1), math.cos(1), -math.sin(1)], atol=1e-9)
 
 
 def test_cauchy_euler_closed_form_oracle():
@@ -30,9 +30,9 @@ def test_cauchy_euler_closed_form_oracle():
     s = model.params["s"]
     traj = integrate_pair(model, (0.0, s), (1.0, 0.5), math.exp(math.pi / (2 * s)) * 1.05)
     x = math.exp(math.pi / (2 * s))
-    st = sample(traj, x)
+    y1 = traj.evaluate(x, nder=0)["y1"]
     exact = math.sqrt(x) * math.sin(s * math.log(x))
-    assert abs(st[0] - exact) / abs(exact) <= 1e-7
+    assert abs(y1 - exact) / abs(exact) <= 1e-7
 
 
 @pytest.mark.parametrize("ic1,ic2", [((0.0, 1.0), (1.0, 0.0)),
@@ -47,7 +47,8 @@ def test_gen_airy_wronskian_drift(ic1, ic2):
 def test_sample_at_node_bit_for_bit(run_constant):
     traj = run_constant.traj
     for i in (0, len(traj.mesh) // 3, len(traj.mesh) - 1):
-        assert np.array_equal(sample(traj, traj.mesh[i]), traj.states[i])
+        st = traj.evaluate(traj.mesh[i])
+        assert np.array_equal([st["y1"], st["y1p"], st["y2"], st["y2p"]], traj.states[i])
 
 
 def test_interpolant_midpoint_residual(run_genairy):
@@ -91,8 +92,8 @@ def test_dense_output_steps_one_ulp_at_roundoff_level(case):
 def test_wronskian_constant_on_refined_mesh(run_genairy):
     traj = run_genairy.traj
     xs = np.linspace(traj.x0, traj.xmax, 7777)
-    st = sample(traj, xs)
-    w = st[:, 0] * st[:, 3] - st[:, 1] * st[:, 2]
+    st = traj.evaluate(xs)
+    w = st["y1"] * st["y2p"] - st["y1p"] * st["y2"]
     assert np.max(np.abs(w - traj.w)) <= 100.0 * traj.rtol * (1.0 + abs(traj.w))
 
 
@@ -103,7 +104,7 @@ def test_halving_rtol_halves_error():
     for rtol in (1e-7, 5e-8, 2.5e-8):
         traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 8 * math.pi,
                               rtol=rtol, atol=1e-14)
-        errs.append(np.max(np.abs(sample(traj, xs)[:, 0] - np.sin(xs))))
+        errs.append(np.max(np.abs(traj.evaluate(xs, nder=0)["y1"] - np.sin(xs))))
     assert errs[0] / errs[1] >= 2.0
     assert errs[1] / errs[2] >= 2.0
 
@@ -128,9 +129,9 @@ def test_normalize_unit_wronskian():
     assert doubled.w == pytest.approx(-2.0)
     norm = normalize_unit_wronskian(doubled)
     assert norm.w == pytest.approx(-1.0)
-    st = sample(norm, 1.0)
-    assert st[0] == pytest.approx(math.sqrt(2.0) * math.sin(1.0), abs=1e-9)
-    assert st[2] == pytest.approx(math.cos(1.0) / math.sqrt(2.0), abs=1e-9)
+    st = norm.evaluate(1.0, nder=0)
+    assert st["y1"] == pytest.approx(math.sqrt(2.0) * math.sin(1.0), abs=1e-9)
+    assert st["y2"] == pytest.approx(math.cos(1.0) / math.sqrt(2.0), abs=1e-9)
 
 
 def test_normalize_cauchy_euler_closed_pair():
@@ -142,8 +143,8 @@ def test_normalize_cauchy_euler_closed_pair():
     assert traj.w == pytest.approx(-s, abs=1e-14)
     norm = normalize_unit_wronskian(traj)
     xs = np.geomspace(1.0, 100.0, 21)
-    st = sample(norm, xs)
-    v = st[:, 0] ** 2 + st[:, 2] ** 2
+    st = norm.evaluate(xs, nder=0)
+    v = st["y1"] ** 2 + st["y2"] ** 2
     assert np.max(np.abs(v - xs / s) / (xs / s)) <= 1e-9
 
 
@@ -167,7 +168,7 @@ def test_error_conditions():
             integrate_pair(model, (0.0, 1.0), (1.0, 0.0), xmax, atol=atol)
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 5.0)
     with pytest.raises(ParameterError):
-        sample(traj, 6.0)  # outside span
+        traj.evaluate(6.0)  # outside span
 
 
 def _counting(model, counts):
@@ -284,7 +285,7 @@ def test_integration_counters_repeat():
     assert np.array_equal(runs[0].states, runs[1].states)
 
 
-def test_node_budget_refuses_a_large_q_before_any_pass():
+def test_node_budget_refuses_a_large_q_before_any_pass(monkeypatch):
     # sqrt(exp(x)) gives a phase of ~1.4e11 rad on [1, 50]
     counts = {"scalar": 0, "q": [], "qp": [], "qpp": []}
     model = _counting(parse_q("exp(x)"), counts)
@@ -296,9 +297,9 @@ def test_node_budget_refuses_a_large_q_before_any_pass():
     assert "singular" not in message
     assert 1.0 < err.value.x < 50.0
     assert len(counts["q"]) == 1  # the starting grid only
+    monkeypatch.setattr(integrate, "MAX_STEPS", 100)
     with pytest.raises(IntegrationError, match="node budget of 100;"):
-        integrate_pair(catalog_get("constant"), (0.0, 1.0), (1.0, 0.0), 50.0,
-                       max_steps=100)
+        integrate_pair(catalog_get("constant"), (0.0, 1.0), (1.0, 0.0), 50.0)
 
 
 def test_stalled_integration_raises_near_the_pole():

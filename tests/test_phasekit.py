@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ from oscpairs import phasekit
 from oscpairs.errors import GridError, ParameterError
 from oscpairs.integrate import (_GL_FRACTIONS, _GL_NODES, _GL_WEIGHTS, PairTrajectory,
                                 _hermite_rule, _node_data, _panel_table, integrate_pair,
-                                normalize_unit_wronskian, sample)
+                                normalize_unit_wronskian)
 from oscpairs.cli import RunConfig, _integrated_pair
 from oscpairs.phasekit import (_MAX_SUB_PANELS, _PANEL_RTOL, _amplitude, _combined_alpha,
                                _combined_phase, _gauss_sums, _phase_increments,
-                               _third_derivative_stencils, amplitude_series,
-                               appell_residual, phase_unwrap)
+                               _third_derivative_stencils, appell_residual, phase_unwrap)
 from oscpairs.principal import find_principal, transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get
 from oscpairs.verify import catalog_run, unimodular_scrambles
@@ -35,13 +35,15 @@ def test_wronskian_constant_for_ce_closed_pair():
     traj = integrate_pair(model, (0.0, s), (1.0, 0.5), 50.0)
     xs = np.geomspace(1.0, 50.0, 10)
     # the dense output at xs, as the nodes of a trajectory of its own
-    sampled = PairTrajectory(model, xs, sample(traj, xs), traj.w, traj.rtol, traj.atol)
+    st = traj.evaluate(xs)
+    states = np.column_stack([st["y1"], st["y1p"], st["y2"], st["y2p"]])
+    sampled = PairTrajectory(model, xs, states, traj.w, traj.rtol, traj.atol)
     w = sampled.wronskian_nodes()
     assert np.max(np.abs(w + s)) <= 1e-10
 
 
 def test_amplitude_constant_pair(run_constant):
-    ph = amplitude_series(run_constant.traj)
+    ph = phase_unwrap(run_constant.traj)
     assert np.max(np.abs(ph.v - 1.0)) <= 1e-10
     assert np.max(np.abs(ph.v_prime)) <= 1e-10
     assert np.max(np.abs(ph.v_second)) <= 1e-9
@@ -52,7 +54,7 @@ def test_amplitude_cauchy_euler_closed_form():
     s = model.params["s"]
     traj = normalize_unit_wronskian(
         integrate_pair(model, (0.0, s), (1.0, 0.5), 200.0))
-    ph = amplitude_series(traj)
+    ph = phase_unwrap(traj)
     x = ph.grid
     assert np.max(np.abs(ph.v - x / s) / (x / s)) <= 1e-9
     assert np.max(np.abs(ph.v_prime - 1.0 / s)) <= 1e-9
@@ -64,24 +66,27 @@ def test_amplitude_derivative_against_finite_differences(run_genairy):
     xs = np.linspace(5.0, 195.0, 32)
     h = 1e-5
     for x in xs:
-        vm = amplitude_series(traj, np.array([x - h, x, x + h]))
-        fd = (vm.v[2] - vm.v[0]) / (2 * h)
-        assert abs(fd - vm.v_prime[1]) <= 1e-6 * (1.0 + abs(vm.v_prime[1]))
+        pts = np.array([x - h, x, x + h])
+        st = traj.evaluate(pts)
+        v, vp, _ = _amplitude(st["y1"], st["y1p"], st["y2"], st["y2p"],
+                              traj.model.q_array(pts))
+        fd = (v[2] - v[0]) / (2 * h)
+        assert abs(fd - vp[1]) <= 1e-6 * (1.0 + abs(vp[1]))
 
 
 def test_amplitude_rejects_non_unit_pair():
     model = catalog_get("constant", {"c": 1.0})
     traj = integrate_pair(model, (0.0, 2.0), (1.0, 0.0), 5.0)  # w = -2
     with pytest.raises(ParameterError):
-        amplitude_series(traj)
-    with pytest.raises(ParameterError):
         phase_unwrap(traj)
+    with pytest.raises(ParameterError):
+        find_principal(traj)
 
 
 def test_phase_unwrap_forms_the_node_amplitude_once(monkeypatch, run_genairy):
     # one _amplitude call on the nodes gives the returned v, v', v'',
-    # which match amplitude_series bit for bit; the quadrature reads the
-    # states, not the amplitude
+    # which match _amplitude of the node states bit for bit; the
+    # quadrature reads the states, not the amplitude
     traj = run_genairy.principal
     sizes = []
     amplitude = phasekit._amplitude
@@ -93,9 +98,10 @@ def test_phase_unwrap_forms_the_node_amplitude_once(monkeypatch, run_genairy):
     monkeypatch.setattr(phasekit, "_amplitude", counting)
     ph = phase_unwrap(traj)
     assert ph.refined_intervals == 0 and sizes == [len(traj.mesh)]
-    amp = amplitude_series(traj)
-    for name in ("v", "v_prime", "v_second", "alpha_prime"):
-        assert np.array_equal(getattr(ph, name), getattr(amp, name)), name
+    amp = amplitude(*traj.states.T, traj.q_nodes)
+    for name, ref in zip(("v", "v_prime", "v_second"), amp):
+        assert np.array_equal(getattr(ph, name), ref), name
+    assert np.array_equal(ph.alpha_prime, 1.0 / amp[0])
 
 
 def test_phase_constant_is_linear(run_constant):
@@ -121,7 +127,7 @@ def test_phase_growth_unbounded(run_genairy):
     ph = run_genairy.phase
     assert ph.alpha[-1] - ph.alpha[0] > 100.0
     # independent check: quadrature of |alpha'| = 1/v by trapezoid
-    lower = np.trapezoid(1.0 / ph.v, ph.grid)
+    lower = np.sum(0.5 * (1.0 / ph.v[1:] + 1.0 / ph.v[:-1]) * np.diff(ph.grid))
     assert abs((ph.alpha[-1] - ph.alpha[0]) - lower) <= 1e-3 * lower
 
 
@@ -141,8 +147,8 @@ def test_alpha_at_matches_arctangent(run_genairy):
     traj = run_genairy.traj
     xs = np.linspace(2.0, 199.0, 57)
     alpha = ph.alpha_at(xs)
-    st = sample(traj, xs)
-    raw = np.arctan2(st[:, 0], st[:, 2])
+    st = traj.evaluate(xs, nder=0)
+    raw = np.arctan2(st["y1"], st["y2"])
     delta = alpha - raw
     assert np.max(np.abs(delta - 2 * math.pi * np.round(delta / (2 * math.pi)))) <= 1e-12
 
@@ -365,6 +371,32 @@ def test_smooth_pairs_need_no_refinement(run_constant, run_genairy):
         assert refined == 0
         assert np.array_equal(inc, one)
         assert phase_unwrap(traj).refined_intervals == 0
+
+
+def test_phase_unwrap_temporaries_are_bounded_by_the_states():
+    # sin and cos on 200 001 nodes, 0.1 rad apart: the Gauss-Legendre
+    # passes run in blocks, so what phase_unwrap allocates, its result
+    # included, and what a doubling pass over every interval allocates
+    # stay within a few copies of the states however long the mesh; and
+    # a block sums each interval as any other batch would, bit for bit
+    x = 0.1 * np.arange(200_001)
+    s, c = np.sin(x), np.cos(x)
+    traj = PairTrajectory(catalog_get("constant", {"c": 1.0}), x,
+                          np.column_stack([s, c, c, -s]), -1.0, 1e-10, 1e-12)
+    traj._node_table()
+    every = np.arange(len(x) - 1)
+    for run in (lambda: phase_unwrap(traj), lambda: _gauss_sums(traj, every, 2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * traj.states.nbytes
+    inc, refined = _phase_increments(traj, _moved(traj))
+    assert refined == 0
+    assert np.array_equal(_gauss_sums(traj, every[::7], 1), inc[::7])
+    assert np.array_equal(_gauss_sums(traj, every[::7], 2), _gauss_sums(traj, every, 2)[::7])
 
 
 def test_refinement_reads_no_dense_output_and_no_q(monkeypatch, run_inversex):

@@ -7,11 +7,11 @@ import pytest
 from oscpairs import principal
 from oscpairs.errors import IllConditionedError, ParameterError
 from oscpairs.integrate import PairTrajectory, _hermite_rule, _rate
-from oscpairs.phasekit import amplitude_series, phase_unwrap
+from oscpairs.phasekit import phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
                                 coefficient_matrix, find_principal,
                                 sufficient_conditions, transform_pair, _fit,
-                                _oscillation_residual, _sheet_minimizer)
+                                _residual_amplitudes, _sheet_minimizer, _window_samples)
 from oscpairs.qfunc import catalog_get
 from oscpairs.verify import catalog_run, unimodular_scrambles
 
@@ -58,8 +58,9 @@ def test_coefficient_matrix_realizes_form():
 
 def test_decompose_principal_combination(run_constant):
     # k1 and k2 vanish at the distinguished combination
-    k1, k2 = _oscillation_residual(run_constant.principal_phase,
-                                   run_constant.report.window)
+    x, alpha, _, vp = _window_samples(run_constant.principal_phase,
+                                      run_constant.report.window)
+    k1, k2 = _residual_amplitudes(x, alpha, vp)
     assert abs(k1) <= 1e-8 and abs(k2) <= 1e-8
 
 
@@ -69,7 +70,8 @@ def test_oscillation_residual_of_other_combinations(run_constant):
     for A, B, C in ((2.0, 0.5, 0.0), (1.0, 2.0, 1.0)):
         coeffs = CombinationCoefficients(A, B, C)
         combo = transform_pair(run_constant.traj, coefficient_matrix(coeffs))
-        k = _oscillation_residual(phase_unwrap(combo), run_constant.report.window)
+        x, alpha, _, vp = _window_samples(phase_unwrap(combo), run_constant.report.window)
+        k = _residual_amplitudes(x, alpha, vp)
         assert math.hypot(*k) > 0.5
 
 
@@ -87,7 +89,8 @@ def test_oscillation_residual_recovers_planted_amplitudes(request, fixture):
     planted = dataclasses.replace(
         ph, v_prime=ph.v_prime + trend + k1 * np.sin(2.0 * ph.alpha)
         + k2 * np.cos(2.0 * ph.alpha))
-    got = _oscillation_residual(planted, run.report.window)
+    x, alpha, _, vp = _window_samples(planted, run.report.window)
+    got = _residual_amplitudes(x, alpha, vp)
     assert abs(got[0] - k1) <= 1e-9 and abs(got[1] - k2) <= 1e-9
 
 
@@ -97,6 +100,15 @@ def test_find_principal_identity(run_constant):
     assert rep.coeffs.B == pytest.approx(1.0, abs=1e-6)
     assert rep.coeffs.C == pytest.approx(0.0, abs=1e-6)
     assert abs(rep.objective) <= 1e-12
+
+
+def test_phase_grid_is_the_trajectory_mesh(run_genairy):
+    # a PhaseData keeps no mesh of its own: its grid is the mesh of the
+    # trajectory it is the phase of, which the principal pair shares
+    traj, rep = run_genairy.traj, run_genairy.report
+    assert phase_unwrap(traj).grid is traj.mesh
+    assert rep.pair.mesh is traj.mesh
+    assert rep.phase.grid is rep.pair.mesh
 
 
 def test_find_principal_diagonal_scramble(run_constant):
@@ -200,11 +212,6 @@ def test_classify_cauchy_euler(run_ce):
     assert tag == "L-infinite"
     s = run_ce.model.params["s"]
     assert K == pytest.approx(1.0 / s, abs=1e-4)
-
-
-def test_classify_requires_phase(run_constant):
-    with pytest.raises(ParameterError, match="lacks alpha"):
-        classify(amplitude_series(run_constant.principal))
 
 
 def test_classify_scrambled_constant_is_undetermined(run_constant):
@@ -318,7 +325,8 @@ def test_residual_separates_principal_member(run_genairy):
     ph_scr = phase_unwrap(scr)
     tag, _, _, _ = classify(ph_scr)
     assert tag in ("L-zero", "undetermined")
-    k_scr = _oscillation_residual(ph_scr, run_genairy.report.window)
+    x, alpha, _, vp = _window_samples(ph_scr, run_genairy.report.window)
+    k_scr = _residual_amplitudes(x, alpha, vp)
     assert math.hypot(*k_scr) > 1e-2
     rep = find_principal(scr)
     assert math.hypot(rep.k1_est, rep.k2_est) <= 1e-5

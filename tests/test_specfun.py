@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import ParameterError
-from oscpairs.integrate import sample
 from oscpairs.specfun import (_propagate, _series_jy, bessel_jy, example1_v,
                               gamma, modulus)
 
@@ -40,9 +39,9 @@ def test_two_route_consistency():
     for nu in (0.2, 1.0 / 3.0, 0.45):
         j2, _, y2, _ = _series_jy(nu, 2.0)
         traj = _propagate(nu, 1.0, 2.5)
-        uj, _, uy, _ = sample(traj, 2.0)
-        assert abs(uj / math.sqrt(2.0) - j2) <= 1e-10
-        assert abs(uy / math.sqrt(2.0) - y2) <= 1e-10
+        u = traj.evaluate(2.0, nder=0)
+        assert abs(u["y1"] / math.sqrt(2.0) - j2) <= 1e-10
+        assert abs(u["y2"] / math.sqrt(2.0) - y2) <= 1e-10
 
 
 def test_wronskian_relation():
