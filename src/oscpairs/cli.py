@@ -248,6 +248,13 @@ def cmd_verify(suite="fast", seed=0, rtol=None):
 # ---------------------------------------------------------------------------
 # deterministic JSON with 17 significant digits
 
+def _json_float(x):
+    # x - x is 0.0 for a finite x and NaN for NaN and +-inf
+    if x - x:
+        return '"%s"' % repr(x)
+    return format(x, ".17g")
+
+
 def _json_scalar(x):
     if x is None:
         return "null"
@@ -256,26 +263,34 @@ def _json_scalar(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if x != x or x in (float("inf"), float("-inf")):
-            return '"%s"' % repr(x)
-        return format(x, ".17g")
+        return _json_float(float(x))
     if isinstance(x, str):
         return _json_string(x)
     raise TypeError(f"cannot serialize {type(x)}")
 
 
 def to_json(obj, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
+    """obj as indented JSON.  The exact types a report is made of (float,
+    dict, list, tuple, str, None) are served first; anything else, such
+    as a numpy scalar or a subclass, takes _json_scalar's isinstance
+    chain."""
+    kind = type(obj)
+    if kind is float:
+        return _json_float(obj)
+    if kind is str:
+        return _json_string(obj)
+    if obj is None:
+        return "null"
+    if kind is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join("%s%s: %s" % ("  " * (indent + 1), _json_string(k),
-                                         to_json(v, indent + 1))
-                           for k, v in obj.items())
-        return "{\n%s\n%s}" % (items, pad)
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ", ".join(to_json(v, indent) for v in obj)
+        inner = indent + 1
+        pad = "\n" + "  " * inner
+        items = ",".join([pad + _json_string(k) + ": " + to_json(v, inner)
+                          for k, v in obj.items()])
+        return "{%s\n%s}" % (items, "  " * indent)
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        return "[%s]" % ", ".join([to_json(v, indent) for v in obj])
     return _json_scalar(obj)
 
 

@@ -22,11 +22,16 @@ The step is also capped: it may turn a solution by at most
 _phase_step(rtol) rad, 0.25 at the default rtol and 1 at most, where a
 solution turns at the rate max(sqrt(q), |q'|/q) (_rate).  The cap follows
 rtol with the same power as the error test, so the mesh, and the error,
-follow rtol where the cap sets the step too.  The first mesh
-equidistributes that rate over the cap.  Where a step fails its error
-test, the run of steps around it is re-meshed from the usual controller's
-target step, _SAFETY h (h/err)^(1/7), smoothed, and the pass repeats;
-every other node keeps its place.
+follow rtol where the cap sets the step too.  The first mesh takes, at
+each point of a grid that samples the span, the shorter of the cap's step
+and the step the error test allows, in closed form from q and q' there
+(_first_rates): for constant q the tableau's error estimates are
+polynomials in h sqrt(q), and q' adds a term one order lower.  So the
+catalog settles in one pass at the default rtol, and at rtol 1e-3, where
+the cap is the shorter step, the first mesh is the cap's alone.  Where a
+step still fails its error test, the run of steps around it is re-meshed
+from the usual controller's target step, _SAFETY h (h/err)^(1/7),
+smoothed, and the pass repeats; every other node keeps its place.
 
 Dense output is a two-point Hermite interpolant of order 7 per solution,
 built from the stored (y, y') node values plus the equation-supplied
@@ -53,7 +58,8 @@ References
 ----------
 Dormand & Prince (1980), J. Comp. Appl. Math. 6, 19-26.
 Hairer, Norsett & Wanner (1993), "Solving Ordinary Differential
-Equations I", 2nd ed., sec. II.10 (DOP853).
+Equations I", 2nd ed., sec. II.4 (starting step sizes) and sec. II.10
+(DOP853).
 Blelloch (1990), "Prefix sums and their applications", CMU-CS-90-190.
 """
 
@@ -120,12 +126,36 @@ MAX_STEPS = 10 ** 7  # node budget
 # a step turns a solution by at most _phase_step(rtol) rad (see there)
 _PHASE_REF = 0.25  # the cap at DEFAULT_RTOL
 _PHASE_MAX = 1.0
+# the step, in rad of w = sqrt(q), that the error test allows for constant
+# q at tol = 1e-10 and w = 1 (see _first_rates).  For y'' = -w^2 y the
+# DOP853 estimates E5 and E3 of a step are polynomials in h A, whose square
+# is -(h w)^2, so a step of theta rad errs, per unit step in the norm of
+# _norm, by w (theta / 0.29)^7 (1e-10 / tol) at the worst phase of the pair
+# (a solution crossing zero mid-step).  0.28 leaves 0.78 of that error.
+_ERR_STEP = 0.28
+# Where q varies, a step across a zero of a solution errs, besides, by about
+# _SLOPE_ERR g w^6 h^6 per unit step (g = |q'|/q): one order lower in h,
+# from the q' y' terms of the stages.  The term levels off once g/w passes
+# _SLOPE_SAT, where g sets the cap's rate.  _SLOPE_ERR is fitted to the
+# largest error per unit step of gen-airy (nu 0.2 to 0.45), 1/x and x^-1.5
+# over steps of 0.15 to 0.35 rad at tol 1e-10, _SLOPE_SAT to the first
+# passes of the catalog families.
+_SLOPE_ERR = 15.0
+_SLOPE_SAT = 0.3
+# Where g sets the rate (q = c/x^2), the solutions are powers x^(1/2 +- i s),
+# whose k-th derivatives grow like k!/x^k, faster than g^k.  At the cap the
+# slopes of the order-7 dense output then err by 4e-10 (cauchy-euler gamma
+# = 1 at rtol 1e-10, against 1e-11 for constant q); steps _SLOPE_RATE times
+# shorter bring that to 5e-11.  g alone does not tell the scale x of that
+# growth: for q = 1/x it is 1/g, half that of c/x^2, and the first step of
+# inverse-x, at x = 1, still errs by 1e-9.
+_SLOPE_RATE = 1.4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _START_CELLS = 128  # cells of the grid that samples the starting density
 _BLOCK = 8192  # steps per block of a pass: bounds the temporaries
-# the catalog settles in 1-3 passes; a failing step shrinks to no less
-# than _MIN_FACTOR of its size per pass
+# the catalog settles in one pass; a failing step shrinks to no less than
+# _MIN_FACTOR of its size per pass
 _MAX_PASSES = 40
 _EPS = 2.220446049250313e-16
 
@@ -136,10 +166,12 @@ def _phase_step(rtol):
     q varies slowly.
 
     There the error test allows steps of about 0.29 (rtol/1e-10)^(1/7)
-    rad.  The cap follows the same power of rtol from a little below
-    that, so that the mesh, and with it the error, follows rtol where the
-    cap sets the step, as it does where the error test sets it (halving
-    rtol then halves the error).  It never exceeds 1 rad: a step of a
+    sqrt(q)^(-1/7) rad (_ERR_STEP), so it binds where sqrt(q) exceeds
+    about 2 and the first mesh then takes the error test's step
+    (_first_rates).  The cap follows the same power of rtol, so that the
+    mesh, and with it the error, follows rtol where the cap sets the
+    step, as it does where the error test sets it (halving rtol then
+    halves the error).  It never exceeds 1 rad: a step of a
     scrambled pair, whose phase can run several times faster than the
     pair's own, then still advances the arctangent by less than pi, and
     the order-7 Hermite dense output, whose error is about
@@ -697,11 +729,55 @@ def _next_mesh(mesh, err, noise, rate, fails, passes, what, cap):
     return _refined_mesh(mesh, smooth * h, fails, what)
 
 
-def _starting_mesh(model, x0, xmax, cap):
-    """Equidistribute the Liouville-Green density sqrt(q)/cap (a step of
-    at most cap rad of phase), sampled on a grid that is geometric in
-    x - x0 + d (d = x0 for x0 > 0, so geometric in x); returns (mesh,
-    q points evaluated)."""
+def _first_rates(q, qp, cap, tol):
+    """The rate of _rate at the points of the starting grid, and the rate
+    the first mesh follows there: the larger of that and the rates at
+    which the error test and the dense output allow cap rad per step, at
+    tol = rtol + atol (the tolerance for solutions of unit size).
+
+    Per unit step, the error test allows steps h with (h r)^7 + h^6 s
+    <= 1 (_ERR_STEP, _SLOPE_ERR), which (h r)^6 + h^6 s <= 1 implies:
+
+      r = w^(8/7) / c,  c = _ERR_STEP (tol / 1e-10)^(1/7),  w = sqrt(q),
+      s = _SLOPE_ERR g w^6 / (c^7 (1 + g / (w _SLOPE_SAT))),  g = |q'|/q.
+
+    The dense output asks for _SLOPE_RATE g / (_PHASE_REF (tol /
+    1e-10)^(1/7)).  Where neither binds, as everywhere at rtol 1e-3 below
+    w of about 230, the maximum returns the rate of _rate unchanged, and
+    the first mesh is the Liouville-Green one, bit for bit.  Where q <= 0
+    only _rate counts.
+    """
+    w = np.sqrt(np.maximum(q, 0.0))
+    g = np.divide(np.abs(qp), q, out=np.zeros_like(q), where=q > 0.0)
+    rate = np.maximum(w, g)  # _rate(q, qp)
+    t = (tol / DEFAULT_RTOL) ** (1.0 / 7.0)
+    c = _ERR_STEP * t
+    k = _SLOPE_ERR * _SLOPE_SAT / c
+    with np.errstate(invalid="ignore", over="ignore"):
+        # 0/0 where q <= 0 gives NaN, which fmax passes over
+        err = (w ** (48.0 / 7.0) + k * g * w ** 7 / (_SLOPE_SAT * w + g)) ** (1.0 / 6.0) / c
+        need = np.maximum(err, (_SLOPE_RATE / (_PHASE_REF * t)) * g)
+    return rate, np.fmax(rate, cap * need)
+
+
+def _cumulative(grid, rate, cap):
+    """Node count from grid[0] to each grid point at cap rad per step of
+    the rate (trapezoid rule)."""
+    return np.concatenate([[0.0], np.cumsum((0.5 / cap) * (rate[1:] + rate[:-1])
+                                            * np.diff(grid))])
+
+
+def _starting_mesh(model, x0, xmax, rtol, atol):
+    """Equidistribute the rate of _first_rates over steps of cap rad,
+    sampled on a grid that is geometric in x - x0 + d (d = x0 for x0 > 0,
+    so geometric in x); returns (mesh, q points evaluated).
+
+    Where the cap sets the step, as everywhere at rtol 1e-3, this is the
+    Liouville-Green density rate/cap, bit for bit.  The node budget
+    counts the phase alone first, so that a q whose phase is over budget
+    is refused with that count.
+    """
+    cap = _phase_step(rtol)
     span = xmax - x0
     d = x0 if x0 > 0.0 else span / _START_CELLS
     grid = (x0 - d) + d * np.exp(np.linspace(0.0, math.log1p(span / d), _START_CELLS + 1))
@@ -710,13 +786,16 @@ def _starting_mesh(model, x0, xmax, cap):
     if not np.isfinite(q).all():
         bad = float(grid[np.flatnonzero(~np.isfinite(q))[0]])
         raise IntegrationError(f"q is not finite at x = {bad:.17g}", x=bad)
-    rho = _rate(q, model.q_prime_array(grid))
-    cum = np.concatenate([[0.0], np.cumsum((0.5 / cap) * (rho[1:] + rho[:-1])
-                                           * np.diff(grid))])
-    mesh = _equidistribute(
-        grid, cum,
-        f"q is too large: its phase on [{x0:.6g}, {xmax:.6g}] at {cap:.3g} rad per step")
-    return mesh, len(grid)
+    rate, first = _first_rates(q, model.q_prime_array(grid), cap, rtol + atol)
+    cum = _cumulative(grid, first, cap)
+    what = f"q is too large: on [{x0:.6g}, {xmax:.6g}] at rtol = {rtol:g} it"
+    if not cum[-1] <= MAX_STEPS:
+        phase = _cumulative(grid, rate, cap)
+        if not phase[-1] <= MAX_STEPS:
+            cum = phase
+            what = (f"q is too large: its phase on [{x0:.6g}, {xmax:.6g}] at "
+                    f"{cap:.3g} rad per step")
+    return _equidistribute(grid, cum, what), len(grid)
 
 
 def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -744,7 +823,7 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     start = np.array([[y1, y2], [p1, p2]])
 
     cap = _phase_step(rtol)
-    mesh, q_points = _starting_mesh(model, x0, float(xmax), cap)
+    mesh, q_points = _starting_mesh(model, x0, float(xmax), rtol, atol)
     # overflow and 0/0 in a step that fails anyway become inf or NaN, and
     # NaN fails the error test
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

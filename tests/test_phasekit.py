@@ -528,7 +528,7 @@ def test_phase_of_a_pair_the_unrefined_rule_puts_on_the_wrong_branch():
     want = _combined_alpha(z1, z2, run.principal_phase.alpha, run.principal_phase.swapped)
     assert np.max(np.abs(phase_unwrap(pair).alpha - want)) <= 1e-8
 
-    i = int(np.searchsorted(pair.mesh, 61.59)) - 1  # [61.5593, 61.6257]
+    i = int(np.searchsorted(pair.mesh, 186.19)) - 1  # [186.1639, 186.2123]
     # |w|/v and its first three derivatives at the nodes, in quotient form
     q, qp = pair.q_nodes, pair.qp_nodes
     w = np.abs(z1 * d2 - d1 * z2)
