@@ -20,8 +20,8 @@ from json.encoder import encode_basestring as _json_string
 
 import numpy as np
 
-from .errors import (EvaluationError, NonOscillatoryError, OscpairsError,
-                     ParameterError, ParseError)
+from .errors import (NonOscillatoryError, OscpairsError, ParameterError,
+                     ParseError)
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, integrate_pair,
                         normalize_unit_wronskian)
 from .phasekit import appell_residual
@@ -31,7 +31,7 @@ from .principal import find_principal, predicate_grid, sufficient_conditions
 # both names in this module
 from .phasekit import phase_unwrap  # noqa: F401
 from .principal import transform_pair  # noqa: F401
-from .qfunc import CATALOG_NAMES, catalog_get, parse_q
+from .qfunc import CATALOG_NAMES, catalog_get, parse_q, require_finite
 from .zeros import gap_table
 
 NORMALIZATION_NOTE = (
@@ -86,27 +86,6 @@ def _refuse_nonpositive(lo, hi, q, where):
             f"q <= 0 on {runs} ({where}); y'' + q y = 0 need not oscillate there")
 
 
-def _q_sampled(model, xs):
-    """q at the sample points xs.  A point where q is singular or undefined
-    is refused with one error, whether the model gives a non-finite value
-    there (a catalog equation) or raises (a parsed expression)."""
-    try:
-        q = model.q_array(xs)
-        cause = ""
-    except EvaluationError as exc:
-        q = np.full_like(xs, np.nan)
-        cause = f": {exc}"
-        for i, x in enumerate(xs):
-            try:
-                q[i] = model.q(float(x))
-            except EvaluationError:
-                break
-    bad = np.flatnonzero(~np.isfinite(q))
-    if bad.size:
-        raise EvaluationError(f"q is not finite at x = {xs[bad[0]]:.17g}{cause}")
-    return q
-
-
 def _hermite_argmin(mesh, q, qp):
     """Where on each step, as a fraction t of the step, the cubic Hermite
     interpolant of q and q' at the step's two ends is least, and its value
@@ -130,15 +109,15 @@ def _hermite_argmin(mesh, q, qp):
 
 
 def _integrated_pair(config):
-    """The normalized default pair.  A q that is not finite (singular) or
-    is <= 0 is refused on the predicate grid (and, when x0 <= 0, on evenly
-    spaced points from x0 to that grid's first point) before any
-    integration, so that the phase work downstream does not fail only
-    after the whole run.  q <= 0 is refused after it at the stage points
-    of every step, which include both of its ends, and last, on the steps
-    whose cubic Hermite of q and q' dips to 0 or below, at that cubic's
-    least point; these catch a dip between two grid points and one
-    between two stage points."""
+    """The normalized default pair.  A q that is not finite (singular or
+    overflowing) or is <= 0 is refused on the predicate grid (and, when
+    x0 <= 0, on evenly spaced points from x0 to that grid's first point)
+    before any integration, so that the phase work downstream does not
+    fail only after the whole run.  q <= 0 is refused after it at the
+    stage points of every step, which include both of its ends, and last,
+    on the steps whose cubic Hermite of q and q' dips to 0 or below, at
+    that cubic's least point; these catch a dip between two grid points
+    and one between two stage points."""
     model = build_model(config)
     if not config.xmax > model.x0:
         raise ParameterError(
@@ -149,7 +128,7 @@ def _integrated_pair(config):
         n = len(xs)
         xs = np.concatenate([np.linspace(model.x0, xs[0], n, endpoint=False), xs])
         where = f"sampled at {n} evenly spaced and {n} log-spaced points"
-    _refuse_nonpositive(xs, xs, _q_sampled(model, xs), where)
+    _refuse_nonpositive(xs, xs, require_finite(xs, model.q_array(xs)), where)
     traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), config.xmax,
                           rtol=config.rtol, atol=config.atol)
     mesh = traj.mesh

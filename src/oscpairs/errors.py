@@ -18,8 +18,10 @@ class ParseError(OscpairsError):
 
 
 class EvaluationError(OscpairsError):
-    """Domain error while evaluating an expression (log of <= 0, x^y with
-    x < 0 and non-integer y, division by zero, ...)."""
+    """q is not finite at a point a run samples: singular or undefined
+    there (division by zero, log of <= 0, x^y with x < 0 and non-integer
+    y, ...) or overflowing.  Models give such a point as inf or nan; the
+    command line refuses it with this error before integrating."""
 
 
 class IntegrationError(OscpairsError):

@@ -10,25 +10,24 @@ than unary minus, so ``-x^2`` means ``-(x^2)``)::
     primary := number | ident | ident '(' expr ')' | '(' expr ')'
 
 Named parameters are folded into constants at parse time, so a parsed
-tree is a function of x alone.  Derivatives are built symbolically by
-rewriting the tree; they are never approximated by finite differences.
+tree is a function of x alone.  A tree is evaluated only by its numpy
+walk (`compile_tree`), where a fault (a singular or undefined point, or
+an overflow) is a non-finite value, not an error.  Derivatives are built
+symbolically by rewriting the tree; they are never approximated by
+finite differences.
 """
 
-import math
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import ParameterError, ParseError
 
 # ---------------------------------------------------------------------------
 # nodes
 
 class Node:
     __slots__ = ()
-
-    def eval(self, x):
-        raise NotImplementedError
 
     def deriv(self):
         raise NotImplementedError
@@ -40,9 +39,6 @@ class Num(Node):
     def __init__(self, value):
         self.value = float(value)
 
-    def eval(self, x):
-        return self.value
-
     def deriv(self):
         return Num(0.0)
 
@@ -52,9 +48,6 @@ class Num(Node):
 
 class Var(Node):
     __slots__ = ()
-
-    def eval(self, x):
-        return x
 
     def deriv(self):
         return Num(1.0)
@@ -69,9 +62,6 @@ class Neg(Node):
     def __init__(self, a):
         self.a = a
 
-    def eval(self, x):
-        return -self.a.eval(x)
-
     def deriv(self):
         return neg(self.a.deriv())
 
@@ -84,9 +74,6 @@ class Add(Node):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, x):
-        return self.a.eval(x) + self.b.eval(x)
 
     def deriv(self):
         return add(self.a.deriv(), self.b.deriv())
@@ -101,9 +88,6 @@ class Sub(Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, x):
-        return self.a.eval(x) - self.b.eval(x)
-
     def deriv(self):
         return sub(self.a.deriv(), self.b.deriv())
 
@@ -116,9 +100,6 @@ class Mul(Node):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, x):
-        return self.a.eval(x) * self.b.eval(x)
 
     def deriv(self):
         return add(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
@@ -133,12 +114,6 @@ class Div(Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, x):
-        den = self.b.eval(x)
-        if den == 0.0:
-            raise EvaluationError(f"division by zero at x = {x!r}")
-        return self.a.eval(x) / den
-
     def deriv(self):
         num = sub(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
         return div(num, pow_(self.b, Num(2.0)))
@@ -152,11 +127,6 @@ class Pow(Node):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, x):
-        base = self.a.eval(x)
-        expo = self.b.eval(x)
-        return _checked_pow(base, expo, x)
 
     def deriv(self):
         if isinstance(self.b, Num):
@@ -177,30 +147,11 @@ class Call(Node):
     def __init__(self, fname, a):
         self.fname, self.a = fname, a
 
-    def eval(self, x):
-        return _FUNCTIONS[self.fname].scalar(self.a.eval(x), x)
-
     def deriv(self):
         return _FUNCTIONS[self.fname].deriv(self.a, self.a.deriv())
 
     def __repr__(self):
         return f"Call({self.fname!r}, {self.a!r})"
-
-
-def _checked_pow(base, expo, x):
-    if base > 0.0:
-        return base ** expo
-    if base == 0.0:
-        if expo > 0.0:
-            return 0.0
-        if expo == 0.0:
-            return 1.0
-        raise EvaluationError(f"zero base with negative exponent at x = {x!r}")
-    # negative base: integer exponents only
-    if expo == round(expo):
-        return base ** expo
-    raise EvaluationError(
-        f"negative base {base!r} with non-integer exponent {expo!r} at x = {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +204,7 @@ def mul(a, b):
 def div(a, b):
     if isinstance(b, Num):
         if b.value == 0.0:
-            return Div(a, b)  # division by zero raises when evaluated
+            return Div(a, b)  # division by zero is a fault when evaluated
         if b.value == 1.0:
             return a
     if isinstance(a, Num):
@@ -271,48 +222,30 @@ def pow_(a, b):
         if b.value == 0.0:
             return Num(1.0)
         if isinstance(a, Num):
-            # fold only what evaluation would compute; a domain fault
-            # (or an overflow) stays in the tree and raises when evaluated
-            try:
-                return Num(_checked_pow(a.value, b.value, None))
-            except (EvaluationError, ArithmeticError, ValueError):
-                pass
+            # fold only a finite power; a domain fault (or an overflow)
+            # stays in the tree and is non-finite when evaluated
+            with np.errstate(all="ignore"):
+                value = np.power(a.value, b.value)
+            if np.isfinite(value):
+                return Num(value)
     return Pow(a, b)
 
 
 # ---------------------------------------------------------------------------
 # functions of the grammar
 
-# scalar: (u, x) -> f(u), raising at a domain fault; array: the numpy
-# form, non-finite at a domain fault; deriv: (a, a') -> the tree of f(a)'
-_Function = namedtuple("_Function", "scalar array deriv")
-
-
-def _log(u, x):
-    if u <= 0.0:
-        raise EvaluationError(f"log of non-positive value {u!r} at x = {x!r}")
-    return math.log(u)
-
-
-def _sqrt(u, x):
-    if u < 0.0:
-        raise EvaluationError(f"sqrt of negative value {u!r} at x = {x!r}")
-    return math.sqrt(u)
-
+# array: the numpy form, non-finite at a domain fault; deriv: (a, a') ->
+# the tree of f(a)'
+_Function = namedtuple("_Function", "array deriv")
 
 _FUNCTIONS = {
-    "sin": _Function(lambda u, x: math.sin(u), np.sin,
-                     lambda a, da: mul(Call("cos", a), da)),
-    "cos": _Function(lambda u, x: math.cos(u), np.cos,
-                     lambda a, da: neg(mul(Call("sin", a), da))),
-    "exp": _Function(lambda u, x: math.exp(u), np.exp,
-                     lambda a, da: mul(Call("exp", a), da)),
-    "log": _Function(_log, np.log, lambda a, da: div(da, a)),
-    "sqrt": _Function(_sqrt, np.sqrt,
-                      lambda a, da: div(da, mul(Num(2.0), Call("sqrt", a)))),
-    # d|u| = u/|u| * u'; evaluating at u = 0 raises, as it should
-    "abs": _Function(lambda u, x: abs(u), np.abs,
-                     lambda a, da: div(mul(a, da), Call("abs", a))),
+    "sin": _Function(np.sin, lambda a, da: mul(Call("cos", a), da)),
+    "cos": _Function(np.cos, lambda a, da: neg(mul(Call("sin", a), da))),
+    "exp": _Function(np.exp, lambda a, da: mul(Call("exp", a), da)),
+    "log": _Function(np.log, lambda a, da: div(da, a)),
+    "sqrt": _Function(np.sqrt, lambda a, da: div(da, mul(Num(2.0), Call("sqrt", a)))),
+    # d|u| = u/|u| * u'; it is a fault (nan) at u = 0, as it should be
+    "abs": _Function(np.abs, lambda a, da: div(mul(a, da), Call("abs", a))),
 }
 FUNCTIONS = tuple(_FUNCTIONS)
 
@@ -373,6 +306,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.params = params
+        self.read = set()  # the parameters the text reads
 
     def peek(self):
         return self.tokens[self.pos]
@@ -446,33 +380,44 @@ class _Parser:
             if value == "x":
                 return Var()
             if value in self.params:
+                self.read.add(value)
                 return Num(float(self.params[value]))
             raise ParseError(f"unbound identifier {value!r}", offset)
         raise ParseError(f"expected a value, found {value!r}", offset)
 
 
 def parse_expression(text, params=None):
-    """Parse ``text`` into a tree; named parameters are substituted."""
-    return _Parser(text, dict(params or {})).parse()
+    """Parse ``text`` into a tree; named parameters are substituted.
+
+    A parameter that ``text`` never reads, or one named x (x always reads
+    as the variable), would be ignored, so it raises ParameterError."""
+    parser = _Parser(text, dict(params or {}))
+    tree = parser.parse()
+    unused = sorted(set(parser.params) - parser.read)
+    if unused:
+        note = "; x is the variable" if "x" in unused else ""
+        raise ParameterError(f"{text!r}: unused parameter(s) {unused}{note}")
+    return tree
 
 
 # ---------------------------------------------------------------------------
 # compilation
 #
-# A tree compiles into its scalar tree walk and one numpy array function,
-# a walk of the tree whose cost is dominated by numpy on whole meshes.
+# A tree compiles into one numpy array function, a walk of the tree whose
+# cost is dominated by numpy on whole meshes.  It is the only evaluator
+# of a parsed q: a model's scalar forms are it at one point.
 
 
 def _fin(t, ok):
-    """Clear ok where t is not finite; those points go to the tree walk."""
+    """Clear ok where t is not finite: such a point is a fault of q."""
     ok &= np.isfinite(t)
     return t
 
 
 def _pw(base, expo, ok):
-    # a zero base takes the tree walk too: its rules (0^-n raises,
-    # (-0)^n is +0) differ from numpy's
-    ok &= base != 0.0
+    # numpy's power has the rules of the grammar: 0^p = 0 and 0^0 = 1, and
+    # 0^-p (inf) and a negative base under a fractional power (nan) are
+    # faults
     ok &= np.isfinite(expo)
     return _fin(np.power(base, expo), ok)
 
@@ -483,8 +428,8 @@ _NP_BINOPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
 def _array_eval(node, x, ok):
     """node over a 1-d array x with numpy.  Every checked or library
     result passes through `_fin`, which clears `ok` where it is not
-    finite: a domain fault, an overflow the tree walk raises for, or a
-    fault hidden by a later operation (1/(1/x) at 0 is finite in numpy)."""
+    finite: a domain fault, an overflow, or a fault hidden by a later
+    operation (1/(1/x) at 0 is finite in numpy)."""
     if isinstance(node, Num):  # numpy scalar: 1/0 must not raise here
         return np.float64(node.value)
     if isinstance(node, Var):
@@ -503,12 +448,12 @@ def _array_eval(node, x, ok):
 
 
 def compile_tree(tree):
-    """Compile a tree into (scalar, array) functions of x.
+    """Compile a tree into its numpy array function of x, of any shape.
 
-    scalar is tree.eval.  array(xs) evaluates with numpy (within 2 ulp of
-    the tree walk, as numpy's exp, log and pow may differ from libm by an
-    ulp) and re-evaluates every point where a checked intermediate is not
-    finite through the tree walk, which raises at a domain fault.
+    A point where a checked intermediate is not finite (division by zero,
+    log of a non-positive value, a negative base under a fractional
+    power, an overflow) is a fault of q and gives nan there; no error is
+    raised and no numpy warning is issued.
     """
     def array(xs):
         xs = np.asarray(xs, dtype=float)
@@ -519,8 +464,7 @@ def compile_tree(tree):
         if out is flat or np.ndim(out) == 0:  # q = x, or q free of x
             out = np.array(np.broadcast_to(out, flat.shape))
         if not ok.all():
-            bad = np.flatnonzero(~ok)
-            out[bad] = [tree.eval(float(v)) for v in flat[bad]]
+            out[~ok] = np.nan
         return out.reshape(xs.shape)
 
-    return tree.eval, array
+    return array

@@ -782,11 +782,12 @@ def _starting_mesh(model, x0, xmax, rtol, atol):
     d = x0 if x0 > 0.0 else span / _START_CELLS
     grid = (x0 - d) + d * np.exp(np.linspace(0.0, math.log1p(span / d), _START_CELLS + 1))
     grid[0], grid[-1] = x0, xmax
-    q = model.q_array(grid)
-    if not np.isfinite(q).all():
-        bad = float(grid[np.flatnonzero(~np.isfinite(q))[0]])
-        raise IntegrationError(f"q is not finite at x = {bad:.17g}", x=bad)
-    rate, first = _first_rates(q, model.q_prime_array(grid), cap, rtol + atol)
+    q, qp = model.q_array(grid), model.q_prime_array(grid)
+    for name, values in (("q", q), ("q'", qp)):  # a fault of q is inf or nan
+        if not np.isfinite(values).all():
+            bad = float(grid[np.flatnonzero(~np.isfinite(values))[0]])
+            raise IntegrationError(f"{name} is not finite at x = {bad:.17g}", x=bad)
+    rate, first = _first_rates(q, qp, cap, rtol + atol)
     cum = _cumulative(grid, first, cap)
     what = f"q is too large: on [{x0:.6g}, {xmax:.6g}] at rtol = {rtol:g} it"
     if not cum[-1] <= MAX_STEPS:

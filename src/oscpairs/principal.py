@@ -33,6 +33,7 @@ import numpy as np
 from .errors import IllConditionedError, ParameterError, WindowError
 from .integrate import _hermite_rule
 from .phasekit import _combined_alpha, _combined_phase, phase_unwrap
+from .qfunc import require_finite
 
 _MIN_FULL_SPAN_ALPHA = 0.9 * math.pi  # below this the window is not oscillatory
 _RESIDUAL_TOL = 1e-3    # |(k1, k2)| above this => undetermined
@@ -520,9 +521,8 @@ def sufficient_conditions(model, span):
     windows.
     """
     xs = predicate_grid(span)
-    q = model.q_array(xs)
-    qp = model.q_prime_array(xs)
-    qpp = model.q_second_array(xs)
+    q, qp, qpp = (require_finite(xs, f(xs), name) for f, name in (
+        (model.q_array, "q"), (model.q_prime_array, "q'"), (model.q_second_array, "q''")))
     slack_p = 1e-12 * (1.0 + np.abs(qp))
     slack_pp = 1e-12 * (1.0 + np.abs(qpp))
     h22 = q * qpp - 3.0 * qp * qp

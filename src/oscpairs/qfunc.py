@@ -4,6 +4,11 @@ Models come from a small catalog of oscillatory families or from a parsed
 arithmetic expression.  Either way the model exposes q, q' and q'' in
 closed form; downstream residual checks need far more derivative accuracy
 than finite differences can give.
+
+Each of q, q' and q'' has one evaluator, its numpy array form; the scalar
+forms are the array form at one point.  At a fault (a singular or
+undefined point, or an overflow) every model gives inf or nan, and the
+integrator and the command line refuse such a value.
 """
 
 import math
@@ -22,7 +27,9 @@ class EquationModel:
     Instances are immutable and evaluation is pure, so a model can be
     shared freely across threads.  `q`, `q_prime` and `q_second` are the
     scalar functions themselves; the `*_array` methods evaluate on numpy
-    arrays through the array forms q_arr, qp_arr and qpp_arr.
+    arrays through the array forms q_arr, qp_arr and qpp_arr.  The models
+    of `catalog_get` and `parse_q` take their scalar forms from the array
+    forms (`float(q_array(x))`).
     """
 
     __slots__ = ("source", "x0", "params", "q", "q_prime", "q_second",
@@ -63,22 +70,29 @@ def _on_array(xs, array_form):
     return np.asarray(array_form(np.asarray(xs, dtype=float)), dtype=float)
 
 
+def require_finite(xs, values, name="q"):
+    """values, the array form `name` of a model at xs; a point where they
+    are inf or nan, a fault of the model, is refused with one error."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise EvaluationError(f"{name} is not finite at x = {xs[bad]:.17g}")
+    return values
+
+
+def _point(array_form):
+    """The scalar form of an array form: its value at one point."""
+    return lambda x: float(_on_array(x, array_form))
+
+
+def _model(source, x0, params, q_arr, qp_arr, qpp_arr):
+    return EquationModel(source, x0, params,
+                         q=_point(q_arr), qp=_point(qp_arr), qpp=_point(qpp_arr),
+                         q_arr=q_arr, qp_arr=qp_arr, qpp_arr=qpp_arr)
+
+
 # ---------------------------------------------------------------------------
-# monomial helpers: every catalog entry is q(x) = c * x^e
-
-def _mono(c, e):
-    def value(x):
-        if c == 0.0 or e == 0.0:
-            return c
-        if x > 0.0:
-            return c * x ** e
-        if x == 0.0:
-            if e > 0.0:
-                return 0.0
-            raise EvaluationError(f"q singular at x = 0 (exponent {e})")
-        raise EvaluationError(f"q not defined for x = {x!r} < 0")
-    return value
-
+# every catalog entry is q(x) = c * x^e
 
 def _mono_arr(c, e):
     def value(xs):
@@ -92,15 +106,8 @@ def _mono_arr(c, e):
 
 
 def _monomial_model(source, x0, params, c, e):
-    return EquationModel(
-        source, x0, params,
-        q=_mono(c, e),
-        qp=_mono(c * e, e - 1.0),
-        qpp=_mono(c * e * (e - 1.0), e - 2.0),
-        q_arr=_mono_arr(c, e),
-        qp_arr=_mono_arr(c * e, e - 1.0),
-        qpp_arr=_mono_arr(c * e * (e - 1.0), e - 2.0),
-    )
+    return _model(source, x0, params, _mono_arr(c, e), _mono_arr(c * e, e - 1.0),
+                  _mono_arr(c * e * (e - 1.0), e - 2.0))
 
 
 def _require_params(name, params, allowed):
@@ -165,17 +172,15 @@ def parse_q(expr, params=None, x0=1.0):
     """Build a model from an arithmetic expression in x.
 
     q' and q'' come from symbolic differentiation of the parsed tree, and
-    each of the three trees becomes a scalar function, its tree walk, and
-    a numpy array function (`expressions.compile_tree`); the integrator
-    calls only the array forms.  Domain problems
-    (division by zero, log of a non-positive value, negative base under a
-    fractional power) surface as EvaluationError when a point is
-    evaluated, not at parse time.
+    each of the three trees compiles into one numpy array function
+    (`expressions.compile_tree`), whose value at one point is the scalar
+    form.  A domain fault (division by zero, log of a non-positive value,
+    negative base under a fractional power) or an overflow gives nan at
+    the point where it occurs, not an error at parse time.  A parameter
+    the expression does not read, or one named x, raises ParameterError.
     """
     params = dict(params or {})
     tree = parse_expression(expr, params)
     d1 = tree.deriv()
-    (q, q_arr), (qp, qp_arr), (qpp, qpp_arr) = (
-        compile_tree(t) for t in (tree, d1, d1.deriv()))
-    return EquationModel(f"expr:{expr}", x0, params, q=q, qp=qp, qpp=qpp,
-                         q_arr=q_arr, qp_arr=qp_arr, qpp_arr=qpp_arr)
+    return _model(f"expr:{expr}", x0, params,
+                  *(compile_tree(t) for t in (tree, d1, d1.deriv())))

@@ -85,15 +85,18 @@ def _series_jy(nu, t):
 def _normal_form_model(nu, t0):
     """u'' + (1 - (nu^2 - 1/4)/t^2) u = 0 as an equation model."""
     a = nu * nu - 0.25
-    return EquationModel(
-        f"bessel-normal-form(nu={nu})", t0, {"nu": nu},
-        q=lambda t: 1.0 - a / (t * t),
-        qp=lambda t: 2.0 * a / (t * t * t),
-        qpp=lambda t: -6.0 * a / (t * t * t * t),
-        q_arr=lambda t: 1.0 - a / (t * t),
-        qp_arr=lambda t: 2.0 * a / (t * t * t),
-        qpp_arr=lambda t: -6.0 * a / (t * t * t * t),
-    )
+
+    def q(t):
+        return 1.0 - a / (t * t)
+
+    def qp(t):
+        return 2.0 * a / (t * t * t)
+
+    def qpp(t):
+        return -6.0 * a / (t * t * t * t)
+
+    return EquationModel(f"bessel-normal-form(nu={nu})", t0, {"nu": nu},
+                         q=q, qp=qp, qpp=qpp, q_arr=q, qp_arr=qp, qpp_arr=qpp)
 
 
 def _propagate(nu, t_from, t_to):
@@ -156,6 +159,11 @@ def example1_v(nu, x):
     Wronskian 1/(nu pi), not 1, so under the unit-Wronskian convention
     used everywhere else the corresponding amplitude is nu*pi times
     this value (for the equation that pair actually solves).
+
+    That equation is y'' + x^(1/nu - 2) y = 0, not the catalog's
+    gen-airy q = (2 nu)^-2 x^(1/nu - 2): for the catalog equation the
+    argument is t = x^(1/(2 nu)), and its unit-Wronskian principal
+    amplitude is nu pi x (J_nu^2 + Y_nu^2)(x^(1/(2 nu))).
     """
     nu, x = float(nu), float(x)
     if not 0.0 < nu <= 0.5:

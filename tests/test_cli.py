@@ -110,14 +110,20 @@ def test_json_float_formatting():
 @pytest.mark.parametrize("eq, param", [("1 +\t0*x\n", None), ("1 + 0*x", 'a"b=1')])
 def test_analyze_json_escapes_strings_and_keys(capsys, eq, param):
     # the tokenizer skips the tab and newline, so they reach "equation";
-    # the quote reaches a key of "params"
+    # the quote reaches the message of the error that refuses a parameter
+    # the expression does not read (test_json_strings_escape_control_characters
+    # checks escaped keys)
     argv = ["analyze", "--eq", eq, "--xmax", "30"] + (["--param", param] if param else [])
+    if param:
+        assert main(argv) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ParameterError"
+        assert """unused parameter(s) ['a"b']""" in report["message"]
+        return
     assert main(argv) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["equation"] == "expr:" + eq
     assert report["config"]["equation"] == eq
-    if param:
-        assert list(report["params"]) == list(report["config"]["params"]) == ['a"b']
 
 
 def test_json_strings_escape_control_characters():
@@ -337,6 +343,38 @@ def test_q_too_large_for_the_node_budget_fails_fast(capsys):
     err = capsys.readouterr().err
     assert "IntegrationError" in err and "q is too large" in err
     assert "node budget" in err and "singular" not in err
+
+
+@pytest.mark.parametrize("eq, xmax", [
+    ("exp(x)", "900"), ("1 + x^400", "900"), ("x^x", "200"), ("1 + 1/exp(x^2)", "40"),
+])
+def test_overflow_in_q_is_refused_as_not_finite(capsys, eq, xmax):
+    # an overflow inside q is a non-finite value of q, refused on the
+    # predicate grid like a singular point, before any integration
+    start = time.perf_counter()
+    code = main(["analyze", "--eq", eq, "--xmax", xmax])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERIC
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "EvaluationError"
+    assert report["message"].startswith("q is not finite at x =")
+
+
+def test_overflow_in_q_writes_only_the_json_error():
+    # no traceback and no numpy warning precede the error report
+    run = _fresh_process(["analyze", "--eq", "exp(x)", "--xmax", "900"])
+    assert run.returncode == EXIT_NUMERIC
+    assert json.loads(run.stderr)["message"].startswith("q is not finite at x =")
+
+
+@pytest.mark.parametrize("param", ["x=3", "a=1"])
+def test_parameter_the_expression_does_not_read_exits_2(capsys, param):
+    # x always reads as the variable, and 2 + sin(x) reads no parameter
+    code = main(["analyze", "--eq", "2 + sin(x)", "--param", param, "--xmax", "30"])
+    assert code == EXIT_CONFIG
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ParameterError"
+    assert f"unused parameter(s) {[param[0]]}" in report["message"]
 
 
 @pytest.mark.parametrize("option, value, named", [

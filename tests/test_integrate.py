@@ -367,6 +367,15 @@ def test_node_budget_refuses_a_large_q_before_any_pass(monkeypatch):
         integrate_pair(catalog_get("constant"), (0.0, 1.0), (1.0, 0.0), 50.0)
 
 
+def test_start_grid_refuses_a_singular_q_prime():
+    # q = 1 + sqrt(x) is finite at x0 = 0, its slope 1/(2 sqrt(x)) is not:
+    # the start grid names the fault, where a nan rate would report a q
+    # "too large" for nan nodes
+    with pytest.raises(IntegrationError, match=r"^q' is not finite at x = 0$") as err:
+        integrate_pair(parse_q("sqrt(x) + 1", x0=0.0), (0.0, 1.0), (1.0, 0.0), 30.0)
+    assert err.value.x == 0.0
+
+
 def test_stalled_integration_raises_near_the_pole():
     # near the regular singular point x = 5 the error estimates reach
     # their roundoff floor, where a smaller step cannot pass either

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from oscpairs import principal
-from oscpairs.errors import IllConditionedError, ParameterError
+from oscpairs.errors import EvaluationError, IllConditionedError, ParameterError
 from oscpairs.integrate import PairTrajectory, _hermite_rule, _rate
 from oscpairs.phasekit import phase_unwrap
 from oscpairs.principal import (CombinationCoefficients, classify,
                                 coefficient_matrix, find_principal,
                                 sufficient_conditions, transform_pair, _fit,
                                 _residual_amplitudes, _sheet_minimizer, _window_samples)
-from oscpairs.qfunc import catalog_get
+from oscpairs.qfunc import catalog_get, parse_q
 from oscpairs.verify import catalog_run, unimodular_scrambles
 
 
@@ -450,6 +450,13 @@ def test_sufficient_conditions_constant():
     assert rep.remark_finite_q.status == "holds"
     assert rep.q_trend == "finite-positive"
 
+
+def test_sufficient_conditions_refuse_a_fault_on_the_grid():
+    # q is finite, but its slope (x - c)/|x - c| is undefined (nan) at the
+    # grid point c: the predicates refuse it rather than test a nan sign
+    c = float(principal.predicate_grid((1.0, 20.0))[20])
+    with pytest.raises(EvaluationError, match=f"^q' is not finite at x = {c!r}$"):
+        sufficient_conditions(parse_q("2 + abs(x - c)", {"c": c}), (1.0, 20.0))
 
 
 def _subsampled(traj, step=0.5):

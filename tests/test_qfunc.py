@@ -1,25 +1,11 @@
 import numpy as np
 import pytest
 
-from oscpairs.errors import EvaluationError, ParameterError
+from oscpairs.errors import ParameterError
 from oscpairs.qfunc import CATALOG_NAMES, EquationModel, catalog_get, parse_q
+from oscpairs.verify import _fd_consistency as fd_check
 
 FD_TOL = 1e-6
-
-
-def fd_check(model, lo=None, hi=None, n=64):
-    """Centered-difference consistency of q' and q'' on a log grid."""
-    lo = lo if lo is not None else (model.x0 if model.x0 > 0 else 1.0)
-    hi = hi if hi is not None else 1e3 * lo
-    worst = 0.0
-    for x in np.geomspace(lo, hi, n):
-        h = 1e-5 * (1.0 + x)
-        q_m, qp_m, _ = model.evaluate(x - h)
-        q_p, qp_p, _ = model.evaluate(x + h)
-        _, qp, qpp = model.evaluate(x)
-        worst = max(worst, abs((q_p - q_m) / (2 * h) - qp) / (1.0 + abs(qp)))
-        worst = max(worst, abs((qp_p - qp_m) / (2 * h) - qpp) / (1.0 + abs(qpp)))
-    return worst
 
 
 def test_gen_airy_values():
@@ -101,11 +87,11 @@ def test_parsed_matches_catalog(name, params, expr):
     bind = {k: v for k, v in bind.items() if v is not None}
     cat = catalog_get(name, params)
     par = parse_q(expr, bind)
-    for x in np.geomspace(max(cat.x0, 0.5), 1000.0, 64):
-        qc = cat.q(x)
-        assert abs(par.q(x) - qc) <= 1e-12 * max(abs(qc), 1e-300)
-        qpc = cat.q_prime(x)
-        assert abs(par.q_prime(x) - qpc) <= 1e-12 * (1.0 + abs(qpc))
+    xs = np.geomspace(max(cat.x0, 0.5), 1000.0, 64)
+    qc = cat.q_array(xs)
+    assert np.all(np.abs(par.q_array(xs) - qc) <= 1e-12 * np.maximum(np.abs(qc), 1e-300))
+    qpc = cat.q_prime_array(xs)
+    assert np.all(np.abs(par.q_prime_array(xs) - qpc) <= 1e-12 * (1.0 + np.abs(qpc)))
 
 
 def test_catalog_names_exported():
@@ -188,11 +174,9 @@ def _draw_model(rng, xs, h):
     pts = (xs[:, None] + h * np.arange(-2, 3)).ravel()
     while True:
         model = parse_q(_random_expression(rng, 3)[0])
-        try:
-            vals = np.array([model.evaluate(float(x)) for x in pts])
-        except (EvaluationError, OverflowError):
-            continue
-        if np.all(np.abs(vals) < 1e4):
+        # a fault is nan, which fails the test too
+        if all(np.all(np.abs(f(pts)) < 1e4)
+               for f in (model.q_array, model.q_prime_array, model.q_second_array)):
             return model
 
 
@@ -204,13 +188,13 @@ def test_parsed_derivatives_of_random_expressions():
     def centred(f):  # fourth order: error h^4 f^(5) / 30
         return (f(xs - 2 * h) - 8 * f(xs - h) + 8 * f(xs + h) - f(xs + 2 * h)) / (12 * h)
 
-    for _ in range(40):
+    for k in range(40):
         model = _draw_model(rng, xs, h)
         for f, df in ((model.q_array, model.q_prime_array),
                       (model.q_prime_array, model.q_second_array)):
             want = df(xs)
             assert np.max(np.abs(centred(f) - want)) <= FD_TOL * (1.0 + np.max(np.abs(want))), model
-        for array, scalar in ((model.q_array, model.q), (model.q_prime_array, model.q_prime),
-                              (model.q_second_array, model.q_second)):
-            want = np.array([scalar(float(x)) for x in xs])
-            assert np.max(np.abs(array(xs) - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))), model
+        # the scalar forms are the array forms at one point
+        i = 17 * k % len(xs)
+        want = [f(xs)[i] for f in (model.q_array, model.q_prime_array, model.q_second_array)]
+        assert model.evaluate(float(xs[i])) == tuple(want), model
