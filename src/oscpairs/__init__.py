@@ -12,7 +12,7 @@ from .principal import (CombinationCoefficients, PredicateReport,
                         coefficient_matrix, find_principal,
                         sufficient_conditions, transform_pair)
 from .qfunc import CATALOG_NAMES, EquationModel, catalog_get, parse_q
-from .specfun import BesselValue, bessel_jy, example1_v, gamma, modulus
+from .specfun import BesselValue, bessel_jy, example1_v, modulus
 from .zeros import ZeroGapTable, critical_point_residual, gap_table, zeros_of
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "WindowError", "ZeroGapTable", "appell_residual",
     "bessel_jy", "catalog_get", "classify", "coefficient_matrix",
     "critical_point_residual", "example1_v",
-    "find_principal", "gamma", "gap_table", "integrate_pair", "modulus",
+    "find_principal", "gap_table", "integrate_pair", "modulus",
     "normalize_unit_wronskian", "parse_q", "phase_unwrap",
     "sufficient_conditions", "transform_pair",
     "zeros_of",

@@ -25,7 +25,8 @@ from .errors import (NonOscillatoryError, OscpairsError, ParameterError,
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, integrate_pair,
                         normalize_unit_wronskian)
 from .phasekit import appell_residual
-from .principal import find_principal, predicate_grid, sufficient_conditions
+from .principal import (DEFAULT_WINDOW_FRACTION, find_principal, predicate_grid,
+                        sufficient_conditions)
 # not called here since the finder hands back the principal pair and its
 # phase; the traced benchmark run (perfbench/tracing.py) still rebinds
 # both names in this module
@@ -55,7 +56,7 @@ class RunConfig:
     xmax: float = 100.0
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    window_fraction: float = 0.25
+    window_fraction: float = DEFAULT_WINDOW_FRACTION
     out: str | None = None
 
     def validate(self):
@@ -310,7 +311,7 @@ def _parser():
         p.add_argument("--xmax", type=float, default=100.0)
         p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
         p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-        p.add_argument("--window", type=float, default=0.25,
+        p.add_argument("--window", type=float, default=DEFAULT_WINDOW_FRACTION,
                        help="tail window fraction in (0, 0.5]")
         p.add_argument("--out", default=None)
 

@@ -18,10 +18,15 @@ class ParseError(OscpairsError):
 
 
 class EvaluationError(OscpairsError):
-    """q is not finite at a point a run samples: singular or undefined
-    there (division by zero, log of <= 0, x^y with x < 0 and non-integer
-    y, ...) or overflowing.  Models give such a point as inf or nan; the
-    command line refuses it with this error before integrating."""
+    """q or a derivative is not finite at a point a run samples: singular
+    or undefined there (division by zero, log of <= 0, x^y with x < 0 and
+    non-integer y, ...) or overflowing.  Models give such a point as inf
+    or nan, and qfunc.require_finite refuses it with this error wherever
+    a run samples it; carries that point."""
+
+    def __init__(self, message, x=None):
+        super().__init__(message)
+        self.x = x
 
 
 class IntegrationError(OscpairsError):

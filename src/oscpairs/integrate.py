@@ -52,7 +52,10 @@ that a caller that needs both locates the points once.  The Newton
 rounds of zeros run the same contraction on end data gathered once per
 bracket.  The final pass also keeps the least q at the stage points of
 each step, both ends included, so that a dip to q <= 0 between two
-nodes can be refused.
+nodes can be refused.  A q or q' that is not finite where the start grid
+samples them, or a q that is not finite at a stage point of a pass, is a
+fault of the model: qfunc.require_finite refuses it with an
+EvaluationError that names the point.
 
 References
 ----------
@@ -69,6 +72,7 @@ import math
 import numpy as np
 
 from .errors import IntegrationError, ParameterError
+from .qfunc import require_finite
 
 # DOP853 tableau (Hairer, Norsett & Wanner, "Solving Ordinary
 # Differential Equations I", sec. II.10; the values scipy.integrate
@@ -620,13 +624,11 @@ def _integration_pass(model, mesh, start, rtol, atol):
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
         x, h = mesh[i:j], mesh[i + 1:j + 1] - mesh[i:j]
-        q = np.concatenate([q_nodes[None, i:j], model.q_array(x + _C[1:-1, None] * h),
-                            q_nodes[None, i + 1:j + 1]])
-        if not np.isfinite(q).all():
-            bad = np.flatnonzero(~np.isfinite(q).all(axis=0))[0]
-            raise IntegrationError(
-                f"q is not finite on the step from x = {x[bad]:.17g} "
-                "(q singular there?)", x=float(x[bad]))
+        inner = x + _C[1:-1, None] * h  # the interior stage points
+        q = require_finite(
+            lambda: np.concatenate([x[None], inner, mesh[None, i + 1:j + 1]]),
+            np.concatenate([q_nodes[None, i:j], model.q_array(inner),
+                            q_nodes[None, i + 1:j + 1]]))
         t, hk = _stage_terms(h, q)
         after = _prefix_states(t, s)
         before = np.concatenate([s[:, :, None], after[:, :, :-1]], axis=2)
@@ -782,11 +784,8 @@ def _starting_mesh(model, x0, xmax, rtol, atol):
     d = x0 if x0 > 0.0 else span / _START_CELLS
     grid = (x0 - d) + d * np.exp(np.linspace(0.0, math.log1p(span / d), _START_CELLS + 1))
     grid[0], grid[-1] = x0, xmax
-    q, qp = model.q_array(grid), model.q_prime_array(grid)
-    for name, values in (("q", q), ("q'", qp)):  # a fault of q is inf or nan
-        if not np.isfinite(values).all():
-            bad = float(grid[np.flatnonzero(~np.isfinite(values))[0]])
-            raise IntegrationError(f"{name} is not finite at x = {bad:.17g}", x=bad)
+    q = require_finite(grid, model.q_array(grid))
+    qp = require_finite(grid, model.q_prime_array(grid), "q'")
     rate, first = _first_rates(q, qp, cap, rtol + atol)
     cum = _cumulative(grid, first, cap)
     what = f"q is too large: on [{x0:.6g}, {xmax:.6g}] at rtol = {rtol:g} it"
@@ -803,7 +802,10 @@ def integrate_pair(model, ic1, ic2, xmax, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Advance both solutions jointly from model.x0 to xmax.
 
     ic1 and ic2 are (y, y') at x0 and must be linearly independent.
-    The node budget MAX_STEPS is checked before every pass is built.
+    The node budget MAX_STEPS is checked before every pass is built.  A q
+    or q' that is not finite where a run samples it raises
+    EvaluationError; a run over the node budget, one that stalls and
+    solutions that overflow raise IntegrationError.
     """
     if not 1e-13 <= rtol <= 1e-3:
         raise ParameterError(f"rtol must lie in [1e-13, 1e-3], got {rtol}")

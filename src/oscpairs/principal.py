@@ -42,6 +42,8 @@ _VP_FLOOR = 1e-8        # relative change of the v' means that counts as settled
 _PREDICATE_GRID_N = 64  # log-grid points of the hypothesis predicates
 _MIN_SAMPLES = 24       # samples of a window fit: well above its 10 columns
 _MIN_WINDOW_PHASE = 0.5  # rad of phase a classification window spans at least
+# the tail window of find_principal, as a fraction of the span: its last quarter
+DEFAULT_WINDOW_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def _sheet_minimizer(cov):
     """
     cov = np.asarray(cov, dtype=float)
     if not np.all(np.isfinite(cov)):
-        raise IllConditionedError("variance covariance of vbar' is not finite")
+        raise IllConditionedError("variance covariance of vbar' has an inf or nan entry")
     _, vecs = np.linalg.eig(_J_INV @ cov)
     vecs = vecs.real
     jnorm = (vecs * (_J @ vecs)).sum(axis=0)
@@ -264,7 +266,7 @@ def find_principal(traj, window=None):
     phase = phase_unwrap(traj)
     x0, xmax = traj.x0, traj.xmax
     if window is None:
-        window = (xmax - 0.25 * (xmax - x0), xmax)
+        window = (xmax - DEFAULT_WINDOW_FRACTION * (xmax - x0), xmax)
 
     total_alpha = abs(phase.alpha[-1] - phase.alpha[0])
     if total_alpha < _MIN_FULL_SPAN_ALPHA:
@@ -491,12 +493,11 @@ class PredicateReport:
     q_trend: str                 # divergent | finite-positive | decaying | unclear
 
 
-def _sign_check(values, sign, slack):
-    """Count where sign*values < -slack; return (n_fail, first_index)."""
-    bad = sign * values < -slack
+def _failures(bad):
+    """(number of failing points, index of the first or None) of the mask
+    bad."""
     n = int(bad.sum())
-    first = int(np.argmax(bad)) if n else None
-    return n, first
+    return n, (int(np.argmax(bad)) if n else None)
 
 
 def predicate_grid(span):
@@ -518,7 +519,9 @@ def sufficient_conditions(model, span):
 
     Report-only; each predicate comes back with holds / fails (and where)
     / not-decidable, plus the estimated trend of q from the last dyadic
-    windows.
+    windows.  A failing predicate's n_fail counts the grid points where
+    any of its sign hypotheses fails, each point once, and first_fail_x
+    is the first of them.
     """
     xs = predicate_grid(span)
     q, qp, qpp = (require_finite(xs, f(xs), name) for f, name in (
@@ -545,20 +548,19 @@ def sufficient_conditions(model, span):
         return PredicateResult(status, first, n_fail, _PREDICATE_GRID_N, note)
 
     # corollary 1 and the remark share their sign hypotheses and differ
-    # only in the trend of q they ask for
-    n1p, i1p = _sign_check(qp, 1.0, slack_p)     # q' >= 0
-    n1pp, i1pp = _sign_check(-qpp, 1.0, slack_pp)  # q'' <= 0
-    if n1p + n1pp > 0:
-        c1 = rm = result("fails", float(xs[i1p] if n1p else xs[i1pp]),
-                         n1p + n1pp, "sign hypotheses fail")
+    # only in the trend of q they ask for; a point fails them once, where
+    # q' >= 0 or q'' <= 0 fails
+    n1, i1 = _failures((qp < -slack_p) | (qpp > slack_pp))
+    if n1 > 0:
+        c1 = rm = result("fails", float(xs[i1]), n1, "sign hypotheses fail")
     else:
         undecided = result("not-decidable", note=f"signs hold but q trend is {trend}")
         c1 = result("holds") if trend == "divergent" else undecided
         rm = (result("holds", note=f"q levels off near {m_last:.6g}")
               if trend == "finite-positive" else undecided)
 
-    n2p, i2p = _sign_check(-qp, 1.0, slack_p)    # q' <= 0
-    n2h, i2h = _sign_check(h22, 1.0, slack_22)   # q q'' - 3 q'^2 >= 0
+    n2p, i2p = _failures(qp > slack_p)          # q' <= 0
+    n2h, i2h = _failures(h22 < -slack_22)       # q q'' - 3 q'^2 >= 0
     if n2p > 0:
         c2 = result("fails", float(xs[i2p]), n2p, "q' changes sign")
     elif n2h > 0:

@@ -7,8 +7,10 @@ than finite differences can give.
 
 Each of q, q' and q'' has one evaluator, its numpy array form; the scalar
 forms are the array form at one point.  At a fault (a singular or
-undefined point, or an overflow) every model gives inf or nan, and the
-integrator and the command line refuse such a value.
+undefined point, or an overflow) every model gives inf or nan, and
+require_finite, the one check of a fault, refuses such a value wherever
+a run samples q: the integrator, the hypothesis predicates and the
+command line.
 """
 
 import math
@@ -71,12 +73,14 @@ def _on_array(xs, array_form):
 
 
 def require_finite(xs, values, name="q"):
-    """values, the array form `name` of a model at xs; a point where they
-    are inf or nan, a fault of the model, is refused with one error."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)[0]
-        raise EvaluationError(f"{name} is not finite at x = {xs[bad]:.17g}")
+    """values, the array form `name` of a model at the points xs (of the
+    same shape); the least x where they are inf or nan, a fault of the
+    model, is refused with one error.  xs may be a function that returns
+    the points, so that a caller builds them only on a fault."""
+    if not np.isfinite(values).all():
+        xs = xs() if callable(xs) else xs
+        x = float(np.min(xs[~np.isfinite(values)]))
+        raise EvaluationError(f"{name} is not finite at x = {x:.17g}", x=x)
     return values
 
 

@@ -6,7 +6,9 @@ connection formula Y_nu = (J_nu cos(nu pi) - J_{-nu}) / sin(nu pi);
 larger arguments propagate u = sqrt(t) Z_nu(t) through the normal-form
 equation u'' + (1 - (nu^2 - 1/4)/t^2) u = 0 with the pair integrator,
 seeded from series values at t = 2 (the alternating series loses digits
-well before the asymptotic range begins).
+well before the asymptotic range begins).  That equation is a parsed
+model (qfunc.parse_q), so its q' and q'' are the symbolic derivatives,
+as for any other expression; the series takes Gamma from math.gamma.
 
 References
 ----------
@@ -18,31 +20,11 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .integrate import integrate_pair
-from .qfunc import EquationModel
+from .qfunc import parse_q
 
 _SERIES_PROPAGATE_SPLIT = 2.0
 _PROPAGATE_RTOL = 1e-12
 _PROPAGATE_ATOL = 1e-15
-
-# Lanczos coefficients, g = 7
-_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-            771.32342877765313, -176.61502916214059, 12.507343278686905,
-            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-
-
-def gamma(z):
-    """Real gamma function, ~1e-13 relative accuracy."""
-    if z < 0.5:
-        s = math.sin(math.pi * z)
-        if s == 0.0:
-            raise ParameterError(f"gamma pole at z = {z}")
-        return math.pi / (s * gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 @dataclass(frozen=True)
@@ -54,7 +36,7 @@ class BesselValue:
 
 def _series_j(mu, t):
     """(J_mu(t), J_mu'(t)) by the ascending series; fine for t <= ~2."""
-    term = (0.5 * t) ** mu / gamma(mu + 1.0)
+    term = (0.5 * t) ** mu / math.gamma(mu + 1.0)
     j = term
     jp = term * mu / t
     k = 0
@@ -84,19 +66,7 @@ def _series_jy(nu, t):
 
 def _normal_form_model(nu, t0):
     """u'' + (1 - (nu^2 - 1/4)/t^2) u = 0 as an equation model."""
-    a = nu * nu - 0.25
-
-    def q(t):
-        return 1.0 - a / (t * t)
-
-    def qp(t):
-        return 2.0 * a / (t * t * t)
-
-    def qpp(t):
-        return -6.0 * a / (t * t * t * t)
-
-    return EquationModel(f"bessel-normal-form(nu={nu})", t0, {"nu": nu},
-                         q=q, qp=qp, qpp=qpp, q_arr=q, qp_arr=qp, qpp_arr=qpp)
+    return parse_q("1 - a/x^2", {"a": nu * nu - 0.25}, x0=t0)
 
 
 def _propagate(nu, t_from, t_to):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from oscpairs import integrate
-from oscpairs.errors import IntegrationError, ParameterError
+from oscpairs.errors import EvaluationError, IntegrationError, ParameterError
 from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian)
 from oscpairs.principal import transform_pair
@@ -371,9 +371,23 @@ def test_start_grid_refuses_a_singular_q_prime():
     # q = 1 + sqrt(x) is finite at x0 = 0, its slope 1/(2 sqrt(x)) is not:
     # the start grid names the fault, where a nan rate would report a q
     # "too large" for nan nodes
-    with pytest.raises(IntegrationError, match=r"^q' is not finite at x = 0$") as err:
+    with pytest.raises(EvaluationError, match=r"^q' is not finite at x = 0$") as err:
         integrate_pair(parse_q("sqrt(x) + 1", x0=0.0), (0.0, 1.0), (1.0, 0.0), 30.0)
     assert err.value.x == 0.0
+
+
+def test_pass_names_a_fault_at_a_stage_point():
+    # q = (x - c)/(x - c) is 1, with q' = 0, everywhere but at c, where
+    # it is nan; c is a stage point of a step of the first mesh, whose
+    # start is not c: the pass names c itself
+    mesh, _ = integrate._starting_mesh(parse_q("1", x0=1.0), 1.0, 20.0,
+                                       integrate.DEFAULT_RTOL, integrate.DEFAULT_ATOL)
+    k = len(mesh) // 2
+    c = mesh[k] + integrate._C[5] * (mesh[k + 1] - mesh[k])
+    model = parse_q("(x - c)/(x - c)", {"c": float(c)}, x0=1.0)
+    with pytest.raises(EvaluationError, match=f"^q is not finite at x = {float(c)!r}$") as err:
+        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 20.0)
+    assert err.value.x == c
 
 
 def test_stalled_integration_raises_near_the_pole():

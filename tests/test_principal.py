@@ -451,6 +451,23 @@ def test_sufficient_conditions_constant():
     assert rep.q_trend == "finite-positive"
 
 
+def test_sufficient_conditions_count_each_failing_point_once():
+    # on 1/x both q' < 0 and q'' > 0 fail at every grid point: 64 of 64
+    rep = sufficient_conditions(catalog_get("inverse-x"), (1.0, 400.0))
+    for res in (rep.corollary1, rep.remark_finite_q):
+        assert (res.status, res.n_fail, res.n_checked) == ("fails", 64, 64)
+    # q = 3 - cos x: q'' = cos x > 0 fails on [1, pi/2) and (3 pi/2, 7],
+    # q' = sin x < 0 on (pi, 2 pi); the stretches overlap on (3 pi/2, 2 pi)
+    xs = principal.predicate_grid((1.0, 7.0))
+    qp_fails, qpp_fails = np.sin(xs) < 0.0, np.cos(xs) > 0.0
+    assert (qp_fails & qpp_fails).any() and (qp_fails & ~qpp_fails).any()
+    rep = sufficient_conditions(parse_q("3 - cos(x)"), (1.0, 7.0))
+    for res in (rep.corollary1, rep.remark_finite_q):
+        assert res.status == "fails"
+        assert res.n_fail == np.count_nonzero(qp_fails | qpp_fails)
+        assert res.first_fail_x == xs[0]  # where q'' fails, before q' does
+
+
 def test_sufficient_conditions_refuse_a_fault_on_the_grid():
     # q is finite, but its slope (x - c)/|x - c| is undefined (nan) at the
     # grid point c: the predicates refuse it rather than test a nan sign

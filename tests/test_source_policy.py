@@ -44,3 +44,20 @@ def test_package_does_not_import_scipy():
         found += [f"{name}:{node.lineno} {m}" for m in modules
                   if m.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_qfunc_alone_builds_models_and_names_a_fault_of_q():
+    # every model comes from qfunc, and qfunc.require_finite is the one
+    # check that refuses a q that is not finite
+    built, refused = [], []
+    for name, node in _package_nodes():
+        if name == "qfunc.py":
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "EquationModel"):
+            built.append(f"{name}:{node.lineno}")
+        if isinstance(node, ast.Raise):
+            refused += [f"{name}:{node.lineno}" for part in ast.walk(node)
+                        if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                        and "is not finite" in part.value]
+    assert built == [] and refused == []

@@ -4,21 +4,9 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import ParameterError
-from oscpairs.specfun import (_propagate, _series_jy, bessel_jy, example1_v,
-                              gamma, modulus)
+from oscpairs.specfun import _propagate, _series_jy, bessel_jy, example1_v, modulus
 
 TWO_OVER_PI = 2.0 / math.pi
-
-
-def test_gamma_half():
-    assert abs(gamma(0.5) - math.sqrt(math.pi)) <= 1e-12
-
-
-def test_gamma_recursion():
-    rng = np.random.default_rng(11)
-    for z in rng.uniform(0.1, 5.0, 12):
-        assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-13)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
 
 def test_half_order_closed_forms():
