@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from oscpairs import (catalog_get, example1_v, find_principal, integrate_pair,
-                      modulus, phase_unwrap, transform_pair)
+from oscpairs import catalog_get, example1_v, find_principal, integrate_pair, modulus
 
 print("modulus M_nu(t) = t (J_nu^2 + Y_nu^2), increasing to 2/pi = %.6f:"
       % (2.0 / math.pi))
@@ -29,8 +28,7 @@ for x in (10.0, 100.0):
 
 model = catalog_get("gen-airy", {"nu": nu})
 traj = integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 150.0)
-report = find_principal(traj)
-phase = phase_unwrap(transform_pair(traj, report.matrix))
+phase = find_principal(traj).phase
 i = np.searchsorted(phase.grid, 100.0)
 x = float(phase.grid[i])
 t = x ** (1.0 / (2.0 * nu))

@@ -218,10 +218,9 @@ def fast_suite(rtol=None):
     j = bessel_jy(0.5, math.pi / 2)
     checks.append(_le("J_{1/2}(pi/2) closed form", abs(j.J - 2.0 / math.pi), 1e-12))
     worstw = 0.0
-    from .specfun import _propagate
-    tr = _propagate(1.0 / 3.0, 2.0, 80.0)
-    wn = tr.wronskian_nodes()
-    worstw = np.max(np.abs(wn - 2.0 / math.pi)) * math.pi / 2.0
+    for t in np.geomspace(0.3, 80.0, 20):  # both routes: series and Hankel
+        b = bessel_jy(1.0 / 3.0, t)
+        worstw = max(worstw, abs((b.J * b.Yp - b.Jp * b.Y) * math.pi * t / 2.0 - 1.0))
     checks.append(_le("bessel wronskian 2/(pi t)", worstw, 1e-9))
     worstm = max(abs(modulus(0.5, t) - 2.0 / math.pi) for t in
                  np.geomspace(0.3, 80.0, 20))

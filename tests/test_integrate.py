@@ -12,6 +12,7 @@ from oscpairs.integrate import (PairTrajectory, integrate_pair,
                                 normalize_unit_wronskian)
 from oscpairs.principal import transform_pair
 from oscpairs.qfunc import EquationModel, catalog_get, parse_q
+from oscpairs.specfun import bessel_jy
 from oscpairs.verify import _CASES, catalog_run
 
 
@@ -33,6 +34,25 @@ def test_cauchy_euler_closed_form_oracle():
     y1 = traj.evaluate(x, nder=0)["y1"]
     exact = math.sqrt(x) * math.sin(s * math.log(x))
     assert abs(y1 - exact) / abs(exact) <= 1e-7
+
+
+@pytest.mark.parametrize("nu", [0.1, 1.0 / 3.0, 0.45])
+def test_bessel_normal_form_against_the_closed_oracle(nu):
+    # u = sqrt(t) Z_nu(t) solves u'' + (1 - (nu^2 - 1/4)/t^2) u = 0; seeded
+    # from bessel_jy at t = 2 and integrated to 100, the pair must give
+    # back J and Y from the series and Hankel's expansion at the nodes
+    b = bessel_jy(nu, 2.0)
+    r = math.sqrt(2.0)
+    model = parse_q("1 - a/x^2", {"a": nu * nu - 0.25}, x0=2.0)
+    traj = integrate_pair(model, (r * b.J, 0.5 * b.J / r + r * b.Jp),
+                          (r * b.Y, 0.5 * b.Y / r + r * b.Yp), 100.0,
+                          rtol=1e-12, atol=1e-15)
+    worst = 0.0
+    for t, (uj, _, uy, _) in zip(traj.mesh, traj.states):
+        want = bessel_jy(nu, t)
+        err = max(abs(uj / math.sqrt(t) - want.J), abs(uy / math.sqrt(t) - want.Y))
+        worst = max(worst, err / math.hypot(want.J, want.Y))
+    assert worst <= 1e-10
 
 
 @pytest.mark.parametrize("ic1,ic2", [((0.0, 1.0), (1.0, 0.0)),

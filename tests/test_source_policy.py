@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import oscpairs
 
@@ -61,3 +62,26 @@ def test_qfunc_alone_builds_models_and_names_a_fault_of_q():
                         if isinstance(part, ast.Constant) and isinstance(part.value, str)
                         and "is not finite" in part.value]
     assert built == [] and refused == []
+
+
+def test_specfun_is_a_leaf_without_module_state():
+    # the Bessel oracle checks the integrator and the pipeline, so it runs
+    # none of their code, and it keeps no cache between calls
+    path = pathlib.Path(oscpairs.__file__).parent / "specfun.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, state = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if (isinstance(value, (ast.Dict, ast.List, ast.DictComp, ast.ListComp))
+                    or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id in ("dict", "list")):
+                state.append(node.lineno)
+    assert [m for m in imported if m != ".errors"
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
+    assert state == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import ParameterError
-from oscpairs.specfun import _propagate, _series_jy, bessel_jy, example1_v, modulus
+from oscpairs.specfun import _hankel_jy, _series_jy, bessel_jy, example1_v, modulus
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -17,30 +17,27 @@ def test_half_order_closed_forms():
     assert v.Y == pytest.approx(math.sqrt(2.0) / math.pi, abs=1e-12)
 
 
-def test_method_tag_switches_at_two():
-    assert bessel_jy(0.3, 1.5).method == "series"
-    assert bessel_jy(0.3, 2.5).method == "propagated"
+def test_method_tag_switches_at_the_hand_over():
+    assert bessel_jy(0.3, 29.9).method == "series"
+    assert bessel_jy(0.3, 30.0).method == "asymptotic"
 
 
 def test_two_route_consistency():
-    # series value at t = 2 vs propagation restarted from t = 1
-    for nu in (0.2, 1.0 / 3.0, 0.45):
-        j2, _, y2, _ = _series_jy(nu, 2.0)
-        traj = _propagate(nu, 1.0, 2.5)
-        u = traj.evaluate(2.0, nder=0)
-        assert abs(u["y1"] / math.sqrt(2.0) - j2) <= 1e-10
-        assert abs(u["y2"] / math.sqrt(2.0) - y2) <= 1e-10
+    # the series and Hankel's expansion on both sides of the hand-over
+    for nu in (0.1, 0.2, 1.0 / 3.0, 0.45, 0.9):
+        for t in (20.0, 25.0, 29.9, 30.0, 35.0, 50.0):
+            series, hankel = _series_jy(nu, t), _hankel_jy(nu, t)
+            amp = math.hypot(series[0], series[2])
+            assert max(abs(a - b) for a, b in zip(series, hankel)) <= 1e-13 * amp
 
 
 def test_wronskian_relation():
-    # u_J u_Y' - u_J' u_Y = 2/pi all along the propagation, which is the
-    # normal-form version of J Y' - J' Y = 2/(pi t)
-    for nu in (0.1, 1.0 / 3.0, 0.45):
-        traj = _propagate(nu, 2.0, 100.0)
-        idx = np.unique(np.searchsorted(
-            traj.mesh, np.geomspace(2.5, 99.0, 20)))
-        w = traj.wronskian_nodes()[idx]
-        assert np.max(np.abs(w - TWO_OVER_PI)) <= 1e-9 * TWO_OVER_PI
+    # J Y' - J' Y = 2/(pi t), which each route has to satisfy on its own
+    for nu in (0.1, 1.0 / 3.0, 0.45, 0.9):
+        for t in np.geomspace(0.1, 1e3, 40):
+            b = bessel_jy(nu, t)
+            w = b.J * b.Yp - b.Jp * b.Y
+            assert abs(w * math.pi * t / 2.0 - 1.0) <= 1e-13
 
 
 def test_scipy_oracle():
@@ -52,6 +49,21 @@ def test_scipy_oracle():
             worst = max(worst, abs(got.J - special.jv(nu, t)),
                         abs(got.Y - special.yv(nu, t)))
     assert worst <= 1e-10
+
+
+def test_scipy_oracle_with_derivatives_to_a_thousand():
+    # J, J', Y and Y' against scipy, relative to the amplitude sqrt(J^2 + Y^2);
+    # most of the 6e-14 seen on [2, 30) is scipy's own error
+    special = pytest.importorskip("scipy.special")
+    for nu in (0.1, 0.25, 1.0 / 3.0, 0.4, 0.45, 0.49, 0.5, 0.9):
+        for t in np.geomspace(2.0, 1e3, 60):
+            got = bessel_jy(nu, t)
+            want = (special.jv(nu, t), special.jvp(nu, t),
+                    special.yv(nu, t), special.yvp(nu, t))
+            amp = math.hypot(want[0], want[2])
+            err = max(abs(a - b) for a, b in
+                      zip((got.J, got.Jp, got.Y, got.Yp), want))
+            assert err <= 1e-13 * amp, (nu, t, err / amp)
 
 
 def test_modulus_half_order_constant():
@@ -127,3 +139,9 @@ def test_validation():
         example1_v(0.6, 1.0)
     with pytest.raises(ParameterError):
         example1_v(0.3, -1.0)
+    with pytest.raises(ParameterError, match="argument t"):
+        bessel_jy(0.3, math.nan)
+    with pytest.raises(ParameterError, match="argument t"):
+        bessel_jy(0.3, math.inf)
+    with pytest.raises(ParameterError, match="finite x"):
+        example1_v(0.3, math.inf)
