@@ -10,13 +10,16 @@ than unary minus, so ``-x^2`` means ``-(x^2)``)::
     primary := number | ident | ident '(' expr ')' | '(' expr ')'
 
 Named parameters are folded into constants at parse time, so a parsed
-tree is a function of x alone.  A tree is evaluated only by its numpy
-walk (`compile_tree`), where a fault (a singular or undefined point, or
-an overflow) is a non-finite value, not an error.  Derivatives are built
-symbolically by rewriting the tree; they are never approximated by
-finite differences.
+tree is a function of x alone.  A tree is evaluated only through
+`compile_tree`, which turns it once into numpy closures, and where a
+fault (a singular or undefined point, or an overflow) is nan, not an
+error.  Derivatives are built symbolically by rewriting the tree; they
+are never approximated by finite differences.
 """
 
+import functools
+import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -102,6 +105,8 @@ class Mul(Node):
         self.a, self.b = a, b
 
     def deriv(self):
+        if isinstance(self.a, Num):  # (c u)' = c u'
+            return mul(self.a, self.b.deriv())
         return add(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
 
     def __repr__(self):
@@ -193,6 +198,11 @@ def mul(a, b):
             return Num(0.0)
         if a.value == 1.0:
             return b
+        if isinstance(b, Mul) and isinstance(b.a, Num):
+            # c (d u) = (c d) u, where c d neither overflows nor vanishes
+            cd = a.value * b.a.value
+            if cd != 0.0 and math.isfinite(cd):
+                return mul(Num(cd), b.b)
     if isinstance(b, Num):
         if b.value == 0.0:
             return Num(0.0)
@@ -224,9 +234,8 @@ def pow_(a, b):
         if isinstance(a, Num):
             # fold only a finite power; a domain fault (or an overflow)
             # stays in the tree and is non-finite when evaluated
-            with np.errstate(all="ignore"):
-                value = np.power(a.value, b.value)
-            if np.isfinite(value):
+            value = _compile(Pow(a, b))
+            if math.isfinite(value):
                 return Num(value)
     return Pow(a, b)
 
@@ -403,68 +412,83 @@ def parse_expression(text, params=None):
 # ---------------------------------------------------------------------------
 # compilation
 #
-# A tree compiles into one numpy array function, a walk of the tree whose
-# cost is dominated by numpy on whole meshes.  It is the only evaluator
-# of a parsed q: a model's scalar forms are it at one point.
+# A tree compiles once into nested closures over 1-d arrays, one per node
+# that reads x; a subtree free of x is evaluated once, when compiled.  A
+# fault is carried as nan: every result that can be one (a quotient, a
+# power, a function value) is checked and is nan where it is not finite,
+# and every later operation keeps a nan but numpy's power (nan^0 = 1^nan
+# = 1), which _power corrects.
 
 
-def _fin(t, ok):
-    """Clear ok where t is not finite: such a point is a fault of q."""
-    ok &= np.isfinite(t)
-    return t
+def _checked(op, *args):
+    """op(*args), nan where it is not finite: a fault of q, also one a
+    later operation would hide (1/(1/x) at 0 is finite in numpy)."""
+    t = op(*args)
+    # a sum of squares is finite when every term is, unless it overflows
+    if math.isfinite(t.dot(t)):
+        return t
+    return np.where(np.isfinite(t), t, np.nan)
 
 
-def _pw(base, expo, ok):
-    # numpy's power has the rules of the grammar: 0^p = 0 and 0^0 = 1, and
-    # 0^-p (inf) and a negative base under a fractional power (nan) are
-    # faults
-    ok &= np.isfinite(expo)
-    return _fin(np.power(base, expo), ok)
+def _power(a, b):
+    return np.where(np.isnan(a) | ~np.isfinite(b), np.nan, _checked(np.power, a, b))
 
 
-_NP_BINOPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+_x = operator.pos  # Var compiled: +x, a copy; _bind hands x itself to an operation
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+               Div: functools.partial(_checked, operator.truediv), Pow: _power}
+_CHECKED = {name: functools.partial(_checked, f.array) for name, f in _FUNCTIONS.items()}
 
 
-def _array_eval(node, x, ok):
-    """node over a 1-d array x with numpy.  Every checked or library
-    result passes through `_fin`, which clears `ok` where it is not
-    finite: a domain fault, an overflow, or a fault hidden by a later
-    operation (1/(1/x) at 0 is finite in numpy)."""
-    if isinstance(node, Num):  # numpy scalar: 1/0 must not raise here
+def _compile(node):
+    """node as a function of a 1-d array x, or as its value (a numpy
+    float, so that 1/0 is inf) where node is free of x."""
+    kind = type(node)
+    if kind is Num:
         return np.float64(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_array_eval(node.a, x, ok)
-    if isinstance(node, Call):
-        return _fin(_FUNCTIONS[node.fname].array(_array_eval(node.a, x, ok)), ok)
-    a = _array_eval(node.a, x, ok)
-    b = _array_eval(node.b, x, ok)
-    if isinstance(node, Div):
-        return _fin(a / b, ok)
-    if isinstance(node, Pow):
-        return _pw(a, b, ok)
-    return _NP_BINOPS[type(node)](a, b)
+    if kind is Var:
+        return _x
+    if kind is Call or kind is Neg:
+        return _bind(_CHECKED[node.fname] if kind is Call else operator.neg,
+                     _compile(node.a))
+    b = node.b
+    if kind is Pow and type(b) is Num and math.isfinite(b.value) and b.value != 0.0:
+        e = b.value  # `a ** e` with e a float: numpy's square, sqrt, reciprocal
+        return _bind(lambda a: _checked(operator.pow, a, e), _compile(node.a))
+    return _bind(_ARITHMETIC[kind], _compile(node.a), _compile(b))
+
+
+def _bind(op, *parts):
+    """op of the compiled parts as a function of x, or its value where no part reads x."""
+    if not any(map(callable, parts)):
+        with np.errstate(all="ignore"):
+            return op(*(np.full(1, p) for p in parts))[0]
+    if len(parts) == 1:
+        (f,) = parts
+        return op if f is _x else lambda x: op(f(x))
+    f, g = parts
+    if not callable(f):
+        return (lambda x: op(f, x)) if g is _x else lambda x: op(f, g(x))
+    if not callable(g):
+        return (lambda x: op(x, g)) if f is _x else lambda x: op(f(x), g)
+    return lambda x: op(f(x), g(x))
+
+
+@np.errstate(all="ignore")
+def _evaluate(body, xs):
+    xs = np.asarray(xs, dtype=float)
+    return body(xs) if xs.ndim == 1 else body(xs.reshape(-1)).reshape(xs.shape)
 
 
 def compile_tree(tree):
-    """Compile a tree into its numpy array function of x, of any shape.
+    """Compile a tree once into its numpy array function of x (any shape).
 
     A point where a checked intermediate is not finite (division by zero,
     log of a non-positive value, a negative base under a fractional
     power, an overflow) is a fault of q and gives nan there; no error is
     raised and no numpy warning is issued.
     """
-    def array(xs):
-        xs = np.asarray(xs, dtype=float)
-        flat = xs.reshape(-1)
-        ok = np.ones(flat.shape, dtype=bool)
-        with np.errstate(all="ignore"):
-            out = _array_eval(tree, flat, ok)
-        if out is flat or np.ndim(out) == 0:  # q = x, or q free of x
-            out = np.array(np.broadcast_to(out, flat.shape))
-        if not ok.all():
-            out[~ok] = np.nan
-        return out.reshape(xs.shape)
-
-    return array
+    body = _compile(tree)
+    if not callable(body):  # q free of x
+        return lambda xs: np.full(np.shape(xs), body)
+    return functools.partial(_evaluate, body)

@@ -1,16 +1,17 @@
 """Coefficient functions q(x) with exact first and second derivatives.
 
-Models come from a small catalog of oscillatory families or from a parsed
-arithmetic expression.  Either way the model exposes q, q' and q'' in
-closed form; downstream residual checks need far more derivative accuracy
-than finite differences can give.
+Models come from a small catalog of oscillatory families (the tree
+c * x^e) or from a parsed arithmetic expression (the tree of its text).
+q' and q'' are the tree's symbolic derivatives: downstream residual checks
+need far more derivative accuracy than finite differences can give.
 
-Each of q, q' and q'' has one evaluator, its numpy array form; the scalar
-forms are the array form at one point.  At a fault (a singular or
-undefined point, or an overflow) every model gives inf or nan, and
-require_finite, the one check of a fault, refuses such a value wherever
-a run samples q: the integrator, the hypothesis predicates and the
-command line.
+This module evaluates no q: the three trees compile once through
+`expressions.compile_tree`, the one evaluator of every q, into the array
+forms, and the scalar forms are those at one point.  At a fault (a
+singular or undefined point, or an overflow) every model gives inf or
+nan, and require_finite, the one check of a fault, refuses such a value
+wherever a run samples q: the integrator, the hypothesis predicates and
+the command line.
 """
 
 import math
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .expressions import compile_tree, parse_expression
+from .expressions import Num, Var, compile_tree, mul, parse_expression, pow_
 
 CATALOG_NAMES = ("constant", "gen-airy", "inverse-x", "cauchy-euler")
 
@@ -29,9 +30,9 @@ class EquationModel:
     Instances are immutable and evaluation is pure, so a model can be
     shared freely across threads.  `q`, `q_prime` and `q_second` are the
     scalar functions themselves; the `*_array` methods evaluate on numpy
-    arrays through the array forms q_arr, qp_arr and qpp_arr.  The models
-    of `catalog_get` and `parse_q` take their scalar forms from the array
-    forms (`float(q_array(x))`).
+    arrays through the array forms q_arr, qp_arr and qpp_arr: for
+    `catalog_get` and `parse_q`, a compiled tree and its two derivatives,
+    whose scalar forms are those at one point (`float(q_array(x))`).
     """
 
     __slots__ = ("source", "x0", "params", "q", "q_prime", "q_second",
@@ -84,34 +85,13 @@ def require_finite(xs, values, name="q"):
     return values
 
 
-def _point(array_form):
-    """The scalar form of an array form: its value at one point."""
-    return lambda x: float(_on_array(x, array_form))
-
-
-def _model(source, x0, params, q_arr, qp_arr, qpp_arr):
+def _model(source, x0, params, tree):
+    """The model of the tree q: q, q' and q'' are the tree and its two
+    symbolic derivatives compiled, as array forms and at one point."""
+    d1 = tree.deriv()
+    forms = [compile_tree(t) for t in (tree, d1, d1.deriv())]
     return EquationModel(source, x0, params,
-                         q=_point(q_arr), qp=_point(qp_arr), qpp=_point(qpp_arr),
-                         q_arr=q_arr, qp_arr=qp_arr, qpp_arr=qpp_arr)
-
-
-# ---------------------------------------------------------------------------
-# every catalog entry is q(x) = c * x^e
-
-def _mono_arr(c, e):
-    def value(xs):
-        if c == 0.0 or e == 0.0:
-            return np.full_like(xs, c, dtype=float)
-        # a point where q is singular or undefined gives inf or nan, which
-        # the caller refuses, and no numpy warning
-        with np.errstate(all="ignore"):
-            return c * xs ** e
-    return value
-
-
-def _monomial_model(source, x0, params, c, e):
-    return _model(source, x0, params, _mono_arr(c, e), _mono_arr(c * e, e - 1.0),
-                  _mono_arr(c * e * (e - 1.0), e - 2.0))
+                         *(lambda x, f=f: float(_on_array(x, f)) for f in forms), *forms)
 
 
 def _require_params(name, params, allowed):
@@ -130,7 +110,7 @@ def catalog_get(name, params=None, x0=None):
                   stores s = sqrt(gamma^2 - 1/4) alongside gamma)
 
     Parameter ranges enforce the oscillatory regime that every other
-    module assumes.
+    module assumes.  Every entry is the tree c * x^e, compiled as in parse_q.
     """
     params = dict(params or {})
     if name == "constant":
@@ -138,24 +118,19 @@ def catalog_get(name, params=None, x0=None):
         c = float(params.get("c", 1.0))
         if c <= 0.0:
             raise ParameterError(f"constant: need c > 0, got c = {c}")
-        return _monomial_model("constant", 0.0 if x0 is None else x0, {"c": c}, c, 0.0)
-
-    if name == "gen-airy":
+        params, c, e, default_x0 = {"c": c}, c, 0.0, 0.0
+    elif name == "gen-airy":
         _require_params(name, params, {"nu"})
         if "nu" not in params:
             raise ParameterError("gen-airy: missing parameter nu")
         nu = float(params["nu"])
         if not 0.0 < nu <= 0.5:
             raise ParameterError(f"gen-airy: need 0 < nu <= 1/2, got nu = {nu}")
-        c = (2.0 * nu) ** -2
-        e = 1.0 / nu - 2.0
-        return _monomial_model("gen-airy", 1.0 if x0 is None else x0, {"nu": nu}, c, e)
-
-    if name == "inverse-x":
+        params, c, e, default_x0 = {"nu": nu}, (2.0 * nu) ** -2, 1.0 / nu - 2.0, 1.0
+    elif name == "inverse-x":
         _require_params(name, params, set())
-        return _monomial_model("inverse-x", 1.0 if x0 is None else x0, {}, 1.0, -1.0)
-
-    if name == "cauchy-euler":
+        c, e, default_x0 = 1.0, -1.0, 1.0
+    elif name == "cauchy-euler":
         _require_params(name, params, {"gamma"})
         if "gamma" not in params:
             raise ParameterError("cauchy-euler: missing parameter gamma")
@@ -164,12 +139,12 @@ def catalog_get(name, params=None, x0=None):
         if g2 <= 0.25:
             raise ParameterError(
                 f"cauchy-euler: oscillatory only for gamma^2 > 1/4, got gamma = {gamma}")
-        s = math.sqrt(g2 - 0.25)
-        return _monomial_model("cauchy-euler", 1.0 if x0 is None else x0,
-                               {"gamma": gamma, "s": s}, g2, -2.0)
-
-    raise ParameterError(f"unknown catalog equation {name!r}; "
-                         f"choose one of {', '.join(CATALOG_NAMES)}")
+        params, c, e, default_x0 = {"gamma": gamma, "s": math.sqrt(g2 - 0.25)}, g2, -2.0, 1.0
+    else:
+        raise ParameterError(f"unknown catalog equation {name!r}; "
+                             f"choose one of {', '.join(CATALOG_NAMES)}")
+    return _model(name, default_x0 if x0 is None else x0, params,
+                  mul(Num(c), pow_(Var(), Num(e))))
 
 
 def parse_q(expr, params=None, x0=1.0):
@@ -184,7 +159,4 @@ def parse_q(expr, params=None, x0=1.0):
     the expression does not read, or one named x, raises ParameterError.
     """
     params = dict(params or {})
-    tree = parse_expression(expr, params)
-    d1 = tree.deriv()
-    return _model(f"expr:{expr}", x0, params,
-                  *(compile_tree(t) for t in (tree, d1, d1.deriv())))
+    return _model(f"expr:{expr}", x0, params, parse_expression(expr, params))

@@ -133,6 +133,9 @@ def example1_v(nu, x):
         raise ParameterError(f"need 0 < nu <= 1/2, got {nu}")
     if not 0.0 < x < math.inf:
         raise ParameterError(f"need finite x > 0, got {x}")
-    t = 2.0 * nu * x ** (1.0 / (2.0 * nu))
+    try:
+        t = 2.0 * nu * x ** (1.0 / (2.0 * nu))
+    except OverflowError:
+        raise ParameterError(f"x = {x} is too large: x^(1/(2 nu)) overflows") from None
     val = bessel_jy(nu, t)
     return x * (val.J ** 2 + val.Y ** 2)

@@ -225,6 +225,10 @@ def test_compiled_array_matches_scalar(expr):
     ("1/(x - 5)", 5.0), ("x^-2", 0.0), ("x^0.5", -1.0), ("(x - 6)^1.5", 5.0),
     ("log(x)", 0.0), ("log(x)", -1.0), ("sqrt(x)", -1.0), ("abs(x)", None),
     ("1/(1/(x - 5))", 5.0), ("exp(-1/x)", 0.0), ("x + 1/0", 3.0),
+    # numpy's power drops a nan: nan^0 = 1 and 1^nan = 1
+    ("(1/(x - 5))^(x - x)", 5.0), ("1^log(x - 5)", 4.0),
+    # the factors do not fold to 0, which would drop the fault
+    ("1e-300*(1e-300*log(x))", 0.0),
 ])
 def test_compiled_forms_raise_the_tree_error(expr, x):
     # a fault is nan at its point, alone or next to another point, whose
@@ -237,6 +241,12 @@ def test_compiled_forms_raise_the_tree_error(expr, x):
     got = array(np.array([x, 7.0]))
     assert math.isnan(got[0])
     assert np.array_equal(got[1:], array(np.array([7.0])), equal_nan=True)
+
+
+def test_constant_factors_fold_to_a_finite_product():
+    assert repr(parse_expression("2*(3*x)")) == "Mul(Num(6.0), Var(x))"
+    # 1e300 * 1e300 overflows: the factors stay apart
+    assert val("1e300*(1e300*(x*1e-300))", 1.0) == 1e300
 
 
 def test_compiled_constants_are_bound_not_printed():

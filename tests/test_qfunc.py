@@ -3,7 +3,7 @@ import pytest
 
 from oscpairs.errors import ParameterError
 from oscpairs.qfunc import CATALOG_NAMES, EquationModel, catalog_get, parse_q
-from oscpairs.verify import _fd_consistency as fd_check
+from oscpairs.verify import _CASES, _fd_consistency as fd_check
 
 FD_TOL = 1e-6
 
@@ -92,6 +92,55 @@ def test_parsed_matches_catalog(name, params, expr):
     assert np.all(np.abs(par.q_array(xs) - qc) <= 1e-12 * np.maximum(np.abs(qc), 1e-300))
     qpc = cat.q_prime_array(xs)
     assert np.all(np.abs(par.q_prime_array(xs) - qpc) <= 1e-12 * (1.0 + np.abs(qpc)))
+
+
+def _monomial(c, e):
+    """The closed form c x^e, as catalog models evaluated q, q' and q''
+    before they were expression trees."""
+    def value(xs):
+        if c == 0.0 or e == 0.0:
+            return np.full_like(xs, c)
+        with np.errstate(all="ignore"):
+            return c * xs ** e
+    return value
+
+
+def _faults_as_nan(values):
+    return np.where(np.isfinite(values), values, np.nan)
+
+
+# the verify cases, and two draws of the benchmark's ranges where c e and
+# c e (e - 1) round (gamma = 1 and nu = 1/3 or 0.4 give exact products)
+_CATALOG_SPANS = {**_CASES, "gen-airy-0.38": ("gen-airy", {"nu": 0.38}, 200.0),
+                  "cauchy-euler-1.15": ("cauchy-euler", {"gamma": 1.15}, 500.0)}
+
+
+@pytest.mark.parametrize("case", sorted(_CATALOG_SPANS))
+def test_catalog_trees_match_the_closed_forms_bit_for_bit(case):
+    # every catalog entry is c x^e; its model is the compiled tree of c*x^e
+    # and of its two symbolic derivatives, and gives the same bits as the
+    # closed forms c x^e, (c e) x^(e-1) and (c e (e-1)) x^(e-2) on the
+    # case's span and at x = 0.  Inf and nan both mark a fault
+    name, params, xmax = _CATALOG_SPANS[case]
+    model = catalog_get(name, params)
+    c, e = {
+        "constant": lambda p: (p["c"], 0.0),
+        "gen-airy": lambda p: ((2.0 * p["nu"]) ** -2, 1.0 / p["nu"] - 2.0),
+        "inverse-x": lambda p: (1.0, -1.0),
+        "cauchy-euler": lambda p: (p["gamma"] ** 2, -2.0),
+    }[name](params)
+    parsed = parse_q("c*x^e", {"c": c, "e": e})
+    closed = (_monomial(c, e), _monomial(c * e, e - 1.0),
+              _monomial(c * e * (e - 1.0), e - 2.0))
+    xs = np.concatenate([[0.0], np.linspace(model.x0, xmax, 4001),
+                         np.geomspace(max(model.x0, 1e-3), xmax, 4001)])
+    forms = zip((model.q_array, model.q_prime_array, model.q_second_array),
+                (parsed.q_array, parsed.q_prime_array, parsed.q_second_array), closed)
+    for got, twin, want in forms:
+        got = _faults_as_nan(got(xs))
+        assert np.isfinite(got[1:]).all()
+        assert np.array_equal(got, _faults_as_nan(twin(xs)), equal_nan=True)
+        assert np.array_equal(got, _faults_as_nan(want(xs)), equal_nan=True)
 
 
 def test_catalog_names_exported():

@@ -145,3 +145,6 @@ def test_validation():
         bessel_jy(0.3, math.inf)
     with pytest.raises(ParameterError, match="finite x"):
         example1_v(0.3, math.inf)
+    # x^(1/(2 nu)) = 1e500 overflows a float
+    with pytest.raises(ParameterError, match=r"x = 1e\+100 is too large"):
+        example1_v(0.1, 1e100)
