@@ -14,7 +14,10 @@ tree is a function of x alone.  A tree is evaluated only through
 `compile_tree`, which turns it once into numpy closures, and where a
 fault (a singular or undefined point, or an overflow) is nan, not an
 error.  Derivatives are built symbolically by rewriting the tree; they
-are never approximated by finite differences.
+are never approximated by finite differences.  The parser, the
+derivatives and the compiler recurse, so an expression nested deeper than
+_MAX_NESTING, or a tree deeper than MAX_DEPTH, is refused with a
+ParseError.
 """
 
 import functools
@@ -30,7 +33,11 @@ from .errors import ParameterError, ParseError
 # nodes
 
 class Node:
+    """A node of a tree; depth is the number of levels below it, which the
+    derivative, the compiler and the compiled closures each recurse
+    through (MAX_DEPTH)."""
     __slots__ = ()
+    depth = 0
 
     def deriv(self):
         raise NotImplementedError
@@ -60,10 +67,10 @@ class Var(Node):
 
 
 class Neg(Node):
-    __slots__ = ("a",)
+    __slots__ = ("a", "depth")
 
     def __init__(self, a):
-        self.a = a
+        self.a, self.depth = a, a.depth + 1
 
     def deriv(self):
         return neg(self.a.deriv())
@@ -72,66 +79,49 @@ class Neg(Node):
         return f"Neg({self.a!r})"
 
 
-class Add(Node):
-    __slots__ = ("a", "b")
+class _Binary(Node):
+    __slots__ = ("a", "b", "depth")
 
     def __init__(self, a, b):
-        self.a, self.b = a, b
+        self.a, self.b, self.depth = a, b, max(a.depth, b.depth) + 1
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.a!r}, {self.b!r})"
+
+
+class Add(_Binary):
+    __slots__ = ()
 
     def deriv(self):
         return add(self.a.deriv(), self.b.deriv())
 
-    def __repr__(self):
-        return f"Add({self.a!r}, {self.b!r})"
 
-
-class Sub(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+class Sub(_Binary):
+    __slots__ = ()
 
     def deriv(self):
         return sub(self.a.deriv(), self.b.deriv())
 
-    def __repr__(self):
-        return f"Sub({self.a!r}, {self.b!r})"
 
-
-class Mul(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+class Mul(_Binary):
+    __slots__ = ()
 
     def deriv(self):
         if isinstance(self.a, Num):  # (c u)' = c u'
             return mul(self.a, self.b.deriv())
         return add(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
 
-    def __repr__(self):
-        return f"Mul({self.a!r}, {self.b!r})"
 
-
-class Div(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+class Div(_Binary):
+    __slots__ = ()
 
     def deriv(self):
         num = sub(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
         return div(num, pow_(self.b, Num(2.0)))
 
-    def __repr__(self):
-        return f"Div({self.a!r}, {self.b!r})"
 
-
-class Pow(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+class Pow(_Binary):
+    __slots__ = ()
 
     def deriv(self):
         if isinstance(self.b, Num):
@@ -142,15 +132,12 @@ class Pow(Node):
                     div(mul(self.b, self.a.deriv()), self.a))
         return mul(pow_(self.a, self.b), inner)
 
-    def __repr__(self):
-        return f"Pow({self.a!r}, {self.b!r})"
-
 
 class Call(Node):
-    __slots__ = ("fname", "a")
+    __slots__ = ("fname", "a", "depth")
 
     def __init__(self, fname, a):
-        self.fname, self.a = fname, a
+        self.fname, self.a, self.depth = fname, a, a.depth + 1
 
     def deriv(self):
         return _FUNCTIONS[self.fname].deriv(self.a, self.a.deriv())
@@ -263,6 +250,23 @@ FUNCTIONS = tuple(_FUNCTIONS)
 # tokenizer / parser
 
 _OPS = "+-*/^()"
+# The deepest tree of q, q' or q'' (Node.depth).  The derivative, the
+# compiler and the compiled closures recurse once per level, and a fresh
+# `oscpairs analyze` runs out of Python's stack at about 980 levels; the
+# limit is half that, for the deeper stack of a caller.
+MAX_DEPTH = 490
+# Parentheses, function calls, unary minus signs and exponents each nest
+# the parser five rules deeper, so it nests at most a fifth as deep.
+_MAX_NESTING = MAX_DEPTH // 5
+
+
+def shallow(tree, offset=0, what="it"):
+    """tree, refused with a ParseError at offset where it is deeper than
+    MAX_DEPTH; what names it in the message."""
+    if tree.depth > MAX_DEPTH:
+        raise ParseError(f"expression too deep: {what} has {tree.depth} levels, "
+                         f"above the limit of {MAX_DEPTH}", offset)
+    return tree
 
 
 def _tokenize(text):
@@ -295,6 +299,8 @@ def _tokenize(text):
                 value = float(text[i:j])
             except ValueError:
                 raise ParseError(f"bad number literal {text[i:j]!r}", i) from None
+            if math.isinf(value):
+                raise ParseError(f"number literal {text[i:j]!r} overflows", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -316,6 +322,7 @@ class _Parser:
         self.pos = 0
         self.params = params
         self.read = set()  # the parameters the text reads
+        self.nesting = 0  # parentheses, calls, signs and exponents around the factor
 
     def peek(self):
         return self.tokens[self.pos]
@@ -341,30 +348,39 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, offset = self.advance()
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = shallow(add(node, rhs) if op == "+" else sub(node, rhs), offset)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+            op, _, offset = self.advance()
             rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = shallow(mul(node, rhs) if op == "*" else div(node, rhs), offset)
         return node
 
     def factor(self):
-        if self.peek()[0] == "-":
+        # every rule the parser recurses by passes here once per level
+        kind, _, offset = self.peek()
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", offset)
+        self.nesting += 1
+        if kind == "-":
             self.advance()
-            return neg(self.factor())
-        return self.power()
+            node = shallow(neg(self.factor()), offset)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.primary()
-        if self.peek()[0] == "^":
+        kind, _, offset = self.peek()
+        if kind == "^":
             self.advance()
-            return pow_(base, self.factor())
+            return shallow(pow_(base, self.factor()), offset)
         return base
 
     def primary(self):
@@ -385,7 +401,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return Call(value, arg)
+                return shallow(Call(value, arg), offset)
             if value == "x":
                 return Var()
             if value in self.params:
@@ -486,9 +502,10 @@ def compile_tree(tree):
     A point where a checked intermediate is not finite (division by zero,
     log of a non-positive value, a negative base under a fractional
     power, an overflow) is a fault of q and gives nan there; no error is
-    raised and no numpy warning is issued.
+    raised and no numpy warning is issued.  A tree deeper than MAX_DEPTH
+    raises ParseError.
     """
-    body = _compile(tree)
+    body = _compile(shallow(tree))
     if not callable(body):  # q free of x
         return lambda xs: np.full(np.shape(xs), body)
     return functools.partial(_evaluate, body)

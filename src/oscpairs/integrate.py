@@ -29,9 +29,9 @@ and the step the error test allows, in closed form from q and q' there
 polynomials in h sqrt(q), and q' adds a term one order lower.  So the
 catalog settles in one pass at the default rtol, and at rtol 1e-3, where
 the cap is the shorter step, the first mesh is the cap's alone.  Where a
-step still fails its error test, the run of steps around it is re-meshed
-from the usual controller's target step, _SAFETY h (h/err)^(1/7),
-smoothed, and the pass repeats; every other node keeps its place.
+step still fails its error test, each step of the run around it is split
+by the controller's target step, _SAFETY h (h/err)^(1/7), smoothed, and
+the pass repeats; every other node keeps its place.
 
 Dense output is a two-point Hermite interpolant of order 7 per solution,
 built from the stored (y, y') node values plus the equation-supplied
@@ -663,27 +663,6 @@ def _equidistribute(xs, cum, what):
     return mesh
 
 
-def _refined_mesh(mesh, counts, fails, what):
-    """Refine each run of consecutive steps with counts > 1 that holds a
-    failing step: the run gets a whole number of nodes, placed by the
-    counts.  Every other node stays where it is, so that a step that
-    passed keeps its place in the oscillation and passes again."""
-    grow = counts > 1.0
-    edge = np.diff(np.concatenate([[0], grow.view(np.int8), [0]]))
-    first, end = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    nfail = np.concatenate([[0], np.cumsum(fails)])
-    run = np.cumsum(edge[:-1] == 1) - 1
-    active = grow & (nfail[end] > nfail[first])[run]
-    c = np.where(active, counts, 1.0)
-    cum = np.concatenate([[0.0], np.cumsum(c)])
-    total = cum[end] - cum[first]
-    c[active] *= (np.ceil(total) / total)[run[active]]
-    cum = np.concatenate([[0.0], np.cumsum(c)])
-    fixed = np.concatenate([[True], ~(active[:-1] & active[1:]), [True]])
-    cum[fixed] = np.round(cum[fixed])
-    return _equidistribute(mesh, cum, what)
-
-
 def _stalled(mesh, fails, passes):
     k = np.flatnonzero(fails)[0]
     raise IntegrationError(
@@ -713,9 +692,12 @@ def _next_mesh(mesh, err, noise, rate, fails, passes, what, cap):
     Each step's target size is the usual controller's, min(hcap,
     _SAFETY h (h/err)^(1/7)), shrinking by at most _MIN_FACTOR; as a
     density of nodes it is smoothed by the maximum over each step and its
-    two neighbours.  A failing step whose error estimate is down to its
-    roundoff level, or whose target falls below the spacing of doubles,
-    cannot be resolved (near a singular point of q): the run stalls.
+    two neighbours.  Each step of a run of steps that count more than one
+    node by it and hold a failing step splits into ceil(count) equal
+    parts; every other node stays put, so that a step that passed passes
+    again.  A failing step whose error estimate is down to its roundoff
+    level, or whose target falls below the spacing of doubles, cannot be
+    resolved (near a singular point of q): the run stalls.
     """
     h = np.diff(mesh)
     factor = _SAFETY * (h / err) ** (1.0 / 7.0)
@@ -725,10 +707,12 @@ def _next_mesh(mesh, err, noise, rate, fails, passes, what, cap):
     if stuck.any():
         _stalled(mesh, stuck, passes)
     rho = np.maximum(1.0 / (h * factor), rate / cap)
-    smooth = rho.copy()
-    smooth[1:] = np.maximum(smooth[1:], rho[:-1])
-    smooth[:-1] = np.maximum(smooth[:-1], rho[1:])
-    return _refined_mesh(mesh, smooth * h, fails, what)
+    pad = np.concatenate([[0.0], rho, [0.0]])  # rho >= 0
+    counts = np.maximum(rho, np.maximum(pad[:-2], pad[2:])) * h
+    grow = counts > 1.0
+    run = np.cumsum(~grow)
+    parts = np.where(grow & np.isin(run, run[fails]), np.ceil(counts), 1.0)
+    return _equidistribute(mesh, np.concatenate([[0.0], np.cumsum(parts)]), what)
 
 
 def _first_rates(q, qp, cap, tol):

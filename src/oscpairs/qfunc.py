@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .expressions import Num, Var, compile_tree, mul, parse_expression, pow_
+from .expressions import (Num, Var, compile_tree, mul, parse_expression, pow_,
+                          shallow)
 
 CATALOG_NAMES = ("constant", "gen-airy", "inverse-x", "cauchy-euler")
 
@@ -87,9 +88,15 @@ def require_finite(xs, values, name="q"):
 
 def _model(source, x0, params, tree):
     """The model of the tree q: q, q' and q'' are the tree and its two
-    symbolic derivatives compiled, as array forms and at one point."""
-    d1 = tree.deriv()
-    forms = [compile_tree(t) for t in (tree, d1, d1.deriv())]
+    symbolic derivatives compiled, as array forms and at one point.  A
+    parameter or x0 that is not finite raises ParameterError, and a tree
+    or derivative deeper than expressions.MAX_DEPTH ParseError."""
+    for name, value in (*params.items(), ("x0", x0)):
+        if not math.isfinite(float(value)):
+            raise ParameterError(f"{name} must be finite, got {value}")
+    d1 = shallow(tree.deriv(), what="its derivative q'")
+    d2 = shallow(d1.deriv(), what="its second derivative q''")
+    forms = [compile_tree(t) for t in (tree, d1, d2)]
     return EquationModel(source, x0, params,
                          *(lambda x, f=f: float(_on_array(x, f)) for f in forms), *forms)
 
@@ -116,7 +123,7 @@ def catalog_get(name, params=None, x0=None):
     if name == "constant":
         _require_params(name, params, {"c"})
         c = float(params.get("c", 1.0))
-        if c <= 0.0:
+        if not c > 0.0:
             raise ParameterError(f"constant: need c > 0, got c = {c}")
         params, c, e, default_x0 = {"c": c}, c, 0.0, 0.0
     elif name == "gen-airy":
@@ -136,7 +143,7 @@ def catalog_get(name, params=None, x0=None):
             raise ParameterError("cauchy-euler: missing parameter gamma")
         gamma = float(params["gamma"])
         g2 = gamma * gamma
-        if g2 <= 0.25:
+        if not g2 > 0.25:
             raise ParameterError(
                 f"cauchy-euler: oscillatory only for gamma^2 > 1/4, got gamma = {gamma}")
         params, c, e, default_x0 = {"gamma": gamma, "s": math.sqrt(g2 - 0.25)}, g2, -2.0, 1.0
@@ -156,7 +163,9 @@ def parse_q(expr, params=None, x0=1.0):
     form.  A domain fault (division by zero, log of a non-positive value,
     negative base under a fractional power) or an overflow gives nan at
     the point where it occurs, not an error at parse time.  A parameter
-    the expression does not read, or one named x, raises ParameterError.
+    the expression does not read, one named x, or one that is not finite
+    raises ParameterError; an expression too deep to differentiate and
+    compile raises ParseError (`expressions.MAX_DEPTH`).
     """
     params = dict(params or {})
     return _model(f"expr:{expr}", x0, params, parse_expression(expr, params))

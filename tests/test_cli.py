@@ -396,6 +396,43 @@ def test_unusable_inputs_exit_2_at_once(capsys, option, value, named):
     assert named in err["message"]
 
 
+@pytest.mark.parametrize("eq, param, error, named", [
+    ("constant", "c=nan", "ParameterError", "c = nan"),
+    ("constant", "c=inf", "ParameterError", "c must be finite, got inf"),
+    ("cauchy-euler", "gamma=nan", "ParameterError", "gamma = nan"),
+    ("cauchy-euler", "gamma=inf", "ParameterError", "gamma must be finite, got inf"),
+    ("1 + c", "c=nan", "ParameterError", "c must be finite, got nan"),
+    ("1e400", None, "ParseError", "'1e400' overflows"),
+    pytest.param("1+" + "sin(" * 200 + "x" + ")" * 200, None, "ParseError",
+                 "nested deeper than 98", id="sin nested 200 deep"),
+])
+def test_non_finite_or_too_deep_input_exits_2_at_once(capsys, eq, param, error, named):
+    # non-finite numbers are configuration errors, not a q that is not
+    # finite at x0; an expression too deep for the stack is refused
+    argv = ["analyze", "--eq", eq, "--xmax", "5"] + (["--param", param] if param else [])
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and err["exit_code"] == EXIT_CONFIG
+    assert named in err["message"]
+
+
+@pytest.mark.parametrize("deepest, deeper", [
+    # the deepest nesting the parser takes
+    pytest.param("(" * 98 + "1 + x" + ")" * 98, "(" * 99 + "1 + x" + ")" * 99,
+                 id="98 parentheses"),
+    # q and q'' as deep as MAX_DEPTH
+    pytest.param("1" + "+0.001*sin(x)" * 488, "1" + "+0.001*sin(x)" * 489,
+                 id="488-term sum"),
+])
+def test_expression_at_the_depth_limits_analyzes(capsys, deepest, deeper):
+    assert main(["analyze", "--eq", deepest, "--xmax", "5"]) == EXIT_OK
+    assert main(["analyze", "--eq", deeper, "--xmax", "5"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 def test_failed_write_of_out_exits_2(tmp_path, capsys):
     # a path below a regular file passes the check made before the run
     # and fails when written; that is a configuration error too

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oscpairs.errors import ParameterError, ParseError
-from oscpairs.expressions import Num, compile_tree, parse_expression
+from oscpairs.expressions import (MAX_DEPTH, Num, Var, add, compile_tree,
+                                  parse_expression)
+from oscpairs.qfunc import parse_q
 
 
 def _at(tree, x):
@@ -250,8 +252,9 @@ def test_constant_factors_fold_to_a_finite_product():
 
 
 def test_compiled_constants_are_bound_not_printed():
-    # 1e999 parses to inf, a constant and no fault
-    array = compile_tree(parse_expression("x + 1e999"))
+    # an inf constant (no literal spells one: see
+    # test_overflowing_literal_is_refused) is a constant and no fault
+    array = compile_tree(add(Var(), Num(math.inf)))
     assert float(array(1.0)) == math.inf
     assert np.all(array(np.array([1.0, 2.0])) == math.inf)
 
@@ -261,3 +264,34 @@ def test_compiled_deep_expression():
     array = compile_tree(tree)
     assert float(array(0.5)) == 149.75
     assert array(np.array([0.5]))[0] == 149.75
+
+
+@pytest.mark.parametrize("literal, offset", [("1e400", 0), ("x + 1e999", 4), ("2*2e308", 2)])
+def test_overflowing_literal_is_refused(literal, offset):
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse_expression(literal)
+    assert err.value.position == offset
+
+
+# 200 parentheses, sin nested 200 deep and a sum of 3 000 terms: each ran
+# Python out of stack (RecursionError) in the parser, the derivative or
+# the compiler; each is refused where it passes its limit
+@pytest.mark.parametrize("expr, offset, message", [
+    pytest.param("(" * 200 + "1+x" + ")" * 200, 99, "nested deeper than 98 levels",
+                 id="200 parentheses"),
+    pytest.param("1+" + "sin(" * 200 + "x" + ")" * 200, 2 + 4 * 99,
+                 "nested deeper than 98 levels", id="sin nested 200 deep"),
+    pytest.param("1" + "+x" * 3000, 2 * MAX_DEPTH + 1, f"it has {MAX_DEPTH + 1} levels",
+                 id="3000 terms"),
+])
+def test_deep_expression_is_refused_at_its_offset(expr, offset, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_expression(expr)
+    assert err.value.position == offset
+
+
+def test_deep_derivative_is_refused():
+    # x/x/.../x: q is 84 levels deep, q' 248 and q'' 496
+    with pytest.raises(ParseError, match="second derivative q'' has 496 levels") as err:
+        parse_q("2 + x" + "/x" * 83)
+    assert err.value.position == 0

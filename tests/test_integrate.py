@@ -411,13 +411,45 @@ def test_pass_names_a_fault_at_a_stage_point():
 
 
 def test_stalled_integration_raises_near_the_pole():
-    # near the regular singular point x = 5 the error estimates reach
-    # their roundoff floor, where a smaller step cannot pass either
-    model = parse_q("1/(x - 5)", x0=1.0)
-    with pytest.raises(IntegrationError) as err:
-        integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 20.0)
-    assert "stalled" in str(err.value)
-    assert 4.999 < err.value.x < 5.0
+    # near the singular point x = c the error estimates reach their
+    # roundoff floor, where a smaller step cannot pass either; the re-mesh
+    # that leads there never steps past the pole.  Besides 1/(x - 5):
+    # 1 + 1/(x - c)^2 for three c of np.random.default_rng(0).uniform(3,
+    # 17, 43) (entries 1, 7 and 36), poles that stall in a few ms
+    cases = [("1/(x - c)", 5.0, 0.001)] + [
+        ("1 + 1/(x - c)^2", c, 0.05)
+        for c in (6.777013992694185, 13.212951853775978, 9.801695023645047)]
+    for expr, c, before in cases:
+        model = parse_q(expr, {"c": c}, x0=1.0)
+        with pytest.raises(IntegrationError) as err:
+            integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 20.0)
+        assert "stalled" in str(err.value)
+        assert c - before < err.value.x < c, (expr, c)
+
+
+def test_next_mesh_splits_each_step_of_a_failing_run():
+    # 20 steps of uneven size at 0.5 node each; steps 3-4 ask for 2.4 nodes
+    # and step 13 for 3.2, and step 12 fails its error test by a factor 4
+    h = 0.37 + 0.01 * np.sin(np.arange(20.0))
+    mesh = np.concatenate([[1.0], 1.0 + np.cumsum(h)])
+    rate = np.full(20, 0.5) / h
+    rate[[3, 4]], rate[13] = 2.4 / h[[3, 4]], 3.2 / h[13]
+    err = 1e-3 * h  # a target of 2.4 steps, 0.41 node
+    err[12] = 4.0 * h[12]
+    fails = err > h
+    new = integrate._next_mesh(mesh, err, np.zeros(20), rate, fails, 1, "test", 1.0)
+    # smoothed over their neighbours, steps 2-5 count 2.4 nodes, a run
+    # without a failing step, and steps 11-14 count 1 / (0.9 (1/4)^(1/7)),
+    # 3.2, 3.2 and 3.2: each of those splits into ceil(count) equal parts
+    parts = np.ones(20, dtype=int)
+    parts[11:15] = [2, 4, 4, 4]
+    assert len(new) == parts.sum() + 1
+    assert np.isin(mesh, new).all()  # every old node, bit for bit
+    start = np.searchsorted(new, mesh[:-1])
+    assert np.array_equal(np.diff(start), parts[:-1])
+    for k in range(11, 15):
+        pieces = np.diff(new[start[k]:start[k] + parts[k] + 1])
+        assert pieces == pytest.approx(np.full(parts[k], h[k] / parts[k]), rel=1e-12)
 
 
 def test_overflowing_solutions_end_the_run():

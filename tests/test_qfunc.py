@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,29 @@ def test_default_left_endpoints():
 def test_parameter_validation(name, params):
     with pytest.raises(ParameterError):
         catalog_get(name, params)
+
+
+@pytest.mark.parametrize("build, named", [
+    pytest.param(lambda: catalog_get("constant", {"c": math.nan}), "c = nan", id="c=nan"),
+    pytest.param(lambda: catalog_get("constant", {"c": math.inf}), "c must be finite, got inf",
+                 id="c=inf"),
+    pytest.param(lambda: catalog_get("constant", x0=math.nan), "x0 must be finite, got nan",
+                 id="constant x0=nan"),
+    pytest.param(lambda: catalog_get("cauchy-euler", {"gamma": math.nan}), "gamma = nan",
+                 id="gamma=nan"),
+    pytest.param(lambda: catalog_get("cauchy-euler", {"gamma": -math.inf}),
+                 "gamma must be finite", id="gamma=-inf"),
+    pytest.param(lambda: catalog_get("inverse-x", x0=math.inf), "x0 must be finite, got inf",
+                 id="inverse-x x0=inf"),
+    pytest.param(lambda: parse_q("1+c", {"c": math.inf}), "c must be finite, got inf",
+                 id="1+c c=inf"),
+    pytest.param(lambda: parse_q("1+x", x0=math.nan), "x0 must be finite, got nan",
+                 id="1+x x0=nan"),
+])
+def test_non_finite_parameters_are_refused(build, named):
+    # both routes build the model in one place, which refuses them
+    with pytest.raises(ParameterError, match=re.escape(named)):
+        build()
 
 
 @pytest.mark.parametrize("name,params", [
