@@ -48,14 +48,16 @@ and so the basis, which one evaluation computes once for both.  A read
 forms only the rows it uses: a value-only one (evaluate with nder=0)
 skips the slope rows of the basis and the slope contraction, and
 PairTrajectory._dense hands back the points' intervals with the rows, so
-that a caller that needs both locates the points once.  The Newton
-rounds of zeros run the same contraction on end data gathered once per
-bracket.  The final pass also keeps the least q at the stage points of
-each step, both ends included, so that a dip to q <= 0 between two
-nodes can be refused.  A q or q' that is not finite where the start grid
-samples them, or a q that is not finite at a stage point of a pass, is a
-fault of the model: qfunc.require_finite refuses it with an
-EvaluationError that names the point.
+that a caller that needs both locates the points once.  Every read of
+the pair between nodes goes through _dense, the Newton rounds of zeros
+included, except the phase quadrature of phasekit, which applies a fixed
+table of the basis at its Gauss points (_panel_table).  The final pass
+also keeps the least q at the stage points of each step, both ends
+included, so that a dip to q <= 0 between two nodes can be refused.  A
+q or q' that is not finite where the start grid samples them, or a q
+that is not finite at a stage point of a pass, is a fault of the model:
+qfunc.require_finite refuses it with an EvaluationError that names the
+point.
 
 References
 ----------
@@ -195,13 +197,11 @@ def _phase_step(rtol):
 #   H_2 = s^4 (t^2 + 4t^3) / 2             H_2' = s^3 (t + 3t^2 - 14t^3)
 #   H_3 = s^4 t^3 / 6                      H_3' = s^3 (3t^2 - 7t^3) / 6
 #
-# and the integrals to the right end are int_t^1 H_k = s^5 R_k(t), with
-# cubics R_k of positive coefficients and R_k(0) = int_0^1 H_k.  The
-# monomial form, H_0 = 1 - 35t^4 + 84t^5 - 70t^6 + 20t^7, sums terms up to
-# 84 into values at most 1, so near t = 1, where the basis vanishes, it
-# rounds at about 100 ulp of its values.  Factored, s is exact for
+# The monomial form, H_0 = 1 - 35t^4 + 84t^5 - 70t^6 + 20t^7, sums terms
+# up to 84 into values at most 1, so near t = 1, where the basis vanishes,
+# it rounds at about 100 ulp of its values.  Factored, s is exact for
 # t >= 1/2 and the cubics are short: each value rounds at a few ulp of
-# itself.  The rows of _TAILS are the cubics of H_k, H_k' and R_k, in
+# itself.  The rows of _TAILS are the cubics of H_k and H_k', in
 # ascending powers of t.
 _TAILS = np.array([[1.0, 4.0, 10.0, 20.0],
                    [0.0, 1.0, 4.0, 10.0],
@@ -210,22 +210,16 @@ _TAILS = np.array([[1.0, 4.0, 10.0, 20.0],
                    [0.0, 0.0, 0.0, -140.0],
                    [1.0, 3.0, 6.0, -70.0],
                    [0.0, 1.0, 3.0, -14.0],
-                   [0.0, 0.0, 0.5, -7.0 / 6.0],
-                   [1.0 / 2.0, 3.0 / 2.0, 5.0 / 2.0, 5.0 / 2.0],
-                   [3.0 / 28.0, 15.0 / 28.0, 31.0 / 28.0, 5.0 / 4.0],
-                   [1.0 / 84.0, 5.0 / 84.0, 5.0 / 28.0, 1.0 / 4.0],
-                   [1.0 / 1680.0, 1.0 / 336.0, 1.0 / 112.0, 1.0 / 48.0]])
-_RULE_WEIGHTS = _TAILS[8:, :1]  # int_0^1 H_k, the weights of the Hermite rule
-# the right end's signs: (-1)^k on H_k(1 - tau), -(-1)^k on its slope and
-# (-1)^k on its integral
-_SIGNS = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0])[:, :, None]
+                   [0.0, 0.0, 0.5, -7.0 / 6.0]])
+# the right end's signs: (-1)^k on H_k(1 - tau) and -(-1)^k on its slope
+_SIGNS = np.outer([1.0, -1.0], [1.0, -1.0, 1.0, -1.0])[:, :, None]
 
 
 def _hermite_rule(h, left, right):
     """Integral of f over panels of width h from (f, f', f'', f''') at
     their ends: the integral of the order-7 two-point Hermite interpolant
     of the data, exact for polynomials of degree 7.  Its weights are
-    _RULE_WEIGHTS, (1/2, 3/28, 1/84, 1/1680), applied as a trapezoid plus
+    int_0^1 H_k, (1/2, 3/28, 1/84, 1/1680), applied as a trapezoid plus
     corrections from the differences and sums of the end derivatives."""
     (fa, f1a, f2a, f3a), (fb, f1b, f2b, f3b) = left, right
     d1, s2, d3 = f1a - f1b, f2a + f2b, f3a - f3b
@@ -243,13 +237,13 @@ _GL_WEIGHTS = np.array([0.171324492379170345040296142173, 0.36076157304813860756
 _GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)  # on [0, 1]
 
 
-def _basis(t, integral=False, slope=True):
-    """H_k(t) at the points t, (4, len(t)); with slope H_k'(t) after them,
-    (8, len(t)), and with integral int_t^1 H_k after those, (12, len(t)):
-    one Horner pass over the cubics of _TAILS, times powers of s = 1 - t.
-    Each point and each row is evaluated on its own, so that its values
-    depend neither on the other points nor on the rows asked for."""
-    tails = _TAILS[:12 if integral else 8 if slope else 4]
+def _basis(t, slope=True):
+    """H_k(t) at the points t, (4, len(t)), and with slope H_k'(t) after
+    them, (8, len(t)): one Horner pass over the cubics of _TAILS, times
+    powers of s = 1 - t.  Each point and each row is evaluated on its
+    own, so that its values depend neither on the other points nor on
+    the rows asked for."""
+    tails = _TAILS if slope else _TAILS[:4]
     s = 1.0 - t
     out = tails[:, 3:] * t
     for j in (2, 1):
@@ -258,21 +252,16 @@ def _basis(t, integral=False, slope=True):
     out += tails[:, :1]
     out *= s * s * s
     out[:4] *= s
-    out[8:] *= s * s
     return out
 
 
-def _signed_basis(tau, integral=False, slope=True):
-    """The basis of both ends at the fractions tau, (1, 2, 4, n), with
-    slope (2, 2, 4, n) and with integral (3, 2, 4, n): value, slope and
-    integral from the left end, the left end's first and the right end's,
-    signs included, second.  The left end's integral is
-    int_0^tau H_k = R_k(0) - int_tau^1 H_k."""
+def _signed_basis(tau, slope=True):
+    """The basis of both ends at the fractions tau, (1, 2, 4, n), and with
+    slope (2, 2, 4, n): value and slope, the left end's first and the
+    right end's, signs included, second."""
     n = tau.size
-    b = _basis(np.concatenate([tau, 1.0 - tau]), integral, slope).reshape(-1, 4, 2, n)
+    b = _basis(np.concatenate([tau, 1.0 - tau]), slope).reshape(-1, 4, 2, n)
     b[:, :, 1] *= _SIGNS[:len(b)]
-    if integral:
-        np.subtract(_RULE_WEIGHTS, b[2, :, 0], out=b[2, :, 0])
     return b.transpose(0, 2, 1, 3)
 
 
@@ -297,27 +286,23 @@ def _node_data(traj, idx, table=None, h=None):
     return data
 
 
-def _contract(data, tau, h, slope=True, integral=False):
+def _contract(data, tau, h, slope=True):
     """The order-7 interpolants of the end data (9, m, n) (_node_data) at
-    the fractions tau of their intervals of width h: the values, with
-    slope the slopes, and with integral the integrals from the left node,
-    each (m, n).
+    the fractions tau of their intervals of width h: the values and, with
+    slope, the slopes, each (m, n).
 
     Each sum is the left end's terms plus the right end's.  The value
     terms of the slope read f_left - f_right, as (f_0 - f_1) H_0'(tau):
     H_0' is symmetric, so the roundoff of the basis then scales with f'
     and not with f/h.
     """
-    b = _signed_basis(tau, integral, slope)[..., None, :]
+    b = _signed_basis(tau, slope)[..., None, :]
     ends = data[:8].reshape(2, 4, -1, tau.size)
     value = (ends * b[0]).sum(axis=1)
     out = [value[0] + value[1]]
     if slope:
         part = (ends[:, 1:] * b[1, :, 1:]).sum(axis=1)
         out.append((data[8] * b[1, 0, 0] + part[0] + part[1]) / h)
-    if integral:
-        part = (ends * b[2]).sum(axis=1)
-        out.append((part[0] + part[1]) * h)
     return out
 
 
@@ -442,9 +427,9 @@ class PairTrajectory:
                         or xs.max() > hi + 1e-12 * (1 + abs(hi))):
             raise ParameterError("sample point outside trajectory span")
         xs = np.minimum(np.maximum(xs, lo), hi)
-        # xs >= mesh[0], so the index is at least 0
-        idx = np.searchsorted(self.mesh, xs, side="right") - 1
-        return xs, np.minimum(idx, len(self.mesh) - 2, out=idx)
+        # the interval of a point is the number of interior nodes at or
+        # left of it: the last node falls in the last interval
+        return xs, np.searchsorted(self.mesh[1:-1], xs, side="right")
 
     def _node_table(self):
         """(4, 2, N) table of y, y', y'' = -q y and y''' = -q' y - q y' of
@@ -461,17 +446,16 @@ class PairTrajectory:
             object.__setattr__(self, "_nodes", nodes)
         return nodes
 
-    def _interpolate(self, xs, table=None, integral=False, slope=True):
+    def _interpolate(self, xs, table=None, slope=True):
         """The order-7 interpolants of the node data table (see
         _node_data) at the points xs: xs clamped to the span, their
-        intervals, and the values, with slope the slopes and with
-        integral the integrals from the left node, each (m, len(xs))
-        (_contract)."""
+        intervals, and the values and, with slope, the slopes, each
+        (m, len(xs)) (_contract)."""
         xs, idx = self._locate(xs)
         x0 = self.mesh[idx]
         h = self.mesh[idx + 1] - x0
         data = _node_data(self, idx, table, h)
-        return [xs, idx, *_contract(data, (xs - x0) / h, h, slope or integral, integral)]
+        return [xs, idx, *_contract(data, (xs - x0) / h, h, slope)]
 
     def _dense(self, xs, nder):
         """The dense output of both solutions at the points xs (an array):

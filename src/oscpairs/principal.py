@@ -44,6 +44,16 @@ _MIN_SAMPLES = 24       # samples of a window fit: well above its 10 columns
 _MIN_WINDOW_PHASE = 0.5  # rad of phase a classification window spans at least
 # the tail window of find_principal, as a fraction of the span: its last quarter
 DEFAULT_WINDOW_FRACTION = 0.25
+_N_WINDOWS = 4  # dyadic windows of the classifier
+# 4-point Gauss-Legendre on [0, 1], exact for polynomials of degree 7: the
+# nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)) on [-1, 1] moved to [0, 1], and
+# their weights (18 +- sqrt(30))/36 halved
+_GAUSS_FRACTIONS = 0.5 * (1.0 + np.array([
+    -0.861136311594052575223946488893, -0.339981043584856264802665759103,
+    0.339981043584856264802665759103, 0.861136311594052575223946488893]))
+_GAUSS_WEIGHTS = 0.5 * np.array([
+    0.347854845137453857373063949222, 0.652145154862546142626936050778,
+    0.652145154862546142626936050778, 0.347854845137453857373063949222])
 
 
 @dataclass(frozen=True)
@@ -351,11 +361,32 @@ def _interpolants(phase):
                       (2.0 * vp * vp * r - vpp) * r * r]])
 
 
-def _window_statistics(phase, n_windows=4):
-    """The means of v and of v' over dyadic windows [lo, hi] that end at
-    the end of the span, lo halving the distance to its start, in
-    increasing order, and the amplitudes of the 2*alpha oscillation in v'
-    and in v over the last window.
+def _read_with_integrals(traj, table, xs, extra):
+    """The order-7 interpolants of the node data table (see
+    PairTrajectory._interpolate) read at the points xs and extra: the
+    intervals of xs, the values and the slopes at xs and then extra, and
+    the integrals of the values from the left node of the interval of
+    each point of xs to the point, (m, len(xs)).
+
+    An integral is 4-point Gauss-Legendre on the same interpolant, read
+    in the same call, and so exact: the interpolant has degree 7."""
+    xs, j = traj._locate(xs)
+    left = traj.mesh[j]
+    cut = xs - left
+    gauss = (left[:, None] + cut[:, None] * _GAUSS_FRACTIONS).ravel()
+    _, _, value, slope = traj._interpolate(np.concatenate([xs, extra, gauss]), table)
+    n = value.shape[1] - gauss.size
+    # a sum per point, not a matrix product, so that a point's bits do
+    # not depend on the batch it is read in
+    part = cut * (value[:, n:].reshape(len(value), -1, 4) * _GAUSS_WEIGHTS).sum(axis=2)
+    return j, value[:, :n], slope[:, :n], part
+
+
+def _window_statistics(phase):
+    """The means of v and of v' over _N_WINDOWS dyadic windows [lo, hi]
+    that end at the end of the span, lo halving the distance to its
+    start, in increasing order, and the amplitudes of the 2*alpha
+    oscillation in v' and in v over the last window.
 
     The windows are taken from the end leftward while the phase advances
     by at least _MIN_WINDOW_PHASE across each: a shorter one, next to the
@@ -364,27 +395,27 @@ def _window_statistics(phase, n_windows=4):
     a window needs no nodes.  v' integrates to v(hi) - v(lo), and v to
     the Hermite rule (integrate._hermite_rule) over whole mesh intervals
     plus the integral of the same order-7 interpolant over the parts that
-    the edges cut.  v and the phase at the edges, and at _window_points of
-    the last window where it holds too few nodes for the fit of the
-    oscillation, come from such interpolants of node data (_interpolants)
-    too: v is smooth for the pairs this classifies, so they are much
-    closer than the dense output of y1 and y2, which oscillate.
+    the edges cut (_read_with_integrals).  v and the phase at the edges,
+    and at _window_points of the last window where it holds too few
+    nodes for the fit of the oscillation, come from one read of such
+    interpolants of node data (_interpolants): v is smooth for the pairs
+    this classifies, so they are much closer than the dense output of y1
+    and y2, which oscillate.
     """
     grid = phase.grid
     t0 = float(grid[0])
     edges = [float(grid[-1])]
-    for _ in range(n_windows):
+    for _ in range(_N_WINDOWS):
         edges.append(t0 + 0.5 * (edges[-1] - t0))
     edges = np.array(edges[::-1])
     x, sl = _window_points(grid, edges[-2:])
 
     data = _interpolants(phase)
     panels = _hermite_rule(np.diff(grid), data[:, 0, :-1], data[:, 0, 1:])
-    points = edges if sl is not None else np.concatenate([edges, x])
-    _, j, (v, alpha), (vp, _), (part, _) = phase._traj._interpolate(points, data,
-                                                                  integral=True)
+    j, (v, alpha), (vp, _), (part, _) = _read_with_integrals(
+        phase._traj, data, edges, x if sl is None else [])
     n = len(edges)
-    integral = np.concatenate([[0.0], np.cumsum(panels)])[j[:n]] + part[:n]
+    integral = np.concatenate([[0.0], np.cumsum(panels)])[j] + part
     width = np.diff(edges)
     means = np.diff(integral) / width
     slopes = np.diff(v[:n]) / width

@@ -117,7 +117,9 @@ def catalog_get(name, params=None, x0=None):
                   stores s = sqrt(gamma^2 - 1/4) alongside gamma)
 
     Parameter ranges enforce the oscillatory regime that every other
-    module assumes.  Every entry is the tree c * x^e, compiled as in parse_q.
+    module assumes, and a parameter for which c or e overflows is refused
+    with a ParameterError that names it.  Every entry is the tree
+    c * x^e, compiled as in parse_q.
     """
     params = dict(params or {})
     if name == "constant":
@@ -133,7 +135,12 @@ def catalog_get(name, params=None, x0=None):
         nu = float(params["nu"])
         if not 0.0 < nu <= 0.5:
             raise ParameterError(f"gen-airy: need 0 < nu <= 1/2, got nu = {nu}")
-        params, c, e, default_x0 = {"nu": nu}, (2.0 * nu) ** -2, 1.0 / nu - 2.0, 1.0
+        try:
+            c = (2.0 * nu) ** -2  # where c is finite, so is e = 1/nu - 2
+        except OverflowError:
+            raise ParameterError(
+                f"gen-airy: q = (2 nu)^-2 x^(1/nu - 2) overflows for nu = {nu}") from None
+        params, e, default_x0 = {"nu": nu}, 1.0 / nu - 2.0, 1.0
     elif name == "inverse-x":
         _require_params(name, params, set())
         c, e, default_x0 = 1.0, -1.0, 1.0
@@ -146,6 +153,8 @@ def catalog_get(name, params=None, x0=None):
         if not g2 > 0.25:
             raise ParameterError(
                 f"cauchy-euler: oscillatory only for gamma^2 > 1/4, got gamma = {gamma}")
+        if math.isfinite(gamma) and not math.isfinite(g2):  # _model refuses gamma = inf
+            raise ParameterError(f"cauchy-euler: gamma^2 overflows for gamma = {gamma}")
         params, c, e, default_x0 = {"gamma": gamma, "s": math.sqrt(g2 - 0.25)}, g2, -2.0, 1.0
     else:
         raise ParameterError(f"unknown catalog equation {name!r}; "

@@ -117,10 +117,11 @@ def unimodular_scrambles(seed, n=10, max_norm=4.0):
     return out
 
 
-def _unit_combinations(seed, n=5):
+def _unit_combinations(seed):
+    """Five seeded quadratic-form coefficients (A, B, C) with AB - C^2 = 1."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(n):
+    for _ in range(5):
         a = rng.uniform(0.3, 3.0)
         c = rng.uniform(-1.5, 1.5)
         out.append((a, (1.0 + c * c) / a, c))
@@ -130,11 +131,11 @@ def _unit_combinations(seed, n=5):
 # ---------------------------------------------------------------------------
 # fast suite: module invariants
 
-def _fd_consistency(model, lo=None, hi=None):
+def _fd_consistency(model, hi=None):
     """Worst mismatch, relative to 1 + |exact|, of the centred differences
-    of q and q' against q' and q'' on a 64-point log grid from lo (x0, or
-    1 if x0 <= 0) to hi (1e3 lo).  Each array form is evaluated once."""
-    lo = lo if lo is not None else (model.x0 if model.x0 > 0 else 1.0)
+    of q and q' against q' and q'' on a 64-point log grid from x0 (1 if
+    x0 <= 0) to hi (1e3 times that).  Each array form is evaluated once."""
+    lo = model.x0 if model.x0 > 0 else 1.0
     hi = hi if hi is not None else 1e3 * lo
     xs = np.geomspace(lo, hi, 64)
     h = 1e-5 * (1.0 + xs)

@@ -11,10 +11,9 @@ lies, has a closed form at a critical point: atan2(|second|, |first|)
 of the two members' values there, which the critical-point relation
 turns into atan(|v'| / (2 |w|)).
 
-Newton polishes every root inside its bracket, a mesh interval, so the
-end data of each root's interval are gathered once and a round is one
-contraction of the dense output on the live roots, with no interval
-search.
+Newton polishes every root inside its bracket, a mesh interval, and a
+round reads the dense output of the pair once for all live roots of all
+targets.
 """
 
 import math
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WindowError
-from .integrate import _contract, _node_data
 from .phasekit import ResidualStats
 
 _COLUMNS = {"y1": 0, "y2": 2, "y1p": 1, "y2p": 3}  # state columns of the targets
@@ -31,66 +29,32 @@ _TARGETS = tuple(_COLUMNS)
 _NEWTON_ITERS = 12  # the catalog pairs need 2-7 from the secant start
 
 
-def _eval_targets(traj, xs, cols, idx, data):
-    """(f, f') at xs[i] of the state component in column cols[i], from one
-    contraction of the end data (9, 1, n) of its solution on its mesh
-    interval idx[i] (_newton).  Node hits read the stored states, as the
-    dense output does; the derivative of y' comes from y'' = -q y, with q
-    evaluated at those points only."""
-    mesh = traj.mesh
-    x0 = mesh[idx]
-    h = mesh[idx + 1] - x0
-    (y,), (d,) = _contract(data, (xs - x0) / h, h)
-    slope = cols % 2 == 1
-    ycol = cols - slope  # the state column of y of each target's solution
-    for node in (idx, idx + 1):
-        take = xs == mesh[node]
-        if take.any():
-            y[take] = traj.states[node[take], ycol[take]]
-            d[take] = traj.states[node[take], ycol[take] + 1]
-    f = np.where(slope, d, y)
-    if slope.any():
-        d[slope] = -traj.model.q_array(xs[slope]) * y[slope]
-    return f, d
+def _newton(traj, cols, a, b, roots):
+    """Polish the roots of every bracket at once, one read of the dense
+    output (PairTrajectory._dense) at the live roots per round.
 
-
-def _brackets(traj, col, lo, hi):
-    """Node-exact zeros of state column col on the mesh nodes in [lo, hi],
-    and the sign-change brackets (a, b) of the node values: the mesh
-    interval of each, its ends and its secant point."""
-    mesh = traj.mesh
-    i0, i1 = np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right")
-    f = traj.states[i0:i1, col]
-    x = mesh[i0:i1]
-    s = np.sign(f)
-    change = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    a, b = x[change], x[change + 1]
-    fa, fb = f[change], f[change + 1]
-    # the secant point lies inside [a, b]
-    return x[f == 0.0], i0 + change, a, b, a - fa * (b - a) / (fb - fa)
-
-
-def _newton(traj, cols, idx, a, b, roots):
-    """Polish the roots of every bracket at once, one evaluation per round.
-
-    Each root stays in its bracket, the mesh interval idx, so the end
-    data of its solution there are gathered once; a round is then one
-    contraction on the live roots (_eval_targets), with no interval
-    search.  Newton steps with the exact derivative, clipped to the
-    bracket.  A root retires once its step falls below 1e-14 (1 + |x|),
-    or when the step stops shrinking: that is the roundoff floor of the
-    dense output (f and f' disagree in their last bits, so Newton would
-    cycle), and such a step is not taken."""
-    data = _node_data(traj, idx)[:, cols // 2, np.arange(idx.size)][:, None]
+    The root of state column cols[i] is a zero of y or of y' of solution
+    cols[i] // 2; the derivative of y' is y'' = -q y, with q evaluated at
+    those roots only.  Newton steps with the exact derivative, clipped to
+    the bracket [a, b].  A root retires once its step falls below
+    1e-14 (1 + |x|), or when the step stops shrinking: that is the
+    roundoff floor of the dense output (f and f' disagree in their last
+    bits, so Newton would cycle), and such a step is not taken."""
+    second, slope = cols >= 2, cols % 2 == 1
     last = np.full(roots.shape, np.inf)
     live = np.arange(roots.size)
     for _ in range(_NEWTON_ITERS):
         if live.size == 0:
             break
         xc = roots[live]
-        fc, dc = _eval_targets(traj, xc, cols[live], idx[live], data[..., live])
+        _, _, (y, d) = traj._dense(xc, 1)
+        on_second, on_slope = second[live], slope[live]
+        y, d = np.where(on_second, y[1], y[0]), np.where(on_second, d[1], d[0])
+        f = np.where(on_slope, d, y)
+        if on_slope.any():
+            d[on_slope] = -traj.model.q_array(xc[on_slope]) * y[on_slope]
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = np.clip(xc - fc / dc, a[live], b[live])
+            xn = np.clip(xc - f / d, a[live], b[live])
         step = np.abs(xn - xc)
         shrinks = step < last[live]
         roots[live[shrinks]] = xn[shrinks]
@@ -101,22 +65,31 @@ def _newton(traj, cols, idx, a, b, roots):
 
 def _zeros(traj, targets, span=None):
     """The zeros of several state components inside span, polished in one
-    Newton loop; one sorted array per target."""
+    Newton loop; one sorted array per target.
+
+    Node values that are 0 are zeros as they stand.  A sign change of the
+    node values brackets a root in its mesh interval, and Newton (_newton)
+    starts from the secant point of the two node values."""
     for target in targets:
         if target not in _TARGETS:
             raise ParameterError(f"target must be one of {_TARGETS}")
     lo, hi = (traj.x0, traj.xmax) if span is None else (float(span[0]), float(span[1]))
     if lo < traj.x0 - 1e-12 or hi > traj.xmax * (1 + 1e-12) + 1e-12:
         raise ParameterError(f"span {span} outside trajectory range")
-    found = [_brackets(traj, _COLUMNS[t], lo, hi) for t in targets]
-    cols = np.concatenate([np.full(len(br[1]), _COLUMNS[t], dtype=np.intp)
-                           for t, br in zip(targets, found)])
-    idx, a, b, roots = (np.concatenate([br[k] for br in found]) for k in (1, 2, 3, 4))
-    roots = _newton(traj, cols, idx, a, b, roots)
-    ends = np.cumsum([len(br[1]) for br in found])[:-1]
+    mesh = traj.mesh
+    i0, i1 = np.searchsorted(mesh, lo), np.searchsorted(mesh, hi, side="right")
+    cols = np.array([_COLUMNS[t] for t in targets])
+    x, f = mesh[i0:i1], traj.states[i0:i1, cols].T
+    s = np.sign(f)
+    which, k = np.nonzero(s[:, :-1] * s[:, 1:] < 0)  # grouped by target
+    a, b = x[k], x[k + 1]
+    fa, fb = f[which, k], f[which, k + 1]
+    # the secant point lies inside [a, b]
+    roots = _newton(traj, cols[which], a, b, a - fa * (b - a) / (fb - fa))
     out = []
-    for (exact, *_), polished in zip(found, np.split(roots, ends)):
-        z = np.sort(np.concatenate([exact, polished]))
+    ends = np.searchsorted(which, np.arange(1, len(cols)))
+    for row, polished in zip(f, np.split(roots, ends)):
+        z = np.sort(np.concatenate([x[row == 0.0], polished]))
         if len(z) > 1:  # dedupe node-exact hits that also bracket
             z = z[np.concatenate([[True], np.diff(z) > 1e-10 * (1.0 + np.abs(z[1:]))])]
         out.append(z)

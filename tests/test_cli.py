@@ -402,6 +402,9 @@ def test_unusable_inputs_exit_2_at_once(capsys, option, value, named):
     ("cauchy-euler", "gamma=nan", "ParameterError", "gamma = nan"),
     ("cauchy-euler", "gamma=inf", "ParameterError", "gamma must be finite, got inf"),
     ("1 + c", "c=nan", "ParameterError", "c must be finite, got nan"),
+    ("gen-airy", "nu=1e-300", "ParameterError", "overflows for nu = 1e-300"),
+    ("gen-airy", "nu=1e-310", "ParameterError", "overflows for nu = 1e-310"),
+    ("cauchy-euler", "gamma=1e200", "ParameterError", "gamma^2 overflows for gamma = 1e+200"),
     ("1e400", None, "ParseError", "'1e400' overflows"),
     pytest.param("1+" + "sin(" * 200 + "x" + ")" * 200, None, "ParseError",
                  "nested deeper than 98", id="sin nested 200 deep"),

@@ -229,20 +229,22 @@ def _polynomial_table(mesh, coefs):
 
 
 def test_interpolants_are_exact_for_degree_7_data(run_genairy):
-    # the contraction the classifier reads v and the phase through gives
-    # a degree-7 polynomial's value, slope and integral from the left node
+    # the read the classifier takes v and the phase through gives a
+    # degree-7 polynomial's value, slope and integral from the left node,
+    # the last by 4-point Gauss-Legendre on the value interpolant
     traj = run_genairy.principal
     rng = np.random.default_rng(16)
     table, polys = _polynomial_table(traj.mesh, rng.uniform(-1.0, 1.0, (2, 8)))
-    xs, idx, value, slope, part = traj._interpolate(
-        np.sort(rng.uniform(traj.x0, traj.xmax, 300)), table, integral=True)
-    # 4-point Gauss-Legendre is exact to degree 7
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    half = 0.5 * (xs - traj.mesh[idx])
-    mid = traj.mesh[idx] + half
+    xs = np.sort(rng.uniform(traj.x0, traj.xmax, 300))
+    idx, value, slope, part = principal._read_with_integrals(traj, table, xs, [])
     h = traj.mesh[idx + 1] - traj.mesh[idx]
+    # the integral from the Taylor series of the polynomial at the left node
+    left = traj.mesh[idx]
+    cut = xs - left
     for p, got in zip(polys, zip(value, slope, part)):
-        want = (p(xs), p.deriv()(xs), half * (weights @ p(mid + np.outer(nodes, half))))
+        integral = sum(p.deriv(k)(left) * cut ** (k + 1) / math.factorial(k + 1)
+                       for k in range(8))
+        want = (p(xs), p.deriv()(xs), integral)
         # to the rounding of the node data: f, f/h (of f_left - f_right)
         # and h f
         size = np.max(np.abs(want[0]))
@@ -260,7 +262,8 @@ def test_interpolant_over_a_whole_interval_is_the_hermite_rule(run_genairy):
         part = slice(i, i + 2)
         one = PairTrajectory(traj.model, traj.mesh[part], traj.states[part], traj.w,
                              traj.rtol, traj.atol)
-        got = one._interpolate(traj.mesh[i + 1:i + 2], data[:, :, part], integral=True)[4]
+        got = principal._read_with_integrals(one, data[:, :, part], traj.mesh[i + 1:i + 2],
+                                             [])[3]
         rule = _hermite_rule(traj.mesh[i + 1] - traj.mesh[i], data[:, :, i],
                              data[:, :, i + 1])
         assert np.all(np.abs(got[:, 0] - rule) <= 1e-15 * np.abs(rule))
@@ -273,13 +276,15 @@ def test_interpolants_hit_the_nodes_and_ignore_their_batch(run_genairy):
     data = principal._interpolants(phase)
     rng = np.random.default_rng(16)
     nodes = rng.integers(0, len(traj.mesh), 50)
-    xs, idx, value, slope, part = traj._interpolate(traj.mesh[nodes], data, integral=True)
-    assert np.array_equal(value, data[0][:, nodes]) and np.all(part == 0.0)
+    idx, value, slope, part = principal._read_with_integrals(traj, data, traj.mesh[nodes], [])
+    assert np.array_equal(idx, nodes) and np.all(part == 0.0)
+    assert np.array_equal(value, data[0][:, nodes])
     assert np.all(np.abs(slope - data[1][:, nodes]) <= 2.0 * np.abs(np.spacing(data[1][:, nodes])))
     xs = np.concatenate([traj.mesh[nodes], rng.uniform(traj.x0, traj.xmax, 50)])
-    batch = traj._interpolate(xs, data, integral=True)
+    extra = rng.uniform(traj.x0, traj.xmax, 30)
+    batch = principal._read_with_integrals(traj, data, xs, extra)
     for k in rng.integers(0, xs.size, 20):
-        alone = traj._interpolate(xs[k:k + 1], data, integral=True)
+        alone = principal._read_with_integrals(traj, data, xs[k:k + 1], [])
         assert all(np.array_equal(a, b[..., k:k + 1]) for a, b in zip(alone, batch))
 
 

@@ -67,6 +67,12 @@ def test_parameter_validation(name, params):
                  "gamma must be finite", id="gamma=-inf"),
     pytest.param(lambda: catalog_get("inverse-x", x0=math.inf), "x0 must be finite, got inf",
                  id="inverse-x x0=inf"),
+    pytest.param(lambda: catalog_get("gen-airy", {"nu": 1e-300}),
+                 "(2 nu)^-2 x^(1/nu - 2) overflows for nu = 1e-300", id="nu=1e-300"),
+    pytest.param(lambda: catalog_get("gen-airy", {"nu": 1e-310}),
+                 "overflows for nu = 1e-310", id="nu=1e-310"),
+    pytest.param(lambda: catalog_get("cauchy-euler", {"gamma": 1e200}),
+                 "gamma^2 overflows for gamma = 1e+200", id="gamma=1e200"),
     pytest.param(lambda: parse_q("1+c", {"c": math.inf}), "c must be finite, got inf",
                  id="1+c c=inf"),
     pytest.param(lambda: parse_q("1+x", x0=math.nan), "x0 must be finite, got nan",

@@ -85,3 +85,24 @@ def test_specfun_is_a_leaf_without_module_state():
     assert [m for m in imported if m != ".errors"
             and m.split(".")[0] not in sys.stdlib_module_names] == []
     assert state == []
+
+
+def test_integrate_alone_evaluates_the_hermite_basis():
+    # the order-7 basis and its contraction stay inside integrate: other
+    # modules read the dense output through PairTrajectory and the phase
+    # quadrature's fixed _panel_table
+    basis = {"_basis", "_signed_basis", "_contract", "_TAILS"}
+    found = []
+    for name, node in _package_nodes():
+        if name == "integrate.py":
+            continue
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {n}" for n in names if n in basis]
+    assert found == []

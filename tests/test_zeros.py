@@ -145,16 +145,17 @@ def test_csv_serialization(run_constant):
     assert float(first[1]) == table.x_crit[0]
 
 
-def _counting_eval_targets(monkeypatch, eval_targets):
-    """Route the Newton rounds of zeros_of through eval_targets, called as
-    zeros._eval_targets is, and count its calls."""
+def _counting_dense(monkeypatch):
+    """Count the reads of PairTrajectory._dense, and the points of each:
+    the Newton rounds of zeros_of read the pair through it alone."""
     calls = []
+    dense = PairTrajectory._dense
 
-    def counting(traj, xs, *args):
+    def counting(traj, xs, nder):
         calls.append(len(xs))
-        return eval_targets(traj, xs, *args)
+        return dense(traj, xs, nder)
 
-    monkeypatch.setattr(zeros, "_eval_targets", counting)
+    monkeypatch.setattr(PairTrajectory, "_dense", counting)
     return calls
 
 
@@ -181,7 +182,7 @@ def test_zeros_of_matches_bisection_of_dense_output(monkeypatch, request,
     if scramble:
         pair = transform_pair(pair, (0.7060476993524358, 0.5679392598307327,
                                      -1.2033851519276002, 0.44834127752738895))
-    calls = _counting_eval_targets(monkeypatch, zeros._eval_targets)
+    calls = _counting_dense(monkeypatch)
     for target, rel in (("y1", 1e-14), ("y2", 1e-14),
                         ("y1p", 2e-12), ("y2p", 2e-12)):
         calls.clear()
@@ -198,15 +199,17 @@ def test_gap_table_polishes_both_targets_in_one_loop(monkeypatch, run_genairy):
     first, second = ("y2", "y1") if phase.swapped else ("y1", "y2")
     crit = zeros_of(pair, first + "p")
     zero = zeros_of(pair, second)
-    calls = _counting_eval_targets(monkeypatch, zeros._eval_targets)
+    calls = _counting_dense(monkeypatch)
     table = gap_table(pair, phase)
-    # one evaluation per Newton round covers the critical points and the
-    # zeros together, with the same roots as one loop per target
-    assert 1 <= len(calls) <= 8 and calls[0] == len(crit) + len(zero)
+    # one read per Newton round covers the critical points and the zeros
+    # together, with the same roots as one loop per target; the last read
+    # is the phase gap's at the critical points
+    assert 2 <= len(calls) <= 9 and calls[0] == len(crit) + len(zero)
+    assert calls[-1] == len(table.x_crit)
     assert np.all(np.isin(table.x_crit, crit)) and np.all(np.isin(table.x_zero, zero))
 
 
-def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
+def test_newton_two_cycle_is_broken_by_bisection():
     # f = x - r with a derivative that sends Newton from any point further
     # than 1.5 e from r to r + e, and from within 1.5 e of r across r, so
     # the iterates alternate between r + e and r - e, 2 e = 1.26e-13 apart
@@ -214,27 +217,52 @@ def test_newton_two_cycle_is_broken_by_bisection(monkeypatch):
     # positive non-constant factor, so the secant start is not r.
     r, e = 0.38673473457649354, 6.3e-14
 
-    def synthetic(traj, xs, *args):
+    calls = []
+
+    def synthetic(xs, nder):
+        calls.append(len(xs))
         f = xs - r
         far = np.abs(f) > 1.5 * e
-        return f, np.where(far, f / np.where(far, f - e, 1.0), 0.5)
+        fp = np.where(far, f / np.where(far, f - e, 1.0), 0.5)
+        return xs, None, [np.stack([f, f]), np.stack([fp, fp])]  # both members
 
-    calls = _counting_eval_targets(monkeypatch, synthetic)
     mesh = np.linspace(0.0, 1.0, 11)
     states = np.zeros((len(mesh), 4))
     states[:, 0] = (mesh - r) * (1.0 + mesh)
-    # the Newton rounds read the node table once, for the end data of
-    # the bracket; its rows of second and third derivatives are left 0
-    table = np.zeros((4, 2, len(mesh)))
-    table[:2] = states.T.reshape(2, 2, -1).transpose(1, 0, 2)
-    traj = SimpleNamespace(x0=0.0, xmax=1.0, mesh=mesh, states=states,
-                           _node_table=lambda: table)
+    traj = SimpleNamespace(x0=0.0, xmax=1.0, mesh=mesh, states=states, _dense=synthetic)
     got = zeros_of(traj, "y1")
-    # one call per Newton iteration; a loop that keeps following the cycle
+    # one read per Newton iteration; a loop that keeps following the cycle
     # runs to its cap of 12
     assert len(calls) < zeros._NEWTON_ITERS
     assert got.shape == (1,)
     assert abs(got[0] - r) <= 1e-12 * r
+
+
+def test_newton_iterate_clipped_onto_a_node_reads_the_stored_state(monkeypatch):
+    # y1 falls from 1 with slope -6.3 to -0.55 over the one interval
+    # [0, 0.7]: the Newton step from the secant point leaves the bracket
+    # and is clipped onto the left node, where the slope of the order-7
+    # interpolant is one ulp off the stored -6.3
+    model = catalog_get("constant", {"c": 1.0})
+    mesh = np.array([0.0, 0.7])
+    states = np.array([[1.0, -6.3, 0.0, 1.0], [-0.55, 2.0, 0.7, 1.0]])
+    traj = PairTrajectory(model, mesh, states, 1.0, 1e-10, 1e-12)
+    assert traj._interpolate(mesh[:1])[3][0, 0] != -6.3
+    reads = []
+    dense = PairTrajectory._dense
+
+    def recording(self, xs, nder):
+        out = dense(self, xs, nder)
+        reads.append((xs.copy(), [rows.copy() for rows in out[2]]))
+        return out
+
+    monkeypatch.setattr(PairTrajectory, "_dense", recording)
+    (root,) = zeros_of(traj, "y1")
+    hits = [(rows, k) for xs, rows in reads for k in np.flatnonzero(xs == mesh[0])]
+    assert hits
+    for (y, d), k in hits:
+        assert y[:, k].tolist() == [1.0, 0.0] and d[:, k].tolist() == [-6.3, 1.0]
+    assert 0.0 < root < 0.7 and abs(dense(traj, np.array([root]), 0)[2][0][0, 0]) <= 1e-15
 
 
 def test_newton_two_cycle_stops_early(monkeypatch):
@@ -253,7 +281,7 @@ def test_newton_two_cycle_stops_early(monkeypatch):
                                       -1.2033851519276002, 0.44834127752738895))
     pair = transform_pair(scrambled, find_principal(scrambled).matrix)
 
-    calls = _counting_eval_targets(monkeypatch, zeros._eval_targets)
+    calls = _counting_dense(monkeypatch)
     got = zeros_of(pair, "y1p", (pair.x0, pair.xmax))
     # one call per Newton iteration, 5 here; a loop that followed the
     # cycle would run to its iteration cap
