@@ -57,7 +57,6 @@ class RunConfig:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
     window_fraction: float = DEFAULT_WINDOW_FRACTION
-    out: str | None = None
 
     def validate(self):
         for name in ("x0", "xmax", "rtol", "atol"):
@@ -367,12 +366,12 @@ def main(argv=None):
         config = RunConfig(
             equation=args.eq, params=_parse_params(args.param),
             x0=args.x0, xmax=args.xmax, rtol=args.rtol, atol=args.atol,
-            window_fraction=args.window, out=args.out)
+            window_fraction=args.window)
         if args.command == "analyze":
             report = cmd_analyze(config)
-            _emit(to_json(report) + "\n", config.out)
+            _emit(to_json(report) + "\n", args.out)
         else:
-            _emit(cmd_zeros(config), config.out)
+            _emit(cmd_zeros(config), args.out)
         return EXIT_OK
     except (*_CONFIG_ERRORS, OSError) as exc:  # OSError: writing --out
         sys.stderr.write(_error_json(exc, EXIT_CONFIG))

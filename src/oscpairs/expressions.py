@@ -11,13 +11,12 @@ than unary minus, so ``-x^2`` means ``-(x^2)``)::
 
 Named parameters are folded into constants at parse time, so a parsed
 tree is a function of x alone.  A tree is evaluated only through
-`compile_tree`, which turns it once into numpy closures, and where a
-fault (a singular or undefined point, or an overflow) is nan, not an
-error.  Derivatives are built symbolically by rewriting the tree; they
-are never approximated by finite differences.  The parser, the
-derivatives and the compiler recurse, so an expression nested deeper than
-_MAX_NESTING, or a tree deeper than MAX_DEPTH, is refused with a
-ParseError.
+`compile_tree`, where a fault (a singular or undefined point, or an
+overflow) is nan, not an error.  Derivatives are symbolic (`derivative`)
+and share subtrees (that of sin(u) reads u twice), so both walk the
+distinct nodes of a tree once, without recursion (`_postorder`), as in
+Griewank & Walther, Evaluating Derivatives (2008).  Only the parser
+recurses, to at most _MAX_NESTING levels.
 """
 
 import functools
@@ -33,14 +32,19 @@ from .errors import ParameterError, ParseError
 # nodes
 
 class Node:
-    """A node of a tree; depth is the number of levels below it, which the
-    derivative, the compiler and the compiled closures each recurse
-    through (MAX_DEPTH)."""
+    """A node of a tree: children are the nodes it reads, and
+    deriv(*derivatives of the children) builds its derivative."""
     __slots__ = ()
-    depth = 0
+    children = ()
 
-    def deriv(self):
-        raise NotImplementedError
+    def __repr__(self):  # iterative: a tree may be deeper than the stack
+        text = {}
+        for node in _postorder(self):
+            text[node] = node._format(*[text[c] for c in node.children])
+        return text[self]
+
+    def _format(self, *args):
+        return f"{type(self).__name__}({', '.join(args)})"
 
 
 class Num(Node):
@@ -52,7 +56,7 @@ class Num(Node):
     def deriv(self):
         return Num(0.0)
 
-    def __repr__(self):
+    def _format(self):
         return f"Num({self.value!r})"
 
 
@@ -62,88 +66,105 @@ class Var(Node):
     def deriv(self):
         return Num(1.0)
 
-    def __repr__(self):
+    def _format(self):
         return "Var(x)"
 
 
 class Neg(Node):
-    __slots__ = ("a", "depth")
+    __slots__ = ("a", "children")
 
     def __init__(self, a):
-        self.a, self.depth = a, a.depth + 1
+        self.a, self.children = a, (a,)
 
-    def deriv(self):
-        return neg(self.a.deriv())
-
-    def __repr__(self):
-        return f"Neg({self.a!r})"
+    def deriv(self, da):
+        return neg(da)
 
 
 class _Binary(Node):
-    __slots__ = ("a", "b", "depth")
+    __slots__ = ("a", "b", "children")
 
     def __init__(self, a, b):
-        self.a, self.b, self.depth = a, b, max(a.depth, b.depth) + 1
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.a!r}, {self.b!r})"
+        self.a, self.b, self.children = a, b, (a, b)
 
 
 class Add(_Binary):
     __slots__ = ()
 
-    def deriv(self):
-        return add(self.a.deriv(), self.b.deriv())
+    def deriv(self, da, db):
+        return add(da, db)
 
 
 class Sub(_Binary):
     __slots__ = ()
 
-    def deriv(self):
-        return sub(self.a.deriv(), self.b.deriv())
+    def deriv(self, da, db):
+        return sub(da, db)
 
 
 class Mul(_Binary):
     __slots__ = ()
 
-    def deriv(self):
+    def deriv(self, da, db):
         if isinstance(self.a, Num):  # (c u)' = c u'
-            return mul(self.a, self.b.deriv())
-        return add(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
+            return mul(self.a, db)
+        return add(mul(da, self.b), mul(self.a, db))
 
 
 class Div(_Binary):
     __slots__ = ()
 
-    def deriv(self):
-        num = sub(mul(self.a.deriv(), self.b), mul(self.a, self.b.deriv()))
-        return div(num, pow_(self.b, Num(2.0)))
+    def deriv(self, da, db):
+        return div(sub(mul(da, self.b), mul(self.a, db)), pow_(self.b, Num(2.0)))
 
 
 class Pow(_Binary):
     __slots__ = ()
 
-    def deriv(self):
+    def deriv(self, da, db):
         if isinstance(self.b, Num):
             n = self.b.value
-            return mul(mul(Num(n), pow_(self.a, Num(n - 1.0))), self.a.deriv())
+            return mul(mul(Num(n), pow_(self.a, Num(n - 1.0))), da)
         # general a^b: a^b * (b' log a + b a'/a); requires a > 0 at evaluation
-        inner = add(mul(self.b.deriv(), Call("log", self.a)),
-                    div(mul(self.b, self.a.deriv()), self.a))
-        return mul(pow_(self.a, self.b), inner)
+        return mul(self, add(mul(db, Call("log", self.a)), div(mul(self.b, da), self.a)))
 
 
 class Call(Node):
-    __slots__ = ("fname", "a", "depth")
+    __slots__ = ("fname", "a", "children")
 
     def __init__(self, fname, a):
-        self.fname, self.a, self.depth = fname, a, a.depth + 1
+        self.fname, self.a, self.children = fname, a, (a,)
 
-    def deriv(self):
-        return _FUNCTIONS[self.fname].deriv(self.a, self.a.deriv())
+    def deriv(self, da):
+        return _FUNCTIONS[self.fname].deriv(self, da)
 
-    def __repr__(self):
-        return f"Call({self.fname!r}, {self.a!r})"
+    def _format(self, a):
+        return f"Call({self.fname!r}, {a})"
+
+
+def _postorder(tree):
+    """The distinct nodes of tree (by identity), each after its children."""
+    order, seen, stack = [], set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node below has its children in order
+            order.append(stack.pop())
+        elif node not in seen:  # else in order already: a tree has no cycle
+            seen.add(node)
+            children = node.children
+            if children:
+                stack += (node, None, *children[::-1])
+            else:
+                order.append(node)
+    return order
+
+
+def derivative(tree):
+    """The tree of d tree/dx: each distinct node's rule applied once, to
+    the derivatives of its children, so that shared subtrees stay shared."""
+    d = {}
+    for node in _postorder(tree):
+        d[node] = node.deriv(*map(d.__getitem__, node.children))
+    return d[tree]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +242,8 @@ def pow_(a, b):
         if isinstance(a, Num):
             # fold only a finite power; a domain fault (or an overflow)
             # stays in the tree and is non-finite when evaluated
-            value = _compile(Pow(a, b))
+            op, args = _operation(Pow(a, b))
+            value = _fold(op, [n.value for n in args])
             if math.isfinite(value):
                 return Num(value)
     return Pow(a, b)
@@ -230,18 +252,17 @@ def pow_(a, b):
 # ---------------------------------------------------------------------------
 # functions of the grammar
 
-# array: the numpy form, non-finite at a domain fault; deriv: (a, a') ->
-# the tree of f(a)'
+# array: the numpy form, non-finite at a fault; deriv: (f(u), u') -> f(u)'
 _Function = namedtuple("_Function", "array deriv")
 
 _FUNCTIONS = {
-    "sin": _Function(np.sin, lambda a, da: mul(Call("cos", a), da)),
-    "cos": _Function(np.cos, lambda a, da: neg(mul(Call("sin", a), da))),
-    "exp": _Function(np.exp, lambda a, da: mul(Call("exp", a), da)),
-    "log": _Function(np.log, lambda a, da: div(da, a)),
-    "sqrt": _Function(np.sqrt, lambda a, da: div(da, mul(Num(2.0), Call("sqrt", a)))),
+    "sin": _Function(np.sin, lambda f, du: mul(Call("cos", f.a), du)),
+    "cos": _Function(np.cos, lambda f, du: neg(mul(Call("sin", f.a), du))),
+    "exp": _Function(np.exp, lambda f, du: mul(f, du)),
+    "log": _Function(np.log, lambda f, du: div(du, f.a)),
+    "sqrt": _Function(np.sqrt, lambda f, du: div(du, mul(Num(2.0), f))),
     # d|u| = u/|u| * u'; it is a fault (nan) at u = 0, as it should be
-    "abs": _Function(np.abs, lambda a, da: div(mul(a, da), Call("abs", a))),
+    "abs": _Function(np.abs, lambda f, du: div(mul(f.a, du), f)),
 }
 FUNCTIONS = tuple(_FUNCTIONS)
 
@@ -250,23 +271,9 @@ FUNCTIONS = tuple(_FUNCTIONS)
 # tokenizer / parser
 
 _OPS = "+-*/^()"
-# The deepest tree of q, q' or q'' (Node.depth).  The derivative, the
-# compiler and the compiled closures recurse once per level, and a fresh
-# `oscpairs analyze` runs out of Python's stack at about 980 levels; the
-# limit is half that, for the deeper stack of a caller.
-MAX_DEPTH = 490
-# Parentheses, function calls, unary minus signs and exponents each nest
-# the parser five rules deeper, so it nests at most a fifth as deep.
-_MAX_NESTING = MAX_DEPTH // 5
-
-
-def shallow(tree, offset=0, what="it"):
-    """tree, refused with a ParseError at offset where it is deeper than
-    MAX_DEPTH; what names it in the message."""
-    if tree.depth > MAX_DEPTH:
-        raise ParseError(f"expression too deep: {what} has {tree.depth} levels, "
-                         f"above the limit of {MAX_DEPTH}", offset)
-    return tree
+# Parentheses, calls, minus signs and exponents each nest the parser five
+# rules deeper: 490 frames, half the stack of a fresh `oscpairs analyze`
+_MAX_NESTING = 98
 
 
 def _tokenize(text):
@@ -350,7 +357,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op, _, offset = self.advance()
             rhs = self.term()
-            node = shallow(add(node, rhs) if op == "+" else sub(node, rhs), offset)
+            node = add(node, rhs) if op == "+" else sub(node, rhs)
         return node
 
     def term(self):
@@ -358,7 +365,7 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, offset = self.advance()
             rhs = self.factor()
-            node = shallow(mul(node, rhs) if op == "*" else div(node, rhs), offset)
+            node = mul(node, rhs) if op == "*" else div(node, rhs)
         return node
 
     def factor(self):
@@ -369,7 +376,7 @@ class _Parser:
         self.nesting += 1
         if kind == "-":
             self.advance()
-            node = shallow(neg(self.factor()), offset)
+            node = neg(self.factor())
         else:
             node = self.power()
         self.nesting -= 1
@@ -380,7 +387,7 @@ class _Parser:
         kind, _, offset = self.peek()
         if kind == "^":
             self.advance()
-            return shallow(pow_(base, self.factor()), offset)
+            return pow_(base, self.factor())
         return base
 
     def primary(self):
@@ -401,7 +408,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return shallow(Call(value, arg), offset)
+                return Call(value, arg)
             if value == "x":
                 return Var()
             if value in self.params:
@@ -427,18 +434,12 @@ def parse_expression(text, params=None):
 
 # ---------------------------------------------------------------------------
 # compilation
-#
-# A tree compiles once into nested closures over 1-d arrays, one per node
-# that reads x; a subtree free of x is evaluated once, when compiled.  A
-# fault is carried as nan: every result that can be one (a quotient, a
-# power, a function value) is checked and is nan where it is not finite,
-# and every later operation keeps a nan but numpy's power (nan^0 = 1^nan
-# = 1), which _power corrects.
-
 
 def _checked(op, *args):
     """op(*args), nan where it is not finite: a fault of q, also one a
-    later operation would hide (1/(1/x) at 0 is finite in numpy)."""
+    later operation would hide (1/(1/x) at 0 is finite in numpy).  Every
+    later operation keeps a nan but numpy's power (nan^0 = 1^nan = 1),
+    which _power corrects."""
     t = op(*args)
     # a sum of squares is finite when every term is, unless it overflows
     if math.isfinite(t.dot(t)):
@@ -450,62 +451,78 @@ def _power(a, b):
     return np.where(np.isnan(a) | ~np.isfinite(b), np.nan, _checked(np.power, a, b))
 
 
-_x = operator.pos  # Var compiled: +x, a copy; _bind hands x itself to an operation
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
                Div: functools.partial(_checked, operator.truediv), Pow: _power}
 _CHECKED = {name: functools.partial(_checked, f.array) for name, f in _FUNCTIONS.items()}
 
 
-def _compile(node):
-    """node as a function of a 1-d array x, or as its value (a numpy
-    float, so that 1/0 is inf) where node is free of x."""
+def _operation(node):
+    """The numpy operation of an inner node, and the children it reads."""
     kind = type(node)
-    if kind is Num:
-        return np.float64(node.value)
-    if kind is Var:
-        return _x
     if kind is Call or kind is Neg:
-        return _bind(_CHECKED[node.fname] if kind is Call else operator.neg,
-                     _compile(node.a))
+        return _CHECKED[node.fname] if kind is Call else operator.neg, (node.a,)
     b = node.b
     if kind is Pow and type(b) is Num and math.isfinite(b.value) and b.value != 0.0:
         e = b.value  # `a ** e` with e a float: numpy's square, sqrt, reciprocal
-        return _bind(lambda a: _checked(operator.pow, a, e), _compile(node.a))
-    return _bind(_ARITHMETIC[kind], _compile(node.a), _compile(b))
+        return (lambda a: _checked(operator.pow, a, e)), (node.a,)
+    return _ARITHMETIC[kind], (node.a, b)
 
 
-def _bind(op, *parts):
-    """op of the compiled parts as a function of x, or its value where no part reads x."""
-    if not any(map(callable, parts)):
-        with np.errstate(all="ignore"):
-            return op(*(np.full(1, p) for p in parts))[0]
-    if len(parts) == 1:
-        (f,) = parts
-        return op if f is _x else lambda x: op(f(x))
-    f, g = parts
-    if not callable(f):
-        return (lambda x: op(f, x)) if g is _x else lambda x: op(f, g(x))
-    if not callable(g):
-        return (lambda x: op(x, g)) if f is _x else lambda x: op(f(x), g)
-    return lambda x: op(f(x), g(x))
+def _swap(op, c, a):
+    return op(a, c)
 
 
 @np.errstate(all="ignore")
-def _evaluate(body, xs):
+def _fold(op, values):
+    """op of constants, a numpy float (so that 1/0 is inf)."""
+    return op(*[np.full(1, v) for v in values])[0]
+
+
+@np.errstate(all="ignore")
+def _run(steps, xs):
     xs = np.asarray(xs, dtype=float)
-    return body(xs) if xs.ndim == 1 else body(xs.reshape(-1)).reshape(xs.shape)
+    flat = xs.ndim == 1
+    v = {0: xs if flat else xs.reshape(-1)}  # the live values by slot
+    for op, i, j, out, dead in steps:
+        v[out] = op(v[i]) if j is None else op(v[i], v[j])
+        for k in dead:
+            del v[k]
+    return v[out] if flat else v[out].reshape(xs.shape)
 
 
 def compile_tree(tree):
-    """Compile a tree once into its numpy array function of x (any shape).
-
-    A point where a checked intermediate is not finite (division by zero,
-    log of a non-positive value, a negative base under a fractional
-    power, an overflow) is a fault of q and gives nan there; no error is
-    raised and no numpy warning is issued.  A tree deeper than MAX_DEPTH
-    raises ParseError.
-    """
-    body = _compile(shallow(tree))
-    if not callable(body):  # q free of x
-        return lambda xs: np.full(np.shape(xs), body)
-    return functools.partial(_evaluate, body)
+    """Compile a tree once into its numpy array function of x (any shape):
+    a flat list of steps, one per distinct node that reads x, in the order
+    of `_postorder`; a subtree free of x folds into a constant (a numpy
+    float, so that 1/0 is inf), and a run drops each value after its last
+    use.  A fault of q (_checked) is nan, with no error or numpy warning."""
+    value, slot = {}, {}  # a node's value where it is free of x, else its slot
+    steps, last = [], {}
+    for node in _postorder(tree):
+        kind = type(node)
+        if kind is Num:
+            value[node] = node.value
+            continue
+        if kind is Var:
+            slot[node] = 0
+            continue
+        op, args = _operation(node)
+        if all(map(value.__contains__, args)):
+            value[node] = _fold(op, [value[a] for a in args])
+            continue
+        if args[0] in value:  # op(c, u), c a constant
+            op, args = functools.partial(op, np.float64(value[args[0]])), args[1:]
+        elif args[-1] in value:  # op(u, c)
+            op, args = functools.partial(_swap, op, np.float64(value[args[1]])), args[:1]
+        for a in args:
+            last[slot[a]] = len(steps)
+        slot[node] = len(slot) + 1
+        ij = [slot[a] for a in args] + [None]
+        steps.append((op, ij[0], ij[1], slot[node], []))
+    if tree in value:  # q free of x
+        return lambda xs: np.full(np.shape(xs), value[tree])
+    if not steps:  # q = x, a copy
+        steps, last = [(operator.pos, 0, None, 1, [])], {0: 0}
+    for i, k in last.items():  # drop each value after its last use
+        steps[k][4].append(i)
+    return functools.partial(_run, steps)

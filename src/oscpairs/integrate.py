@@ -637,7 +637,7 @@ def _equidistribute(xs, cum, what):
     mesh over the node budget MAX_STEPS."""
     total = cum[-1]
     if not total <= MAX_STEPS:
-        x_out = float(np.interp(MAX_STEPS, cum, xs)) if np.isfinite(total) else xs[0]
+        x_out = float(np.interp(MAX_STEPS, cum, xs))
         raise IntegrationError(
             f"{what} needs about {total:.2g} nodes, above the node budget of "
             f"{MAX_STEPS}; the budget runs out at x = {x_out:.6g}", x=x_out)
@@ -730,9 +730,10 @@ def _first_rates(q, qp, cap, tol):
     return rate, np.fmax(rate, cap * need)
 
 
+@np.errstate(over="ignore")
 def _cumulative(grid, rate, cap):
     """Node count from grid[0] to each grid point at cap rad per step of
-    the rate (trapezoid rule)."""
+    the rate (trapezoid rule); inf past where it overflows."""
     return np.concatenate([[0.0], np.cumsum((0.5 / cap) * (rate[1:] + rate[:-1])
                                             * np.diff(grid))])
 

@@ -5,13 +5,10 @@ c * x^e) or from a parsed arithmetic expression (the tree of its text).
 q' and q'' are the tree's symbolic derivatives: downstream residual checks
 need far more derivative accuracy than finite differences can give.
 
-This module evaluates no q: the three trees compile once through
-`expressions.compile_tree`, the one evaluator of every q, into the array
-forms, and the scalar forms are those at one point.  At a fault (a
-singular or undefined point, or an overflow) every model gives inf or
-nan, and require_finite, the one check of a fault, refuses such a value
-wherever a run samples q: the integrator, the hypothesis predicates and
-the command line.
+The three trees compile once through `expressions.compile_tree`, the one
+evaluator of every q, into the array forms; the scalar forms are those at
+one point.  A fault (a singular or undefined point, or an overflow) is inf
+or nan, which require_finite refuses wherever a run samples q.
 """
 
 import math
@@ -19,8 +16,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .expressions import (Num, Var, compile_tree, mul, parse_expression, pow_,
-                          shallow)
+from .expressions import Num, Var, compile_tree, derivative, mul, parse_expression, pow_
 
 CATALOG_NAMES = ("constant", "gen-airy", "inverse-x", "cauchy-euler")
 
@@ -30,10 +26,9 @@ class EquationModel:
 
     Instances are immutable and evaluation is pure, so a model can be
     shared freely across threads.  `q`, `q_prime` and `q_second` are the
-    scalar functions themselves; the `*_array` methods evaluate on numpy
-    arrays through the array forms q_arr, qp_arr and qpp_arr: for
-    `catalog_get` and `parse_q`, a compiled tree and its two derivatives,
-    whose scalar forms are those at one point (`float(q_array(x))`).
+    scalar functions; the `*_array` methods evaluate on numpy arrays
+    through the array forms q_arr, qp_arr and qpp_arr (for `catalog_get`
+    and `parse_q`, a compiled tree and its two derivatives).
     """
 
     __slots__ = ("source", "x0", "params", "q", "q_prime", "q_second",
@@ -87,16 +82,14 @@ def require_finite(xs, values, name="q"):
 
 
 def _model(source, x0, params, tree):
-    """The model of the tree q: q, q' and q'' are the tree and its two
-    symbolic derivatives compiled, as array forms and at one point.  A
-    parameter or x0 that is not finite raises ParameterError, and a tree
-    or derivative deeper than expressions.MAX_DEPTH ParseError."""
+    """The model of the tree q: the tree and its two symbolic derivatives
+    compiled, as array forms and at one point.  A parameter or x0 that is
+    not finite raises ParameterError."""
     for name, value in (*params.items(), ("x0", x0)):
         if not math.isfinite(float(value)):
             raise ParameterError(f"{name} must be finite, got {value}")
-    d1 = shallow(tree.deriv(), what="its derivative q'")
-    d2 = shallow(d1.deriv(), what="its second derivative q''")
-    forms = [compile_tree(t) for t in (tree, d1, d2)]
+    d1 = derivative(tree)
+    forms = [compile_tree(t) for t in (tree, d1, derivative(d1))]
     return EquationModel(source, x0, params,
                          *(lambda x, f=f: float(_on_array(x, f)) for f in forms), *forms)
 
@@ -117,9 +110,8 @@ def catalog_get(name, params=None, x0=None):
                   stores s = sqrt(gamma^2 - 1/4) alongside gamma)
 
     Parameter ranges enforce the oscillatory regime that every other
-    module assumes, and a parameter for which c or e overflows is refused
-    with a ParameterError that names it.  Every entry is the tree
-    c * x^e, compiled as in parse_q.
+    module assumes; a parameter for which c or e overflows is refused
+    with a ParameterError that names it.  Every entry is the tree c x^e.
     """
     params = dict(params or {})
     if name == "constant":
@@ -164,17 +156,12 @@ def catalog_get(name, params=None, x0=None):
 
 
 def parse_q(expr, params=None, x0=1.0):
-    """Build a model from an arithmetic expression in x.
-
-    q' and q'' come from symbolic differentiation of the parsed tree, and
-    each of the three trees compiles into one numpy array function
-    (`expressions.compile_tree`), whose value at one point is the scalar
-    form.  A domain fault (division by zero, log of a non-positive value,
-    negative base under a fractional power) or an overflow gives nan at
-    the point where it occurs, not an error at parse time.  A parameter
-    the expression does not read, one named x, or one that is not finite
-    raises ParameterError; an expression too deep to differentiate and
-    compile raises ParseError (`expressions.MAX_DEPTH`).
+    """Build a model from an arithmetic expression in x: the parsed tree
+    and its two derivatives, each compiled once by
+    `expressions.compile_tree`.  A domain fault or an overflow gives nan
+    at the point where it occurs, not an error at parse time.  A
+    parameter the expression does not read, one named x, or one that is
+    not finite raises ParameterError.
     """
     params = dict(params or {})
     return _model(f"expr:{expr}", x0, params, parse_expression(expr, params))

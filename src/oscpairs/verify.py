@@ -99,19 +99,20 @@ def catalog_run(case, rtol=None):
     return _RUNS[key]
 
 
-def unimodular_scrambles(seed, n=10, max_norm=4.0):
-    """Seeded random matrices with |det| = 1 and bounded Frobenius norm
-    (so scrambled pairs keep a usable amount of phase in the window)."""
+def unimodular_scrambles(seed):
+    """Ten seeded random matrices with |det| = 1 and squared Frobenius norm
+    at most 4 (so scrambled pairs keep a usable amount of phase in the
+    window)."""
     rng = np.random.default_rng(seed)
     out = []
-    while len(out) < n:
+    while len(out) < 10:
         a, b, c, d = rng.uniform(-1.5, 1.5, 4)
         det = a * d - b * c
         if abs(det) < 0.4:
             continue
         r = abs(det) ** -0.5
         M = (a * r, b * r, c * r, d * r)
-        if M[0] ** 2 + M[1] ** 2 + M[2] ** 2 + M[3] ** 2 > max_norm:
+        if M[0] ** 2 + M[1] ** 2 + M[2] ** 2 + M[3] ** 2 > 4.0:
             continue
         out.append(M)
     return out

@@ -29,19 +29,19 @@ _TARGETS = tuple(_COLUMNS)
 _NEWTON_ITERS = 12  # the catalog pairs need 2-7 from the secant start
 
 
-def _newton(traj, cols, a, b, roots):
+def _newton(traj, cols, a, b, roots, sa):
     """Polish the roots of every bracket at once, one read of the dense
     output (PairTrajectory._dense) at the live roots per round.
 
     The root of state column cols[i] is a zero of y or of y' of solution
     cols[i] // 2; the derivative of y' is y'' = -q y, with q evaluated at
-    those roots only.  Newton steps with the exact derivative, clipped to
-    the bracket [a, b].  A root retires once its step falls below
-    1e-14 (1 + |x|), or when the step stops shrinking: that is the
-    roundoff floor of the dense output (f and f' disagree in their last
-    bits, so Newton would cycle), and such a step is not taken."""
+    those roots only.  Each read moves the end of the bracket [a, b] on
+    the iterate's side (sa: the target's sign at a) to the iterate.  The
+    Newton step is taken where it lands strictly inside the bracket or
+    is below 1e-14 (1 + |x|), where the root retires; else the midpoint,
+    which also breaks a cycle at the roundoff floor of the dense output."""
+    a, b = a.copy(), b.copy()
     second, slope = cols >= 2, cols % 2 == 1
-    last = np.full(roots.shape, np.inf)
     live = np.arange(roots.size)
     for _ in range(_NEWTON_ITERS):
         if live.size == 0:
@@ -53,13 +53,16 @@ def _newton(traj, cols, a, b, roots):
         f = np.where(on_slope, d, y)
         if on_slope.any():
             d[on_slope] = -traj.model.q_array(xc[on_slope]) * y[on_slope]
+        left = np.sign(f) == sa[live]
+        a[live] = np.where(left, xc, a[live])
+        b[live] = np.where(left, b[live], xc)
+        lo, hi, tol = a[live], b[live], 1e-14 * (1.0 + np.abs(xc))
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = np.clip(xc - f / d, a[live], b[live])
-        step = np.abs(xn - xc)
-        shrinks = step < last[live]
-        roots[live[shrinks]] = xn[shrinks]
-        last[live] = step
-        live = live[shrinks & (step > 1e-14 * (1.0 + np.abs(xc)))]
+            xn = xc - f / d
+        short = np.abs(xn - xc) <= tol  # also from an end: xc is one now
+        xn = np.where(short | ((xn > lo) & (xn < hi)), xn, 0.5 * (lo + hi))
+        roots[live] = xn
+        live = live[np.abs(xn - xc) > tol]
     return roots
 
 
@@ -85,15 +88,10 @@ def _zeros(traj, targets, span=None):
     a, b = x[k], x[k + 1]
     fa, fb = f[which, k], f[which, k + 1]
     # the secant point lies inside [a, b]
-    roots = _newton(traj, cols[which], a, b, a - fa * (b - a) / (fb - fa))
-    out = []
+    roots = _newton(traj, cols[which], a, b, a - fa * (b - a) / (fb - fa), np.sign(fa))
     ends = np.searchsorted(which, np.arange(1, len(cols)))
-    for row, polished in zip(f, np.split(roots, ends)):
-        z = np.sort(np.concatenate([x[row == 0.0], polished]))
-        if len(z) > 1:  # dedupe node-exact hits that also bracket
-            z = z[np.concatenate([[True], np.diff(z) > 1e-10 * (1.0 + np.abs(z[1:]))])]
-        out.append(z)
-    return out
+    return [np.sort(np.concatenate([x[row == 0.0], polished]))
+            for row, polished in zip(f, np.split(roots, ends))]
 
 
 def zeros_of(traj, target, span=None):

@@ -426,14 +426,44 @@ def test_non_finite_or_too_deep_input_exits_2_at_once(capsys, eq, param, error, 
     # the deepest nesting the parser takes
     pytest.param("(" * 98 + "1 + x" + ")" * 98, "(" * 99 + "1 + x" + ")" * 99,
                  id="98 parentheses"),
-    # q and q'' as deep as MAX_DEPTH
-    pytest.param("1" + "+0.001*sin(x)" * 488, "1" + "+0.001*sin(x)" * 489,
-                 id="488-term sum"),
 ])
 def test_expression_at_the_depth_limits_analyzes(capsys, deepest, deeper):
     assert main(["analyze", "--eq", deepest, "--xmax", "5"]) == EXIT_OK
     assert main(["analyze", "--eq", deeper, "--xmax", "5"]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("expr", [
+    pytest.param("1" + "+0.001*sin(x)" * 489, id="489-term sum"),
+    pytest.param("1+" + "sin(" * 98 + "x" + ")" * 98, id="sin nested 98 deep"),
+    pytest.param("2+x" + "/x" * 82, id="82 quotients"),
+    pytest.param("2+" + "*".join(["sin(x)"] * 163), id="product of 163 sin(x)"),
+])
+def test_deep_expression_analyzes_in_under_a_second(capsys, expr):
+    # q' and q'' share the subtrees of q that they read, and each distinct
+    # node is differentiated and evaluated once: a walk per reference took
+    # seconds here, and the 489-term sum was refused as too deep
+    start = time.perf_counter()
+    assert main(["analyze", "--eq", expr, "--xmax", "5"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["classification"]
+
+
+@pytest.mark.parametrize("argv, x_out", [
+    (["analyze", "--eq", "constant", "--xmax", "1e308"], 2.5e6),
+    (["zeros", "--eq", "constant", "--xmax", "1.7e308"], 2.5e6),
+    (["analyze", "--eq", "gen-airy", "--param", "nu=0.4", "--xmax", "1e308"], 98893.5),
+])
+def test_node_count_that_overflows_names_where_the_budget_runs_out(capsys, argv, x_out):
+    # the count overflows to inf: no numpy warning (an error here), and the
+    # message names the point where the count passes the budget, not x0
+    start = time.perf_counter()
+    assert main(argv) == EXIT_NUMERIC
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    err = json.loads(out.err)
+    assert out.out == "" and err["error"] == "IntegrationError"
+    assert f"the budget runs out at x = {x_out:.6g}" in err["message"]
 
 
 def test_failed_write_of_out_exits_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from oscpairs.errors import ParameterError, ParseError
-from oscpairs.expressions import (MAX_DEPTH, Num, Var, add, compile_tree,
+from oscpairs.expressions import (Num, Var, add, compile_tree, derivative,
                                   parse_expression)
 from oscpairs.qfunc import parse_q
 
@@ -21,7 +23,7 @@ def val(expr, x, params=None):
 def dval(expr, x, params=None, order=1):
     tree = parse_expression(expr, params)
     for _ in range(order):
-        tree = tree.deriv()
+        tree = derivative(tree)
     return _at(tree, x)
 
 
@@ -89,7 +91,7 @@ def test_number_formats():
 def test_derivatives_match_finite_differences(expr):
     rng = np.random.default_rng(42)
     tree = parse_expression(expr)
-    f, df = compile_tree(tree), compile_tree(tree.deriv())
+    f, df = compile_tree(tree), compile_tree(derivative(tree))
     xs = rng.uniform(0.4, 3.0, 8)
     h = 1e-6 * (1.0 + xs)
     fd = (f(xs + h) - f(xs - h)) / (2 * h)
@@ -97,14 +99,14 @@ def test_derivatives_match_finite_differences(expr):
 
 
 def test_abs_derivative():
-    tree = parse_expression("abs(x)").deriv()
+    tree = derivative(parse_expression("abs(x)"))
     assert _at(tree, 2.0) == 1.0
     assert _at(tree, -2.0) == -1.0
     assert math.isnan(_at(tree, 0.0))
 
 
 def test_sqrt_derivative_singular_at_origin():
-    tree = parse_expression("sqrt(x)").deriv()
+    tree = derivative(parse_expression("sqrt(x)"))
     assert _at(tree, 4.0) == pytest.approx(0.25)
     assert math.isnan(_at(tree, 0.0))
 
@@ -191,7 +193,7 @@ def _reference(f, x):
 
 def _trees(expr):
     tree = parse_expression(expr, COMPILE_CASES[expr][0])
-    return [tree, tree.deriv(), tree.deriv().deriv()]
+    return [tree, derivative(tree), derivative(derivative(tree))]
 
 
 @pytest.mark.parametrize("expr", list(COMPILE_CASES))
@@ -237,7 +239,7 @@ def test_compiled_forms_raise_the_tree_error(expr, x):
     # value it leaves as it is; no error and no numpy warning
     tree = parse_expression(expr)
     if x is None:  # d|x|/dx = x/|x| is undefined at 0
-        tree, x = tree.deriv(), 0.0
+        tree, x = derivative(tree), 0.0
     array = compile_tree(tree)
     assert math.isnan(float(array(x)))
     got = array(np.array([x, 7.0]))
@@ -273,16 +275,13 @@ def test_overflowing_literal_is_refused(literal, offset):
     assert err.value.position == offset
 
 
-# 200 parentheses, sin nested 200 deep and a sum of 3 000 terms: each ran
-# Python out of stack (RecursionError) in the parser, the derivative or
-# the compiler; each is refused where it passes its limit
+# 200 parentheses and sin nested 200 deep ran Python out of stack
+# (RecursionError) in the parser; each is refused where it passes its limit
 @pytest.mark.parametrize("expr, offset, message", [
     pytest.param("(" * 200 + "1+x" + ")" * 200, 99, "nested deeper than 98 levels",
                  id="200 parentheses"),
     pytest.param("1+" + "sin(" * 200 + "x" + ")" * 200, 2 + 4 * 99,
                  "nested deeper than 98 levels", id="sin nested 200 deep"),
-    pytest.param("1" + "+x" * 3000, 2 * MAX_DEPTH + 1, f"it has {MAX_DEPTH + 1} levels",
-                 id="3000 terms"),
 ])
 def test_deep_expression_is_refused_at_its_offset(expr, offset, message):
     with pytest.raises(ParseError, match=message) as err:
@@ -290,8 +289,33 @@ def test_deep_expression_is_refused_at_its_offset(expr, offset, message):
     assert err.value.position == offset
 
 
-def test_deep_derivative_is_refused():
-    # x/x/.../x: q is 84 levels deep, q' 248 and q'' 496
-    with pytest.raises(ParseError, match="second derivative q'' has 496 levels") as err:
-        parse_q("2 + x" + "/x" * 83)
-    assert err.value.position == 0
+XS = np.linspace(0.5, 3.0, 1000)
+
+
+# q, q' and q'' against their closed forms.  The derivative and the
+# compiler walk a tree without recursion, so no depth of a tree that the
+# parser builds runs out of stack: the sum of 3 000 terms and the quotient
+# chain of 83 were refused as too deep before
+@pytest.mark.parametrize("expr, closed", [
+    pytest.param("1" + "+x" * 3000, (1.0 + 3000.0 * XS, np.full_like(XS, 3000.0), 0.0 * XS),
+                 id="3000 terms"),
+    pytest.param("2 + x" + "/x" * 83, (2.0 + XS ** -82, -82.0 * XS ** -83, 6806.0 * XS ** -84),
+                 id="83 quotients"),
+    pytest.param("1" + " + 0.001*sin(x)" * 5000,
+                 (1.0 + 5.0 * np.sin(XS), 5.0 * np.cos(XS), -5.0 * np.sin(XS)),
+                 id="5000-term sum"),
+    pytest.param("2+x" + "/x" * 200, (2.0 + XS ** -199, -199.0 * XS ** -200,
+                                       39800.0 * XS ** -201), id="200 quotients"),
+])
+def test_deep_tree_builds_and_evaluates(expr, closed):
+    # a stack only 100 frames deeper than the caller's, far below the
+    # tree's depth: the walks do not recurse
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        model = parse_q(expr)
+        got = (model.q_array(XS), model.q_prime_array(XS), model.q_second_array(XS))
+    finally:
+        sys.setrecursionlimit(limit)
+    for g, want in zip(got, closed):
+        assert np.allclose(g, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))

@@ -325,7 +325,7 @@ def test_objective_invariance(run_constant):
 def test_residual_separates_principal_member(run_genairy):
     # a scrambled pair classifies as decaying too, but only the
     # distinguished combination has a vanishing oscillation residual
-    M = unimodular_scrambles(99, n=1)[0]
+    M = unimodular_scrambles(99)[0]
     scr = transform_pair(run_genairy.traj, M)
     ph_scr = phase_unwrap(scr)
     tag, _, _, _ = classify(ph_scr)
@@ -342,7 +342,7 @@ def test_scramble_recovery_matches_unscrambled(run_inversex):
     wlo, whi = run_inversex.report.window
     tail = (ph_ref.grid >= wlo) & (ph_ref.grid <= whi)
     vref = ph_ref.v[tail]
-    for M in unimodular_scrambles(7, n=3):
+    for M in unimodular_scrambles(7)[:3]:
         scr = transform_pair(run_inversex.traj, M)
         rep = find_principal(scr)
         ph = phase_unwrap(transform_pair(scr, rep.matrix))
@@ -362,7 +362,7 @@ def test_find_principal_unwraps_only_its_input(run_inversex, monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    scr = transform_pair(run_inversex.traj, unimodular_scrambles(7, n=1)[0])
+    scr = transform_pair(run_inversex.traj, unimodular_scrambles(7)[0])
     for name in calls:
         monkeypatch.setattr(principal, name, counted(name))
     rep = principal.find_principal(scr)
@@ -379,7 +379,7 @@ def test_find_principal_builds_one_full_mesh_combination(run_inversex, monkeypat
         built.append(len(self.mesh))
         return combined(self, matrix, w)
 
-    scr = transform_pair(run_inversex.traj, unimodular_scrambles(7, n=1)[0])
+    scr = transform_pair(run_inversex.traj, unimodular_scrambles(7)[0])
     monkeypatch.setattr(PairTrajectory, "_combined", counting)
     rep = find_principal(scr)
     assert built == [len(scr.mesh)]

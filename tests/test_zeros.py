@@ -238,31 +238,34 @@ def test_newton_two_cycle_is_broken_by_bisection():
     assert abs(got[0] - r) <= 1e-12 * r
 
 
-def test_newton_iterate_clipped_onto_a_node_reads_the_stored_state(monkeypatch):
+def test_newton_iterate_clipped_onto_a_node_reads_the_stored_state():
     # y1 falls from 1 with slope -6.3 to -0.55 over the one interval
-    # [0, 0.7]: the Newton step from the secant point leaves the bracket
-    # and is clipped onto the left node, where the slope of the order-7
-    # interpolant is one ulp off the stored -6.3
+    # [0, 0.7].  A read of the dense output at a node, where a Newton
+    # iterate may land, gives the stored state, not the order-7
+    # interpolant, whose slope there is one ulp off the stored -6.3
     model = catalog_get("constant", {"c": 1.0})
     mesh = np.array([0.0, 0.7])
     states = np.array([[1.0, -6.3, 0.0, 1.0], [-0.55, 2.0, 0.7, 1.0]])
     traj = PairTrajectory(model, mesh, states, 1.0, 1e-10, 1e-12)
     assert traj._interpolate(mesh[:1])[3][0, 0] != -6.3
-    reads = []
-    dense = PairTrajectory._dense
-
-    def recording(self, xs, nder):
-        out = dense(self, xs, nder)
-        reads.append((xs.copy(), [rows.copy() for rows in out[2]]))
-        return out
-
-    monkeypatch.setattr(PairTrajectory, "_dense", recording)
+    _, _, (y, d) = traj._dense(mesh, 1)
+    assert y.T.tolist() == [[1.0, 0.0], [-0.55, 0.7]]
+    assert d.T.tolist() == [[-6.3, 1.0], [2.0, 1.0]]
     (root,) = zeros_of(traj, "y1")
-    hits = [(rows, k) for xs, rows in reads for k in np.flatnonzero(xs == mesh[0])]
-    assert hits
-    for (y, d), k in hits:
-        assert y[:, k].tolist() == [1.0, 0.0] and d[:, k].tolist() == [-6.3, 1.0]
-    assert 0.0 < root < 0.7 and abs(dense(traj, np.array([root]), 0)[2][0][0, 0]) <= 1e-15
+    assert 0.0 < root < 0.7 and abs(traj._dense(np.array([root]), 0)[2][0][0, 0]) <= 1e-15
+
+
+def test_newton_root_is_not_a_bracket_end():
+    # y1 falls from -0.04 with slope 0.6 over [0, 0.5]: the interpolant
+    # rises to 1.3 and crosses 0 once near 0.39, so the first Newton step
+    # from the secant point leaves the bracket.  A step clipped onto the
+    # end at 0.5 and clipped there again returned 0.5, where y1 = 1
+    model = catalog_get("constant", {"c": 1.0})
+    traj = PairTrajectory(model, [0.0, 0.5], [[1, 4, 0, 1], [-0.04, 0.6, 0.5, 1]],
+                          1.0, 1e-10, 1e-12)
+    (root,) = zeros_of(traj, "y1")
+    assert 0.0 < root < 0.5
+    assert abs(traj._dense(np.array([root]), 0)[2][0][0, 0]) <= 1e-12
 
 
 def test_newton_two_cycle_stops_early(monkeypatch):
