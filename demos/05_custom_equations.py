@@ -13,7 +13,7 @@ from oscpairs import (appell_residual, find_principal, integrate_pair,
 
 # the classical Airy coefficient, written as an expression
 model = parse_q("x", x0=1.0)
-print("q(x) = x:", model.evaluate(4.0), " (q, q', q'')")
+print("q(x) = x:", (model.q(4.0), model.q_prime(4.0), model.q_second(4.0)), " (q, q', q'')")
 
 traj = normalize_unit_wronskian(
     integrate_pair(model, (0.0, 1.0), (1.0, 0.0), 120.0))

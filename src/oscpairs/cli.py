@@ -25,8 +25,7 @@ from .errors import (NonOscillatoryError, OscpairsError, ParameterError,
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, integrate_pair,
                         normalize_unit_wronskian)
 from .phasekit import appell_residual
-from .principal import (DEFAULT_WINDOW_FRACTION, find_principal, predicate_grid,
-                        sufficient_conditions)
+from .principal import find_principal, predicate_grid, sufficient_conditions
 # not called here since the finder hands back the principal pair and its
 # phase; the traced benchmark run (perfbench/tracing.py) still rebinds
 # both names in this module
@@ -56,16 +55,12 @@ class RunConfig:
     xmax: float = 100.0
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    window_fraction: float = DEFAULT_WINDOW_FRACTION
 
     def validate(self):
         for name in ("x0", "xmax", "rtol", "atol"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        if not 0.0 < self.window_fraction <= 0.5:
-            raise ParameterError(
-                f"window fraction must lie in (0, 0.5], got {self.window_fraction}")
 
 
 def build_model(config):
@@ -148,18 +143,13 @@ def _integrated_pair(config):
     return model, normalize_unit_wronskian(traj)
 
 
-def _window(config, traj):
-    lo = traj.xmax - config.window_fraction * (traj.xmax - traj.x0)
-    return (lo, traj.xmax)
-
-
 def cmd_analyze(config):
     """Integrate the default pair, find and classify the distinguished
     combination, evaluate the hypothesis predicates and the companion
     third-order identity; returns the report as a dict."""
     config.validate()
     model, traj = _integrated_pair(config)
-    report = find_principal(traj, window=_window(config, traj))
+    report = find_principal(traj)
     sc = sufficient_conditions(model, (model.x0, config.xmax))
     wlo, whi = report.window
     grid = np.linspace(wlo, whi, 64)
@@ -196,7 +186,7 @@ def cmd_analyze(config):
         "diagnostics": diagnostics,
         "config": {"equation": config.equation, "params": dict(config.params),
                    "x0": config.x0, "xmax": config.xmax, "rtol": config.rtol,
-                   "atol": config.atol, "window_fraction": config.window_fraction},
+                   "atol": config.atol},
     }
 
 
@@ -204,7 +194,7 @@ def cmd_zeros(config):
     """Gap table of the distinguished pair as CSV text."""
     config.validate()
     model, traj = _integrated_pair(config)
-    report = find_principal(traj, window=_window(config, traj))
+    report = find_principal(traj)
     table = gap_table(report.pair, report.phase, (model.x0, config.xmax))
     return table.to_csv()
 
@@ -310,8 +300,6 @@ def _parser():
         p.add_argument("--xmax", type=float, default=100.0)
         p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
         p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-        p.add_argument("--window", type=float, default=DEFAULT_WINDOW_FRACTION,
-                       help="tail window fraction in (0, 0.5]")
         p.add_argument("--out", default=None)
 
     common(sub.add_parser("analyze", help="classification report"))
@@ -365,8 +353,7 @@ def main(argv=None):
 
         config = RunConfig(
             equation=args.eq, params=_parse_params(args.param),
-            x0=args.x0, xmax=args.xmax, rtol=args.rtol, atol=args.atol,
-            window_fraction=args.window)
+            x0=args.x0, xmax=args.xmax, rtol=args.rtol, atol=args.atol)
         if args.command == "analyze":
             report = cmd_analyze(config)
             _emit(to_json(report) + "\n", args.out)

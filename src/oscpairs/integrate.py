@@ -634,13 +634,15 @@ def _integration_pass(model, mesh, start, rtol, atol):
 def _equidistribute(xs, cum, what):
     """Nodes at which the cumulative node count cum (given at xs) passes
     whole multiples of its total over the number of steps; refuses a
-    mesh over the node budget MAX_STEPS."""
+    mesh over the node budget MAX_STEPS, and one whose count overflows."""
     total = cum[-1]
     if not total <= MAX_STEPS:
         x_out = float(np.interp(MAX_STEPS, cum, xs))
+        need = (f"about {total:.2g} nodes, above" if math.isfinite(total)
+                else "more nodes than")
         raise IntegrationError(
-            f"{what} needs about {total:.2g} nodes, above the node budget of "
-            f"{MAX_STEPS}; the budget runs out at x = {x_out:.6g}", x=x_out)
+            f"{what} needs {need} the node budget of {MAX_STEPS}; the budget "
+            f"runs out at x = {x_out:.6g}", x=x_out)
     n = max(1, math.ceil(total))
     mesh = np.interp(np.arange(n + 1) * (total / n), cum, xs)
     mesh[0], mesh[-1] = xs[0], xs[-1]

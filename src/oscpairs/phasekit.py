@@ -3,11 +3,16 @@
 For independent solutions y1, y2 with Wronskian w the amplitude
 v = y1^2 + y2^2 never vanishes and satisfies v * alpha' = -w, where
 alpha is the continuous phase with tan(alpha) = y1/y2 (Boruvka's first
-phase).  With |w| = 1 the pair is recovered as
+phase).  The phase stored here always increases: with w = -1 the pair
+is recovered as
 
-    y1 = eps * sqrt(v) * sin(alpha),   y2 = eps * sqrt(v) * cos(alpha).
+    y1 = sqrt(v) * sin(alpha),   y2 = sqrt(v) * cos(alpha),
 
-alpha is computed by quadrature of the exact alpha' = -w/v, which makes
+and with w = +1 phase_unwrap takes the pair in the order (y2, y1)
+(PhaseData.swapped), so that y2 = sqrt(v) sin(alpha) and
+y1 = sqrt(v) cos(alpha).  Either way v * alpha' = 1.
+
+alpha is computed by quadrature of the exact alpha' = |w|/v, which makes
 monotonicity and branch consistency structural; the pointwise
 two-argument arctangent serves as an independent consistency check.
 Every mesh interval gets 6-point Gauss-Legendre (Davis & Rabinowitz

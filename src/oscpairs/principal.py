@@ -42,8 +42,10 @@ _VP_FLOOR = 1e-8        # relative change of the v' means that counts as settled
 _PREDICATE_GRID_N = 64  # log-grid points of the hypothesis predicates
 _MIN_SAMPLES = 24       # samples of a window fit: well above its 10 columns
 _MIN_WINDOW_PHASE = 0.5  # rad of phase a classification window spans at least
-# the tail window of find_principal, as a fraction of the span: its last quarter
-DEFAULT_WINDOW_FRACTION = 0.25
+# the finder's tail window: the last quarter of the span, grown leftward
+# until it holds 3 pi of phase
+_WINDOW_FRACTION = 0.25
+_WINDOW_PHASE = 3.0 * math.pi
 _N_WINDOWS = 4  # dyadic windows of the classifier
 # 4-point Gauss-Legendre on [0, 1], exact for polynomials of degree 7: the
 # nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)) on [-1, 1] moved to [0, 1], and
@@ -115,8 +117,6 @@ def _window_points(grid, window):
     the nodes inside it and each piece split evenly, so that no fit runs
     short of samples however coarse the mesh."""
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise WindowError(f"empty window {window}")
     i0, i1 = np.searchsorted(grid, [lo, hi])
     if i1 - i0 >= _MIN_SAMPLES:
         return grid[i0:i1], slice(i0, i1)
@@ -201,15 +201,13 @@ def _residual_design(x, alpha):
     available.
     """
     i0 = 0
-    span = abs(alpha[-1] - alpha[0])
-    whole = math.pi * math.floor(span / math.pi)
+    whole = math.pi * math.floor((alpha[-1] - alpha[0]) / math.pi)
     if whole >= math.pi:
-        sgn = 1.0 if alpha[-1] >= alpha[0] else -1.0
-        i0 = np.searchsorted(sgn * alpha, sgn * (alpha[-1] - sgn * whole))
-        i0 = min(int(i0), len(alpha) - _MIN_SAMPLES // 2)
+        i0 = min(int(np.searchsorted(alpha, alpha[-1] - whole)),
+                 len(alpha) - _MIN_SAMPLES // 2)
         x, alpha = x[i0:], alpha[i0:]
     t = 2.0 * (x - x[0]) / (x[-1] - x[0]) - 1.0
-    periods = abs(alpha[-1] - alpha[0]) / math.pi
+    periods = (alpha[-1] - alpha[0]) / math.pi
     degree = 7 if periods >= 2.0 else (3 if periods >= 1.0 else 1)
     # the Chebyshev polynomials T_k(t) = cos(k arccos t), k <= degree
     X = np.empty((len(t), degree + 3))
@@ -228,26 +226,21 @@ def _residual_amplitudes(x, alpha, series):
     return _fit(X, series[i0:])[-2:]
 
 
-def _expand_window(phase, window, need_alpha):
-    """Grow the window leftward until it spans need_alpha of phase."""
-    grid, alpha = phase.grid, phase.alpha
-    lo, hi = float(window[0]), float(window[1])
-    i1 = min(np.searchsorted(grid, hi), len(grid) - 1)
-    i0 = np.searchsorted(grid, lo)
-    have = abs(alpha[i1] - alpha[i0]) if i0 < len(grid) else 0.0
-    if have >= need_alpha:
+def _tail_window(phase):
+    """The finder's window (lo, hi) and whether it was grown: the last
+    _WINDOW_FRACTION of the span or, where that holds less than
+    _WINDOW_PHASE of phase, the window from the leftmost node with at
+    most _WINDOW_PHASE to its right (the whole span where it holds less).
+    The phase increases (phase_unwrap), by less than pi over a mesh
+    interval, so that node is never the last."""
+    traj, grid, alpha = phase._traj, phase.grid, phase.alpha
+    lo, hi = traj.xmax - _WINDOW_FRACTION * (traj.xmax - traj.x0), traj.xmax
+    if alpha[-1] - alpha[np.searchsorted(grid, lo)] >= _WINDOW_PHASE:
         return (lo, hi), False
-    total = abs(alpha[i1] - alpha[0])
-    if total < need_alpha:
-        return (float(grid[0]), hi), True
-    sgn = 1.0 if alpha[-1] >= alpha[0] else -1.0
-    target = alpha[i1] - sgn * need_alpha
-    i0 = np.searchsorted(sgn * alpha, sgn * target)
-    i0 = max(0, min(int(i0), i1 - 1))
-    return (float(grid[i0]), hi), True
+    return (float(grid[np.searchsorted(alpha, alpha[-1] - _WINDOW_PHASE)]), hi), True
 
 
-def find_principal(traj, window=None):
+def find_principal(traj):
     """Distinguished unit-determinant combination of an integrated pair,
     which must be unit-normalized (phase_unwrap raises ParameterError).
 
@@ -261,9 +254,11 @@ def find_principal(traj, window=None):
     The polish builds its candidates on the window samples only
     (``_window_samples``: the nodes, or the dense output where the window
     holds too few), and all fits solve the normal equations (``_fit``).
-    The window defaults to the last quarter of the span and grows leftward
-    when it holds fewer than 3 periods of 2*alpha (short-span runs still
-    resolve the combination when v' is close to constant).
+    The window is the finder's own (``_tail_window``): the last quarter
+    of the span, grown leftward when it holds fewer than 3 periods of
+    2*alpha (short-span runs still resolve the combination when v' is
+    close to constant).  A pair whose phase advances less than 0.9 pi
+    over the span raises WindowError.
     ``diagnostics`` records the polish passes applied (``polish_steps``),
     whether the polish was abandoned (``polish_fallback``) and, for the
     input pair's phase, the mesh intervals its quadrature split into more
@@ -274,18 +269,14 @@ def find_principal(traj, window=None):
     mesh) and its phase (``phase``, whose alpha_at works on ``pair``).
     """
     phase = phase_unwrap(traj)
-    x0, xmax = traj.x0, traj.xmax
-    if window is None:
-        window = (xmax - DEFAULT_WINDOW_FRACTION * (xmax - x0), xmax)
-
-    total_alpha = abs(phase.alpha[-1] - phase.alpha[0])
+    total_alpha = phase.alpha[-1] - phase.alpha[0]
     if total_alpha < _MIN_FULL_SPAN_ALPHA:
         raise WindowError(
             f"trajectory spans only {total_alpha / math.pi:.2f} pi of phase; "
             "not enough oscillation to separate the pair")
-    window, expanded = _expand_window(phase, window, 3.0 * math.pi)
+    window, expanded = _tail_window(phase)
     x_win, alpha_win, (y1, d1, y2, d2), _ = _window_samples(phase, window)
-    alpha_span = abs(alpha_win[-1] - alpha_win[0])
+    alpha_span = alpha_win[-1] - alpha_win[0]
 
     g = np.vstack([2.0 * y1 * d1, 2.0 * y2 * d2, 2.0 * (d1 * y2 + y1 * d2)])
     mu = g.mean(axis=1)

@@ -48,10 +48,6 @@ class EquationModel:
     def __setattr__(self, name, value):
         raise AttributeError("EquationModel is immutable")
 
-    def evaluate(self, x):
-        """(q, q', q'') at a single point."""
-        return self.q(x), self.q_prime(x), self.q_second(x)
-
     def q_array(self, xs):
         return _on_array(xs, self._q_arr)
 

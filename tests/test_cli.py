@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -150,7 +151,7 @@ def test_zeros_runs_one_phase_quadrature(monkeypatch):
 
     config = RunConfig(equation="inverse-x", xmax=100.0)
     model, traj = cli._integrated_pair(config)
-    report = principal.find_principal(traj, window=cli._window(config, traj))
+    report = principal.find_principal(traj)
     pair = principal.transform_pair(traj, report.matrix)
     want = zeros.gap_table(pair, phasekit.phase_unwrap(pair), (model.x0, 100.0))
 
@@ -162,10 +163,55 @@ def test_zeros_runs_one_phase_quadrature(monkeypatch):
     assert len(calls) == 1
 
 
-def test_config_validation():
-    with pytest.raises(Exception):
-        cmd_analyze(RunConfig(equation="constant", params={"c": 1.0},
-                              xmax=50.0, window_fraction=0.9))
+def test_a_span_under_0_9_pi_of_phase_is_refused(capsys):
+    # the finder needs 0.9 pi of phase to separate the pair
+    assert main(["analyze", "--eq", "constant", "--xmax", "2"]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "WindowError"
+    assert err["message"].startswith("trajectory spans only 0.64 pi of phase;")
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-3])
+def test_a_span_too_short_for_dyadic_windows_is_undetermined(rtol):
+    # the phase is s log x with s = 0.33: each dyadic window spans about
+    # s log 2 = 0.23 rad, under the 0.5 rad a window needs, so the
+    # classifier has no window means to compare
+    report = cmd_analyze(RunConfig(equation="cauchy-euler", params={"gamma": 0.6},
+                                   xmax=1e4, rtol=rtol))
+    assert report["classification"] == "undetermined"
+    assert report["L"] is None and report["K"] is None
+    assert report["diagnostics"]["reason"] == "span too short for dyadic windows"
+
+
+@pytest.mark.parametrize("eq, xmax, fallback", [
+    ("1 + 0.6*cos(2*x)", 25.0, True),
+    ("1 + 0.3*sin(2*x)", 60.0, False),
+])
+def test_a_pair_in_a_resonance_band_is_undetermined(eq, xmax, fallback):
+    # y'' + (1 + a cos 2x) y = 0, or with sin 2x, is a Mathieu equation in
+    # its first band of instability: its solutions grow exponentially, and no combination
+    # has a v' without oscillation.  The finder's residual stays above its
+    # tolerance, after a polish that left the variance minimizer's
+    # neighbourhood (and fell back to it) or one that did not
+    report = cmd_analyze(RunConfig(equation=eq, xmax=xmax))
+    diagnostics = report["diagnostics"]
+    assert report["classification"] == "undetermined"
+    assert report["L"] is None and report["K"] is None
+    assert diagnostics["residual_above_tol"] > 1e-3
+    assert math.hypot(report["k1"], report["k2"]) == diagnostics["residual_above_tol"]
+    assert diagnostics["polish_fallback"] is fallback
+
+
+def test_readme_lists_the_flags_of_each_command(capsys):
+    # the "Command line" paragraph of README names every flag --help shows
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme.split("Flags of `analyze` and `zeros`:")[1].split("\n\n")[0]
+    analyze, verify = paragraph.split("`verify` takes")
+    flag = re.compile(r"--[a-z][a-z0-9-]*")
+    for command, listed in (("analyze", analyze), ("zeros", analyze), ("verify", verify)):
+        assert main([command, "--help"]) == EXIT_OK
+        shown = set(flag.findall(capsys.readouterr().out)) - {"--help"}
+        assert set(flag.findall(listed)) == shown, command
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -456,7 +502,8 @@ def test_deep_expression_analyzes_in_under_a_second(capsys, expr):
 ])
 def test_node_count_that_overflows_names_where_the_budget_runs_out(capsys, argv, x_out):
     # the count overflows to inf: no numpy warning (an error here), and the
-    # message names the point where the count passes the budget, not x0
+    # message names the point where the count passes the budget, not x0,
+    # and says the run needs more nodes than the budget, not "about inf"
     start = time.perf_counter()
     assert main(argv) == EXIT_NUMERIC
     assert time.perf_counter() - start < 1.0
@@ -464,6 +511,8 @@ def test_node_count_that_overflows_names_where_the_budget_runs_out(capsys, argv,
     err = json.loads(out.err)
     assert out.out == "" and err["error"] == "IntegrationError"
     assert f"the budget runs out at x = {x_out:.6g}" in err["message"]
+    assert "needs more nodes than the node budget of 10000000;" in err["message"]
+    assert "inf" not in err["message"]
 
 
 def test_failed_write_of_out_exits_2(tmp_path, capsys):

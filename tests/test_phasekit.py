@@ -142,6 +142,27 @@ def test_phase_identity_and_reconstruction(run_genairy):
     assert np.all(np.diff(ph.alpha) > 0)
 
 
+def test_swapped_pair_phase_increases_in_the_order_y2_y1():
+    # a w = +1 pair is unwrapped in the order (y2, y1): its phase and that
+    # of any det-1 combination of it increase, y2 = sqrt(v) sin(alpha),
+    # y1 = sqrt(v) cos(alpha), and v alpha' = y1 y2' - y1' y2 = 1
+    model = catalog_get("gen-airy", {"nu": 0.4})
+    traj = normalize_unit_wronskian(integrate_pair(model, (1.0, 0.0), (0.0, 1.0), 50.0))
+    M = (0.8754588744764108, 5.021210482394638, -0.9283408301506615, -4.182257801404123)
+    assert traj.w == pytest.approx(1.0)
+    assert M[0] * M[3] - M[1] * M[2] == pytest.approx(1.0)
+    phase = phase_unwrap(traj)
+    for ph in (phase, _combined_phase(transform_pair(traj, M), phase)):
+        assert ph.swapped
+        assert np.all(np.diff(ph.alpha) > 0)
+        y1, d1, y2, d2 = ph._traj.states.T
+        r = np.sqrt(ph.v)
+        assert np.max(np.abs(y2 - r * np.sin(ph.alpha)) / r) <= 1e-7
+        assert np.max(np.abs(y1 - r * np.cos(ph.alpha)) / r) <= 1e-7
+        # v alpha' of the order (y2, y1), from the states
+        assert np.max(np.abs(y1 * d2 - d1 * y2 - 1.0)) <= 1e-9
+
+
 def test_alpha_at_matches_arctangent(run_genairy):
     ph = run_genairy.phase
     traj = run_genairy.traj

@@ -444,7 +444,7 @@ def test_sufficient_conditions_cauchy_euler():
     # q' <= 0 holds; the curvature inequality is what fails:
     # q q'' - 3 q'^2 = -6 gamma^4 / x^6 < 0
     x = 2.0
-    q, qp, qpp = model.evaluate(x)
+    q, qp, qpp = model.q(x), model.q_prime(x), model.q_second(x)
     assert q * qpp - 3 * qp * qp == pytest.approx(-6.0 / x ** 6)
 
 

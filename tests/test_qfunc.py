@@ -13,7 +13,7 @@ FD_TOL = 1e-6
 
 def test_gen_airy_values():
     m = catalog_get("gen-airy", {"nu": 1.0 / 3.0})
-    q, qp, qpp = m.evaluate(4.0)
+    q, qp, qpp = m.q(4.0), m.q_prime(4.0), m.q_second(4.0)
     assert q == pytest.approx(9.0, abs=1e-12)
     assert qp == pytest.approx(2.25, abs=1e-12)
     assert qpp == 0.0
@@ -23,7 +23,8 @@ def test_gen_airy_half_reduces_to_constant():
     half = catalog_get("gen-airy", {"nu": 0.5})
     one = catalog_get("constant", {"c": 1.0})
     for x in np.linspace(0.5, 100.0, 41):
-        assert half.evaluate(x) == one.evaluate(x)
+        for f in ("q", "q_prime", "q_second"):
+            assert getattr(half, f)(x) == getattr(one, f)(x)
 
 
 def test_cauchy_euler_values_and_stored_s():
@@ -278,4 +279,5 @@ def test_parsed_derivatives_of_random_expressions():
         # the scalar forms are the array forms at one point
         i = 17 * k % len(xs)
         want = [f(xs)[i] for f in (model.q_array, model.q_prime_array, model.q_second_array)]
-        assert model.evaluate(float(xs[i])) == tuple(want), model
+        x = float(xs[i])
+        assert (model.q(x), model.q_prime(x), model.q_second(x)) == tuple(want), model

@@ -337,3 +337,94 @@ def test_phase_gap_is_the_critical_point_relation(case, rtol):
         alpha = phase.alpha_at(np.concatenate([table.x_crit, table.x_zero]))
         r = np.abs(alpha[:len(table.j)] - alpha[len(table.j):]) % math.pi
         assert np.max(np.abs(table.phase_gap - np.minimum(r, math.pi - r))) <= 1e-12
+
+
+def _bessel_phase(order, scale, power):
+    """The closed-form phase, amplitude and slope of the amplitude of
+    y'' + q y = 0 with the pair sqrt(x) (J, Y)_order(t), t = scale x^power:
+    theta = atan2(Y, J), increasing as 1/v with v = pi x M / (2 power),
+    M = J^2 + Y^2."""
+    from scipy.special import jv, jvp, yv, yvp
+
+    def phase(x):
+        t = scale * x ** power
+        j, y, dj, dy = jv(order, t), yv(order, t), jvp(order, t), yvp(order, t)
+        m = j * j + y * y
+        c = math.pi / (2.0 * power)
+        return (np.arctan2(y, j), c * x * m, c * (m + 2.0 * power * t * (j * dj + y * dy)))
+    return phase
+
+
+def _log_phase(s):
+    """theta = s log x of the pair sqrt(x) (sin, cos)(s log x), v = x/s."""
+    def phase(x):
+        return s * np.log(x), x / s, np.full_like(x, 1.0 / s)
+    return phase
+
+
+def _linear_phase(x):
+    """theta = x of the pair (sin x, cos x) of q = 1, v = 1."""
+    return x, np.ones_like(x), np.zeros_like(x)
+
+
+_CLOSED_FORM_PHASES = {
+    "gen-airy": _bessel_phase(1.0 / 3.0, 1.0, 1.5),
+    "gen-airy-0.4": _bessel_phase(0.4, 1.0, 1.25),
+    "inverse-x": _bessel_phase(1.0, 2.0, 0.5),
+    "constant": _linear_phase,
+    "cauchy-euler": _log_phase(math.sqrt(1.0 - 0.25)),  # s = sqrt(gamma^2 - 1/4)
+}
+
+
+def _closed_form_gaps(case):
+    """Where the closed form puts the zeros and critical points of the
+    principal pair of a catalog case, against where zeros_of finds them.
+
+    The principal phase is the closed form theta plus a constant, so the
+    zeros of each member lie on a lattice theta = c_m + k pi, the
+    second's pi/2 above the first's.  Returns the distances in x of each
+    member's zeros from a lattice fitted to them, the offset (rad) of the
+    second lattice from pi/2 above the first, and the distances in x of
+    the first member's critical points from where cot(alpha) = -v'/2."""
+    run = catalog_run(case)
+    pair, phase = run.report.pair, run.report.phase
+    first, second = ("y2", "y1") if phase.swapped else ("y1", "y2")
+    closed = _CLOSED_FORM_PHASES[case]
+    dx, lattice = [], []
+    for target in (first, second):
+        theta, v, _ = closed(zeros_of(pair, target))
+        d = theta - theta[0]
+        d -= math.pi * np.round(d / math.pi)
+        lattice.append(theta[0] + d.mean())
+        dx.append((d - d.mean()) * v)  # alpha' = 1/v
+    offset = lattice[1] - lattice[0] - 0.5 * math.pi
+    offset -= math.pi * round(offset / math.pi)
+    # the first member is sqrt(v) sin(alpha), alpha = theta - lattice[0];
+    # a critical point is off by y'/y'' = -y'/(q y) of it
+    xc = zeros_of(pair, first + "p")
+    theta, v, vp = closed(xc)
+    alpha = theta - lattice[0]
+    dxc = ((vp * np.sin(alpha) + 2.0 * np.cos(alpha))
+           / (2.0 * run.model.q_array(xc) * v * np.sin(alpha)))
+    return dx, offset, dxc
+
+
+@pytest.mark.parametrize("case, bound_x, bound_offset", [
+    ("gen-airy", 1e-9, 1e-12),
+    ("gen-airy-0.4", 1e-9, 1e-12),
+    # the members' lattices sit 3.0e-7 rad off pi/2 apart: the finder's
+    # window leaves the principal v 3.1e-7 (relative) off the closed form
+    ("inverse-x", 5e-9, 1e-6),
+    ("constant", 5e-10, 1e-11),
+    ("cauchy-euler", 5e-8, 1e-11),
+])
+def test_principal_zeros_lie_where_the_closed_form_phase_puts_them(case, bound_x,
+                                                                   bound_offset):
+    # bounds about 10 times the largest distance measured: 9.9e-11 over
+    # 900 zeros a member on gen-airy nu=1/3, 1.3e-10 on nu=0.4, 5.0e-10
+    # on inverse-x, 4.3e-11 on constant and 5.7e-9 (2.5e-11 relative) on
+    # cauchy-euler
+    dx, offset, dxc = _closed_form_gaps(case)
+    for d in (*dx, dxc):
+        assert np.max(np.abs(d)) <= bound_x
+    assert abs(offset) <= bound_offset
